@@ -1,6 +1,7 @@
 # Development / CI entry points.
 #
-#   make ci      build + full test suite + format check + lint + benchmark smoke
+#   make ci      build + full test suite + format check + lint + fuzz smoke
+#                + benchmark smoke
 #   make build   compile everything
 #   make test    run the alcotest/qcheck suites
 #   make fmt     check formatting (skipped when ocamlformat is absent)
@@ -12,10 +13,11 @@
 #   make bench-json
 #                regenerate BENCH_PR3.json (quick mode, speedups vs the
 #                committed baseline) and validate it against the schema
+#   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
 
-.PHONY: ci build test fmt lint bench bench-json
+.PHONY: ci build test fmt lint fuzz bench bench-json
 
-ci: build test fmt lint bench bench-json
+ci: build test fmt lint fuzz bench bench-json
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
@@ -23,6 +25,9 @@ lint:
 	  echo "== $$f"; \
 	  dune exec bin/polysynth.exe -- "$$f" --check --lint --simplify || exit $$?; \
 	done
+
+fuzz:
+	dune exec bin/fuzz.exe -- 200 1
 
 build:
 	dune build

@@ -347,12 +347,12 @@ let stage stages name f =
   stages := { Trace.name; wall = now () -. t0; candidates } :: !stages;
   r
 
-let report_of (config : Config.t) method_name prog labels =
+let report_of method_name prog labels (cost, counts) =
   {
     method_name;
     prog;
-    counts = Prog.counts prog;
-    cost = Cost.of_prog ~model:config.model ~width:config.width prog;
+    counts;
+    cost;
     labels;
     cert = Equiv.Unknown "not certified";
     simplified = None;
@@ -449,15 +449,8 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
             (sel, sel.Search.combinations_evaluated))
       in
       Some
-        {
-          method_name = Proposed;
-          prog = sel.Search.prog;
-          counts = sel.Search.counts;
-          cost = sel.Search.cost;
-          labels = sel.Search.labels;
-          cert = Equiv.Unknown "not certified";
-          simplified = None;
-        }
+        (report_of Proposed sel.Search.prog sel.Search.labels
+           (sel.Search.cost, sel.Search.counts))
   in
   let variants =
     match config.strategy with
@@ -472,7 +465,8 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
     (match from_search with Some r -> [ scored r ] | None -> [])
     @ List.map
         (fun (label, prog) ->
-          scored { (report_of config Proposed prog []) with labels = [ label ] })
+          let key, cost, counts = Search.score_full options prog in
+          (key, report_of Proposed prog [ label ] (cost, counts)))
         variants
   in
   match candidates with
@@ -528,7 +522,9 @@ let baseline (config : Config.t) ~prefix stages key method_name polys =
            | Factor_cse -> Baselines.factor_cse polys
            | Proposed -> assert false)
       in
-      (report_of config method_name prog [], 1))
+      ( report_of method_name prog []
+          (Search.measure (Config.search_options config) prog),
+        1 ))
 
 (* Certification is the engine's last stage per method: the selected
    decomposition is checked against the source system and the resulting

@@ -1,7 +1,9 @@
 module Expr = Polysynth_expr.Expr
 module Prog = Polysynth_expr.Prog
 module Dag = Polysynth_expr.Dag
+module Netlist = Polysynth_hw.Netlist
 module Cost = Polysynth_hw.Cost
+module Power = Polysynth_hw.Power
 
 type objective = Min_area | Min_delay | Min_power | Min_ops
 
@@ -50,21 +52,37 @@ let prog_of_choice (r : Represent.t) choice =
   in
   { Prog.bindings; outputs }
 
-(* lexicographic objective key *)
+let choice_of reps idx =
+  List.init (Array.length reps) (fun i -> reps.(i).(idx.(i)))
+
+(* one DAG serves both the netlist and the operator counts *)
+let lower options prog =
+  let dag, roots = Prog.to_dag prog in
+  let netlist = Netlist.of_dag ~width:options.width dag ~outputs:roots in
+  ( netlist,
+    Cost.of_netlist ~model:options.model netlist,
+    Dag.counts dag ~roots:(List.map snd roots) )
+
+let measure options prog =
+  let _, cost, counts = lower options prog in
+  (cost, counts)
+
+(* lexicographic objective key; [power] is only called under Min_power *)
+let key objective ~area ~delay ~ops ~power =
+  match objective with
+  | Min_area -> [| area; delay; ops |]
+  | Min_delay -> [| delay; area; ops |]
+  | Min_power -> [| power (); area; ops |]
+  | Min_ops -> [| ops; area; delay |]
+
 let score_full options prog =
-  let cost = Cost.of_prog ~model:options.model ~width:options.width prog in
-  let counts = Prog.counts prog in
-  let area = float_of_int cost.Cost.area in
-  let ops = float_of_int (Dag.total_ops counts) in
+  let netlist, cost, counts = lower options prog in
   let key =
-    match options.objective with
-    | Min_area -> [| area; cost.Cost.delay; ops |]
-    | Min_delay -> [| cost.Cost.delay; area; ops |]
-    | Min_power ->
-      let netlist = Polysynth_hw.Netlist.of_prog ~width:options.width prog in
-      let power = Polysynth_hw.Power.estimate ~samples:16 netlist in
-      [| power.Polysynth_hw.Power.total; area; ops |]
-    | Min_ops -> [| ops; area; cost.Cost.delay |]
+    key options.objective
+      ~area:(float_of_int cost.Cost.area)
+      ~delay:cost.Cost.delay
+      ~ops:(float_of_int (Dag.total_ops counts))
+      ~power:(fun () -> (Power.estimate ~samples:16 netlist).Power.total)
   in
   (key, cost, counts)
 
@@ -72,13 +90,140 @@ let score options prog =
   let key, _, _ = score_full options prog in
   key
 
-let better (a, _, _) (b, _, _) = a < b
+(* Every representation of every polynomial, and every block binding, is
+   interned once into one DAG; a combination is then costed by walking only
+   the nodes live from its roots.  The walk reproduces [Netlist.of_dag],
+   [Cost.of_netlist] and [Dag.counts]: a live node is a cell whose fanins
+   are its operands, except that the constant of a one-constant
+   multiplication folds into the Cmult.  The walk follows cell fanins only,
+   so a constant that feeds nothing but Cmults is never visited, just as
+   [Netlist.of_dag] drops it.  Area and operator counts are integer sums and
+   delay is a max over arrivals, so the visiting order cannot change a
+   key. *)
+let shared_scorer options (r : Represent.t) =
+  let outputs =
+    Array.to_list r.Represent.reps
+    |> List.concat_map
+         (List.map (fun (rep : Represent.rep) -> ("", rep.Represent.expr)))
+  in
+  let dag, flat =
+    Prog.to_dag { Prog.bindings = Blocktab.bindings r.Represent.table; outputs }
+  in
+  let flat_ids = List.map snd flat in
+  let roots =
+    let flat =
+      Array.of_list (List.map (fun (id : Dag.id) -> (id :> int)) flat_ids)
+    in
+    let next = ref 0 in
+    Array.map
+      (fun reps ->
+        let first = !next in
+        next := first + List.length reps;
+        Array.sub flat first (List.length reps))
+      r.Represent.reps
+  in
+  let m = options.width and model = options.model in
+  let size = Dag.num_nodes dag in
+  (* each node as a cell: fanins at 2i and 2i+1 (-1 when absent), area,
+     delay, and 1 when it is an operator counted by [Dag.counts] *)
+  let fanin = Array.make (2 * size) (-1) in
+  let area = Array.make size 0 and delay = Array.make size 0.0 in
+  let ops = Array.make size 0 in
+  let const_of j =
+    match Dag.node dag j with Dag.Nconst c -> Some c | _ -> None
+  in
+  List.iter
+    (fun (id : Dag.id) ->
+      let i = (id :> int) in
+      let cell ~op a b cell_area cell_delay =
+        fanin.(2 * i) <- a;
+        fanin.((2 * i) + 1) <- b;
+        area.(i) <- cell_area;
+        delay.(i) <- cell_delay;
+        ops.(i) <- op
+      in
+      match Dag.node dag id with
+      | Dag.Nconst _ | Dag.Nvar _ -> ()
+      | Dag.Nneg a ->
+        cell ~op:0 (a :> int) (-1) (model.Cost.neg_area m)
+          (model.Cost.neg_delay m)
+      | Dag.Nadd (a, b) | Dag.Nsub (a, b) ->
+        cell ~op:1 (a :> int) (b :> int) (model.Cost.add_area m)
+          (model.Cost.add_delay m)
+      | Dag.Nmul (a, b) -> (
+          match const_of a, const_of b with
+          | Some c, None ->
+            cell ~op:1 (b :> int) (-1) (model.Cost.cmult_area m c)
+              (model.Cost.cmult_delay m c)
+          | None, Some c ->
+            cell ~op:1 (a :> int) (-1) (model.Cost.cmult_area m c)
+              (model.Cost.cmult_delay m c)
+          | Some _, Some _ | None, None ->
+            cell ~op:1 (a :> int) (b :> int) (model.Cost.mult_area m)
+              (model.Cost.mult_delay m)))
+    (Dag.live dag ~roots:flat_ids);
+  (* scratch for one combination; a node belongs to the current one when
+     its stamp equals [epoch], and [order] lists those nodes operands
+     first *)
+  let stamp = Array.make size 0 and epoch = ref 0 in
+  let fanout = Array.make size 0 and arrival = Array.make size 0.0 in
+  let order = Array.make size 0 and live = ref 0 in
+  let rec visit i =
+    if stamp.(i) <> !epoch then begin
+      stamp.(i) <- !epoch;
+      fanout.(i) <- 0;
+      let a = fanin.(2 * i) and b = fanin.((2 * i) + 1) in
+      if a >= 0 then begin
+        visit a;
+        fanout.(a) <- fanout.(a) + 1
+      end;
+      if b >= 0 then begin
+        visit b;
+        fanout.(b) <- fanout.(b) + 1
+      end;
+      order.(!live) <- i;
+      incr live
+    end
+  in
+  fun idx ->
+    incr epoch;
+    live := 0;
+    Array.iteri (fun p k -> visit roots.(p).(k)) idx;
+    let total_area = ref 0 and worst = ref 0.0 and total_ops = ref 0 in
+    for j = 0 to !live - 1 do
+      let i = order.(j) in
+      let a = fanin.(2 * i) and b = fanin.((2 * i) + 1) in
+      let fanin_arrival = if a >= 0 then Float.max 0.0 arrival.(a) else 0.0 in
+      let fanin_arrival =
+        if b >= 0 then Float.max fanin_arrival arrival.(b) else fanin_arrival
+      in
+      let load =
+        model.Cost.fanout_delay *. float_of_int (Stdlib.max 0 (fanout.(i) - 1))
+      in
+      arrival.(i) <- fanin_arrival +. delay.(i) +. load;
+      total_area := !total_area + area.(i);
+      worst := Float.max !worst arrival.(i);
+      total_ops := !total_ops + ops.(i)
+    done;
+    key options.objective
+      ~area:(float_of_int !total_area)
+      ~delay:!worst
+      ~ops:(float_of_int !total_ops)
+      ~power:(fun () -> invalid_arg "Search: Min_power is scored per program")
+
+let scorer options (r : Represent.t) =
+  match options.objective with
+  | Min_area | Min_delay | Min_ops -> shared_scorer options r
+  | Min_power ->
+    let reps = Array.map Array.of_list r.Represent.reps in
+    fun idx -> score options (prog_of_choice r (choice_of reps idx))
 
 exception Budget_exhausted
 
 let select options (r : Represent.t) =
   let reps = Array.map Array.of_list r.Represent.reps in
   let n = Array.length reps in
+  let key_of = scorer options r in
   let evaluated = ref 0 in
   let exhausted = ref false in
   (* the very first candidate is always evaluated, so budget exhaustion
@@ -86,21 +231,27 @@ let select options (r : Represent.t) =
   let may_continue () =
     match options.budget with None -> true | Some ok -> ok ()
   in
-  let eval choice_idx =
+  let idx = Array.make n 0 in
+  let eval () =
     incr evaluated;
-    let choice =
-      List.init n (fun i -> reps.(i).(choice_idx.(i)))
-    in
-    let prog = prog_of_choice r choice in
-    (score_full options prog, prog, choice)
+    key_of idx
+  in
+  let best_key = ref (eval ()) and best_idx = ref (Array.copy idx) in
+  (* first-best: a later combination must be strictly better to win *)
+  let try_current () =
+    let key = eval () in
+    let better = key < !best_key in
+    if better then begin
+      best_key := key;
+      best_idx := Array.copy idx
+    end;
+    better
   in
   let total = Represent.num_combinations r in
   let exhaustive = total <= options.exhaustive_limit in
-  let best = ref (eval (Array.make n 0)) in
   if n > 0 then begin
     if exhaustive then begin
       (* odometer over all combinations *)
-      let idx = Array.make n 0 in
       let rec advance pos =
         if pos < n then begin
           if idx.(pos) + 1 < Array.length reps.(pos) then begin
@@ -121,9 +272,7 @@ let select options (r : Represent.t) =
           keep_going := false
         end
         else begin
-          let trial = eval idx in
-          let (ts, _, _) = trial and (bs, _, _) = !best in
-          if better ts bs then best := trial;
+          ignore (try_current ());
           keep_going := advance 0
         end
       done
@@ -131,7 +280,6 @@ let select options (r : Represent.t) =
     else begin
       (* coordinate descent from the all-first choice: re-optimize one
          polynomial at a time against the sharing created by the others *)
-      let idx = Array.make n 0 in
       let improved = ref true in
       let sweep = ref 0 in
       (try
@@ -144,10 +292,7 @@ let select options (r : Represent.t) =
                if k <> !best_k then begin
                  if not (may_continue ()) then raise_notrace Budget_exhausted;
                  idx.(i) <- k;
-                 let trial = eval idx in
-                 let (ts, _, _) = trial and (bs, _, _) = !best in
-                 if better ts bs then begin
-                   best := trial;
+                 if try_current () then begin
                    best_k := k;
                    improved := true
                  end
@@ -162,7 +307,9 @@ let select options (r : Represent.t) =
        with Budget_exhausted -> exhausted := true)
     end
   end;
-  let (_, cost, counts), prog, choice = !best in
+  let choice = choice_of reps !best_idx in
+  let prog = prog_of_choice r choice in
+  let cost, counts = measure options prog in
   {
     prog;
     labels = List.map (fun (rep : Represent.rep) -> rep.Represent.label) choice;

@@ -2,9 +2,14 @@
 
     A combination assigns one representation to each polynomial; its cost
     is measured {e after} CSE, i.e. on the hash-consed DAG of the whole
-    program (shared building blocks are counted once).  Small systems are
-    searched exhaustively; large ones by coordinate descent, re-optimizing
-    one polynomial at a time against the sharing created by the others. *)
+    program (shared building blocks are counted once).  All
+    representations of a system are interned once into one shared DAG, and
+    each combination is costed on the part of it live from the
+    combination's roots, with exactly the area, delay and operator counts
+    that lowering the combination's own program would give.  Small systems
+    are searched exhaustively; large ones by coordinate descent,
+    re-optimizing one polynomial at a time against the sharing created by
+    the others. *)
 
 module Prog := Polysynth_expr.Prog
 module Dag := Polysynth_expr.Dag
@@ -37,7 +42,17 @@ val default_options : width:int -> options
 val score : options -> Prog.t -> float array
 (** The lexicographic objective key of a program under the options
     (exposed so that whole-system decompositions outside the
-    representation search can compete on equal terms). *)
+    representation search can compete on equal terms).  It lowers the
+    program to its own DAG and netlist; the search uses it only for
+    [Min_power], and tests use it as the oracle for {!scorer}. *)
+
+val score_full : options -> Prog.t -> float array * Cost.report * Dag.counts
+(** {!score} together with the cost report and operator counts it was
+    computed from, all from one lowering of the program. *)
+
+val measure : options -> Prog.t -> Cost.report * Dag.counts
+(** The cost report and operator counts of a program, from one lowering
+    (no objective key, so no power estimate). *)
 
 type selection = {
   prog : Prog.t;  (** chosen representations, with used block bindings *)
@@ -54,4 +69,23 @@ val prog_of_choice : Represent.t -> Represent.rep list -> Prog.t
 (** Assemble a program from one representation per polynomial, including
     exactly the block bindings the expressions use. *)
 
+val scorer : options -> Represent.t -> int array -> float array
+(** [scorer options r] prepares the scoring of combinations of [r]; the
+    returned function maps a combination (the index of the chosen
+    representation of each polynomial) to its key, which equals
+    [score options (prog_of_choice r choice)].
+
+    Under [Min_area], [Min_delay] and [Min_ops] the preparation interns
+    every representation and every block binding into one shared DAG, and
+    each call walks only the nodes live from the combination's roots.
+    [Min_power] lowers each combination to its own program: its power is a
+    float sum taken in cell order, and the shared DAG orders cells
+    differently.  The returned function reuses scratch arrays, so call it
+    from one domain at a time. *)
+
 val select : options -> Represent.t -> selection
+(** Search the combinations of [r] and return the best one under the
+    objective, scored by {!scorer}.  The visiting order is fixed (an
+    odometer when exhaustive, coordinate descent otherwise) and a later
+    combination replaces the best only when its key is strictly smaller,
+    so ties go to the first one visited. *)

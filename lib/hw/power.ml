@@ -20,17 +20,22 @@ let next rng bound =
   rng.state <- s land max_int;
   if bound <= 0 then 0 else rng.state mod bound
 
+let rec popcount v = if v = 0 then 0 else 1 + popcount (v land (v - 1))
+
 let hamming_distance a b w =
   (* both already reduced into [0, 2^w) *)
-  let rec go i acc =
-    if i >= w then acc
-    else
-      let bit z =
-        Z.to_int_exn (Z.erem_pow2 (Z.div z (Z.pow2 i)) 1)
-      in
-      go (i + 1) (acc + if bit a <> bit b then 1 else 0)
-  in
-  go 0 0
+  match Z.to_int_opt a, Z.to_int_opt b with
+  | Some x, Some y -> popcount (x lxor y)
+  | None, _ | _, None ->
+    let rec go i acc =
+      if i >= w then acc
+      else
+        let bit z =
+          Z.to_int_exn (Z.erem_pow2 (Z.div z (Z.pow2 i)) 1)
+        in
+        go (i + 1) (acc + if bit a <> bit b then 1 else 0)
+    in
+    go 0 0
 
 let cell_values (n : Netlist.t) env =
   let values = Array.make (Array.length n.Netlist.cells) Z.zero in

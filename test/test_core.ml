@@ -254,6 +254,185 @@ let test_search_beam_on_large () =
   Alcotest.(check bool) "better than direct" true
     (Dag.total_ops sel.Search.counts < tree_ops Ex.table_14_2)
 
+(* shared-DAG scorer against the per-program oracle ---------------------------- *)
+
+module Bench = Polysynth_workloads.Benchmarks
+
+type oracle = {
+  o_labels : string list;
+  o_cost : Cost.report;
+  o_counts : Dag.counts;
+  o_evaluated : int;
+  o_exhausted : bool;
+  key_mismatches : int;  (* visited combinations where the scorers differ *)
+}
+
+(* [Search.select] before the shared DAG: the same visiting order, budget
+   semantics and first-best tie-break, but every combination is scored by
+   lowering its own program with [Search.score].  Each visited
+   combination's key is also compared with [Search.scorer]'s, so an
+   exhaustive run checks every combination. *)
+let oracle_select (options : Search.options) (r : Represent.t) =
+  let reps = Array.map Array.of_list r.Represent.reps in
+  let n = Array.length reps in
+  let shared = Search.scorer options r in
+  let choice idx = List.init n (fun i -> reps.(i).(idx.(i))) in
+  let evaluated = ref 0 and exhausted = ref false and mismatches = ref 0 in
+  let may_continue () =
+    match options.Search.budget with None -> true | Some ok -> ok ()
+  in
+  let eval idx =
+    incr evaluated;
+    let key = Search.score options (Search.prog_of_choice r (choice idx)) in
+    if shared idx <> key then incr mismatches;
+    (key, Array.copy idx)
+  in
+  let best = ref (eval (Array.make n 0)) in
+  let better (a, _) (b, _) = a < b in
+  if n > 0 then begin
+    let idx = Array.make n 0 in
+    if Represent.num_combinations r <= options.Search.exhaustive_limit then begin
+      let rec advance pos =
+        pos < n
+        &&
+        if idx.(pos) + 1 < Array.length reps.(pos) then begin
+          idx.(pos) <- idx.(pos) + 1;
+          true
+        end
+        else begin
+          idx.(pos) <- 0;
+          advance (pos + 1)
+        end
+      in
+      let keep_going = ref (advance 0) in
+      while !keep_going do
+        if not (may_continue ()) then begin
+          exhausted := true;
+          keep_going := false
+        end
+        else begin
+          let trial = eval idx in
+          if better trial !best then best := trial;
+          keep_going := advance 0
+        end
+      done
+    end
+    else begin
+      let improved = ref true and sweep = ref 0 in
+      try
+        while !improved && !sweep < options.Search.sweeps do
+          improved := false;
+          incr sweep;
+          for i = 0 to n - 1 do
+            let best_k = ref idx.(i) in
+            for k = 0 to Array.length reps.(i) - 1 do
+              if k <> !best_k then begin
+                if not (may_continue ()) then raise Exit;
+                idx.(i) <- k;
+                let trial = eval idx in
+                if better trial !best then begin
+                  best := trial;
+                  best_k := k;
+                  improved := true
+                end
+              end
+            done;
+            idx.(i) <- !best_k
+          done
+        done
+      with Exit -> exhausted := true
+    end
+  end;
+  let choice = choice (snd !best) in
+  let prog = Search.prog_of_choice r choice in
+  {
+    o_labels = List.map (fun (rep : Represent.rep) -> rep.Represent.label) choice;
+    o_cost =
+      Cost.of_prog ~model:options.Search.model ~width:options.Search.width prog;
+    o_counts = Prog.counts prog;
+    o_evaluated = !evaluated;
+    o_exhausted = !exhausted;
+    key_mismatches = !mismatches;
+  }
+
+(* a candidate budget in the engine's style: [n] more combinations *)
+let candidate_budget n =
+  let used = ref 0 in
+  Some
+    (fun () ->
+      incr used;
+      !used <= n)
+
+(* Every way [Search.select] differs from the oracle on [r], under each
+   non-power objective, unbudgeted, with a candidate budget and, when the
+   default search is exhaustive, forced into coordinate descent. *)
+let oracle_mismatches ~width (r : Represent.t) =
+  let exhaustive =
+    Represent.num_combinations r
+    <= (Search.default_options ~width).Search.exhaustive_limit
+  in
+  let runs =
+    [
+      ("default", fun o -> o);
+      ("budget 5", fun o -> { o with Search.budget = candidate_budget 5 });
+    ]
+    @
+    if exhaustive then
+      [ ("descent", fun o -> { o with Search.exhaustive_limit = 1 }) ]
+    else []
+  in
+  List.concat_map
+    (fun objective ->
+      List.concat_map
+        (fun (run, adjust) ->
+          let options () =
+            adjust { (Search.default_options ~width) with Search.objective }
+          in
+          let o = oracle_select (options ()) r in
+          let s = Search.select (options ()) r in
+          List.filter_map
+            (fun (what, ok) ->
+              if ok then None
+              else
+                Some
+                  (Printf.sprintf "%s/%s: %s"
+                     (match objective with
+                      | Search.Min_area -> "area"
+                      | Search.Min_delay -> "delay"
+                      | Search.Min_ops -> "ops"
+                      | Search.Min_power -> "power")
+                     run what))
+            [
+              ("keys", o.key_mismatches = 0);
+              ("labels", o.o_labels = s.Search.labels);
+              ("cost", o.o_cost = s.Search.cost);
+              ("counts", o.o_counts = s.Search.counts);
+              ("combinations_evaluated",
+               o.o_evaluated = s.Search.combinations_evaluated);
+              ("budget_exhausted", o.o_exhausted = s.Search.budget_exhausted);
+            ])
+        runs)
+    [ Search.Min_area; Search.Min_delay; Search.Min_ops ]
+
+let check_oracle name ~width r =
+  Alcotest.(check (list string)) (name ^ " agrees with the oracle") []
+    (oracle_mismatches ~width r)
+
+let test_scorer_paper_tables () =
+  let ctx = Ring.make_ctx ~out_width:16 () in
+  List.iter
+    (fun (name, system) ->
+      check_oracle name ~width:16 (Represent.build ~ctx system))
+    [ ("table 14.1", Ex.table_14_1); ("table 14.2", Ex.table_14_2) ]
+
+let test_scorer_table_14_3 () =
+  List.iter
+    (fun (b : Bench.t) ->
+      let ctx = Ring.make_ctx ~out_width:b.Bench.width () in
+      check_oracle b.Bench.name ~width:b.Bench.width
+        (Represent.build ~ctx b.Bench.polys))
+    (Bench.all ())
+
 (* integrated ----------------------------------------------------------------------------------- *)
 
 let test_integrated_variants_exact () =
@@ -470,6 +649,18 @@ let prop_proposed_mod_ring_verifies =
       let r = Pipe.run ~ctx ~width:8 Pipe.Proposed system in
       Pipe.verify ~ctx system r.Pipe.prog)
 
+let prop_scorer_matches_oracle =
+  prop "select = per-program oracle" ~count:30 arb_seed (fun seed ->
+      let system = Rand.generate ~seed Rand.default_config in
+      (* odd seeds also exercise the ring-context representations *)
+      let ctx =
+        if seed land 1 = 1 then Some (Ring.make_ctx ~out_width:8 ()) else None
+      in
+      let width = if Option.is_some ctx then 8 else 16 in
+      match oracle_mismatches ~width (Represent.build ?ctx system) with
+      | [] -> true
+      | diffs -> QCheck.Test.fail_reportf "%s" (String.concat "; " diffs))
+
 let () =
   Alcotest.run "core"
     [
@@ -515,6 +706,11 @@ let () =
             test_represent_exact_reps_expand;
           Alcotest.test_case "search table 14.1" `Quick test_search_table_14_1;
           Alcotest.test_case "coordinate descent" `Quick test_search_beam_on_large;
+          Alcotest.test_case "scorer oracle: tables 14.1, 14.2" `Quick
+            test_scorer_paper_tables;
+          Alcotest.test_case "scorer oracle: table 14.3" `Slow
+            test_scorer_table_14_3;
+          prop_scorer_matches_oracle;
         ] );
       ( "integrated",
         [

@@ -178,6 +178,24 @@ let test_power_leakage_tracks_area () =
     (0.01 *. float_of_int cost.Cost.area)
     r.Power.leakage
 
+(* totals recorded with the bit-serial toggle count; width 64 values do
+   not fit a native int, so it also covers the wide fallback *)
+let test_power_pinned_totals () =
+  let prog =
+    prog_of_strings [ "x*y*x + y*x*y + 7*x*y - 3*z"; "x - 5*y*z + 11" ]
+  in
+  List.iter
+    (fun (width, expected) ->
+      let r = Power.estimate (N.of_prog ~width prog) in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "total at width %d" width)
+        expected r.Power.total)
+    [
+      (8, 0x1.28af28f5c28f6p+13);
+      (16, 0x1.23a41eb851eb8p+16);
+      (64, 0x1.1f10d5999999ap+22);
+    ]
+
 let test_power_invalid_samples () =
   let n = N.of_prog ~width:8 (prog_of_strings [ "x" ]) in
   Alcotest.check_raises "samples < 1"
@@ -759,6 +777,7 @@ let () =
           Alcotest.test_case "leakage tracks area" `Quick
             test_power_leakage_tracks_area;
           Alcotest.test_case "invalid samples" `Quick test_power_invalid_samples;
+          Alcotest.test_case "pinned totals" `Quick test_power_pinned_totals;
         ] );
       ( "range",
         [
