@@ -6,15 +6,16 @@ module Dag = Polysynth_expr.Dag
 module Kernel = Polysynth_cse.Kernel
 module Squarefree = Polysynth_factor.Squarefree
 
-module PolyMap = Map.Make (Poly)
+module PolyTbl = Hashtbl.Make (Poly)
 
 type session = {
   table : Blocktab.t;
   divs : Poly.t list;
-  mutable memo : Expr.t PolyMap.t;
+  memo : Expr.t PolyTbl.t;
 }
 
-let make_session table ~divisors = { table; divs = divisors; memo = PolyMap.empty }
+let make_session table ~divisors =
+  { table; divs = divisors; memo = PolyTbl.create 64 }
 
 let divisors s = s.divs
 
@@ -24,9 +25,12 @@ let cheapest candidates =
   match candidates with
   | [] -> invalid_arg "Algdiv.cheapest: no candidates"
   | first :: rest ->
-    List.fold_left
-      (fun best cand -> if cost cand < cost best then cand else best)
-      first rest
+    fst
+      (List.fold_left
+         (fun ((_, best_cost) as best) cand ->
+           let c = cost cand in
+           if c < best_cost then (cand, c) else best)
+         (first, cost first) rest)
 
 (* expression for a possibly non-normalized linear root: strip the content
    onto a constant factor and reference the divisor block *)
@@ -66,14 +70,14 @@ let could_be_perfect_power p =
        [ 2; 3; 5; 7 ]
 
 let rec decompose ?(depth = 0) s p =
-  match PolyMap.find_opt p s.memo with
+  match PolyTbl.find_opt s.memo p with
   | Some e -> e
   | None ->
     (* break potential cycles defensively: memoize the direct form first,
        then overwrite with the winner *)
-    s.memo <- PolyMap.add p (Expr.of_poly p) s.memo;
+    PolyTbl.replace s.memo p (Expr.of_poly p);
     let result = choose depth s p in
-    s.memo <- PolyMap.add p result s.memo;
+    PolyTbl.replace s.memo p result;
     result
 
 and choose depth s p =

@@ -14,19 +14,8 @@ type model = {
           input-capacitance cost of sharing a sub-expression widely *)
 }
 
-(* non-adjacent form: digits in {-1, 0, 1}, no two adjacent non-zero *)
 let csd_digits c =
-  let rec go n acc =
-    if Z.is_zero n then acc
-    else if Z.is_even n then go (Z.div n Z.two) acc
-    else begin
-      (* n odd: digit is 2 - (n mod 4), i.e. +1 or -1 *)
-      let m4 = Z.to_int_exn (Z.erem_pow2 n 2) in
-      let d = if m4 = 1 then Z.one else Z.minus_one in
-      go (Z.div (Z.sub n d) Z.two) (acc + 1)
-    end
-  in
-  go (Z.abs c) 0
+  if Z.is_zero c then 0 else List.length (Mcm.csd_digits (Z.abs c))
 
 let log2_ceil n =
   let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in

@@ -17,35 +17,44 @@ let normalize sign mag =
   else if hi = n - 1 then { sign; mag }
   else { sign; mag = Array.sub mag 0 (hi + 1) }
 
-let of_int n =
-  if n = 0 then zero
+(* Native fast paths.  A value is "small" when its magnitude has at most
+   two limbs (|v| < 2^60): it is read into a native int, and sums,
+   differences, quotients, remainders and gcds of two small values are
+   computed natively, then rebuilt by [of_native] in exactly the limb
+   layout the general code produces. *)
+let is_small z = Array.length z.mag <= 2
+
+let native z =
+  let m = z.mag in
+  let v =
+    match Array.length m with
+    | 0 -> 0
+    | 1 -> m.(0)
+    | _ -> (m.(1) lsl base_bits) lor m.(0)
+  in
+  if z.sign < 0 then -v else v
+
+(* any |v| < 2^62, i.e. every int except min_int *)
+let of_native v =
+  if v = 0 then zero
   else begin
-    let sign = if n < 0 then -1 else 1 in
-    (* min_int negation overflows; peel limbs with arithmetic that stays
-       within the native range. *)
-    let rec limbs acc n =
-      if n = 0 then List.rev acc
-      else limbs ((n land base_mask) :: acc) (n lsr base_bits)
-    in
-    let m = if n < 0 then -(n + 1) else n in
-    (* magnitude of n is m+1 when negative: handle via int64-free trick *)
-    if n < 0 then begin
-      let digs = limbs [] m in
-      let arr = Array.of_list digs in
-      let arr = if Array.length arr = 0 then [| 0 |] else arr in
-      (* add 1 back to the magnitude *)
-      let len = Array.length arr in
-      let out = Array.make (len + 1) 0 in
-      Array.blit arr 0 out 0 len;
-      let rec carry i =
-        if out.(i) = base_mask then begin out.(i) <- 0; carry (i + 1) end
-        else out.(i) <- out.(i) + 1
-      in
-      carry 0;
-      normalize sign out
-    end
-    else normalize sign (Array.of_list (limbs [] m))
+    let sign = if v < 0 then -1 else 1 in
+    let a = if v < 0 then -v else v in
+    if a < base then { sign; mag = [| a |] }
+    else if a < 1 lsl (2 * base_bits) then
+      { sign; mag = [| a land base_mask; a lsr base_bits |] }
+    else
+      { sign;
+        mag =
+          [| a land base_mask;
+             (a lsr base_bits) land base_mask;
+             a lsr (2 * base_bits) |] }
   end
+
+(* min_int is the one int whose magnitude, 2^62, has no native negation *)
+let of_int n =
+  if n = Stdlib.min_int then { sign = -1; mag = [| 0; 0; 1 lsl 2 |] }
+  else of_native n
 
 let one = of_int 1
 let two = of_int 2
@@ -117,6 +126,7 @@ let sub_mag a b =
 let add a b =
   if a.sign = 0 then b
   else if b.sign = 0 then a
+  else if is_small a && is_small b then of_native (native a + native b)
   else if a.sign = b.sign then normalize a.sign (add_mag a.mag b.mag)
   else
     let c = compare_mag a.mag b.mag in
@@ -124,7 +134,10 @@ let add a b =
     else if c > 0 then normalize a.sign (sub_mag a.mag b.mag)
     else normalize b.sign (sub_mag b.mag a.mag)
 
-let sub a b = add a (neg b)
+let sub a b =
+  if b.sign = 0 then a
+  else if is_small a && is_small b then of_native (native a - native b)
+  else add a (neg b)
 
 let mul_mag a b =
   let la = Array.length a and lb = Array.length b in
@@ -150,6 +163,9 @@ let mul_mag a b =
 
 let mul a b =
   if a.sign = 0 || b.sign = 0 then zero
+  else if Array.length a.mag = 1 && Array.length b.mag = 1 then
+    (* both below 2^30, so the product is below 2^60 *)
+    of_native (native a * native b)
   else normalize (a.sign * b.sign) (mul_mag a.mag b.mag)
 
 let mul_int a n = mul a (of_int n)
@@ -191,6 +207,10 @@ let divmod_mag a b =
 let divmod a b =
   if b.sign = 0 then raise Division_by_zero;
   if a.sign = 0 then (zero, zero)
+  else if is_small a && is_small b then
+    (* native / and mod truncate exactly as documented *)
+    let x = native a and y = native b in
+    (of_native (x / y), of_native (x mod y))
   else if compare_mag a.mag b.mag < 0 then (zero, a)
   else begin
     let q, r = divmod_mag a.mag b.mag in
@@ -217,7 +237,12 @@ let divides d a =
   if is_zero d then is_zero a else is_zero (rem a d)
 
 let gcd a b =
-  let rec go a b = if is_zero b then a else go b (rem a b) in
+  let rec native_gcd x y = if y = 0 then x else native_gcd y (x mod y) in
+  let rec go a b =
+    if is_small a && is_small b then of_native (native_gcd (native a) (native b))
+    else if is_zero b then a
+    else go b (rem a b)
+  in
   go (abs a) (abs b)
 
 let lcm a b =
@@ -234,7 +259,7 @@ let pow z e =
 
 let pow2 m =
   if m < 0 then invalid_arg "Zint.pow2: negative exponent";
-  pow two m
+  if m < 62 then of_native (1 lsl m) else pow two m
 
 let factorial n =
   if n < 0 then invalid_arg "Zint.factorial: negative input";
@@ -248,7 +273,10 @@ let val2 z =
   let rec bit v acc = if v land 1 = 1 then acc else bit (v lsr 1) (acc + 1) in
   (i * base_bits) + bit z.mag.(i) 0
 
-let erem_pow2 z m = snd (ediv_rem z (pow2 m))
+let erem_pow2 z m =
+  (* two's complement: the low m bits are the Euclidean residue *)
+  if m < 62 && is_small z then of_native (native z land ((1 lsl m) - 1))
+  else snd (ediv_rem z (pow2 m))
 
 let to_int_opt z =
   (* Magnitudes up to 2^62 - 1 always fit; min_int (magnitude exactly 2^62,

@@ -6,6 +6,17 @@
     this module provides a self-contained bignum implementation
     (sign-magnitude, base [2^30] limbs).
 
+    Almost every coefficient the flow meets fits a machine word, so the
+    arithmetic takes native-int fast paths where the operands allow:
+    [add], [sub], [divmod] (and [div], [rem], [ediv_rem], [divexact],
+    [divides] through it) and [gcd] when both operands are below [2^60];
+    [mul] when both are below [2^30]; [pow2 m] and [erem_pow2 z m] for
+    [m < 62].  Every other case runs the limb code.  A fast path builds its
+    result in exactly the limb layout the limb code produces, so there is
+    one representation per value: [compare], [hash], and polymorphic
+    comparison or hashing of structures holding a [t], give the same
+    answers whichever path built it.
+
     All values are immutable.  [compare], [equal] and [hash] are structural
     and consistent with each other. *)
 

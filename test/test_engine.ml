@@ -38,7 +38,19 @@ let test_parallel_map_exception () =
 
 (* ---- determinism: parallel = sequential ------------------------------ *)
 
+(* Table 14.3 as the engine synthesizes it: (MULT, ADD, area) per system,
+   pinned so that a change to the arithmetic or search underneath cannot
+   silently move the paper's results *)
+let table_14_3 =
+  [ ("SG 3x2", (14, 19, 8000)); ("SG 4x2", (12, 38, 10112));
+    ("SG 4x3", (22, 54, 25536)); ("SG 5x2", (15, 60, 12864));
+    ("SG 5x3", (40, 89, 30480)); ("Quad", (6, 7, 2656));
+    ("Mibench", (9, 9, 2152)); ("MVCS", (4, 2, 3296)) ]
+
 let test_parallel_matches_sequential () =
+  Alcotest.(check (list string))
+    "pinned systems" (List.map fst table_14_3)
+    (List.map (fun (b : B.t) -> b.B.name) (B.all ()));
   List.iter
     (fun (b : B.t) ->
       let run parallelism =
@@ -49,6 +61,11 @@ let test_parallel_matches_sequential () =
       in
       let seq = run 1 in
       let par = run 2 in
+      Alcotest.(check (triple int int int))
+        (b.B.name ^ ": pinned MULT, ADD, area")
+        (List.assoc b.B.name table_14_3)
+        (seq.Engine.counts.Dag.mults, seq.Engine.counts.Dag.adds,
+         seq.Engine.cost.Cost.area);
       Alcotest.(check int)
         (b.B.name ^ ": MULT count") seq.Engine.counts.Dag.mults
         par.Engine.counts.Dag.mults;

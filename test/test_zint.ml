@@ -4,6 +4,23 @@ let z = Alcotest.testable Z.pp Z.equal
 
 let check_z = Alcotest.check z
 
+(* the same value built by limb code alone: [huge] and [huge + r] are never
+   small, so neither the sum nor the difference takes a fast path *)
+let limb_path r =
+  let huge = Z.pow2 200 in
+  Z.sub (Z.add huge r) huge
+
+(* [r] has the one canonical layout: it equals and hashes like the value
+   reparsed from its decimal form and like the value built by limb code,
+   also under polymorphic compare and hash *)
+let canonical r =
+  List.for_all
+    (fun r' ->
+      Z.equal r r' && Z.hash r = Z.hash r'
+      && Stdlib.compare r r' = 0
+      && Hashtbl.hash r = Hashtbl.hash r')
+    [ Z.of_string (Z.to_string r); limb_path r ]
+
 (* qcheck generators ------------------------------------------------------- *)
 
 let small_int_gen = QCheck.Gen.int_range (-1_000_000) 1_000_000
@@ -91,6 +108,12 @@ let test_pow () =
   check_z "2^10" (Z.of_int 1024) (Z.pow Z.two 10);
   check_z "(-3)^3" (Z.of_int (-27)) (Z.pow (Z.of_int (-3)) 3);
   check_z "pow2 64" (Z.of_string "18446744073709551616") (Z.pow2 64);
+  for m = 0 to 130 do
+    let p = Z.pow2 m in
+    Alcotest.(check bool) (Printf.sprintf "2^%d canonical" m) true (canonical p);
+    check_z (Printf.sprintf "2^%d = pow 2" m) (Z.pow Z.two m) p;
+    Alcotest.(check int) (Printf.sprintf "bits 2^%d" m) (m + 1) (Z.num_bits p)
+  done;
   Alcotest.check_raises "negative exponent"
     (Invalid_argument "Zint.pow: negative exponent") (fun () ->
       ignore (Z.pow Z.two (-1)))
@@ -133,7 +156,20 @@ let test_ediv_rem () =
 let test_erem_pow2 () =
   Alcotest.(check int) "17 mod 16" 1 (Z.to_int_exn (Z.erem_pow2 (Z.of_int 17) 4));
   Alcotest.(check int) "-1 mod 16" 15 (Z.to_int_exn (Z.erem_pow2 (Z.of_int (-1)) 4));
-  Alcotest.(check int) "0 mod 8" 0 (Z.to_int_exn (Z.erem_pow2 Z.zero 3))
+  Alcotest.(check int) "0 mod 8" 0 (Z.to_int_exn (Z.erem_pow2 Z.zero 3));
+  (* m beyond the native mask and z beyond two limbs take the limb path *)
+  let check_erem z m =
+    let r = Z.erem_pow2 z m in
+    let r' = snd (Z.ediv_rem z (Z.pow2 m)) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s mod 2^%d" (Z.to_string z) m)
+      true
+      (Z.equal r r' && canonical r)
+  in
+  List.iter
+    (fun z -> List.iter (check_erem z) [ 0; 1; 30; 59; 60; 61; 62; 63; 64; 100 ])
+    [ Z.of_int (-1); Z.of_int max_int; Z.of_int min_int; Z.neg (Z.pow2 60);
+      Z.sub (Z.pow2 61) Z.one; Z.neg (Z.pow2 90); Z.add (Z.pow2 90) Z.one ]
 
 let test_gcd_lcm () =
   check_z "gcd 24 30" (Z.of_int 6) (Z.gcd (Z.of_int 24) (Z.of_int 30));
@@ -164,7 +200,17 @@ let test_num_bits () =
 
 let test_to_int_opt_bounds () =
   Alcotest.(check bool) "2^61 fits" true (Z.to_int_opt (Z.pow2 61) <> None);
-  Alcotest.(check bool) "2^63 too big" true (Z.to_int_opt (Z.pow2 63) = None)
+  Alcotest.(check bool) "2^63 too big" true (Z.to_int_opt (Z.pow2 63) = None);
+  let check name expect z =
+    Alcotest.(check (option int)) name expect (Z.to_int_opt z)
+  in
+  check "max_int" (Some max_int) (Z.of_int max_int);
+  check "min_int" (Some min_int) (Z.of_int min_int);
+  check "max_int + 1" None (Z.add (Z.of_int max_int) Z.one);
+  check "min_int - 1" None (Z.sub (Z.of_int min_int) Z.one);
+  check "-(min_int)" None (Z.neg (Z.of_int min_int));
+  check "2^60" (Some (1 lsl 60)) (Z.pow2 60);
+  check "-2^61" (Some (-(1 lsl 61))) (Z.neg (Z.pow2 61))
 
 (* properties --------------------------------------------------------------- *)
 
@@ -239,6 +285,126 @@ let prop_num_bits_bound =
       Z.compare (Z.abs a) (Z.pow2 n) < 0
       && Z.compare (Z.pow2 (n - 1)) (Z.abs a) <= 0)
 
+(* native-int boundaries ------------------------------------------------------ *)
+
+(* Operands clustered where the native fast paths hand over to the limb
+   code: one limb (2^30), two limbs (2^60), the largest sums (2^61) and the
+   ends of the native range. *)
+let boundary_int_gen =
+  let open QCheck.Gen in
+  let near =
+    oneofl [ 29; 30; 31; 59; 60; 61 ] >>= fun k ->
+    map2 (fun s d -> s * ((1 lsl k) + d)) (oneofl [ 1; -1 ]) (int_range (-3) 3)
+  in
+  frequency
+    [
+      (1, oneofl [ 0; 1; -1 ]);
+      (6, near);
+      (1, map (fun d -> max_int - d) (int_range 0 3));
+      (1, map (fun d -> min_int + d) (int_range 0 3));
+      (2, small_int_gen);
+      (2, int);
+    ]
+
+let arb_boundary = QCheck.make boundary_int_gen ~print:string_of_int
+
+(* values of magnitude >= 2^62, beyond every fast path *)
+let arb_big =
+  QCheck.make ~print:Z.to_string
+    QCheck.Gen.(
+      map3
+        (fun neg k d ->
+          let b = Z.add (Z.pow2 k) (Z.abs (Z.of_int d)) in
+          if neg then Z.neg b else b)
+        bool (int_range 62 130) boundary_int_gen)
+
+let is_native n r = Z.to_int_opt r = Some n && canonical r
+
+let add_fits a b =
+  let s = a + b in
+  not ((a >= 0 && b >= 0 && s < 0) || (a < 0 && b < 0 && s >= 0))
+
+let sub_fits a b =
+  let d = a - b in
+  not ((a >= 0 && b < 0 && d < 0) || (a < 0 && b >= 0 && d >= 0))
+
+let mul_fits a b =
+  a = 0 || ((a * b) / a = b && not (a = -1 && b = min_int))
+
+let div_fits a b = b <> 0 && not (a = min_int && b = -1)
+
+let native_ediv_rem a b =
+  let q = a / b and r = a mod b in
+  if r >= 0 then (q, r) else if b > 0 then (q - 1, r + b) else (q + 1, r - b)
+
+let rec native_gcd a b = if b = 0 then a else native_gcd b (a mod b)
+
+let prop_native_oracle =
+  prop "add/sub/mul/divmod/ediv_rem/gcd agree with native ints" ~count:3000
+    QCheck.(pair arb_boundary arb_boundary)
+    (fun (a, b) ->
+      let za = Z.of_int a and zb = Z.of_int b in
+      is_native a za && is_native b zb
+      && ((not (add_fits a b)) || is_native (a + b) (Z.add za zb))
+      && ((not (sub_fits a b)) || is_native (a - b) (Z.sub za zb))
+      && ((not (mul_fits a b)) || is_native (a * b) (Z.mul za zb))
+      && ((not (div_fits a b))
+         ||
+         let q, r = Z.divmod za zb and eq, er = Z.ediv_rem za zb in
+         let nq, nr = native_ediv_rem a b in
+         is_native (a / b) q && is_native (a mod b) r
+         && is_native (a / b) (Z.div za zb)
+         && is_native (a mod b) (Z.rem za zb)
+         && is_native nq eq && is_native nr er
+         && Z.divides zb za = (a mod b = 0))
+      && (a = min_int || b = min_int
+         || is_native (native_gcd (Stdlib.abs a) (Stdlib.abs b)) (Z.gcd za zb)))
+
+let prop_native_pow2 =
+  prop "pow2/erem_pow2 agree with native shifts and masks" ~count:1000
+    QCheck.(pair arb_boundary (int_range 0 62))
+    (fun (a, m) ->
+      (m > 61 || is_native (1 lsl m) (Z.pow2 m))
+      && is_native (a land ((1 lsl m) - 1)) (Z.erem_pow2 (Z.of_int a) m))
+
+let prop_mixed_add =
+  prop "small + big: (a+b)-b = a, (a-b)+b = a" ~count:1000
+    QCheck.(pair arb_boundary arb_big)
+    (fun (a, b) ->
+      let za = Z.of_int a in
+      let s = Z.add za b and d = Z.sub za b in
+      canonical s && canonical d
+      && is_native a (Z.sub s b)
+      && is_native a (Z.add d b)
+      && Z.equal b (Z.sub (Z.add b za) za))
+
+(* truncated division: the quotient's sign is the product of the signs (or
+   zero) and the remainder takes the dividend's sign (or is zero) *)
+let truncated_ok a b q r =
+  Z.equal a (Z.add (Z.mul q b) r)
+  && Z.compare (Z.abs r) (Z.abs b) < 0
+  && (Z.is_zero r || Z.sign r = Z.sign a)
+  && (Z.is_zero q || Z.sign q = Z.sign a * Z.sign b)
+  && canonical q && canonical r
+
+let prop_mixed_divmod =
+  prop "small / big and big / small: a = q*b + r, sign rules" ~count:1000
+    QCheck.(pair arb_boundary arb_big)
+    (fun (a, big) ->
+      let za = Z.of_int a in
+      let q, r = Z.divmod za big in
+      truncated_ok za big q r && Z.is_zero q && Z.equal r za
+      && (a = 0
+         ||
+         let q, r = Z.divmod big za in
+         let eq, er = Z.ediv_rem big za in
+         truncated_ok big za q r
+         && Z.equal big (Z.add (Z.mul eq za) er)
+         && Z.sign er >= 0
+         && Z.compare er (Z.abs za) < 0
+         && canonical (Z.gcd big za)
+         && Z.divides (Z.gcd big za) za))
+
 let () =
   Alcotest.run "zint"
     [
@@ -261,6 +427,13 @@ let () =
           Alcotest.test_case "divides" `Quick test_divides;
           Alcotest.test_case "num_bits" `Quick test_num_bits;
           Alcotest.test_case "to_int_opt bounds" `Quick test_to_int_opt_bounds;
+        ] );
+      ( "native boundaries",
+        [
+          prop_native_oracle;
+          prop_native_pow2;
+          prop_mixed_add;
+          prop_mixed_divmod;
         ] );
       ( "properties",
         [
