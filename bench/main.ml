@@ -23,7 +23,7 @@ module Extract = Polysynth_cse.Extract
 module Kernel = Polysynth_cse.Kernel
 module Cce = Polysynth_core.Cce
 module Integrated = Polysynth_core.Integrated
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 module Netlist = Polysynth_hw.Netlist
 module Simplify = Polysynth_analysis.Simplify
 module Ex = Polysynth_workloads.Examples
@@ -256,36 +256,35 @@ let test_integrated_t143 =
     (stage (fun () ->
          List.iter (fun polys -> ignore (Integrated.decompose polys)) t143_systems))
 
-(* engine configurations: the cache is disabled so every iteration measures a
-   full representation build rather than a memo lookup *)
-let engine_config ~parallelism =
-  { (Engine.Config.default ~width:16) with
-    Engine.Config.parallelism;
-    cache = false }
+(* a cold Proposed run: the representation store is off and the kernelling
+   and flat-cost memos are emptied first, so every iteration measures a full
+   representation build rather than memo lookups *)
+let engine_proposed ~parallelism polys =
+  Engine.clear_cache ();
+  ignore
+    (Engine.run
+       { (Engine.Config.default ~width:16) with
+         Engine.Config.parallelism;
+         cache = false }
+       Engine.Proposed polys)
 
 let test_pipeline_mvcs =
   Test.make ~name:"engine_proposed_mvcs"
-    (stage (fun () ->
-         ignore (Engine.run (engine_config ~parallelism:1) Engine.Proposed mvcs)))
+    (stage (fun () -> engine_proposed ~parallelism:1 mvcs))
 
 let test_pipeline_table_14_1 =
   Test.make ~name:"engine_proposed_14_1"
-    (stage (fun () ->
-         ignore
-           (Engine.run (engine_config ~parallelism:1) Engine.Proposed
-              Ex.table_14_1)))
+    (stage (fun () -> engine_proposed ~parallelism:1 Ex.table_14_1))
 
 (* sequential vs parallel fan-out over the 9-polynomial SG 3x2 system; on a
    single-core host the two coincide (the engine falls back to List.map) *)
 let test_engine_sequential =
   Test.make ~name:"engine_sg3_sequential"
-    (stage (fun () ->
-         ignore (Engine.run (engine_config ~parallelism:1) Engine.Proposed sg3)))
+    (stage (fun () -> engine_proposed ~parallelism:1 sg3))
 
 let test_engine_parallel =
   Test.make ~name:"engine_sg3_parallel"
-    (stage (fun () ->
-         ignore (Engine.run (engine_config ~parallelism:0) Engine.Proposed sg3)))
+    (stage (fun () -> engine_proposed ~parallelism:0 sg3))
 
 let test_stage_kcm =
   Test.make ~name:"stage_kcm_extraction"

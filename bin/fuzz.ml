@@ -24,32 +24,21 @@ module Netlist = Polysynth_hw.Netlist
 module Mcm = Polysynth_hw.Mcm
 module Schedule = Polysynth_hw.Schedule
 module Bind = Polysynth_hw.Bind
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 module Rand = Polysynth_workloads.Random_system
 module Equiv = Polysynth_analysis.Equiv
 module Diag = Polysynth_analysis.Diag
 module Suite = Polysynth_analysis.Suite
 module Simplify = Polysynth_analysis.Simplify
 module Canonical = Polysynth_finite_ring.Canonical
-
-type rng = { mutable state : int }
-
-let make_rng seed = { state = (seed * 2654435761) lor 1 }
-
-let next rng bound =
-  let s = rng.state in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  rng.state <- s land max_int;
-  if bound <= 0 then 0 else rng.state mod bound
+module Rng = Polysynth_zint.Xorshift
 
 let () =
   let iterations =
     if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 200
   in
   let seed0 = if Array.length Sys.argv > 2 then int_of_string Sys.argv.(2) else 1 in
-  let rng = make_rng seed0 in
+  let rng = Rng.make seed0 in
   let failures = ref 0 in
   let improvements = ref [] in
   for i = 1 to iterations do
@@ -57,15 +46,15 @@ let () =
     let cfg =
       {
         Rand.default_config with
-        Rand.num_polys = 1 + next rng 3;
-        num_vars = 2 + next rng 2;
-        max_terms = 2 + next rng 5;
-        max_degree = 1 + next rng 3;
-        sharing = next rng 2 = 0;
+        Rand.num_polys = 1 + Rng.next rng 3;
+        num_vars = 2 + Rng.next rng 2;
+        max_terms = 2 + Rng.next rng 5;
+        max_degree = 1 + Rng.next rng 3;
+        sharing = Rng.next rng 2 = 0;
       }
     in
     let system = Rand.generate ~seed cfg in
-    let width = [| 8; 12; 16 |].(next rng 3) in
+    let width = [| 8; 12; 16 |].(Rng.next rng 3) in
     let fail fmt =
       Printf.ksprintf
         (fun msg ->
@@ -96,7 +85,7 @@ let () =
     let opt = Mcm.optimize n in
     let spot label netlist =
       match
-        Equiv.spot_check_netlist ~seed:(seed lxor next rng 1024) ~samples:5
+        Equiv.spot_check_netlist ~seed:(seed lxor Rng.next rng 1024) ~samples:5
           system netlist
       with
       | Ok () -> ()
@@ -117,7 +106,7 @@ let () =
       (Suite.diags lint);
     (* 4. schedule + binding invariants *)
     let res =
-      { Schedule.multipliers = 1 + next rng 3; adders = 1 + next rng 3 }
+      { Schedule.multipliers = 1 + Rng.next rng 3; adders = 1 + Rng.next rng 3 }
     in
     (match Schedule.list_schedule res n with
      | Error (`No_progress d) -> fail "scheduler stuck: %s" d.Schedule.message

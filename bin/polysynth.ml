@@ -21,7 +21,7 @@ module Prog_parse = Polysynth_expr.Prog_parse
 module Stage = Polysynth_hw.Stage
 module Fsmd = Polysynth_hw.Fsmd
 module Schedule = Polysynth_hw.Schedule
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 module Search = Polysynth_core.Search
 module Suite = Polysynth_analysis.Suite
 module Equiv = Polysynth_analysis.Equiv
@@ -253,6 +253,11 @@ let run_benchmarks options name =
 (* ---- synthesis mode ---------------------------------------------------- *)
 
 let run_synthesis options =
+  if options.width < 1 then begin
+    Printf.eprintf "error: --width must be at least 1 (got %d)\n" options.width;
+    1
+  end
+  else
   match options.benchmark with
   | Some name -> run_benchmarks options name
   | None ->
@@ -444,7 +449,7 @@ let method_arg =
     & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
 let width_arg =
-  let doc = "Datapath bit-width (the m of Z_2^m)." in
+  let doc = "Datapath bit-width (the m of Z_2^m); at least 1." in
   Arg.(value & opt int 16 & info [ "w"; "width" ] ~docv:"BITS" ~doc)
 
 let ring_arg =

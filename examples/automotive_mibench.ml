@@ -14,7 +14,7 @@ module Ring = Polysynth_finite_ring.Canonical
 module Prog = Polysynth_expr.Prog
 module Dag = Polysynth_expr.Dag
 module Cost = Polysynth_hw.Cost
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 module B = Polysynth_workloads.Benchmarks
 
 let () =

@@ -13,7 +13,7 @@ module Range = Polysynth_hw.Range
 module Schedule = Polysynth_hw.Schedule
 module Bind = Polysynth_hw.Bind
 module Testbench = Polysynth_hw.Testbench
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 
 let () =
   let width = 16 in

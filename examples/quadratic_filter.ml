@@ -12,7 +12,7 @@ module Z = Polysynth_zint.Zint
 module P = Polysynth_poly.Poly
 module Prog = Polysynth_expr.Prog
 module Netlist = Polysynth_hw.Netlist
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 
 let () =
   (* build 4*(x + y)^2 + 5*x + 10*y + 3 from the Poly combinators *)

@@ -6,7 +6,7 @@ module Parse = Polysynth_poly.Parse
 module Prog = Polysynth_expr.Prog
 module Dag = Polysynth_expr.Dag
 module Cost = Polysynth_hw.Cost
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 
 let () =
   (* the motivating system from Table 14.1 of the paper *)

@@ -13,7 +13,7 @@ module Ring = Polysynth_finite_ring.Canonical
 module Dag = Polysynth_expr.Dag
 module Cost = Polysynth_hw.Cost
 module Verilog = Polysynth_hw.Verilog
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 module SG = Polysynth_workloads.Savitzky_golay
 
 let () =

@@ -52,8 +52,6 @@ let to_string d =
 
 let pp fmt d = Format.pp_print_string fmt (to_string d)
 
-(* local JSON string escaping (the analysis library cannot reach
-   [Engine.Trace.json_string] without a dependency cycle) *)
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
   Buffer.add_char b '"';

@@ -45,5 +45,5 @@ val to_json : t -> string
 (** One object: [{"severity":..,"code":..,"location":..,"message":..}]. *)
 
 val json_string : string -> string
-(** An escaped JSON string literal — for composing larger objects around
-    {!to_json} without depending on the engine's JSON helpers. *)
+(** An escaped JSON string literal — the project's one JSON string
+    escaper, shared by the engine trace and the benchmark files. *)

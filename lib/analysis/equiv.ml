@@ -5,6 +5,7 @@ module Expr = Polysynth_expr.Expr
 module Prog = Polysynth_expr.Prog
 module Netlist = Polysynth_hw.Netlist
 module Canonical = Polysynth_finite_ring.Canonical
+module Rng = Polysynth_zint.Xorshift
 
 type counterexample = {
   output : string;
@@ -59,19 +60,6 @@ let cert_to_json = function
 
 (* ---- deterministic sampling ------------------------------------------- *)
 
-(* xorshift, seeded per call: certificates must be reproducible *)
-type rng = { mutable state : int }
-
-let make_rng seed = { state = (seed * 2654435761) lor 1 }
-
-let next rng bound =
-  let s = rng.state in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  rng.state <- s land max_int;
-  if bound <= 0 then 0 else rng.state mod bound
-
 let rand_bits rng bits =
   (* uniform in [0, 2^bits), assembled 16 bits at a time *)
   let rec go acc remaining =
@@ -79,7 +67,7 @@ let rand_bits rng bits =
     else
       let chunk = Stdlib.min remaining 16 in
       go
-        (Z.add (Z.mul (Z.pow2 chunk) acc) (Z.of_int (next rng (1 lsl chunk))))
+        (Z.add (Z.mul (Z.pow2 chunk) acc) (Z.of_int (Rng.next rng (1 lsl chunk))))
         (remaining - chunk)
   in
   go Z.zero bits
@@ -142,7 +130,7 @@ let sample_point ?ctx rng vars =
 
 let prefilter ?ctx ~samples polys prog =
   let vars = system_vars polys prog in
-  let rng = make_rng 0x5eed in
+  let rng = Rng.make 0x5eed in
   let reduce z =
     match ctx with
     | Some ctx -> Z.erem_pow2 z (Canonical.out_width ctx)
@@ -241,7 +229,7 @@ let certify ?ctx ?(samples = 8) ?(size_budget = 100_000) polys prog =
       let prog_at point name =
         List.assoc_opt name (Prog.eval prog (env_of point))
       in
-      let rng = make_rng 0x817 in
+      let rng = Rng.make 0x817 in
       let rec check i = function
         | [] -> Verified
         | p :: rest ->
@@ -311,7 +299,7 @@ let spot_check_netlist ?(seed = 1) ?(samples = 5) ?outputs polys
     List.sort_uniq String.compare
       (Netlist.inputs n @ List.concat_map (fun (_, p) -> Poly.vars p) named)
   in
-  let rng = make_rng seed in
+  let rng = Rng.make seed in
   let rec round s =
     if s >= samples then Ok ()
     else begin

@@ -1,7 +1,4 @@
-(* Implementation of the unified synthesis engine.  The public library
-   [polysynth_engine] re-exports this module verbatim; it lives inside
-   [polysynth_core] so that the deprecated [Pipeline] entry points can
-   delegate to it without a dependency cycle. *)
+(* The unified synthesis engine: the one entry point for Algorithm 7. *)
 
 module Poly = Polysynth_poly.Poly
 module Expr = Polysynth_expr.Expr
@@ -142,21 +139,7 @@ module Trace = struct
 
   let pp fmt t = Format.pp_print_string fmt (to_text t)
 
-  let json_string s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
+  let json_string = Polysynth_analysis.Diag.json_string
 
   let to_json t =
     let stage s =
@@ -253,10 +236,12 @@ module Memo = struct
 end
 
 (* The engine manages three memo layers: its own representation/variant
-   store above, the kernelling memo inside Polysynth_cse.Kernel that
-   serves the extraction loops, and Extract's domain-local flat-cost
-   memo.  They are cleared together here (the single lifecycle point) and
-   the trace reports both the merged totals and the per-table split. *)
+   store above (consulted only when [Config.cache] is on), the kernelling
+   memo inside Polysynth_cse.Kernel that serves the extraction loops, and
+   Extract's domain-local flat-cost memo (both always on: they cache pure
+   functions, so no per-run setting touches them).  They are cleared
+   together here (the single lifecycle point) and the trace reports both
+   the merged totals and the per-table split. *)
 let cache_table_stats () =
   [
     ("representation", Memo.stats ());
@@ -268,11 +253,6 @@ let clear_cache () =
   Memo.clear ();
   Kernel.clear_cache ();
   Extract.clear_cost_memo ()
-
-let cache_stats () =
-  List.fold_left
-    (fun (h, m) (_, (th, tm)) -> (h + th, m + tm))
-    (0, 0) (cache_table_stats ())
 
 (* ---- parallel map over a domain pool ---------------------------------- *)
 
@@ -423,8 +403,7 @@ let obtain_variants (config : Config.t) ~pmap ~may key polys =
 (* The Proposed flow of Algorithm 7, instrumented: representation build
    (fanned out per polynomial), combination search, integrated
    whole-system variants (fanned out per variant), then the competition
-   under the search objective with first-best tie-breaking — exactly the
-   sequence the legacy [Pipeline.run Proposed] performed. *)
+   under the search objective with first-best tie-breaking. *)
 let proposed (config : Config.t) ~prefix stages budget_ok polys =
   let domains = Config.domains config in
   let pmap f xs = parallel_map ~domains f xs in
@@ -577,21 +556,11 @@ let simplify_report (config : Config.t) ~prefix stages polys r =
 
 let with_trace (config : Config.t) f =
   let t0 = now () in
-  let kernel_memo_was = Kernel.memo_enabled () in
-  Kernel.set_memo_enabled config.Config.cache;
-  let cost_memo_was = Extract.cost_memo_enabled () in
-  Extract.set_cost_memo_enabled config.Config.cache;
   let tables0 = cache_table_stats () in
   let stages = ref [] in
   let certs = ref [] in
   let budget_ok, budget_tripped = make_budget config in
-  let result =
-    Fun.protect
-      ~finally:(fun () ->
-        Kernel.set_memo_enabled kernel_memo_was;
-        Extract.set_cost_memo_enabled cost_memo_was)
-      (fun () -> f stages certs budget_ok)
-  in
+  let result = f stages certs budget_ok in
   let cache_tables =
     List.map2
       (fun (name, (h0, m0)) (_, (h1, m1)) -> (name, h1 - h0, m1 - m0))

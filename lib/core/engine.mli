@@ -1,7 +1,6 @@
 (** The unified synthesis engine — the single entry point for Algorithm 7.
 
-    One {!Config.t} record replaces the scattered [?ctx ?options ~width]
-    arguments of the legacy {!Pipeline} interface; {!run} executes a
+    One {!Config.t} record carries every setting; {!run} executes a
     method under that configuration and returns the synthesis {!report}
     together with a {!Trace.t} recording per-stage wall time, candidate
     counts, cache behaviour, and budget exhaustion.
@@ -14,11 +13,12 @@
     naming order).  A process-wide bounded memo keyed by the polynomial
     system and ring signature caches representation stores and variant
     lists, so {!compare_methods} performs [Represent.build] exactly once
-    per system.
+    per system.  No setting of one run changes another: the engine keeps
+    no process-wide switch, so concurrent runs with different configs do
+    not interfere.
 
-    Use through the [polysynth_engine] library:
     {[
-      module Engine = Polysynth_engine.Engine
+      module Engine = Polysynth_core.Engine
 
       let config = Engine.Config.default ~width:16
       let report, trace = Engine.synthesize config polys
@@ -82,7 +82,10 @@ module Config : sig
         (** combination count up to which the search is exhaustive *)
     sweeps : int;  (** coordinate-descent passes for large systems *)
     max_blocks : int option;  (** cap for block discovery *)
-    cache : bool;  (** consult/fill the process-wide memo *)
+    cache : bool;
+        (** consult/fill the engine's representation/variant store.  The
+            kernelling and flat-cost memos cache pure functions and are
+            always on, whatever this says. *)
     certify : bool;
         (** run the equivalence certifier on every selected decomposition
             (a ["<method>/certify"] trace stage); off, reports carry
@@ -145,7 +148,8 @@ module Trace : sig
 
   val json_string : string -> string
   (** An escaped JSON string literal — for composing larger objects
-      around {!to_json}. *)
+      around {!to_json}.  The same function as
+      [Polysynth_analysis.Diag.json_string]. *)
 end
 
 val run : Config.t -> method_name -> Poly.t list -> report * Trace.t
@@ -175,7 +179,3 @@ val clear_cache : unit -> unit
     representation/variant store, the kernelling memo of
     [Polysynth_cse.Kernel], and the domain-local flat-cost memo of
     [Polysynth_cse.Extract] — and reset their hit/miss counters. *)
-
-val cache_stats : unit -> int * int
-(** Cumulative [(hits, misses)] since start or {!clear_cache}, merged
-    across all the tables listed under {!Trace.t.cache_tables}. *)

@@ -62,9 +62,10 @@ type item = { name : string; mutable body : Poly.t }
 (* Operator count of one body as a flat sum of products.  The greedy loop
    recomputes the cost of every item for each of its ~40 trial rewrites
    per round, but a trial changes only a few bodies — so the per-body
-   count is memoized, keyed by the polynomial's (monomial-hash based)
-   hash.  The table is domain-local: the engine fans the integrated
-   variants out across domains and each keeps its own lock-free table. *)
+   count, a pure function of the body, is always memoized, keyed by the
+   polynomial's (monomial-hash based) hash.  The table is domain-local:
+   the engine fans the integrated variants out across domains and each
+   keeps its own lock-free table. *)
 module Ptbl = Hashtbl.Make (struct
   type t = Poly.t
 
@@ -81,19 +82,12 @@ end)
 let cost_memo_epoch = Atomic.make 0
 let cost_memo_hits = Atomic.make 0
 let cost_memo_misses = Atomic.make 0
-let cost_memo_on = Atomic.make true
-
-let cost_memo_enabled () = Atomic.get cost_memo_on
-let set_cost_memo_enabled b = Atomic.set cost_memo_on b
 
 let body_ops_key : (int * int Ptbl.t) ref Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
       ref (Atomic.get cost_memo_epoch, Ptbl.create 1024))
 
 let body_ops body =
-  if not (Atomic.get cost_memo_on) then
-    Dag.total_ops (Dag.tree_counts (Expr.of_poly body))
-  else
   let slot = Domain.DLS.get body_ops_key in
   let epoch = Atomic.get cost_memo_epoch in
   let tbl =

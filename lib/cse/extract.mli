@@ -15,7 +15,12 @@
     14.2.1 discusses (no algebraic division, so [5x^2+10y^3+15pq] exposes no
     common coefficient).  [Vars_only] mode extracts cubes over variables
     only and is what the proposed flow uses after its own common-coefficient
-    extraction. *)
+    extraction.
+
+    The greedy loop scores its trial rewrites by the flat operator count
+    of each body.  That count is a pure function of the body, so it is
+    always memoized, in a domain-local table that {!clear_cost_memo}
+    empties; no setting bypasses it. *)
 
 module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog
@@ -66,9 +71,3 @@ val clear_cost_memo : unit -> unit
 val cost_memo_stats : unit -> int * int
 (** Cumulative [(hits, misses)] of the flat-cost memo across all domains
     since start or {!clear_cost_memo}. *)
-
-val cost_memo_enabled : unit -> bool
-
-val set_cost_memo_enabled : bool -> unit
-(** Bypass the memo entirely (no lookups, no fills, no counter traffic) —
-    how the engine honours [Config.cache = false]. *)

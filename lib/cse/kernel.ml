@@ -11,8 +11,9 @@ module Monomial = Polysynth_poly.Monomial
    table is a bounded FIFO shared across domains; the computation itself
    runs outside the lock, so a race costs at most duplicated work.
 
-   Hits/misses feed the engine trace (Polysynth_core.Engine merges them
-   with its representation-store counters), and [Engine.clear_cache]
+   Kernelling is a pure function of the polynomial, so the memo is always
+   on.  Hits/misses feed the engine trace (Polysynth_core.Engine merges
+   them with its representation-store counters), and [Engine.clear_cache]
    clears this table too. *)
 module Ptbl = Hashtbl.Make (struct
   type t = Poly.t
@@ -65,12 +66,6 @@ module Memo = struct
   let stats () = (Atomic.get hits, Atomic.get misses)
 end
 
-(* The engine flips this off when it runs with [cache = false], so that
-   "caching disabled" really measures raw kernelling. *)
-let memo_flag = Atomic.make true
-let set_memo_enabled b = Atomic.set memo_flag b
-let memo_enabled () = Atomic.get memo_flag
-
 let clear_cache = Memo.clear
 let cache_stats = Memo.stats
 
@@ -88,17 +83,15 @@ let largest_cube_raw p =
     go m rest
 
 let largest_cube p =
-  if not (Atomic.get memo_flag) then largest_cube_raw p
-  else
-    match Memo.find p with
-    | Some { Memo.cube = Some c; _ } ->
-      Atomic.incr Memo.hits;
-      c
-    | Some _ | None ->
-      Atomic.incr Memo.misses;
-      let c = largest_cube_raw p in
-      Memo.set_cube p c;
-      c
+  match Memo.find p with
+  | Some { Memo.cube = Some c; _ } ->
+    Atomic.incr Memo.hits;
+    c
+  | Some _ | None ->
+    Atomic.incr Memo.misses;
+    let c = largest_cube_raw p in
+    Memo.set_cube p c;
+    c
 
 let is_cube_free p = Monomial.is_one (largest_cube p)
 
@@ -192,14 +185,12 @@ let kernels_raw p =
   end
 
 let kernels p =
-  if not (Atomic.get memo_flag) then kernels_raw p
-  else
-    match Memo.find p with
-    | Some { Memo.kernels = Some ks; _ } ->
-      Atomic.incr Memo.hits;
-      ks
-    | Some _ | None ->
-      Atomic.incr Memo.misses;
-      let ks = kernels_raw p in
-      Memo.set_kernels p ks;
-      ks
+  match Memo.find p with
+  | Some { Memo.kernels = Some ks; _ } ->
+    Atomic.incr Memo.hits;
+    ks
+  | Some _ | None ->
+    Atomic.incr Memo.misses;
+    let ks = kernels_raw p in
+    Memo.set_kernels p ks;
+    ks

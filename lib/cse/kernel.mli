@@ -9,23 +9,16 @@
     [kernels] and [largest_cube] are memoized in a bounded, domain-safe
     table keyed by the polynomial's hash: the extraction loop re-kernels
     its (mostly unchanged) work items every round, so results are served
-    from cache across rounds.  The hit/miss counters surface in the engine
-    trace, and [Polysynth_core.Engine.clear_cache] drops this table along
-    with the representation store. *)
+    from cache across rounds.  Both are pure functions, so the memo is
+    always on; no setting bypasses it.  The hit/miss counters surface in
+    the engine trace, and [Polysynth_core.Engine.clear_cache] drops this
+    table along with the representation store. *)
 
 module Poly := Polysynth_poly.Poly
 module Monomial := Polysynth_poly.Monomial
 
 val clear_cache : unit -> unit
 (** Drop the kernelling memo table and reset its counters. *)
-
-val set_memo_enabled : bool -> unit
-(** Globally enable/disable the memo table (default: enabled).  When
-    disabled, [kernels]/[largest_cube] always recompute and the counters
-    stay untouched; the engine flips this from its [cache] setting for the
-    duration of a traced run and restores it after. *)
-
-val memo_enabled : unit -> bool
 
 val cache_stats : unit -> int * int
 (** Cumulative (hits, misses) of the kernelling memo table. *)

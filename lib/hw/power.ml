@@ -1,4 +1,5 @@
 module Z = Polysynth_zint.Zint
+module Rng = Polysynth_zint.Xorshift
 
 type report = {
   dynamic : float;
@@ -6,19 +7,6 @@ type report = {
   total : float;
   per_cell_activity : float array;
 }
-
-(* deterministic xorshift, as elsewhere in the project *)
-type rng = { mutable state : int }
-
-let make_rng seed = { state = (seed * 2654435761) lor 1 }
-
-let next rng bound =
-  let s = rng.state in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  rng.state <- s land max_int;
-  if bound <= 0 then 0 else rng.state mod bound
 
 let rec popcount v = if v = 0 then 0 else 1 + popcount (v land (v - 1))
 
@@ -70,14 +58,14 @@ let cell_area (model : Cost.model) width op =
 let estimate ?(samples = 64) ?(seed = 1) (n : Netlist.t) =
   if samples < 1 then invalid_arg "Power.estimate: samples < 1";
   let w = n.Netlist.width in
-  let rng = make_rng seed in
+  let rng = Rng.make seed in
   let inputs = Netlist.inputs n in
   let random_env () =
     let bindings =
       List.map
         (fun v ->
           (* two limbs so widths above 30 still get full-range values *)
-          let hi = next rng (1 lsl 30) and lo = next rng (1 lsl 30) in
+          let hi = Rng.next rng (1 lsl 30) and lo = Rng.next rng (1 lsl 30) in
           let value =
             Z.erem_pow2 (Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo)) w
           in

@@ -1,21 +1,11 @@
 module Z = Polysynth_zint.Zint
 
-type rng = { mutable state : int }
-
-let make_rng seed = { state = (seed * 2654435761) lor 1 }
-
-let next rng bound =
-  let s = rng.state in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  rng.state <- s land max_int;
-  if bound <= 0 then 0 else rng.state mod bound
+module Rng = Polysynth_zint.Xorshift
 
 let emit ?(module_name = "polysynth") ?(vectors = 16) ?(seed = 1)
     (n : Netlist.t) =
   let w = n.Netlist.width in
-  let rng = make_rng seed in
+  let rng = Rng.make seed in
   let inputs = List.map Verilog.legalize (Netlist.inputs n) in
   let raw_inputs = Netlist.inputs n in
   let outputs = List.map (fun (name, _) -> Verilog.legalize name) n.Netlist.outputs in
@@ -35,7 +25,7 @@ let emit ?(module_name = "polysynth") ?(vectors = 16) ?(seed = 1)
     let assignment =
       List.map
         (fun v ->
-          let hi = next rng (1 lsl 30) and lo = next rng (1 lsl 30) in
+          let hi = Rng.next rng (1 lsl 30) and lo = Rng.next rng (1 lsl 30) in
           let value =
             Z.erem_pow2
               (Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo))

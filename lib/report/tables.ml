@@ -3,7 +3,7 @@ module Dag = Polysynth_expr.Dag
 module Prog = Polysynth_expr.Prog
 module Ring = Polysynth_finite_ring.Canonical
 module Cost = Polysynth_hw.Cost
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 module Search = Polysynth_core.Search
 module Represent = Polysynth_core.Represent
 module Integrated = Polysynth_core.Integrated

@@ -15,7 +15,7 @@ module Widths = Polysynth_analysis.Widths
 module Equiv = Polysynth_analysis.Equiv
 module Redundancy = Polysynth_analysis.Redundancy
 module Suite = Polysynth_analysis.Suite
-module Engine = Polysynth_engine.Engine
+module Engine = Polysynth_core.Engine
 module B = Polysynth_workloads.Benchmarks
 
 let poly s = List.hd (Parse.system_exn s)

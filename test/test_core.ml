@@ -1,7 +1,3 @@
-(* this suite deliberately exercises the deprecated [Pipeline] shims to
-   pin their behaviour to the engine's; silence the migration alert here *)
-[@@@alert "-deprecated"]
-
 module Z = Polysynth_zint.Zint
 module P = Polysynth_poly.Poly
 module Parse = Polysynth_poly.Parse
@@ -20,7 +16,7 @@ module Represent = Polysynth_core.Represent
 module Search = Polysynth_core.Search
 module Integrated = Polysynth_core.Integrated
 module Baselines = Polysynth_core.Baselines
-module Pipe = Polysynth_core.Pipeline
+module Engine = Polysynth_core.Engine
 module Ex = Polysynth_workloads.Examples
 module Rand = Polysynth_workloads.Random_system
 
@@ -32,6 +28,10 @@ let prop name ?(count = 60) arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb f)
 
 let ops prog = Dag.total_ops (Prog.counts prog)
+
+(* the flow tests run the engine sequentially *)
+let seq ?ctx ~width () =
+  { (Engine.Config.default ~width) with Engine.Config.ctx; parallelism = 1 }
 
 let tree_ops polys =
   List.fold_left
@@ -239,7 +239,7 @@ let test_search_table_14_1 () =
   Alcotest.(check bool) "exhaustive" true sel.Search.exhaustive;
   Alcotest.(check int) "8 mults" 8 sel.Search.counts.Dag.mults;
   Alcotest.(check int) "1 add" 1 sel.Search.counts.Dag.adds;
-  Alcotest.(check bool) "verifies" true (Pipe.verify Ex.table_14_1 sel.Search.prog)
+  Alcotest.(check bool) "verifies" true (Engine.verify Ex.table_14_1 sel.Search.prog)
 
 let test_search_beam_on_large () =
   (* force coordinate descent with a tiny exhaustive limit *)
@@ -249,7 +249,7 @@ let test_search_beam_on_large () =
   in
   let sel = Search.select options r in
   Alcotest.(check bool) "not exhaustive" false sel.Search.exhaustive;
-  Alcotest.(check bool) "verifies" true (Pipe.verify Ex.table_14_2 sel.Search.prog);
+  Alcotest.(check bool) "verifies" true (Engine.verify Ex.table_14_2 sel.Search.prog);
   (* descent still reaches a good decomposition *)
   Alcotest.(check bool) "better than direct" true
     (Dag.total_ops sel.Search.counts < tree_ops Ex.table_14_2)
@@ -439,7 +439,7 @@ let test_integrated_variants_exact () =
   List.iter
     (fun (label, prog) ->
       Alcotest.(check bool) (label ^ " verifies") true
-        (Pipe.verify Ex.table_14_2 prog))
+        (Engine.verify Ex.table_14_2 prog))
     (Integrated.variants Ex.table_14_2)
 
 let test_integrated_never_terrible () =
@@ -452,30 +452,30 @@ let test_integrated_never_terrible () =
 (* pipeline --------------------------------------------------------------------------------------- *)
 
 let test_pipeline_table_14_1 () =
-  let reports = Pipe.compare_methods ~width:16 Ex.table_14_1 in
+  let reports = fst (Engine.compare_methods (seq ~width:16 ()) Ex.table_14_1) in
   let by name =
-    List.find (fun r -> Pipe.method_label r.Pipe.method_name = name) reports
+    List.find (fun r -> Engine.method_label r.Engine.method_name = name) reports
   in
   let proposed = by "proposed" and baseline = by "factor+cse" in
-  Alcotest.(check int) "proposed 8 mults" 8 proposed.Pipe.counts.Dag.mults;
-  Alcotest.(check int) "proposed 1 add" 1 proposed.Pipe.counts.Dag.adds;
-  Alcotest.(check int) "baseline 12 mults" 12 baseline.Pipe.counts.Dag.mults;
-  Alcotest.(check int) "baseline 4 adds" 4 baseline.Pipe.counts.Dag.adds;
+  Alcotest.(check int) "proposed 8 mults" 8 proposed.Engine.counts.Dag.mults;
+  Alcotest.(check int) "proposed 1 add" 1 proposed.Engine.counts.Dag.adds;
+  Alcotest.(check int) "baseline 12 mults" 12 baseline.Engine.counts.Dag.mults;
+  Alcotest.(check int) "baseline 4 adds" 4 baseline.Engine.counts.Dag.adds;
   List.iter
     (fun r ->
       Alcotest.(check bool)
-        (Pipe.method_label r.Pipe.method_name ^ " verifies")
+        (Engine.method_label r.Engine.method_name ^ " verifies")
         true
-        (Pipe.verify Ex.table_14_1 r.Pipe.prog))
+        (Engine.verify Ex.table_14_1 r.Engine.prog))
     reports
 
 let test_pipeline_table_14_2 () =
   let ctx = Ring.make_ctx ~out_width:16 () in
-  let proposed = Pipe.synthesize ~ctx ~width:16 Ex.table_14_2 in
-  Alcotest.(check int) "14 mults" 14 proposed.Pipe.counts.Dag.mults;
-  Alcotest.(check int) "12 adds" 12 proposed.Pipe.counts.Dag.adds;
+  let proposed = fst (Engine.synthesize (seq ~ctx ~width:16 ()) Ex.table_14_2) in
+  Alcotest.(check int) "14 mults" 14 proposed.Engine.counts.Dag.mults;
+  Alcotest.(check int) "12 adds" 12 proposed.Engine.counts.Dag.adds;
   Alcotest.(check bool) "verifies mod ring" true
-    (Pipe.verify ~ctx Ex.table_14_2 proposed.Pipe.prog)
+    (Engine.verify ~ctx Ex.table_14_2 proposed.Engine.prog)
 
 let test_pipeline_direct_tree_counts () =
   (* initial cost of the Table 14.2 system: 51 MULT / 21 ADD *)
@@ -490,10 +490,10 @@ let test_pipeline_direct_tree_counts () =
 let test_pipeline_proposed_beats_baseline_on_paper_tables () =
   List.iter
     (fun system ->
-      let base = Pipe.run ~width:16 Pipe.Factor_cse system in
-      let prop = Pipe.run ~width:16 Pipe.Proposed system in
+      let base = fst (Engine.run (seq ~width:16 ()) Engine.Factor_cse system) in
+      let prop = fst (Engine.run (seq ~width:16 ()) Engine.Proposed system) in
       Alcotest.(check bool) "area no worse" true
-        (prop.Pipe.cost.Cost.area <= base.Pipe.cost.Cost.area))
+        (prop.Engine.cost.Cost.area <= base.Engine.cost.Cost.area))
     [ Ex.table_14_1; Ex.table_14_2 ]
 
 (* coefficient folding ------------------------------------------------------------------------------- *)
@@ -502,15 +502,15 @@ let test_coeff_fold_helps () =
   (* 65535*x = -x mod 2^16: one negation instead of a fat CSD multiplier *)
   let system = [ p "65535*x + 255*y" ] in
   let ctx = Ring.make_ctx ~out_width:16 () in
-  let plain = Pipe.run ~width:16 Pipe.Proposed system in
-  let ring = Pipe.run ~ctx ~width:16 Pipe.Proposed system in
+  let plain = fst (Engine.run (seq ~width:16 ()) Engine.Proposed system) in
+  let ring = fst (Engine.run (seq ~ctx ~width:16 ()) Engine.Proposed system) in
   Alcotest.(check bool)
-    (Printf.sprintf "folded area %d < plain %d" ring.Pipe.cost.Cost.area
-       plain.Pipe.cost.Cost.area)
+    (Printf.sprintf "folded area %d < plain %d" ring.Engine.cost.Cost.area
+       plain.Engine.cost.Cost.area)
     true
-    (ring.Pipe.cost.Cost.area < plain.Pipe.cost.Cost.area);
+    (ring.Engine.cost.Cost.area < plain.Engine.cost.Cost.area);
   Alcotest.(check bool) "function-equal" true
-    (Pipe.verify ~ctx system ring.Pipe.prog)
+    (Engine.verify ~ctx system ring.Engine.prog)
 
 let prop_coeff_fold_sound =
   prop "ring-aware synthesis is function-equal" ~count:30
@@ -522,43 +522,40 @@ let prop_coeff_fold_sound =
             Rand.num_polys = 2; max_terms = 3; max_coeff = 300 }
       in
       let ctx = Ring.make_ctx ~out_width:8 () in
-      let r = Pipe.run ~ctx ~width:8 Pipe.Proposed system in
-      Pipe.verify ~ctx system r.Pipe.prog)
+      let r = fst (Engine.run (seq ~ctx ~width:8 ()) Engine.Proposed system) in
+      Engine.verify ~ctx system r.Engine.prog)
 
 (* objectives -------------------------------------------------------------------------------------- *)
 
 let test_objectives () =
   let system = (Option.get (Polysynth_workloads.Benchmarks.by_name "Mibench")).Polysynth_workloads.Benchmarks.polys in
   let run objective =
-    let options =
-      { (Search.default_options ~width:8) with Search.objective }
-    in
-    Pipe.run ~options ~width:8 Pipe.Proposed system
+    fst (Engine.synthesize { (seq ~width:8 ()) with Engine.Config.objective } system)
   in
   let area_r = run Search.Min_area in
   let delay_r = run Search.Min_delay in
   let ops_r = run Search.Min_ops in
   (* each objective is at least as good as the others on its own metric *)
   Alcotest.(check bool) "min-area has min area" true
-    (area_r.Pipe.cost.Cost.area <= delay_r.Pipe.cost.Cost.area
-    && area_r.Pipe.cost.Cost.area <= ops_r.Pipe.cost.Cost.area);
+    (area_r.Engine.cost.Cost.area <= delay_r.Engine.cost.Cost.area
+    && area_r.Engine.cost.Cost.area <= ops_r.Engine.cost.Cost.area);
   Alcotest.(check bool) "min-delay has min delay" true
-    (delay_r.Pipe.cost.Cost.delay <= area_r.Pipe.cost.Cost.delay +. 1e-9);
+    (delay_r.Engine.cost.Cost.delay <= area_r.Engine.cost.Cost.delay +. 1e-9);
   Alcotest.(check bool) "min-ops has min ops" true
-    (Dag.total_ops ops_r.Pipe.counts <= Dag.total_ops area_r.Pipe.counts);
+    (Dag.total_ops ops_r.Engine.counts <= Dag.total_ops area_r.Engine.counts);
   (* all of them remain exact *)
   List.iter
-    (fun r -> Alcotest.(check bool) "exact" true (Pipe.verify system r.Pipe.prog))
+    (fun r -> Alcotest.(check bool) "exact" true (Engine.verify system r.Engine.prog))
     [ area_r; delay_r; ops_r ]
 
 let test_objective_power_runs () =
   let system = Ex.table_14_1 in
-  let options =
-    { (Search.default_options ~width:16) with Search.objective = Search.Min_power }
+  let config =
+    { (seq ~width:16 ()) with Engine.Config.objective = Search.Min_power }
   in
-  let r = Pipe.run ~options ~width:16 Pipe.Proposed system in
+  let r = fst (Engine.synthesize config system) in
   Alcotest.(check bool) "exact under power objective" true
-    (Pipe.verify system r.Pipe.prog)
+    (Engine.verify system r.Engine.prog)
 
 (* pretty-printed programs round-trip through the program parser ------------------ *)
 
@@ -567,12 +564,12 @@ let test_prog_pp_parse_roundtrip () =
   List.iter
     (fun (system, use_ctx) ->
       let r =
-        if use_ctx then Pipe.synthesize ~ctx ~width:16 system
-        else Pipe.synthesize ~width:16 system
+        if use_ctx then fst (Engine.synthesize (seq ~ctx ~width:16 ()) system)
+        else fst (Engine.synthesize (seq ~width:16 ()) system)
       in
-      let text = Format.asprintf "%a" Prog.pp r.Pipe.prog in
+      let text = Format.asprintf "%a" Prog.pp r.Engine.prog in
       let reparsed = Polysynth_expr.Prog_parse.program_exn text in
-      let before = Prog.to_polys r.Pipe.prog in
+      let before = Prog.to_polys r.Engine.prog in
       let after = Prog.to_polys reparsed in
       List.iter
         (fun (name, q) ->
@@ -586,8 +583,8 @@ let test_prog_pp_parse_roundtrip () =
 
 let test_degenerate_systems () =
   let check name system =
-    let r = Pipe.run ~width:16 Pipe.Proposed system in
-    Alcotest.(check bool) (name ^ " exact") true (Pipe.verify system r.Pipe.prog)
+    let r = fst (Engine.run (seq ~width:16 ()) Engine.Proposed system) in
+    Alcotest.(check bool) (name ^ " exact") true (Engine.verify system r.Engine.prog)
   in
   check "empty" [];
   check "constant" [ p "7" ];
@@ -597,9 +594,9 @@ let test_degenerate_systems () =
   check "mixed degenerate" [ P.zero; p "1"; p "x" ];
   (* 1-bit ring: x^2 + x is the zero function *)
   let ctx1 = Ring.make_ctx ~out_width:1 () in
-  let r = Pipe.run ~ctx:ctx1 ~width:1 Pipe.Proposed [ p "x^2 + x" ] in
+  let r = fst (Engine.run (seq ~ctx:ctx1 ~width:1 ()) Engine.Proposed [ p "x^2 + x" ]) in
   Alcotest.(check bool) "1-bit ring" true
-    (Pipe.verify ~ctx:ctx1 [ p "x^2 + x" ] r.Pipe.prog)
+    (Engine.verify ~ctx:ctx1 [ p "x^2 + x" ] r.Engine.prog)
 
 (* properties -------------------------------------------------------------------------------------- *)
 
@@ -618,15 +615,15 @@ let prop_cce_recompose =
 let prop_proposed_verifies =
   prop "proposed synthesis is exact" ~count:40 arb_seed (fun seed ->
       let system = random_system seed in
-      let r = Pipe.run ~width:16 Pipe.Proposed system in
-      Pipe.verify system r.Pipe.prog)
+      let r = fst (Engine.run (seq ~width:16 ()) Engine.Proposed system) in
+      Engine.verify system r.Engine.prog)
 
 let prop_all_methods_verify =
   prop "all methods are exact" ~count:30 arb_seed (fun seed ->
       let system = random_system seed in
       List.for_all
-        (fun r -> Pipe.verify system r.Pipe.prog)
-        (Pipe.compare_methods ~width:16 system))
+        (fun r -> Engine.verify system r.Engine.prog)
+        (fst (Engine.compare_methods (seq ~width:16 ()) system)))
 
 let prop_proposed_never_worse_than_direct =
   (* the search minimizes estimated area and always evaluates the all-direct
@@ -635,19 +632,19 @@ let prop_proposed_never_worse_than_direct =
      be traded for an extra operation) *)
   prop "proposed area <= direct area" ~count:40 arb_seed (fun seed ->
       let system = random_system seed in
-      let r = Pipe.run ~width:16 Pipe.Proposed system in
+      let r = fst (Engine.run (seq ~width:16 ()) Engine.Proposed system) in
       let direct =
         Cost.of_prog ~width:16 (Baselines.direct system)
       in
-      r.Pipe.cost.Cost.area <= direct.Cost.area)
+      r.Engine.cost.Cost.area <= direct.Cost.area)
 
 let prop_proposed_mod_ring_verifies =
   prop "proposed with ring ctx is function-equal" ~count:30 arb_seed
     (fun seed ->
       let system = random_system seed in
       let ctx = Ring.make_ctx ~out_width:8 () in
-      let r = Pipe.run ~ctx ~width:8 Pipe.Proposed system in
-      Pipe.verify ~ctx system r.Pipe.prog)
+      let r = fst (Engine.run (seq ~ctx ~width:8 ()) Engine.Proposed system) in
+      Engine.verify ~ctx system r.Engine.prog)
 
 let prop_scorer_matches_oracle =
   prop "select = per-program oracle" ~count:30 arb_seed (fun seed ->

@@ -4,12 +4,12 @@
 module Z = Polysynth_zint.Zint
 module Dag = Polysynth_expr.Dag
 module Cost = Polysynth_hw.Cost
-module Engine = Polysynth_engine.Engine
-module Trace = Polysynth_engine.Engine.Trace
+module Engine = Polysynth_core.Engine
+module Trace = Polysynth_core.Engine.Trace
 module B = Polysynth_workloads.Benchmarks
 module Ex = Polysynth_workloads.Examples
 
-(* caching off by default so every run really computes *)
+(* the representation store off by default so every run really builds *)
 let config ?(parallelism = 1) ?(cache = false) ~width () =
   { (Engine.Config.default ~width) with Engine.Config.parallelism; cache }
 
@@ -116,12 +116,54 @@ let test_memo_hits_on_compare () =
     reports1 reports2;
   Engine.clear_cache ()
 
+(* what a report says, in comparable form *)
+let summary (r : Engine.report) =
+  ( Engine.method_label r.Engine.method_name,
+    (r.Engine.counts.Dag.mults, r.Engine.counts.Dag.adds),
+    (r.Engine.cost.Cost.area, r.Engine.cost.Cost.delay),
+    (r.Engine.labels, Polysynth_analysis.Equiv.cert_label r.Engine.cert,
+     Format.asprintf "%a" Polysynth_expr.Prog.pp r.Engine.prog) )
+
+let compare_summaries cfg polys =
+  List.map summary (fst (Engine.compare_methods cfg polys))
+
+(* [cache] governs only the representation/variant store: with it off the
+   store is neither read nor filled, and the reports are those of a
+   cached run *)
 let test_cache_off_never_counts () =
   Engine.clear_cache ();
-  let cfg = config ~width:16 () in
-  let _, trace = Engine.compare_methods cfg Ex.table_14_1 in
-  Alcotest.(check int) "no hits with caching off" 0 trace.Trace.cache_hits;
-  Alcotest.(check int) "no misses with caching off" 0 trace.Trace.cache_misses
+  let off, trace = Engine.compare_methods (config ~width:16 ()) Ex.table_14_1 in
+  Alcotest.(check (option (pair int int)))
+    "store untouched with caching off" (Some (0, 0))
+    (List.find_map
+       (fun (name, h, m) -> if name = "representation" then Some (h, m) else None)
+       trace.Trace.cache_tables);
+  Alcotest.(check bool) "reports equal a cached run" true
+    (List.map summary off
+    = compare_summaries (config ~cache:true ~width:16 ()) Ex.table_14_1);
+  Engine.clear_cache ()
+
+(* two runs with different [cache] settings in two domains at once give
+   the reports each gives alone: no run flips a setting under the other *)
+let test_cache_settings_concurrent () =
+  let mvcs = (Option.get (B.by_name "MVCS")).B.polys in
+  let jobs =
+    List.concat_map
+      (fun polys ->
+        [ (config ~cache:true ~width:16 (), polys); (config ~width:16 (), polys) ])
+      [ Ex.table_14_1; mvcs ]
+  in
+  Engine.clear_cache ();
+  let sequential = List.map (fun (c, polys) -> compare_summaries c polys) jobs in
+  Engine.clear_cache ();
+  let concurrent =
+    Engine.parallel_map ~domains:2
+      (fun (c, polys) -> compare_summaries c polys)
+      jobs
+  in
+  Alcotest.(check bool) "concurrent reports equal sequential ones" true
+    (sequential = concurrent);
+  Engine.clear_cache ()
 
 (* ---- budgets --------------------------------------------------------- *)
 
@@ -203,6 +245,8 @@ let () =
             test_memo_hits_on_compare;
           Alcotest.test_case "cache off counts nothing" `Quick
             test_cache_off_never_counts;
+          Alcotest.test_case "cache on and off concurrently" `Quick
+            test_cache_settings_concurrent;
         ] );
       ( "budget",
         [

@@ -208,13 +208,13 @@ let test_corpus_parses_and_synthesizes () =
         let system = Polysynth_poly.Parse.system_exn text in
         Alcotest.(check bool) (file ^ " non-empty") true (List.length system > 0);
         let r, _ =
-          Polysynth_engine.Engine.run
-            (Polysynth_engine.Engine.Config.default ~width:16)
-            Polysynth_engine.Engine.Proposed system
+          Polysynth_core.Engine.run
+            (Polysynth_core.Engine.Config.default ~width:16)
+            Polysynth_core.Engine.Proposed system
         in
         Alcotest.(check bool) (file ^ " synthesizes exactly") true
-          (Polysynth_engine.Engine.verify system
-             r.Polysynth_engine.Engine.prog))
+          (Polysynth_core.Engine.verify system
+             r.Polysynth_core.Engine.prog))
       files
 
 (* random systems -------------------------------------------------------------------- *)
