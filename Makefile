@@ -11,8 +11,9 @@
 #                3 on other error-severity findings)
 #   make bench   quick benchmark smoke run (tables + short timings)
 #   make bench-json
-#                regenerate BENCH_PR3.json (quick mode, speedups vs the
-#                committed baseline) and validate it against the schema
+#                write a quick-mode run to _build/bench-quick.json and
+#                validate it against the schema (the committed BENCH_*.json
+#                files are never rewritten)
 #   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
 
 .PHONY: ci build test fmt lint fuzz bench bench-json
@@ -46,6 +47,6 @@ bench:
 	dune exec bench/main.exe -- --quick
 
 bench-json:
-	dune exec bench/main.exe -- --quick --json \
-	  --baseline BENCH_PR3_BASELINE.json > BENCH_PR3.json
-	dune exec bench/main.exe -- --validate BENCH_PR3.json
+	dune build bench/main.exe
+	dune exec bench/main.exe -- --quick --json > _build/bench-quick.json
+	dune exec bench/main.exe -- --validate _build/bench-quick.json

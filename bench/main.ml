@@ -6,9 +6,7 @@
    Fast mode: dune exec bench/main.exe -- --quick  (small benchmarks only)
    JSON mode: dune exec bench/main.exe -- --quick --json
               (tables suppressed; emits a polysynth-bench/1 document on
-              stdout — see Polysynth_report.Bench_json.  Pass
-              --baseline FILE to annotate each result with the speedup
-              against a previously captured run.)
+              stdout — see Polysynth_report.Bench_json.)
    Check:     dune exec bench/main.exe -- --validate FILE
               (validates a captured JSON document and exits non-zero on a
               schema violation; used by `make bench-json`.) *)
@@ -254,7 +252,9 @@ let test_kernel_t143_cold =
 let test_integrated_t143 =
   Test.make ~name:"integrated_t143"
     (stage (fun () ->
-         List.iter (fun polys -> ignore (Integrated.decompose polys)) t143_systems))
+         List.iter
+           (fun polys -> ignore (Integrated.decompose_cce_first polys))
+           t143_systems))
 
 (* a cold Proposed run: the representation store is off and the kernelling
    and flat-cost memos are emptied first, so every iteration measures a full
@@ -341,15 +341,6 @@ let () =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   if json_mode then begin
-    let baseline =
-      match arg_value "--baseline" with
-      | None -> None
-      | Some path ->
-        Some
-          (List.map
-             (fun e -> (e.Bench_json.name, e.Bench_json.ns_per_run))
-             (Bench_json.parse_exn (read_file path)))
-    in
     let entries =
       List.map
         (fun (name, ns) ->
@@ -365,7 +356,7 @@ let () =
           simplify_results
     in
     print_string
-      (Bench_json.render ?baseline
+      (Bench_json.render
          ~mode:(if quick then "quick" else "full")
          entries)
   end

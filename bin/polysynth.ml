@@ -252,9 +252,15 @@ let run_benchmarks options name =
 
 (* ---- synthesis mode ---------------------------------------------------- *)
 
+(* Widest datapath accepted.  The canonical-form builders of --ring slow
+   down sharply with the width (seconds for one cubic at 8192 bits), and
+   no datapath of interest is wider. *)
+let max_width = 1024
+
 let run_synthesis options =
-  if options.width < 1 then begin
-    Printf.eprintf "error: --width must be at least 1 (got %d)\n" options.width;
+  if options.width < 1 || options.width > max_width then begin
+    Printf.eprintf "error: --width must be between 1 and %d (got %d)\n"
+      max_width options.width;
     1
   end
   else
@@ -449,7 +455,10 @@ let method_arg =
     & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
 
 let width_arg =
-  let doc = "Datapath bit-width (the m of Z_2^m); at least 1." in
+  let doc =
+    Printf.sprintf "Datapath bit-width (the m of Z_2^m); from 1 to %d."
+      max_width
+  in
   Arg.(value & opt int 16 & info [ "w"; "width" ] ~docv:"BITS" ~doc)
 
 let ring_arg =

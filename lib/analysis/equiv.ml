@@ -36,8 +36,6 @@ let cert_to_string = function
       (match ce.got with Some g -> Z.to_string g | None -> "nothing (missing)")
   | Unknown reason -> "unknown: " ^ reason
 
-let pp_cert fmt c = Format.pp_print_string fmt (cert_to_string c)
-
 let cert_to_json = function
   | Verified -> {|{"status":"verified"}|}
   | Refuted ce ->

@@ -40,7 +40,6 @@ type cert =
 val cert_label : cert -> string
 (** ["verified"], ["refuted"] or ["unknown"]. *)
 
-val pp_cert : Format.formatter -> cert -> unit
 val cert_to_string : cert -> string
 
 val cert_to_json : cert -> string

@@ -49,7 +49,3 @@ let bindings tab =
 let defs tab =
   Mutex.protect tab.lock (fun () ->
       List.map (fun e -> (e.name, e.poly)) tab.entries)
-
-let lookup_divisor tab poly =
-  Mutex.protect tab.lock (fun () ->
-      Option.map (fun e -> e.name) (find_unlocked tab poly))

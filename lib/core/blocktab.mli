@@ -25,5 +25,3 @@ val bindings : t -> (string * Expr.t) list
 
 val defs : t -> (string * Poly.t) list
 (** Polynomial value of each block (for verification). *)
-
-val lookup_divisor : t -> Poly.t -> string option

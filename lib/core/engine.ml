@@ -359,17 +359,6 @@ let obtain_store (config : Config.t) ~pmap key polys =
     if config.cache then Memo.set_store key s;
     s
 
-let variant_builders polys =
-  [
-    ("integrated-cce-first", fun () -> Integrated.decompose_cce_first polys);
-    ("integrated-cubes-first", fun () -> Integrated.decompose_cubes_first polys);
-    ("integrated-refine", fun () -> Integrated.refine_literal_extraction polys);
-    ( "integrated-kcm",
-      fun () ->
-        Integrated.refine_literal_extraction ~strategy:Extract.Kcm_rectangles
-          polys );
-  ]
-
 let obtain_variants (config : Config.t) ~pmap ~may key polys =
   let cached =
     if config.cache then
@@ -384,19 +373,18 @@ let obtain_variants (config : Config.t) ~pmap ~may key polys =
     v
   | None ->
     if config.cache then Atomic.incr Memo.misses;
-    let builders = variant_builders polys in
-    let indexed = List.mapi (fun i b -> (i, b)) builders in
+    let indexed = List.mapi (fun i b -> (i, b)) Integrated.variants in
     let built =
       pmap
         (fun (i, (label, build)) ->
           (* the first variant is always built; the rest consume budget *)
-          if i = 0 || may () then Some (label, build ()) else None)
+          if i = 0 || may () then Some (label, build polys) else None)
         indexed
       |> List.filter_map Fun.id
     in
     (* only a complete set may be cached — a budget-truncated list would
        poison later unbudgeted runs *)
-    if config.cache && List.length built = List.length builders then
+    if config.cache && List.length built = List.length Integrated.variants then
       Memo.set_variants key built;
     built
 

@@ -59,7 +59,7 @@ let decompose_cce_first polys =
     if n = 0 then ([], xs)
     else
       match xs with
-      | [] -> invalid_arg "Integrated.decompose: piece mismatch"
+      | [] -> invalid_arg "Integrated.decompose_cce_first: piece mismatch"
       | x :: rest ->
         let first, remaining = take (n - 1) rest in
         (x :: first, remaining)
@@ -109,13 +109,11 @@ let refine_literal_extraction ?strategy polys =
   refine_bodies ~blocks:extraction.Extract.blocks
     ~outputs:extraction.Extract.output_bodies
 
-let decompose polys = decompose_cce_first polys
-
-let variants polys =
+let variants =
   [
-    ("integrated-cce-first", decompose_cce_first polys);
-    ("integrated-cubes-first", decompose_cubes_first polys);
-    ("integrated-refine", refine_literal_extraction polys);
+    ("integrated-cce-first", decompose_cce_first);
+    ("integrated-cubes-first", decompose_cubes_first);
+    ("integrated-refine", fun polys -> refine_literal_extraction polys);
     ( "integrated-kcm",
-      refine_literal_extraction ~strategy:Extract.Kcm_rectangles polys );
+      refine_literal_extraction ~strategy:Extract.Kcm_rectangles );
   ]

@@ -7,14 +7,11 @@
     kernel/cube extraction together, so that blocks shared {e across}
     polynomials are found (identical CCE blocks from different polynomials
     collapse in the shared DAG).  This is the whole-system counterpart of
-    the per-polynomial representations in {!Represent}; the pipeline keeps
-    whichever scores better. *)
+    the per-polynomial representations in {!Represent}; the engine's
+    Proposed flow keeps whichever scores better. *)
 
 module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog
-
-val decompose : Poly.t list -> Prog.t
-(** [decompose_cce_first]. *)
 
 val decompose_cce_first : Poly.t list -> Prog.t
 (** CCE on every polynomial, then variable-only extraction over all the
@@ -32,5 +29,6 @@ val refine_literal_extraction :
     refined algebraically inside every extracted body.  Same naming and
     exactness contract. *)
 
-val variants : Poly.t list -> (string * Prog.t) list
-(** All integrated orderings, labelled. *)
+val variants : (string * (Poly.t list -> Prog.t)) list
+(** All integrated orderings, labelled, in the order the engine builds and
+    ranks them. *)

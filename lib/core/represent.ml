@@ -4,7 +4,6 @@ module Expr = Polysynth_expr.Expr
 module Canonical = Polysynth_finite_ring.Canonical
 module Squarefree = Polysynth_factor.Squarefree
 module Ted = Polysynth_ted.Ted
-module Buchberger = Polysynth_groebner.Buchberger
 
 type semantics = Exact | ModRing
 
@@ -89,24 +88,6 @@ let canonical_split_rep ctx table session p =
     Some (Expr.add (List.map part keys))
   end
 
-(* complete factorization for univariate polynomials (Berlekamp +
-   Hensel): exposes irreducible factors square-free factorization cannot
-   split, e.g. x^4 + x^2 + 1 = (x^2+x+1)(x^2-x+1) *)
-let factorize_rep session p =
-  match Poly.vars p with
-  | [ v ] when Poly.degree_in v p >= 2 ->
-    let f = Polysynth_factor.Factorize.factor v p in
-    (match f.Polysynth_factor.Factorize.factors with
-     | [ (_, 1) ] | [] -> None
-     | factors ->
-       Some
-         (Expr.mul
-            (Expr.const f.Polysynth_factor.Factorize.unit_part
-            :: List.map
-                 (fun (g, k) -> Expr.pow (Algdiv.decompose session g) k)
-                 factors)))
-  | _ -> None
-
 let cce_rep session p =
   let r = Cce.extract p in
   if r.Cce.groups = [] then None
@@ -118,22 +99,6 @@ let cce_rep session p =
               Expr.mul [ Expr.const g; Algdiv.decompose session b ])
             r.Cce.groups
          @ [ Algdiv.decompose session r.Cce.residual ]))
-
-(* Groebner-basis library rewriting (after Peymandoust & De Micheli):
-   eliminate the input variables in favour of the discovered divisor
-   blocks; the lex normal form is the rewriting over the block library *)
-let groebner_rep table divisors p =
-  if Poly.is_zero p || Poly.is_const p then None
-  else begin
-    let library =
-      List.filteri (fun i _ -> i < 8) divisors
-      |> List.map (fun d -> (Blocktab.divisor_var table d, d))
-    in
-    match Buchberger.rewrite_with_library ~library p with
-    | exception Failure _ -> None
-    | None -> None
-    | Some (e, _) -> Some e
-  end
 
 let dedup reps =
   let rec go seen = function
@@ -176,9 +141,6 @@ let build ?ctx ?max_blocks ?(pmap = List.map) polys =
         (match squarefree_rep session p with
          | Some e -> exact "sqfree" e
          | None -> None);
-        (match factorize_rep session p with
-         | Some e -> exact "factorize" e
-         | None -> None);
         (match ctx with
          | Some ctx ->
            Some
@@ -207,9 +169,6 @@ let build ?ctx ?max_blocks ?(pmap = List.map) polys =
          | None -> None);
         exact "algdiv" (Algdiv.decompose session p);
         exact "ted" (Ted.decompose ted_manager (Ted.of_poly ted_manager p));
-        (match groebner_rep table divisors p with
-         | Some e -> exact "groebner" e
-         | None -> None);
       ]
     in
     dedup (List.filter_map Fun.id candidates)

@@ -29,10 +29,15 @@ val build :
   ?pmap:((Poly.t -> rep list) -> Poly.t list -> rep list list) ->
   Poly.t list ->
   t
-(** Representation lists contain, where applicable and distinct: the
-    direct form, the Horner form, the square-free factored form, the
-    canonical form (when [ctx] is given), the CCE decomposition, and the
-    best algebraic-division decomposition.
+(** Representation lists contain, where applicable and distinct, in this
+    order: ["direct"], ["horner"], ["sqfree"] (square-free factored form),
+    ["canonical"], ["canonical_split"] and ["coeff_fold"] (the three
+    [ModRing] forms, only when [ctx] is given), ["cce"] (common
+    coefficient extraction), ["algdiv"] (the best algebraic-division
+    decomposition) and ["ted"] (Taylor-expansion-diagram decomposition).
+    The order is behaviour: when two builders produce equal expressions
+    only the first is kept, and the combination search breaks score ties
+    in favour of the earlier representation.
 
     [pmap] (default [List.map]) maps the per-polynomial builder over the
     system; the engine passes a domain-pool map here to fan the builds out

@@ -212,12 +212,3 @@ let eval dag env root =
       v
   in
   go root
-
-let pp_node dag fmt i =
-  match node dag i with
-  | Nconst c -> Format.fprintf fmt "n%d = %s" i (Z.to_string c)
-  | Nvar v -> Format.fprintf fmt "n%d = %s" i v
-  | Nneg a -> Format.fprintf fmt "n%d = -n%d" i a
-  | Nadd (a, b) -> Format.fprintf fmt "n%d = n%d + n%d" i a b
-  | Nsub (a, b) -> Format.fprintf fmt "n%d = n%d - n%d" i a b
-  | Nmul (a, b) -> Format.fprintf fmt "n%d = n%d * n%d" i a b

@@ -55,5 +55,3 @@ val tree_counts : Expr.t -> counts
     cost of a naive direct implementation. *)
 
 val eval : t -> (string -> Z.t) -> id -> Z.t
-
-val pp_node : t -> Format.formatter -> id -> unit

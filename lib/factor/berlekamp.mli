@@ -5,7 +5,10 @@
     the Berlekamp subalgebra as the nullspace of [Q^T - I], and splits
     [f] with [gcd(f, v - c)] over the basis vectors [v] and field
     constants [c].  Complexity is polynomial in [deg f] and [p], which is
-    why the driver restricts itself to small primes. *)
+    why the driver restricts itself to small primes.
+
+    Not on the synthesis path: kept only for {!Factorize}, which serves
+    the ["factor.factorize"] probe of perfbench's traced replay. *)
 
 val factor : p:int -> Fp_poly.t -> Fp_poly.t list
 (** Monic irreducible factors (with repetition impossible: the input must

@@ -5,7 +5,12 @@
     factorization splits multiplicities, {!Berlekamp} factors the
     square-free parts modulo a well-chosen small prime, {!Hensel} lifts
     the modular factors above the Mignotte-style coefficient bound, and a
-    subset search recombines them into true integer factors. *)
+    subset search recombines them into true integer factors.
+
+    Not on the synthesis path: no representation builder calls it.  It is
+    kept, with {!Berlekamp}, {!Hensel} and {!Fp_poly}, only for the
+    ["factor.factorize"] probe of perfbench's traced replay, and goes
+    when that probe is dropped. *)
 
 module Z := Polysynth_zint.Zint
 module Poly := Polysynth_poly.Poly

@@ -3,7 +3,10 @@
     Polynomials are coefficient arrays (least significant first, no
     trailing zeros), with coefficients in [[0, p)].  The prime must stay
     below [2^30] so products fit in a native [int]; the factorization
-    driver only ever picks small primes. *)
+    driver only ever picks small primes.
+
+    Not on the synthesis path: kept only for {!Factorize}, which serves
+    the ["factor.factorize"] probe of perfbench's traced replay. *)
 
 type t = int array
 

@@ -3,7 +3,10 @@
     Works with dense integer-coefficient polynomials reduced into
     [[0, m)] for the current modulus [m]; the driver gives it the monic
     modular factors from {!Berlekamp} and a target exponent derived from
-    the coefficient bound. *)
+    the coefficient bound.
+
+    Not on the synthesis path: kept only for {!Factorize}, which serves
+    the ["factor.factorize"] probe of perfbench's traced replay. *)
 
 module Z := Polysynth_zint.Zint
 

@@ -3,7 +3,10 @@
     Buchberger machinery (Gröbner computations need elimination orders,
     which the main {!Polysynth_poly.Poly} type's fixed graded-lex order
     cannot express, and rational coefficients so that reductions are
-    always exact). *)
+    always exact).
+
+    Not on the synthesis path: kept only for {!Buchberger}, which serves
+    the ["groebner.rewrite"] probe of perfbench's traced replay. *)
 
 module Z := Polysynth_zint.Zint
 module Q := Polysynth_rat.Qint

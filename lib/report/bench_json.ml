@@ -18,7 +18,7 @@ type entry = {
 
 let json_string = Polysynth_analysis.Diag.json_string
 
-let render ?baseline ~mode entries =
+let render ~mode entries =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"schema\": %s,\n" (json_string schema));
@@ -33,16 +33,6 @@ let render ?baseline ~mode entries =
       (match e.cells_eliminated with
        | Some c -> Buffer.add_string b (Printf.sprintf ", \"cells_eliminated\": %d" c)
        | None -> ());
-      (match baseline with
-       | None -> ()
-       | Some base ->
-         (match List.assoc_opt e.name base with
-          | Some bns when e.ns_per_run > 0. ->
-            Buffer.add_string b
-              (Printf.sprintf
-                 ", \"baseline_ns_per_run\": %.1f, \"speedup_vs_baseline\": %.2f"
-                 bns (bns /. e.ns_per_run))
-          | Some _ | None -> ()));
       Buffer.add_string b (if i = n - 1 then "}\n" else "},\n"))
     entries;
   Buffer.add_string b "  ]\n}\n";
@@ -113,8 +103,8 @@ let tokenize s =
 
 (* Walk the token stream picking up ("schema", value), every
    {"name": ..., "ns_per_run": ...} pair in order, and the optional
-   "cells_eliminated" that may follow a pair.  Everything else —
-   baseline/speedup fields included — is ignored. *)
+   "cells_eliminated" that may follow a pair.  Everything else — such as
+   the baseline/speedup fields older committed files carry — is ignored. *)
 let parse s =
   let toks = tokenize s in
   let schema_val = ref None in

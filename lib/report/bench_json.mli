@@ -3,8 +3,7 @@
 
     The schema is one object: [{"schema": "polysynth-bench/1", "mode":
     "quick"|"full", "results": [{"name", "ns_per_run",
-    ["cells_eliminated"], ["baseline_ns_per_run",
-    "speedup_vs_baseline"]}]}].  Emission, a parser for exactly this
+    ["cells_eliminated"]}]}].  Emission, a parser for exactly this
     shape, and the validation run by [make bench-json] and the test suite
     all live here so they cannot drift apart. *)
 
@@ -20,15 +19,14 @@ type entry = {
           the pass *)
 }
 
-val render : ?baseline:(string * float) list -> mode:string -> entry list -> string
-(** Render the document.  When [baseline] holds an [ns_per_run] for an
-    entry's name, the entry also carries [baseline_ns_per_run] and
-    [speedup_vs_baseline] (baseline / current). *)
+val render : mode:string -> entry list -> string
+(** Render the document. *)
 
 exception Malformed of string
 
 val parse_exn : string -> entry list
-(** Entries of a rendered document, in order.  Baseline fields are ignored.
+(** Entries of a rendered document, in order.  Unknown fields (such as the
+    baseline/speedup annotations of older committed files) are ignored.
     @raise Malformed when the text is not a rendered bench document. *)
 
 val validate : ?required:string list -> string -> (unit, string) result

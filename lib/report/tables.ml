@@ -83,13 +83,14 @@ let bench_row (b : B.t) =
     delay_improvement_pct = pct prop.Engine.cost.Cost.delay base.Engine.cost.Cost.delay;
   }
 
-let table_14_3_rows ?names () =
-  let selected =
-    match names with
-    | None -> B.all ()
-    | Some names -> List.filter_map B.by_name names
-  in
-  List.map bench_row selected
+(* the named benchmarks in the given order, unknown names skipped; all of
+   them when no names are given *)
+let benchmarks ?names () =
+  match names with
+  | None -> B.all ()
+  | Some names -> List.filter_map B.by_name names
+
+let table_14_3_rows ?names () = List.map bench_row (benchmarks ?names ())
 
 let average_area_improvement rows =
   match rows with
@@ -136,11 +137,7 @@ let ablation_of_prog ~width variant prog =
   }
 
 let ablation_rows ?names () =
-  let selected =
-    match names with
-    | None -> B.all ()
-    | Some names -> List.filter_map B.by_name names
-  in
+  let selected = benchmarks ?names () in
   List.map
     (fun (b : B.t) ->
       let w = b.B.width in
@@ -158,8 +155,9 @@ let ablation_rows ?names () =
           ablation_of_prog ~width:w "search-only" search_only;
         ]
         @ List.map
-            (fun (label, prog) -> ablation_of_prog ~width:w label prog)
-            (Integrated.variants b.B.polys)
+            (fun (label, build) ->
+              ablation_of_prog ~width:w label (build b.B.polys))
+            Integrated.variants
         @ [
             ablation_of_prog ~width:w "proposed"
               (run_method ~ctx ~width:w Engine.Proposed b.B.polys).Engine.prog;
@@ -177,11 +175,7 @@ module Power = Polysynth_hw.Power
 module Extended = Polysynth_workloads.Extended
 
 let strategy_rows ?names () =
-  let selected =
-    match names with
-    | None -> B.all ()
-    | Some names -> List.filter_map B.by_name names
-  in
+  let selected = benchmarks ?names () in
   List.map
     (fun (b : B.t) ->
       let w = b.B.width in
@@ -199,7 +193,7 @@ let strategy_rows ?names () =
     selected
 
 let objective_rows ?(names = [ "Quad"; "Mibench"; "MVCS" ]) () =
-  List.filter_map B.by_name names
+  benchmarks ~names ()
   |> List.map (fun (b : B.t) ->
          let w = b.B.width in
          let rows =
@@ -219,7 +213,7 @@ let objective_rows ?(names = [ "Quad"; "Mibench"; "MVCS" ]) () =
          (b.B.name, rows))
 
 let schedule_rows ?(names = [ "SG 3x2"; "Quad"; "MVCS" ]) () =
-  List.filter_map B.by_name names
+  benchmarks ~names ()
   |> List.map (fun (b : B.t) ->
          let w = b.B.width in
          let r = run_method ~width:w Engine.Proposed b.B.polys in
@@ -247,7 +241,7 @@ let schedule_rows ?(names = [ "SG 3x2"; "Quad"; "MVCS" ]) () =
 let extended_rows () = List.map bench_row (Extended.extended_suite ())
 
 let mcm_rows ?(names = [ "SG 3x2"; "SG 4x2"; "Quad"; "Mibench"; "MVCS" ]) () =
-  List.filter_map B.by_name names
+  benchmarks ~names ()
   |> List.map (fun (b : B.t) ->
          let w = b.B.width in
          let r = run_method ~width:w Engine.Proposed b.B.polys in
@@ -266,7 +260,7 @@ let mcm_rows ?(names = [ "SG 3x2"; "SG 4x2"; "Quad"; "Mibench"; "MVCS" ]) () =
 
 (* sequential/pipelined implementation study of the chosen decompositions *)
 let implementation_rows ?(names = [ "SG 3x2"; "Quad"; "MVCS" ]) () =
-  List.filter_map B.by_name names
+  benchmarks ~names ()
   |> List.map (fun (b : B.t) ->
          let w = b.B.width in
          let r = run_method ~width:w Engine.Proposed b.B.polys in

@@ -34,19 +34,6 @@ let test_roundtrip () =
         p.BJ.cells_eliminated)
     entries parsed
 
-let test_roundtrip_with_baseline () =
-  let baseline =
-    [ ("polysynth/kernel_extraction_t143", 99692.4) ]
-    (* 2x the current ns => speedup 2.0 in the annotated entry *)
-  in
-  let doc = BJ.render ~baseline ~mode:"quick" entries in
-  let parsed = BJ.parse_exn doc in
-  Alcotest.(check int) "baseline fields ignored by parse" 2
-    (List.length parsed);
-  match BJ.validate doc with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("annotated doc should validate: " ^ e)
-
 let test_validate_required () =
   let doc = BJ.render ~mode:"quick" entries in
   (match
@@ -100,8 +87,7 @@ let test_committed_files () =
   (* tests run from _build/default/test; walk up to the source tree copies *)
   List.iter
     (fun dir ->
-      check_file (Filename.concat dir "BENCH_PR3.json") required;
-      check_file (Filename.concat dir "BENCH_PR3_BASELINE.json") required)
+      check_file (Filename.concat dir "BENCH_PR3.json") required)
     [ "."; ".."; "../.."; "../../.." ]
 
 let () =
@@ -110,8 +96,6 @@ let () =
       ( "schema",
         [
           Alcotest.test_case "render/parse roundtrip" `Quick test_roundtrip;
-          Alcotest.test_case "baseline annotations" `Quick
-            test_roundtrip_with_baseline;
           Alcotest.test_case "required names" `Quick test_validate_required;
           Alcotest.test_case "rejects malformed" `Quick
             test_validate_rejects_garbage;

@@ -17,9 +17,21 @@ let test_width_below_one () =
     [ "--width=0"; "--width=-3"; "--ring --width=0"; "--compare --width=0" ];
   Alcotest.(check int) "--width=1 synthesizes" 0 (run ~input:"x*y+x" "--width=1")
 
+let test_width_above_max () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (args ^ " is a usage error") 1 (run ~input:"x^3+x" args))
+    [ "--width=1025"; "--width=100000"; "--ring --width=100000" ];
+  Alcotest.(check int) "--width=1024 synthesizes" 0
+    (run ~input:"x^3+x" "--width=1024")
+
 let () =
   Alcotest.run "cli"
     [
       ( "width",
-        [ Alcotest.test_case "below 1 is rejected" `Quick test_width_below_one ] );
+        [
+          Alcotest.test_case "below 1 is rejected" `Quick test_width_below_one;
+          Alcotest.test_case "above 1024 is rejected" `Quick
+            test_width_above_max;
+        ] );
     ]

@@ -213,7 +213,27 @@ let test_represent_has_reps () =
       Alcotest.(check bool) "has direct" true
         (List.exists (fun rep -> rep.Represent.label = "direct") reps))
     r.Represent.reps;
-  Alcotest.(check bool) "combinations > 1" true (Represent.num_combinations r > 1)
+  Alcotest.(check bool) "combinations > 1" true (Represent.num_combinations r > 1);
+  (* exact label lists, in build order *)
+  let labels ?ctx system =
+    match (Represent.build ?ctx [ p system ]).Represent.reps with
+    | [| reps |] -> List.map (fun rep -> rep.Represent.label) reps
+    | _ -> Alcotest.fail "one polynomial, one list"
+  in
+  let strings = Alcotest.(list string) in
+  Alcotest.check strings "x^4 + x^2 + 1" [ "direct"; "horner" ]
+    (labels "x^4 + x^2 + 1");
+  Alcotest.check strings "x^4 + x^2 + 1 mod 2^16"
+    [ "direct"; "horner"; "canonical" ]
+    (labels ~ctx:(Ring.make_ctx ~out_width:16 ()) "x^4 + x^2 + 1");
+  Alcotest.check strings "x^2*y + 2*x*y + y + x + 1"
+    [ "direct"; "horner"; "algdiv"; "ted" ]
+    (labels "x^2*y + 2*x*y + y + x + 1");
+  let ctx = Ring.make_ctx ~out_width:16 () in
+  let proposed = fst (Engine.synthesize (seq ~ctx ~width:16 ()) Ex.table_14_2) in
+  Alcotest.check strings "table 14.2 selection"
+    [ "cce"; "cce"; "canonical_split"; "canonical" ]
+    proposed.Engine.labels
 
 let test_represent_exact_reps_expand () =
   let r = Represent.build Ex.table_14_1 in
@@ -437,17 +457,17 @@ let test_scorer_table_14_3 () =
 
 let test_integrated_variants_exact () =
   List.iter
-    (fun (label, prog) ->
+    (fun (label, build) ->
       Alcotest.(check bool) (label ^ " verifies") true
-        (Engine.verify Ex.table_14_2 prog))
-    (Integrated.variants Ex.table_14_2)
+        (Engine.verify Ex.table_14_2 (build Ex.table_14_2)))
+    Integrated.variants
 
 let test_integrated_never_terrible () =
   List.iter
-    (fun (label, prog) ->
+    (fun (label, build) ->
       Alcotest.(check bool) (label ^ " no worse than direct") true
-        (ops prog <= tree_ops Ex.table_14_2))
-    (Integrated.variants Ex.table_14_2)
+        (ops (build Ex.table_14_2) <= tree_ops Ex.table_14_2))
+    Integrated.variants
 
 (* pipeline --------------------------------------------------------------------------------------- *)
 

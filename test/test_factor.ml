@@ -319,59 +319,6 @@ let test_factorize_invalid () =
   Alcotest.check_raises "zero" (Invalid_argument "Factorize: zero polynomial")
     (fun () -> ignore (F.factor "x" P.zero))
 
-(* resultants -------------------------------------------------------------------- *)
-
-module R = Polysynth_factor.Resultant
-
-let test_resultant_numeric () =
-  (* res(x^2 - 1, x - 2) = f(2) for monic f: 3 *)
-  check_p "res" (p "3") (R.resultant "x" (p "x^2 - 1") (p "x - 2"));
-  (* common factor -> 0 *)
-  check_p "common root" P.zero (R.resultant "x" (p "x^2 - 1") (p "x - 1"))
-
-let test_resultant_multivariate () =
-  (* res_x(x + y, x - y) = -2y *)
-  check_p "res_x" (p "0 - 2*y") (R.resultant "x" (p "x + y") (p "x - y"))
-
-let test_discriminant () =
-  (* disc(x^2 + bx + c) = b^2 - 4c *)
-  check_p "quadratic" (p "b^2 - 4*c") (R.discriminant "x" (p "x^2 + b*x + c"));
-  check_p "double root" P.zero (R.discriminant "x" (p "x^2 - 2*x + 1"));
-  check_p "x^2-1" (p "4") (R.discriminant "x" (p "x^2 - 1"));
-  Alcotest.check_raises "degree 0"
-    (Invalid_argument "Resultant.discriminant: degree < 1") (fun () ->
-      ignore (R.discriminant "x" (p "y + 1")))
-
-let test_determinant () =
-  let m s = p s in
-  let det =
-    R.determinant
-      [| [| m "1"; m "2" |]; [| m "3"; m "4" |] |]
-  in
-  check_p "2x2" (p "0 - 2") det;
-  check_p "singular" P.zero
-    (R.determinant [| [| m "1"; m "2" |]; [| m "2"; m "4" |] |]);
-  check_p "polynomial entries" (p "0 - 2*y")
-    (R.determinant [| [| m "1"; m "y" |]; [| m "1"; m "0 - y" |] |])
-
-let prop_resultant_detects_common_factor =
-  prop "resultant is zero iff gcd is non-trivial" ~count:80
-    (QCheck.make
-       QCheck.Gen.(
-         triple
-           (map (fun (a, b) -> (a, b)) (pair (int_range (-4) 4) (int_range (-4) 4)))
-           (pair (int_range (-4) 4) (int_range (-4) 4))
-           bool)
-       ~print:(fun _ -> "roots"))
-    (fun (((a, b) : int * int), ((c, d) : int * int), share) ->
-      (* f = (x - a)(x - b), g = (x - c)(x - d) or sharing root a *)
-      let lin r = P.sub (P.var "x") (P.of_int r) in
-      let f = P.mul (lin a) (lin b) in
-      let g = if share then P.mul (lin a) (lin d) else P.mul (lin c) (lin d) in
-      let res = R.resultant "x" f g in
-      let gcd_nontrivial = not (P.is_const (G.gcd f g)) in
-      P.is_zero res = gcd_nontrivial)
-
 (* internal-error hardening ------------------------------------------------------- *)
 
 (* The `assert false` sites in Linear_factors, Mgcd and Squarefree are now
@@ -589,14 +536,6 @@ let () =
             test_factorize_paper_example;
           Alcotest.test_case "irreducibility" `Quick test_is_irreducible;
           Alcotest.test_case "invalid input" `Quick test_factorize_invalid;
-        ] );
-      ( "resultant",
-        [
-          Alcotest.test_case "numeric" `Quick test_resultant_numeric;
-          Alcotest.test_case "multivariate" `Quick test_resultant_multivariate;
-          Alcotest.test_case "discriminant" `Quick test_discriminant;
-          Alcotest.test_case "determinant" `Quick test_determinant;
-          prop_resultant_detects_common_factor;
         ] );
       ( "hardening",
         [
