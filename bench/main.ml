@@ -276,8 +276,10 @@ let test_pipeline_table_14_1 =
   Test.make ~name:"engine_proposed_14_1"
     (stage (fun () -> engine_proposed ~parallelism:1 Ex.table_14_1))
 
-(* sequential vs parallel fan-out over the 9-polynomial SG 3x2 system; on a
-   single-core host the two coincide (the engine falls back to List.map) *)
+(* the 9-polynomial SG 3x2 system at parallelism 1 and at one domain per
+   core: only the integrated variants fan out (the representation build is
+   sequential), and on a single-core host the two coincide (the engine
+   falls back to List.map) *)
 let test_engine_sequential =
   Test.make ~name:"engine_sg3_sequential"
     (stage (fun () -> engine_proposed ~parallelism:1 sg3))

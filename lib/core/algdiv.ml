@@ -17,8 +17,6 @@ type session = {
 let make_session table ~divisors =
   { table; divs = divisors; memo = PolyTbl.create 64 }
 
-let divisors s = s.divs
-
 let cost e = Dag.total_ops (Dag.tree_counts e)
 
 let cheapest candidates =
@@ -69,7 +67,7 @@ let could_be_perfect_power p =
        (fun k -> Squarefree.integer_root lc k <> None)
        [ 2; 3; 5; 7 ]
 
-let rec decompose ?(depth = 0) s p =
+let rec decompose_at depth s p =
   match PolyTbl.find_opt s.memo p with
   | Some e -> e
   | None ->
@@ -83,7 +81,7 @@ let rec decompose ?(depth = 0) s p =
 and choose depth s p =
   if Poly.is_zero p || Poly.is_const p then Expr.of_poly p
   else begin
-    let deeper = decompose ~depth:(depth + 1) s in
+    let deeper = decompose_at (depth + 1) s in
     let direct = Expr.of_poly p in
     let content_candidate =
       let pp = Poly.primitive_part p in
@@ -151,3 +149,5 @@ and choose depth s p =
     cheapest
       ((direct :: content_candidate) @ power_candidate @ structural_candidates)
   end
+
+let decompose s p = decompose_at 0 s p

@@ -18,13 +18,16 @@ module Poly := Polysynth_poly.Poly
 module Expr := Polysynth_expr.Expr
 
 type session
+(** A memo from polynomial to its decomposition, shared by every call on
+    the session.  An entry keeps the result of the first call that reached
+    the polynomial, at whatever recursion depth that was, so a caller that
+    shares one session across polynomials fixes the order of its calls:
+    {!Represent.build} fills one session per system, polynomial by
+    polynomial. *)
 
 val make_session : Blocktab.t -> divisors:Poly.t list -> session
 
-val decompose : ?depth:int -> session -> Poly.t -> Expr.t
+val decompose : session -> Poly.t -> Expr.t
 (** Best decomposition found; expands back to the input polynomial (with
-    block variables replaced by their definitions).  [depth] is the
-    internal recursion level (structural rewrites stop after 4 levels);
-    callers normally omit it. *)
-
-val divisors : session -> Poly.t list
+    block variables replaced by their definitions).  Structural rewrites
+    stop 4 recursion levels below the call. *)

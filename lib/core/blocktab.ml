@@ -3,10 +3,10 @@ module Expr = Polysynth_expr.Expr
 
 type entry = { name : string; poly : Poly.t; def : Expr.t }
 
-(* The table is shared by every representation builder of a system; the
-   parallel engine runs those builders on separate domains, so find-or-add
-   must be atomic (two polynomials registering the same divisor must agree
-   on its name). *)
+(* The table is shared by every representation builder of a system, and a
+   memoized store's table is read by engine runs on any domain, so
+   find-or-add stays atomic (two callers registering the same divisor must
+   agree on its name, and a reader never sees a half-added entry). *)
 type t = {
   mutable entries : entry list;
   mutable counter : int;

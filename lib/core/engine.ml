@@ -338,7 +338,7 @@ let report_of method_name prog labels (cost, counts) =
     simplified = None;
   }
 
-let obtain_store (config : Config.t) ~pmap key polys =
+let obtain_store (config : Config.t) key polys =
   let cached =
     if config.cache then
       match Memo.find key with
@@ -353,8 +353,7 @@ let obtain_store (config : Config.t) ~pmap key polys =
   | None ->
     if config.cache then Atomic.incr Memo.misses;
     let s =
-      Represent.build ?ctx:config.ctx ?max_blocks:config.max_blocks ~pmap
-        polys
+      Represent.build ?ctx:config.ctx ?max_blocks:config.max_blocks polys
     in
     if config.cache then Memo.set_store key s;
     s
@@ -389,9 +388,10 @@ let obtain_variants (config : Config.t) ~pmap ~may key polys =
     built
 
 (* The Proposed flow of Algorithm 7, instrumented: representation build
-   (fanned out per polynomial), combination search, integrated
-   whole-system variants (fanned out per variant), then the competition
-   under the search objective with first-best tie-breaking. *)
+   (sequential, one algebraic-division memo for the system), combination
+   search, integrated whole-system variants (fanned out per variant), then
+   the competition under the search objective with first-best
+   tie-breaking. *)
 let proposed (config : Config.t) ~prefix stages budget_ok polys =
   let domains = Config.domains config in
   let pmap f xs = parallel_map ~domains f xs in
@@ -404,7 +404,7 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
     | Config.Full | Config.Search_only ->
       let store =
         stage stages (prefix ^ "represent") (fun () ->
-            let s = obtain_store config ~pmap key polys in
+            let s = obtain_store config key polys in
             ( s,
               Array.fold_left
                 (fun acc reps -> acc + List.length reps)

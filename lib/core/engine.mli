@@ -5,12 +5,11 @@
     together with a {!Trace.t} recording per-stage wall time, candidate
     counts, cache behaviour, and budget exhaustion.
 
-    The engine fans independent work out over OCaml domains (the
-    per-polynomial representation builds and the integrated whole-system
-    variants); on a single-core host — or with [parallelism = 1] — it
-    follows the exact sequential code path, and in both modes it selects
-    decompositions of identical cost (results can differ only in block
-    naming order).  A process-wide bounded memo keyed by the polynomial
+    The engine fans the integrated whole-system variants out over OCaml
+    domains; the representation build runs on the calling domain in a
+    fixed order.  On a single-core host — or with [parallelism = 1] — it
+    follows the exact sequential code path, and in both modes it returns
+    the same program.  A process-wide bounded memo keyed by the polynomial
     system and ring signature caches representation stores and variant
     lists, so {!compare_methods} performs [Represent.build] exactly once
     per system.  No setting of one run changes another: the engine keeps

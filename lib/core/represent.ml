@@ -109,75 +109,61 @@ let dedup reps =
   in
   go [] reps
 
-let build ?ctx ?max_blocks ?(pmap = List.map) polys =
+let build ?ctx ?max_blocks polys =
   let table = Blocktab.create () in
   let divisors = Blocks.discover ?max_blocks polys in
-  (* Fix the TED variable order up front (first occurrence across the
-     system, exactly the order the sequential build would register):
-     processing order then cannot influence the diagrams, so parallel and
-     sequential builds produce identical representations. *)
-  let ted_order =
-    List.fold_left
-      (fun acc p ->
-        List.fold_left
-          (fun acc v -> if List.mem v acc then acc else acc @ [ v ])
-          acc (Poly.vars p))
-      [] polys
-  in
   (* one TED manager for the whole system: sub-functions shared across
      polynomials land on shared nodes, and decompose emits identical
      sub-expressions for them, which the DAG then merges *)
-  let ted_manager = Ted.create ~order:ted_order () in
+  let ted_manager = Ted.create () in
+  (* one algebraic-division session for the whole system, filled in a
+     fixed order (polynomials in input order, builders as below): the SG
+     banks' shifted and symmetric copies reuse each other's quotients, and
+     the fixed order keeps the memo deterministic *)
+  let session = Algdiv.make_session table ~divisors in
   let reps_of p =
-    (* a session per polynomial: the algebraic-division memo is a pure
-       compute cache, and a private one keeps the builder lock-free so
-       [pmap] may process polynomials on separate domains *)
-    let session = Algdiv.make_session table ~divisors in
     let exact label expr = Some { label; expr; semantics = Exact } in
-    let candidates =
+    let mod_ring label expr = Some { label; expr; semantics = ModRing } in
+    let with_ctx f = match ctx with Some ctx -> f ctx | None -> None in
+    let builders =
       [
-        exact "direct" (Expr.of_poly p);
-        exact "horner" (Horner.rep p);
-        (match squarefree_rep session p with
-         | Some e -> exact "sqfree" e
-         | None -> None);
-        (match ctx with
-         | Some ctx ->
-           Some
-             {
-               label = "canonical";
-               expr = Canonical_rep.rep ctx table p;
-               semantics = ModRing;
-             }
-         | None -> None);
-        (match ctx with
-         | Some ctx ->
-           (match canonical_split_rep ctx table session p with
-            | Some e ->
-              Some { label = "canonical_split"; expr = e; semantics = ModRing }
-            | None -> None)
-         | None -> None);
-        (match ctx with
-         | Some ctx ->
-           (match coeff_fold_rep ctx session p with
-            | Some e ->
-              Some { label = "coeff_fold"; expr = e; semantics = ModRing }
-            | None -> None)
-         | None -> None);
-        (match cce_rep session p with
-         | Some e -> exact "cce" e
-         | None -> None);
-        exact "algdiv" (Algdiv.decompose session p);
-        exact "ted" (Ted.decompose ted_manager (Ted.of_poly ted_manager p));
+        (fun () -> exact "direct" (Expr.of_poly p));
+        (fun () -> exact "horner" (Horner.rep p));
+        (fun () -> Option.bind (squarefree_rep session p) (exact "sqfree"));
+        (fun () ->
+          with_ctx (fun ctx ->
+              mod_ring "canonical" (Canonical_rep.rep ctx table p)));
+        (fun () ->
+          with_ctx (fun ctx ->
+              Option.bind
+                (canonical_split_rep ctx table session p)
+                (mod_ring "canonical_split")));
+        (fun () ->
+          with_ctx (fun ctx ->
+              Option.bind (coeff_fold_rep ctx session p)
+                (mod_ring "coeff_fold")));
+        (fun () -> Option.bind (cce_rep session p) (exact "cce"));
+        (fun () -> exact "algdiv" (Algdiv.decompose session p));
+        (fun () ->
+          exact "ted" (Ted.decompose ted_manager (Ted.of_poly ted_manager p)));
       ]
     in
-    dedup (List.filter_map Fun.id candidates)
+    (* the builders run last to first ([fold_right] calls [build] only
+       after the rest of the list is built): [algdiv] memoizes [p] at full
+       depth before [cce], [coeff_fold], [canonical_split] and [sqfree]
+       look up its parts, and the blocks are named in that order.  Running
+       them first to last changes Mibench's lists (area 2152 -> 2480). *)
+    dedup
+      (List.fold_right
+         (fun build acc ->
+           match build () with Some r -> r :: acc | None -> acc)
+         builders [])
   in
   {
     table;
     divisors;
     polys = Array.of_list polys;
-    reps = Array.of_list (pmap reps_of polys);
+    reps = Array.of_list (List.map reps_of polys);
     ctx;
   }
 

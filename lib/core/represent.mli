@@ -26,7 +26,6 @@ type t = {
 val build :
   ?ctx:Canonical.ctx ->
   ?max_blocks:int ->
-  ?pmap:((Poly.t -> rep list) -> Poly.t list -> rep list list) ->
   Poly.t list ->
   t
 (** Representation lists contain, where applicable and distinct, in this
@@ -39,12 +38,13 @@ val build :
     only the first is kept, and the combination search breaks score ties
     in favour of the earlier representation.
 
-    [pmap] (default [List.map]) maps the per-polynomial builder over the
-    system; the engine passes a domain-pool map here to fan the builds out
-    in parallel.  The builder is safe to run concurrently (the shared
-    block table and TED manager are lock-protected, and the TED variable
-    order is fixed up front), and the produced representations are
-    identical to a sequential build up to block naming order. *)
+    The whole system shares one block table, one TED manager and one
+    {!Algdiv} session, filled on the calling domain in a fixed order:
+    polynomials in input order, and for each the builders from last to
+    first (["ted"], ["algdiv"], ["cce"], ..., ["direct"]), so ["algdiv"]
+    memoizes the polynomial at full depth before the builders that
+    decompose its parts.  The result, block names included, is a function
+    of [ctx], [max_blocks] and the list. *)
 
 val num_combinations : t -> int
 (** Product of the representation-list lengths (capped at [max_int]). *)

@@ -9,9 +9,9 @@ type node =
   | Node of { var : string; const : t; linear : t }
       (* value = const + var * linear, with linear <> leaf 0 *)
 
-(* One manager may be shared by representation builders running on
-   several domains (the parallel engine), so every public operation takes
-   the manager lock; the recursive workers below it are lock-free. *)
+(* One manager may be shared by callers on several domains, so every
+   public operation takes the manager lock; the recursive workers below it
+   are lock-free. *)
 type manager = {
   mutable nodes : node array;
   mutable len : int;

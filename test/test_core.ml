@@ -19,6 +19,7 @@ module Baselines = Polysynth_core.Baselines
 module Engine = Polysynth_core.Engine
 module Ex = Polysynth_workloads.Examples
 module Rand = Polysynth_workloads.Random_system
+module Bench = Polysynth_workloads.Benchmarks
 
 let p = Parse.poly_exn
 let poly = Alcotest.testable P.pp P.equal
@@ -205,6 +206,21 @@ let test_canonical_rep_function_equal () =
 
 (* represent / search ------------------------------------------------------------------------ *)
 
+(* Table 14.3 under each system's ring context, built once for the tests
+   that read it *)
+let table_14_3_stores =
+  lazy
+    (List.map
+       (fun (b : Bench.t) ->
+         let ctx = Ring.make_ctx ~out_width:b.Bench.width () in
+         (b, Represent.build ~ctx b.Bench.polys))
+       (Bench.all ()))
+
+(* the 12 random draws of perfbench's small-search workload *)
+let small_search_shape =
+  { Rand.num_polys = 4; num_vars = 3; max_terms = 6; max_degree = 3;
+    max_coeff = 16; sharing = true }
+
 let test_represent_has_reps () =
   let r = Represent.build ~ctx:(Ring.make_ctx ~out_width:16 ()) Ex.table_14_2 in
   Array.iter
@@ -233,7 +249,34 @@ let test_represent_has_reps () =
   let proposed = fst (Engine.synthesize (seq ~ctx ~width:16 ()) Ex.table_14_2) in
   Alcotest.check strings "table 14.2 selection"
     [ "cce"; "cce"; "canonical_split"; "canonical" ]
-    proposed.Engine.labels
+    proposed.Engine.labels;
+  (* the size of every system's representation lists, pinned: the
+     algebraic-division memo is shared by the whole system, so a change in
+     what it is filled with moves these.  SG 5x2 and 5x3 overflow the
+     product, so the total list length is pinned too. *)
+  let sizes (r : Represent.t) =
+    ( Represent.num_combinations r,
+      Array.fold_left (fun acc reps -> acc + List.length reps) 0 r.Represent.reps )
+  in
+  List.iter2
+    (fun (name, expected) ((b : Bench.t), r) ->
+      Alcotest.(check string) "system" name b.Bench.name;
+      Alcotest.(check (pair int int)) (name ^ " combinations, reps") expected
+        (sizes r))
+    [ ("SG 3x2", (10668672, 55)); ("SG 4x2", (9682651996416, 104));
+      ("SG 4x3", (13179165217344, 106)); ("SG 5x2", (max_int, 152));
+      ("SG 5x3", (max_int, 165)); ("Quad", (25, 10)); ("Mibench", (36, 12));
+      ("MVCS", (6, 6)) ]
+    (Lazy.force table_14_3_stores);
+  (* draws 3 and 11 each hold an algdiv representation that a private
+     session per polynomial would not give: the polynomial's top-level
+     call reads the entry an earlier polynomial computed deeper *)
+  let ctx = Ring.make_ctx ~out_width:16 () in
+  Alcotest.(check (list int)) "small-search draws: combinations"
+    [ 864; 1512; 1120; 168; 252; 756; 448; 504; 1680; 90; 192; 360 ]
+    (List.init 12 (fun i ->
+         Represent.num_combinations
+           (Represent.build ~ctx (Rand.generate ~seed:(i + 1) small_search_shape))))
 
 let test_represent_exact_reps_expand () =
   let r = Represent.build Ex.table_14_1 in
@@ -275,8 +318,6 @@ let test_search_beam_on_large () =
     (Dag.total_ops sel.Search.counts < tree_ops Ex.table_14_2)
 
 (* shared-DAG scorer against the per-program oracle ---------------------------- *)
-
-module Bench = Polysynth_workloads.Benchmarks
 
 type oracle = {
   o_labels : string list;
@@ -447,11 +488,8 @@ let test_scorer_paper_tables () =
 
 let test_scorer_table_14_3 () =
   List.iter
-    (fun (b : Bench.t) ->
-      let ctx = Ring.make_ctx ~out_width:b.Bench.width () in
-      check_oracle b.Bench.name ~width:b.Bench.width
-        (Represent.build ~ctx b.Bench.polys))
-    (Bench.all ())
+    (fun ((b : Bench.t), r) -> check_oracle b.Bench.name ~width:b.Bench.width r)
+    (Lazy.force table_14_3_stores)
 
 (* integrated ----------------------------------------------------------------------------------- *)
 

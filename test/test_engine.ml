@@ -3,6 +3,7 @@
 
 module Z = Polysynth_zint.Zint
 module Dag = Polysynth_expr.Dag
+module Prog = Polysynth_expr.Prog
 module Cost = Polysynth_hw.Cost
 module Engine = Polysynth_core.Engine
 module Trace = Polysynth_core.Engine.Trace
@@ -78,6 +79,11 @@ let test_parallel_matches_sequential () =
       Alcotest.(check (float 1e-9))
         (b.B.name ^ ": delay") seq.Engine.cost.Cost.delay
         par.Engine.cost.Cost.delay;
+      Alcotest.(check (list string))
+        (b.B.name ^ ": labels") seq.Engine.labels par.Engine.labels;
+      let printed r = Format.asprintf "%a" Prog.pp r.Engine.prog in
+      Alcotest.(check string)
+        (b.B.name ^ ": program") (printed seq) (printed par);
       Alcotest.(check bool)
         (b.B.name ^ ": parallel result is exact") true
         (Engine.verify b.B.polys par.Engine.prog))
