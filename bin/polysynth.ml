@@ -12,7 +12,6 @@ module Cost = Polysynth_hw.Cost
 module Verilog = Polysynth_hw.Verilog
 module Netlist = Polysynth_hw.Netlist
 module Power = Polysynth_hw.Power
-module Range = Polysynth_hw.Range
 module Dot = Polysynth_hw.Dot
 module Testbench = Polysynth_hw.Testbench
 module Cemit = Polysynth_hw.Cemit
@@ -27,6 +26,7 @@ module Suite = Polysynth_analysis.Suite
 module Equiv = Polysynth_analysis.Equiv
 module Diag = Polysynth_analysis.Diag
 module Absint = Polysynth_analysis.Absint
+module Widths = Polysynth_analysis.Widths
 module Simplify = Polysynth_analysis.Simplify
 module Benchmarks = Polysynth_workloads.Benchmarks
 
@@ -257,13 +257,30 @@ let run_benchmarks options name =
    no datapath of interest is wider. *)
 let max_width = 1024
 
+(* The option values no run can use, as a usage error.  The checks are
+   written as what a valid value satisfies, so that nan fails them. *)
+let usage_error options =
+  let fails valid = function Some x -> not (valid x) | None -> false in
+  if options.width < 1 || options.width > max_width then
+    Some
+      (Printf.sprintf "--width must be between 1 and %d (got %d)" max_width
+         options.width)
+  else if options.jobs < 0 then
+    Some (Printf.sprintf "--jobs must be 0 or more (got %d)" options.jobs)
+  else if fails (fun t -> t >= 0.) options.time_budget then
+    Some "--time-budget must be 0 or more seconds"
+  else if fails (fun c -> c >= 0) options.candidate_budget then
+    Some "--candidate-budget must be 0 or more"
+  else if fails (fun p -> p > 0.) options.pipeline_period then
+    Some "--pipeline must be a positive clock period"
+  else None
+
 let run_synthesis options =
-  if options.width < 1 || options.width > max_width then begin
-    Printf.eprintf "error: --width must be between 1 and %d (got %d)\n"
-      max_width options.width;
+  match usage_error options with
+  | Some msg ->
+    Printf.eprintf "error: %s\n" msg;
     1
-  end
-  else
+  | None ->
   match options.benchmark with
   | Some name -> run_benchmarks options name
   | None ->
@@ -386,7 +403,7 @@ let run_synthesis options =
         Printf.printf
           "range analysis: widest intermediate needs %d bits (growth %d over \
            the %d-bit datapath)\n"
-          (Range.max_required_width n) (Range.growth n) width
+          (Widths.max_required_width n) (Widths.growth n) width
       end;
       let write path contents =
         Out_channel.with_open_text path (fun oc ->

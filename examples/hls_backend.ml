@@ -9,10 +9,10 @@ module Prog = Polysynth_expr.Prog
 module Netlist = Polysynth_hw.Netlist
 module Cost = Polysynth_hw.Cost
 module Power = Polysynth_hw.Power
-module Range = Polysynth_hw.Range
 module Schedule = Polysynth_hw.Schedule
 module Bind = Polysynth_hw.Bind
 module Testbench = Polysynth_hw.Testbench
+module Widths = Polysynth_analysis.Widths
 module Engine = Polysynth_core.Engine
 
 let () =
@@ -32,7 +32,7 @@ let () =
   Format.printf "%a@." Power.pp_report (Power.estimate netlist);
   Format.printf
     "range: widest intermediate needs %d bits (input range 0..2^%d-1)@.@."
-    (Range.max_required_width netlist)
+    (Widths.max_required_width netlist)
     width;
 
   (* latency under shrinking resource budgets *)

@@ -35,8 +35,8 @@ let () =
         r.Engine.counts.Dag.mults r.Engine.counts.Dag.adds
         r.Engine.cost.Cost.area r.Engine.cost.Cost.delay)
     reports;
-  Format.printf
-    "(baselines served from the cached representation store: %d cache hits)@."
+  Format.printf "(%d memo hits across the representation, kernel and \
+                 flat-cost tables)@."
     trace.Engine.Trace.cache_hits;
 
   let proposed = List.nth reports 3 in

@@ -17,10 +17,10 @@ module Netlist = Polysynth_hw.Netlist
 module Make (D : Domains.DOMAIN) = struct
   type fact = D.t
 
-  let transfer ~width ~input_fact (facts : D.t array) (cell : Netlist.cell) =
+  let transfer ~width (facts : D.t array) (cell : Netlist.cell) =
     let arg k = facts.(List.nth cell.fanin k) in
     match cell.op with
-    | Netlist.Input v -> input_fact v
+    | Netlist.Input v -> D.input ~width v
     | Netlist.Constant c -> D.const ~width c
     | Netlist.Negate -> D.neg ~width (arg 0)
     | Netlist.Add2 -> D.add ~width (arg 0) (arg 1)
@@ -29,13 +29,8 @@ module Make (D : Domains.DOMAIN) = struct
     | Netlist.Cmult c -> D.cmul ~width c (arg 0)
     | Netlist.Shl k -> D.shl ~width k (arg 0)
 
-  let analyze ?input_fact (n : Netlist.t) =
+  let analyze (n : Netlist.t) =
     let width = n.Netlist.width in
-    let input_fact =
-      match input_fact with
-      | Some f -> f
-      | None -> fun v -> D.input ~width v
-    in
     let num = Array.length n.Netlist.cells in
     let facts = Array.make num D.bottom in
     let users = Array.make num [] in
@@ -62,7 +57,7 @@ module Make (D : Domains.DOMAIN) = struct
          just stay at bottom *)
       if List.for_all (fun s -> s >= 0 && s < num) cell.fanin then begin
         let nf =
-          D.join ~width facts.(i) (transfer ~width ~input_fact facts cell)
+          D.join ~width facts.(i) (transfer ~width facts cell)
         in
         if not (D.leq nf facts.(i)) then begin
           facts.(i) <- nf;
@@ -83,4 +78,4 @@ end
 
 module Product_analysis = Make (Domains.Product)
 
-let analyze_product ?input_fact n = Product_analysis.analyze ?input_fact n
+let analyze_product = Product_analysis.analyze

@@ -13,9 +13,8 @@ module Netlist := Polysynth_hw.Netlist
 module Make (D : Domains.DOMAIN) : sig
   type fact = D.t
 
-  val analyze : ?input_fact:(string -> D.t) -> Netlist.t -> D.t array
-  (** Per-cell facts, indexed by cell id.  [input_fact] overrides the
-      fact assumed for input cells (default: [D.input], i.e. top). *)
+  val analyze : Netlist.t -> D.t array
+  (** Per-cell facts, indexed by cell id; input cells get [D.input]. *)
 
   val to_strings : Netlist.t -> D.t array -> string list
   (** One printable line per cell: id, operator, fact. *)
@@ -24,18 +23,12 @@ end
 module Product_analysis : sig
   type fact = Domains.Product.t
 
-  val analyze :
-    ?input_fact:(string -> Domains.Product.t) ->
-    Netlist.t ->
-    Domains.Product.t array
+  val analyze : Netlist.t -> Domains.Product.t array
 
   val to_strings : Netlist.t -> Domains.Product.t array -> string list
 end
 
-val analyze_product :
-  ?input_fact:(string -> Domains.Product.t) ->
-  Netlist.t ->
-  Domains.Product.t array
+val analyze_product : Netlist.t -> Domains.Product.t array
 (** [Product_analysis.analyze]: the reduced product of wrap-aware
     intervals, known bits and congruences — what {!Simplify} and the CLI
     [--analyze] flag consume. *)

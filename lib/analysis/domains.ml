@@ -41,8 +41,8 @@ let is_pow2 c =
 
 (* The domain behind the width lint: the reachable interval of each cell
    over Z, before any truncation.  It deliberately ignores the datapath
-   wrap, mirroring {!Polysynth_hw.Range}: its concretization is the value
-   of the cell under exact integer evaluation of the DAG. *)
+   wrap: its concretization is the value of the cell under exact integer
+   evaluation of the DAG. *)
 module Int_interval = struct
   type t = Bot | Iv of Z.t * Z.t
 
@@ -102,8 +102,6 @@ module Int_interval = struct
     | Iv (l, h) -> Z.compare l v <= 0 && Z.compare v h <= 0
 
   let range = function Bot -> None | Iv (l, h) -> Some (l, h)
-
-  let of_bounds ~lo ~hi = if Z.compare lo hi > 0 then Bot else Iv (lo, hi)
 
   let to_string = function
     | Bot -> "bot"

@@ -9,9 +9,8 @@
     {!Polysynth_hw.Netlist.eval}, i.e. clamped to [width] bits) to [v],
     then [contains ~width fact v] holds for the fact the analysis infers
     for that cell.  The exception is {!Int_interval}, which tracks the
-    {e pre-wrap} integer value of each cell (mirroring
-    {!Polysynth_hw.Range}) and is sound with respect to exact integer
-    evaluation instead; it backs the width lint. *)
+    {e pre-wrap} integer value of each cell and is sound with respect to
+    exact integer evaluation instead; it backs the width lint. *)
 
 module Z = Polysynth_zint.Zint
 
@@ -58,10 +57,6 @@ module Int_interval : sig
 
   (** [range t] is the (pre-wrap) interval, [None] on bottom. *)
   val range : t -> (Z.t * Z.t) option
-
-  (** [of_bounds ~lo ~hi] is the interval [[lo, hi]] ([bottom] when
-      empty) — how clients inject custom input ranges. *)
-  val of_bounds : lo:Z.t -> hi:Z.t -> t
 end
 
 (** Wrap-aware intervals: [lo, hi] with [0 <= lo <= hi < 2^width]; a

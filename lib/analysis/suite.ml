@@ -10,23 +10,12 @@ type config = {
   width : int;
   system : Poly.t list option;
   check : bool;
-  lint : bool;
-  bind : bool;
-  simplify : bool;
-  samples : int;
 }
 
-let default ~width =
-  {
-    ctx = None;
-    width;
-    system = None;
-    check = true;
-    lint = true;
-    bind = true;
-    simplify = true;
-    samples = 8;
-  }
+let default ~width = { ctx = None; width; system = None; check = true }
+
+(* random pre-filter effort of certification and of the simplify pass *)
+let samples = 8
 
 type report = {
   wellformed : Diag.t list;
@@ -97,48 +86,37 @@ let analyze cfg prog =
     if Diag.has_errors wellformed then empty_report cfg wellformed
     else
       let widths =
-        if cfg.lint then
-          let mode =
-            match cfg.ctx with Some _ -> Widths.Ring | None -> Widths.Exact
-          in
-          Widths.check_netlist ~mode n
-        else []
+        let mode =
+          match cfg.ctx with Some _ -> Widths.Ring | None -> Widths.Exact
+        in
+        Widths.check_netlist ~mode n
       in
       let redundancy =
-        if cfg.lint then
-          List.sort Diag.compare
-            (Redundancy.lint_prog prog @ Redundancy.lint_netlist n)
-        else []
+        List.sort Diag.compare
+          (Redundancy.lint_prog prog @ Redundancy.lint_netlist n)
       in
-      let binding = if cfg.bind then binding_check n else [] in
+      let binding = binding_check n in
       let simplify =
-        if cfg.lint && cfg.simplify then begin
-          (* pass the source system through when its outputs line up with
-             the netlist's; Simplify recovers a reference itself otherwise *)
-          let system =
-            Option.bind cfg.system (fun polys ->
-                let named =
-                  List.mapi
-                    (fun i p -> (Printf.sprintf "P%d" (i + 1), p))
-                    polys
-                in
-                if
-                  List.for_all
-                    (fun (nm, _) -> List.mem_assoc nm named)
-                    n.Netlist.outputs
-                then Some named
-                else None)
-          in
-          Simplify.diags_of_outcome
-            (Simplify.run ~samples:cfg.samples ?system n)
-        end
-        else []
+        (* pass the source system through when its outputs line up with
+           the netlist's; Simplify recovers a reference itself otherwise *)
+        let system =
+          Option.bind cfg.system (fun polys ->
+              let named =
+                List.mapi (fun i p -> (Printf.sprintf "P%d" (i + 1), p)) polys
+              in
+              if
+                List.for_all
+                  (fun (nm, _) -> List.mem_assoc nm named)
+                  n.Netlist.outputs
+              then Some named
+              else None)
+        in
+        Simplify.diags_of_outcome (Simplify.run ~samples ?system n)
       in
       let cert =
         if cfg.check then
           Option.map
-            (fun system ->
-              Equiv.certify ?ctx:cfg.ctx ~samples:cfg.samples system prog)
+            (fun system -> Equiv.certify ?ctx:cfg.ctx ~samples system prog)
             cfg.system
         else None
       in

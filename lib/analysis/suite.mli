@@ -5,7 +5,14 @@
     redundancy lint, the scheduler/binder cross-check and the simplify
     pass all assume a single-assignment, acyclic program, so a
     structurally broken input yields only the well-formedness findings and
-    an [Unknown] certificate rather than garbage downstream results. *)
+    an [Unknown] certificate rather than garbage downstream results.
+
+    Every pass runs on every call; only certification is optional.  The
+    scheduler/binder cross-check schedules and binds on a one-multiplier,
+    one-adder budget and re-checks both results with
+    {!Polysynth_hw.Schedule.is_valid} and {!Polysynth_hw.Bind.is_consistent}.
+    Certification and the simplify pass use 8 random samples as their
+    pre-filter. *)
 
 module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog
@@ -18,19 +25,10 @@ type config = {
   system : Poly.t list option;
       (** source system to certify against; [None] skips certification *)
   check : bool;  (** run equivalence certification *)
-  lint : bool;  (** run width and redundancy passes *)
-  bind : bool;
-      (** schedule + bind on a tight resource budget and re-check both
-          with {!Polysynth_hw.Schedule.is_valid} and
-          {!Polysynth_hw.Bind.is_consistent} *)
-  simplify : bool;
-      (** run the certificate-guarded {!Simplify} pass and report its
-          findings (requires [lint]) *)
-  samples : int;  (** random pre-filter effort for certification *)
 }
 
 val default : width:int -> config
-(** Everything on, no ring context, no source system, 8 samples. *)
+(** Certification on, no ring context, no source system. *)
 
 type report = {
   wellformed : Diag.t list;

@@ -1,12 +1,35 @@
-(* The width lint, reimplemented as a client of the dataflow framework:
-   the exact pre-wrap intervals now come from [Absint.Make (Int_interval)]
-   instead of the bespoke sweep in [Polysynth_hw.Range].  The public API
-   and the emitted diagnostics are unchanged (Range still provides the
-   [interval] type and [required_width]). *)
+(* The width lint and the bit-growth figures, both read off the exact
+   pre-wrap intervals that [Absint.Make (Int_interval)] infers. *)
 
+module Z = Polysynth_zint.Zint
 module Netlist = Polysynth_hw.Netlist
-module Range = Polysynth_hw.Range
 module A = Absint.Make (Domains.Int_interval)
+
+let required_width ~lo ~hi =
+  (* two's complement: need hi <= 2^(w-1) - 1 and lo >= -2^(w-1) *)
+  let rec search w =
+    let top = Z.sub (Z.pow2 (w - 1)) Z.one in
+    let bottom = Z.neg (Z.pow2 (w - 1)) in
+    if Z.compare hi top <= 0 && Z.compare lo bottom >= 0 then w
+    else search (w + 1)
+  in
+  search 1
+
+(* the width each cell needs, [None] for an unreachable cell *)
+let needs (n : Netlist.t) =
+  Array.map
+    (fun f ->
+      Option.map
+        (fun (lo, hi) -> required_width ~lo ~hi)
+        (Domains.Int_interval.range f))
+    (A.analyze n)
+
+let max_required_width n =
+  Array.fold_left
+    (fun acc need -> match need with Some w -> max acc w | None -> acc)
+    1 (needs n)
+
+let growth (n : Netlist.t) = max 0 (max_required_width n - n.Netlist.width)
 
 type mode = Exact | Ring
 
@@ -21,15 +44,8 @@ let op_label (op : Netlist.op) =
   | Netlist.Cmult _ -> "constant multiplication"
   | Netlist.Shl k -> Printf.sprintf "left shift by %d" k
 
-let check_netlist ?input_range ?(max_findings = 20) ~mode (n : Netlist.t) =
-  let input_fact =
-    Option.map
-      (fun f v ->
-        let iv : Range.interval = f v in
-        Domains.Int_interval.of_bounds ~lo:iv.Range.lo ~hi:iv.Range.hi)
-      input_range
-  in
-  let facts = A.analyze ?input_fact n in
+let check_netlist ?(max_findings = 20) ~mode (n : Netlist.t) =
+  let needs = needs n in
   let width = n.Netlist.width in
   let findings =
     Array.to_list n.Netlist.cells
@@ -41,11 +57,9 @@ let check_netlist ?input_range ?(max_findings = 20) ~mode (n : Netlist.t) =
                 complement, a representation it never takes) *)
              None
            | _ ->
-             (match Domains.Int_interval.range facts.(cell.Netlist.id) with
-              | None -> None  (* unreachable cell: no concrete value *)
-              | Some (lo, hi) ->
-                let need = Range.required_width { Range.lo; hi } in
-                if need <= width then None else Some (cell, need)))
+             (match needs.(cell.Netlist.id) with
+              | Some need when need > width -> Some (cell, need)
+              | _ -> None))
   in
   let total = List.length findings in
   let shown = if total > max_findings then max_findings else total in

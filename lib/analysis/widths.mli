@@ -1,11 +1,13 @@
 (** Width soundness: does every intermediate fit the declared datapath?
 
-    Interval (value-range) propagation over the netlist — now a client of
-    the dataflow framework ({!Absint.Make} over
-    {!Domains.Int_interval}; this module keeps its historical API as a
-    shim) — proves, for every cell, the exact reachable interval before
-    wrap-around and the two's-complement width that would hold it.  A
-    cell whose required width exceeds the declared datapath width is:
+    Interval (value-range) propagation over the netlist ({!Absint.Make}
+    over {!Domains.Int_interval}, inputs unsigned full-scale
+    [[0, 2^width - 1]]) proves, for every cell, the exact reachable
+    interval before wrap-around and the two's-complement width that would
+    hold it.  That answers the practical RTL question the paper's
+    fixed-width model raises: how much precision do the intermediates of
+    a decomposition need?  A cell whose required width exceeds the
+    declared datapath width is:
 
     - an {e intentional} [Z_2^m] truncation when the system was
       synthesized under ring semantics ([Ring] mode) — reported as [Info],
@@ -14,15 +16,26 @@
       ([Exact] mode) — reported as [Warning]: for some input vector the
       hardware result differs from the integer polynomial. *)
 
+module Z := Polysynth_zint.Zint
 module Netlist := Polysynth_hw.Netlist
-module Range := Polysynth_hw.Range
 
 type mode =
   | Exact  (** results must equal the integer polynomial *)
   | Ring  (** results are defined modulo [2^width] *)
 
+val required_width : lo:Z.t -> hi:Z.t -> int
+(** Bits of a two's-complement representation holding every value of
+    [[lo, hi]] (at least 1). *)
+
+val max_required_width : Netlist.t -> int
+(** The widest cell of the netlist, inputs included: an unsigned [w]-bit
+    input needs [w + 1] two's-complement bits. *)
+
+val growth : Netlist.t -> int
+(** [max_required_width] minus the datapath width (0 when nothing
+    outgrows the datapath). *)
+
 val check_netlist :
-  ?input_range:(string -> Range.interval) ->
   ?max_findings:int ->
   mode:mode ->
   Netlist.t ->

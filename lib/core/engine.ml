@@ -35,19 +35,14 @@ type report = {
 (* ---- configuration ---------------------------------------------------- *)
 
 module Config = struct
-  type strategy = Full | Search_only | Integrated_only
-
   type t = {
     width : int;
     ctx : Canonical.ctx option;
     model : Cost.model;
     objective : Search.objective;
-    strategy : strategy;
     parallelism : int;
     time_budget : float option;
     candidate_budget : int option;
-    exhaustive_limit : int;
-    sweeps : int;
     max_blocks : int option;
     cache : bool;
     certify : bool;
@@ -60,12 +55,9 @@ module Config = struct
       ctx = None;
       model = Cost.default;
       objective = Search.Min_area;
-      strategy = Full;
       parallelism = 0;
       time_budget = None;
       candidate_budget = None;
-      exhaustive_limit = 4096;
-      sweeps = 4;
       max_blocks = None;
       cache = true;
       certify = true;
@@ -78,11 +70,9 @@ module Config = struct
 
   let search_options ?budget t =
     {
-      Search.width = t.width;
-      model = t.model;
+      (Search.default_options ~width:t.width) with
+      Search.model = t.model;
       objective = t.objective;
-      exhaustive_limit = t.exhaustive_limit;
-      sweeps = t.sweeps;
       budget;
     }
 end
@@ -165,75 +155,35 @@ end
 
 (* ---- memo table ------------------------------------------------------- *)
 
-(* A bounded FIFO cache keyed by the printed system plus the ring
-   signature.  It holds the representation store and the integrated
-   variants so that [compare_methods] (and repeated runs on the same
-   system) perform [Represent.build] and [Integrated.variants] once. *)
-module Memo = struct
-  type entry = {
-    mutable store : Represent.t option;
-    mutable variants : (string * Prog.t) list option;
-  }
+(* Two bounded FIFO tables keyed by the printed system plus the ring
+   signature: the representation store and the integrated variants, so
+   that repeated runs on the same system perform [Represent.build] and
+   [Integrated.variants] once. *)
+module Memo = Polysynth_zint.Memo.Make (String)
 
-  let capacity = 32
-  let lock = Mutex.create ()
-  let table : (string, entry) Hashtbl.t = Hashtbl.create capacity
-  let order : string Queue.t = Queue.create ()
-  let hits = Atomic.make 0
-  let misses = Atomic.make 0
+let stores : Represent.t Memo.t = Memo.create 32
+let variant_lists : (string * Prog.t) list Memo.t = Memo.create 32
 
-  let key ~ctx polys =
-    let b = Buffer.create 128 in
-    List.iter
-      (fun p ->
-        Buffer.add_string b (Poly.to_string p);
-        Buffer.add_char b ';')
-      polys;
-    (match ctx with
-     | None -> Buffer.add_string b "|Z"
-     | Some ctx ->
-       Buffer.add_string b (Printf.sprintf "|m=%d" (Canonical.out_width ctx));
-       let vars =
-         List.concat_map Poly.vars polys |> List.sort_uniq String.compare
-       in
-       List.iter
-         (fun v ->
-           Buffer.add_string b
-             (Printf.sprintf ",%s:%d" v (Canonical.var_width ctx v)))
-         vars);
-    Buffer.contents b
-
-  (* call under [lock] *)
-  let entry k =
-    match Hashtbl.find_opt table k with
-    | Some e -> e
-    | None ->
-      if Hashtbl.length table >= capacity then
-        (match Queue.take_opt order with
-         | Some old -> Hashtbl.remove table old
-         | None -> ());
-      let e = { store = None; variants = None } in
-      Hashtbl.replace table k e;
-      Queue.add k order;
-      e
-
-  let find k = Mutex.protect lock (fun () -> Hashtbl.find_opt table k)
-
-  let set_store k s =
-    Mutex.protect lock (fun () -> (entry k).store <- Some s)
-
-  let set_variants k v =
-    Mutex.protect lock (fun () -> (entry k).variants <- Some v)
-
-  let clear () =
-    Mutex.protect lock (fun () ->
-        Hashtbl.reset table;
-        Queue.clear order);
-    Atomic.set hits 0;
-    Atomic.set misses 0
-
-  let stats () = (Atomic.get hits, Atomic.get misses)
-end
+let memo_key ~ctx polys =
+  let b = Buffer.create 128 in
+  List.iter
+    (fun p ->
+      Buffer.add_string b (Poly.to_string p);
+      Buffer.add_char b ';')
+    polys;
+  (match ctx with
+   | None -> Buffer.add_string b "|Z"
+   | Some ctx ->
+     Buffer.add_string b (Printf.sprintf "|m=%d" (Canonical.out_width ctx));
+     let vars =
+       List.concat_map Poly.vars polys |> List.sort_uniq String.compare
+     in
+     List.iter
+       (fun v ->
+         Buffer.add_string b
+           (Printf.sprintf ",%s:%d" v (Canonical.var_width ctx v)))
+       vars);
+  Buffer.contents b
 
 (* The engine manages three memo layers: its own representation/variant
    store above (consulted only when [Config.cache] is on), the kernelling
@@ -243,14 +193,16 @@ end
    together here (the single lifecycle point) and the trace reports both
    the merged totals and the per-table split. *)
 let cache_table_stats () =
+  let sh, sm = Memo.stats stores and vh, vm = Memo.stats variant_lists in
   [
-    ("representation", Memo.stats ());
+    ("representation", (sh + vh, sm + vm));
     ("kernel", Kernel.cache_stats ());
     ("flat-cost", Extract.cost_memo_stats ());
   ]
 
 let clear_cache () =
-  Memo.clear ();
+  Memo.clear stores;
+  Memo.clear variant_lists;
   Kernel.clear_cache ();
   Extract.clear_cost_memo ()
 
@@ -338,54 +290,32 @@ let report_of method_name prog labels (cost, counts) =
     simplified = None;
   }
 
-let obtain_store (config : Config.t) key polys =
-  let cached =
-    if config.cache then
-      match Memo.find key with
-      | Some { Memo.store = Some s; _ } -> Some s
-      | _ -> None
-    else None
-  in
-  match cached with
-  | Some s ->
-    Atomic.incr Memo.hits;
-    s
+(* The store and the variant lists are read and filled only when
+   [config.cache] is on; a result [keep] refuses is returned uncached. *)
+let memoized (config : Config.t) table key ?(keep = fun _ -> true) build =
+  match if config.cache then Memo.find table key else None with
+  | Some v -> v
   | None ->
-    if config.cache then Atomic.incr Memo.misses;
-    let s =
-      Represent.build ?ctx:config.ctx ?max_blocks:config.max_blocks polys
-    in
-    if config.cache then Memo.set_store key s;
-    s
+    let v = build () in
+    if config.cache && keep v then Memo.add table key v;
+    v
+
+let obtain_store (config : Config.t) key polys =
+  memoized config stores key (fun () ->
+      Represent.build ?ctx:config.ctx ?max_blocks:config.max_blocks polys)
 
 let obtain_variants (config : Config.t) ~pmap ~may key polys =
-  let cached =
-    if config.cache then
-      match Memo.find key with
-      | Some { Memo.variants = Some v; _ } -> Some v
-      | _ -> None
-    else None
-  in
-  match cached with
-  | Some v ->
-    Atomic.incr Memo.hits;
-    v
-  | None ->
-    if config.cache then Atomic.incr Memo.misses;
-    let indexed = List.mapi (fun i b -> (i, b)) Integrated.variants in
-    let built =
+  (* only a complete set may be cached — a budget-truncated list would
+     poison later unbudgeted runs *)
+  let keep built = List.length built = List.length Integrated.variants in
+  memoized config variant_lists key ~keep (fun () ->
+      let indexed = List.mapi (fun i b -> (i, b)) Integrated.variants in
       pmap
         (fun (i, (label, build)) ->
           (* the first variant is always built; the rest consume budget *)
           if i = 0 || may () then Some (label, build polys) else None)
         indexed
-      |> List.filter_map Fun.id
-    in
-    (* only a complete set may be cached — a budget-truncated list would
-       poison later unbudgeted runs *)
-    if config.cache && List.length built = List.length Integrated.variants then
-      Memo.set_variants key built;
-    built
+      |> List.filter_map Fun.id)
 
 (* The Proposed flow of Algorithm 7, instrumented: representation build
    (sequential, one algebraic-division memo for the system), combination
@@ -397,97 +327,47 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
   let pmap f xs = parallel_map ~domains f xs in
   let may () = match budget_ok with None -> true | Some ok -> ok () in
   let options = Config.search_options ?budget:budget_ok config in
-  let key = Memo.key ~ctx:config.ctx polys in
-  let from_search =
-    match config.strategy with
-    | Config.Integrated_only -> None
-    | Config.Full | Config.Search_only ->
-      let store =
-        stage stages (prefix ^ "represent") (fun () ->
-            let s = obtain_store config key polys in
-            ( s,
-              Array.fold_left
-                (fun acc reps -> acc + List.length reps)
-                0 s.Represent.reps ))
-      in
-      let sel =
-        stage stages (prefix ^ "search") (fun () ->
-            let sel = Search.select options store in
-            (sel, sel.Search.combinations_evaluated))
-      in
-      Some
-        (report_of Proposed sel.Search.prog sel.Search.labels
-           (sel.Search.cost, sel.Search.counts))
+  let key = memo_key ~ctx:config.ctx polys in
+  let store =
+    stage stages (prefix ^ "represent") (fun () ->
+        let s = obtain_store config key polys in
+        ( s,
+          Array.fold_left
+            (fun acc reps -> acc + List.length reps)
+            0 s.Represent.reps ))
+  in
+  let sel =
+    stage stages (prefix ^ "search") (fun () ->
+        let sel = Search.select options store in
+        (sel, sel.Search.combinations_evaluated))
   in
   let variants =
-    match config.strategy with
-    | Config.Search_only -> []
-    | Config.Full | Config.Integrated_only ->
-      stage stages (prefix ^ "integrated") (fun () ->
-          let vs = obtain_variants config ~pmap ~may key polys in
-          (vs, List.length vs))
+    stage stages (prefix ^ "integrated") (fun () ->
+        let vs = obtain_variants config ~pmap ~may key polys in
+        (vs, List.length vs))
   in
-  let scored r = (Search.score options r.prog, r) in
-  let candidates =
-    (match from_search with Some r -> [ scored r ] | None -> [])
-    @ List.map
-        (fun (label, prog) ->
-          let key, cost, counts = Search.score_full options prog in
-          (key, report_of Proposed prog [ label ] (cost, counts)))
-        variants
+  let searched =
+    ( Search.score options sel.Search.prog,
+      report_of Proposed sel.Search.prog sel.Search.labels
+        (sel.Search.cost, sel.Search.counts) )
   in
-  match candidates with
-  | [] -> invalid_arg "Engine: empty candidate set (no strategy stage ran)"
-  | first :: rest ->
-    snd
-      (List.fold_left
-         (fun (bk, br) (ck, cr) ->
-           if ck < bk then (ck, cr) else (bk, br))
-         first rest)
+  let scored (label, prog) =
+    let key, cost, counts = Search.score_full options prog in
+    (key, report_of Proposed prog [ label ] (cost, counts))
+  in
+  snd
+    (List.fold_left
+       (fun (bk, br) (ck, cr) -> if ck < bk then (ck, cr) else (bk, br))
+       searched (List.map scored variants))
 
-let baseline_from_store (store : Represent.t) label =
-  let pick reps =
-    List.find_opt
-      (fun (r : Represent.rep) -> String.equal r.Represent.label label)
-      reps
-  in
-  let chosen = Array.map pick store.Represent.reps in
-  if Array.for_all Option.is_some chosen then
-    Some
-      (Prog.of_exprs
-         (Array.to_list chosen
-         |> List.map (fun o -> (Option.get o).Represent.expr)))
-  else None
-
-let baseline (config : Config.t) ~prefix stages key method_name polys =
+let baseline (config : Config.t) ~prefix stages method_name polys =
   stage stages (prefix ^ "baseline") (fun () ->
-      let label = method_label method_name in
-      let from_cache =
-        match method_name with
-        | (Direct | Horner) when config.cache ->
-          (* the representation store holds the very expressions these
-             baselines are made of; serve them from cache when a previous
-             Proposed run built the store for this system *)
-          let served =
-            match Memo.find key with
-            | Some { Memo.store = Some s; _ } -> baseline_from_store s label
-            | _ -> None
-          in
-          (match served with
-           | Some _ -> Atomic.incr Memo.hits
-           | None -> Atomic.incr Memo.misses);
-          served
-        | _ -> None
-      in
       let prog =
-        match from_cache with
-        | Some p -> p
-        | None ->
-          (match method_name with
-           | Direct -> Baselines.direct polys
-           | Horner -> Baselines.horner polys
-           | Factor_cse -> Baselines.factor_cse polys
-           | Proposed -> assert false)
+        match method_name with
+        | Direct -> Baselines.direct polys
+        | Horner -> Baselines.horner polys
+        | Factor_cse -> Baselines.factor_cse polys
+        | Proposed -> assert false
       in
       ( report_of method_name prog []
           (Search.measure (Config.search_options config) prog),
@@ -576,9 +456,7 @@ let run config method_name polys =
       let r =
         match method_name with
         | Proposed -> proposed config ~prefix stages budget_ok polys
-        | m ->
-          let key = Memo.key ~ctx:config.Config.ctx polys in
-          baseline config ~prefix stages key m polys
+        | m -> baseline config ~prefix stages m polys
       in
       let r = certify_report config ~prefix stages certs polys r in
       simplify_report config ~prefix stages polys r)
@@ -587,14 +465,11 @@ let synthesize config polys = run config Proposed polys
 
 let compare_methods config polys =
   with_trace config (fun stages certs budget_ok ->
-      let key = Memo.key ~ctx:config.Config.ctx polys in
-      (* Proposed first: it builds (and caches) the representation store
-         the baselines are then served from *)
       let prop = proposed config ~prefix:"proposed/" stages budget_ok polys in
-      let direct = baseline config ~prefix:"direct/" stages key Direct polys in
-      let horner = baseline config ~prefix:"horner/" stages key Horner polys in
+      let direct = baseline config ~prefix:"direct/" stages Direct polys in
+      let horner = baseline config ~prefix:"horner/" stages Horner polys in
       let factor =
-        baseline config ~prefix:"factor+cse/" stages key Factor_cse polys
+        baseline config ~prefix:"factor+cse/" stages Factor_cse polys
       in
       List.map
         (fun r ->

@@ -5,16 +5,21 @@
     together with a {!Trace.t} recording per-stage wall time, candidate
     counts, cache behaviour, and budget exhaustion.
 
-    The engine fans the integrated whole-system variants out over OCaml
-    domains; the representation build runs on the calling domain in a
-    fixed order.  On a single-core host — or with [parallelism = 1] — it
-    follows the exact sequential code path, and in both modes it returns
-    the same program.  A process-wide bounded memo keyed by the polynomial
-    system and ring signature caches representation stores and variant
-    lists, so {!compare_methods} performs [Represent.build] exactly once
-    per system.  No setting of one run changes another: the engine keeps
-    no process-wide switch, so concurrent runs with different configs do
-    not interfere.
+    Proposed is one flow: build the representation lists, search their
+    combinations, build the integrated whole-system variants, and let the
+    search's winner and the variants compete under the objective.  The
+    baselines are one-line constructions from [Baselines], built afresh
+    on every run.
+
+    The engine fans the integrated variants out over OCaml domains; the
+    representation build runs on the calling domain in a fixed order.  On
+    a single-core host — or with [parallelism = 1] — it follows the exact
+    sequential code path, and in both modes it returns the same program.
+    A process-wide bounded memo keyed by the polynomial system and ring
+    signature caches representation stores and variant lists, so repeated
+    runs on one system perform [Represent.build] once.  No setting of one
+    run changes another: the engine keeps no process-wide switch, so
+    concurrent runs with different configs do not interfere.
 
     {[
       module Engine = Polysynth_core.Engine
@@ -59,17 +64,11 @@ type report = {
 }
 
 module Config : sig
-  type strategy =
-    | Full  (** combination search and integrated variants compete *)
-    | Search_only  (** Algorithm 7 lines 18-24 only *)
-    | Integrated_only  (** whole-system decompositions only *)
-
   type t = {
     width : int;  (** datapath bit-width for the area/delay model *)
     ctx : Canonical.ctx option;  (** bit-vector ring; [None] = exact *)
     model : Cost.model;
     objective : Search.objective;
-    strategy : strategy;
     parallelism : int;
         (** domains to fan work out over; [0] = auto
             ([Domain.recommended_domain_count ()]); [1] = sequential *)
@@ -77,9 +76,6 @@ module Config : sig
     candidate_budget : int option;
         (** extra candidate evaluations allowed after the mandatory first
             of each stage; shared between search and variants *)
-    exhaustive_limit : int;
-        (** combination count up to which the search is exhaustive *)
-    sweeps : int;  (** coordinate-descent passes for large systems *)
     max_blocks : int option;  (** cap for block discovery *)
     cache : bool;
         (** consult/fill the engine's representation/variant store.  The
@@ -99,14 +95,15 @@ module Config : sig
   }
 
   val default : width:int -> t
-  (** [Full] strategy, [Min_area] objective, auto parallelism, no
-      budgets, caching on, certification on. *)
+  (** [Min_area] objective, auto parallelism, no budgets, caching on,
+      certification on. *)
 
   val domains : t -> int
   (** The resolved degree of parallelism. *)
 
   val search_options : ?budget:(unit -> bool) -> t -> Search.options
-  (** The corresponding combination-search options. *)
+  (** The corresponding combination-search options; the exhaustive limit
+      and sweep count are those of {!Search.default_options}. *)
 end
 
 module Trace : sig
@@ -143,7 +140,9 @@ module Trace : sig
 
   val to_json : t -> string
   (** One JSON object: [{"parallelism":..,"wall_ms":..,"cache":
-      {"hits":..,"misses":..},"budget_exhausted":..,"stages":[..]}]. *)
+      {"hits":..,"misses":..,"tables":[{"name":..,"hits":..,"misses":..}]},
+      "budget_exhausted":..,"certificates":[{"method":..,"status":..}],
+      "stages":[{"name":..,"wall_ms":..,"candidates":..}]}]. *)
 
   val json_string : string -> string
   (** An escaped JSON string literal — for composing larger objects
@@ -158,9 +157,8 @@ val synthesize : Config.t -> Poly.t list -> report * Trace.t
 
 val compare_methods : Config.t -> Poly.t list -> report list * Trace.t
 (** All four methods on the same system, reported in declaration order of
-    {!method_name} under one merged trace.  Proposed is computed first so
-    the Direct and Horner baselines are served from the representation
-    store it cached (visible as [cache_hits] in the trace). *)
+    {!method_name} under one merged trace.  Proposed runs first, then the
+    three baselines; only Proposed consults the representation store. *)
 
 val verify : ?ctx:Canonical.ctx -> Poly.t list -> Prog.t -> bool
 (** Does the program compute the system?  Exact polynomial equality when

@@ -66,12 +66,7 @@ type item = { name : string; mutable body : Poly.t }
    polynomial's (monomial-hash based) hash.  The table is domain-local:
    the engine fans the integrated variants out across domains and each
    keeps its own lock-free table. *)
-module Ptbl = Hashtbl.Make (struct
-  type t = Poly.t
-
-  let equal = Poly.equal
-  let hash = Poly.hash
-end)
+module Ptbl = Hashtbl.Make (Poly)
 
 (* Lifecycle: a domain-local table cannot be cleared from another domain,
    so [clear_cost_memo] bumps a global epoch and every domain's slot

@@ -7,67 +7,24 @@ module Monomial = Polysynth_poly.Monomial
    round, and [rewrite_with_block] re-kernels the body after every rewrite
    — but most bodies are unchanged between calls.  Kernelling is the hot
    stage, so [kernels] and [largest_cube] are memoized here, keyed by the
-   polynomial itself through its (monomial-hash based) [Poly.hash].  The
-   table is a bounded FIFO shared across domains; the computation itself
-   runs outside the lock, so a race costs at most duplicated work.
+   polynomial itself through its (monomial-hash based) [Poly.hash], in two
+   bounded FIFO tables shared across domains (Polysynth_zint.Memo).
 
    Kernelling is a pure function of the polynomial, so the memo is always
-   on.  Hits/misses feed the engine trace (Polysynth_core.Engine merges
-   them with its representation-store counters), and [Engine.clear_cache]
-   clears this table too. *)
-module Ptbl = Hashtbl.Make (struct
-  type t = Poly.t
+   on.  The summed hits/misses of both tables are the engine trace's
+   ["kernel"] table, and [Engine.clear_cache] clears them too. *)
+module Memo = Polysynth_zint.Memo.Make (Poly)
 
-  let equal = Poly.equal
-  let hash = Poly.hash
-end)
+let kernel_memo : (Monomial.t * Poly.t) list Memo.t = Memo.create 8192
+let cube_memo : Monomial.t Memo.t = Memo.create 8192
 
-module Memo = struct
-  type entry = {
-    mutable kernels : (Monomial.t * Poly.t) list option;
-    mutable cube : Monomial.t option;
-  }
+let clear_cache () =
+  Memo.clear kernel_memo;
+  Memo.clear cube_memo
 
-  let capacity = 8192
-  let lock = Mutex.create ()
-  let table : entry Ptbl.t = Ptbl.create 256
-  let order : Poly.t Queue.t = Queue.create ()
-  let hits = Atomic.make 0
-  let misses = Atomic.make 0
-
-  let find p = Mutex.protect lock (fun () -> Ptbl.find_opt table p)
-
-  (* call under [lock] *)
-  let entry p =
-    match Ptbl.find_opt table p with
-    | Some e -> e
-    | None ->
-      if Ptbl.length table >= capacity then
-        (match Queue.take_opt order with
-         | Some old -> Ptbl.remove table old
-         | None -> ());
-      let e = { kernels = None; cube = None } in
-      Ptbl.replace table p e;
-      Queue.add p order;
-      e
-
-  let set_kernels p ks =
-    Mutex.protect lock (fun () -> (entry p).kernels <- Some ks)
-
-  let set_cube p c = Mutex.protect lock (fun () -> (entry p).cube <- Some c)
-
-  let clear () =
-    Mutex.protect lock (fun () ->
-        Ptbl.reset table;
-        Queue.clear order);
-    Atomic.set hits 0;
-    Atomic.set misses 0
-
-  let stats () = (Atomic.get hits, Atomic.get misses)
-end
-
-let clear_cache = Memo.clear
-let cache_stats = Memo.stats
+let cache_stats () =
+  let kh, km = Memo.stats kernel_memo and ch, cm = Memo.stats cube_memo in
+  (kh + ch, km + cm)
 
 (* ---- cubes --------------------------------------------------------------- *)
 
@@ -83,14 +40,11 @@ let largest_cube_raw p =
     go m rest
 
 let largest_cube p =
-  match Memo.find p with
-  | Some { Memo.cube = Some c; _ } ->
-    Atomic.incr Memo.hits;
-    c
-  | Some _ | None ->
-    Atomic.incr Memo.misses;
+  match Memo.find cube_memo p with
+  | Some c -> c
+  | None ->
     let c = largest_cube_raw p in
-    Memo.set_cube p c;
+    Memo.add cube_memo p c;
     c
 
 let is_cube_free p = Monomial.is_one (largest_cube p)
@@ -185,12 +139,9 @@ let kernels_raw p =
   end
 
 let kernels p =
-  match Memo.find p with
-  | Some { Memo.kernels = Some ks; _ } ->
-    Atomic.incr Memo.hits;
-    ks
-  | Some _ | None ->
-    Atomic.incr Memo.misses;
+  match Memo.find kernel_memo p with
+  | Some ks -> ks
+  | None ->
     let ks = kernels_raw p in
-    Memo.set_kernels p ks;
+    Memo.add kernel_memo p ks;
     ks

@@ -6,22 +6,22 @@
     at least two terms; [c] is the corresponding {e co-kernel}.  Kernels are
     the candidate multi-term factors that factoring and CSE work with.
 
-    [kernels] and [largest_cube] are memoized in a bounded, domain-safe
-    table keyed by the polynomial's hash: the extraction loop re-kernels
+    [kernels] and [largest_cube] are memoized in bounded, domain-safe
+    tables ({!Polysynth_zint.Memo}) keyed by the polynomial: the extraction loop re-kernels
     its (mostly unchanged) work items every round, so results are served
     from cache across rounds.  Both are pure functions, so the memo is
     always on; no setting bypasses it.  The hit/miss counters surface in
-    the engine trace, and [Polysynth_core.Engine.clear_cache] drops this
-    table along with the representation store. *)
+    the engine trace, and [Polysynth_core.Engine.clear_cache] drops these
+    tables along with the representation store. *)
 
 module Poly := Polysynth_poly.Poly
 module Monomial := Polysynth_poly.Monomial
 
 val clear_cache : unit -> unit
-(** Drop the kernelling memo table and reset its counters. *)
+(** Drop the kernelling memo tables and reset their counters. *)
 
 val cache_stats : unit -> int * int
-(** Cumulative (hits, misses) of the kernelling memo table. *)
+(** Cumulative (hits, misses) of the kernelling memo tables. *)
 
 val largest_cube : Poly.t -> Monomial.t
 (** The biggest cube (product of variables) dividing every term;

@@ -100,6 +100,37 @@ let test_widths_no_input_findings () =
   Alcotest.(check (list string)) "no findings" []
     (codes (Widths.check_netlist ~mode:Widths.Exact n))
 
+(* ---- pre-wrap ranges and bit growth ------------------------------------- *)
+
+(* the exact interval of each cell, inputs unsigned full-scale *)
+module Int_interval = Polysynth_analysis.Domains.Int_interval
+module Int_intervals = Polysynth_analysis.Absint.Make (Int_interval)
+
+let netlist8 s = Netlist.of_prog ~width:8 (Prog.of_exprs [ Expr.of_poly (poly s) ])
+
+let output_range n =
+  let facts = Int_intervals.analyze n in
+  Option.get (Int_interval.range facts.(List.assoc "P1" n.Netlist.outputs))
+
+let test_range_simple () =
+  let n = netlist8 "x + y" in
+  let lo, hi = output_range n in
+  Alcotest.(check int) "max 255+255" 510 (Z.to_int_exn hi);
+  Alcotest.(check int) "min 0" 0 (Z.to_int_exn lo);
+  (* 510 needs 10 bits in two's complement *)
+  Alcotest.(check int) "required width" 10 (Widths.required_width ~lo ~hi)
+
+let test_range_mult_growth () =
+  let n = netlist8 "x*y" in
+  (* 255*255 = 65025 needs 17 signed bits *)
+  Alcotest.(check int) "max width" 17 (Widths.max_required_width n);
+  Alcotest.(check int) "growth" 9 (Widths.growth n)
+
+let test_range_negative () =
+  let n = netlist8 "x - y" in
+  let lo, _ = output_range n in
+  Alcotest.(check int) "min -255" (-255) (Z.to_int_exn lo)
+
 (* ---- equivalence certification ----------------------------------------- *)
 
 let test_certify_verified () =
@@ -632,6 +663,13 @@ let () =
             test_widths_modes;
           Alcotest.test_case "inputs never flagged" `Quick
             test_widths_no_input_findings;
+        ] );
+      ( "range",
+        [
+          Alcotest.test_case "addition" `Quick test_range_simple;
+          Alcotest.test_case "multiplication growth" `Quick
+            test_range_mult_growth;
+          Alcotest.test_case "negative" `Quick test_range_negative;
         ] );
       ( "equiv",
         [

@@ -1,5 +1,6 @@
 (* The polysynth command line at its boundary: invalid options give a
-   usage error (exit 1), never a result or an uncaught exception. *)
+   usage error (exit 1), never a result or an uncaught exception; and the
+   figures of the --range report. *)
 
 (* the test runs in the build directory of [test/] *)
 let polysynth = "../bin/polysynth.exe"
@@ -9,6 +10,17 @@ let run ~input args =
   Sys.command
     (Printf.sprintf "printf '%%s\\n' %s | %s %s - >/dev/null 2>&1"
        (Filename.quote input) (Filename.quote polysynth) args)
+
+(* the stdout lines of [polysynth args] starting with [prefix] *)
+let lines_with ~prefix args =
+  let out = Filename.temp_file "polysynth" ".out" in
+  ignore
+    (Sys.command
+       (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote polysynth) args
+          (Filename.quote out)));
+  let lines = In_channel.with_open_text out In_channel.input_lines in
+  Sys.remove out;
+  List.filter (String.starts_with ~prefix) lines
 
 let test_width_below_one () =
   List.iter
@@ -25,6 +37,59 @@ let test_width_above_max () =
   Alcotest.(check int) "--width=1024 synthesizes" 0
     (run ~input:"x^3+x" "--width=1024")
 
+let test_bad_values () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int)
+        (args ^ " is a usage error") 1
+        (run ~input:"x*y+x+3*y" args))
+    [
+      "--pipeline=0";
+      "--pipeline=-2";
+      "--pipeline=nan";
+      "--jobs=-3";
+      "--time-budget=-1";
+      "--time-budget=nan";
+      "--candidate-budget=-5";
+    ];
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (args ^ " synthesizes") 0 (run ~input:"x*y+x+3*y" args))
+    [ "--pipeline=2"; "--jobs=0"; "--time-budget=0"; "--candidate-budget=0" ]
+
+let range_line bits growth =
+  Printf.sprintf
+    "range analysis: widest intermediate needs %d bits (growth %d over the \
+     16-bit datapath)"
+    bits growth
+
+(* the widest intermediate of the proposed decomposition of each example,
+   with and without the ring; a bare 16-bit input needs 17 signed bits *)
+let test_range_figures () =
+  List.iter
+    (fun (name, bits, growth) ->
+      List.iter
+        (fun ring ->
+          let file = Printf.sprintf "../examples/data/%s.poly" name in
+          Alcotest.(check (list string))
+            (name ^ ring) [ range_line bits growth ]
+            (lines_with ~prefix:"range analysis"
+               (Printf.sprintf "--range%s %s" ring (Filename.quote file))))
+        [ ""; " --ring" ])
+    [
+      ("cosine_wavelet", 62, 46);
+      ("mixer", 37, 21);
+      ("quadratic_filter", 38, 22);
+      ("table_14_1", 53, 37);
+      ("table_14_2", 84, 68);
+    ];
+  let x = Filename.temp_file "polysynth" ".poly" in
+  Out_channel.with_open_text x (fun oc -> output_string oc "x\n");
+  Alcotest.(check (list string))
+    "x" [ range_line 17 1 ]
+    (lines_with ~prefix:"range analysis" ("--range " ^ Filename.quote x));
+  Sys.remove x
+
 let () =
   Alcotest.run "cli"
     [
@@ -34,4 +99,10 @@ let () =
           Alcotest.test_case "above 1024 is rejected" `Quick
             test_width_above_max;
         ] );
+      ( "options",
+        [
+          Alcotest.test_case "invalid values are rejected" `Quick
+            test_bad_values;
+        ] );
+      ( "range", [ Alcotest.test_case "figures" `Quick test_range_figures ] );
     ]

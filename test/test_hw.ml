@@ -151,7 +151,6 @@ let test_verilog_no_negative_literal () =
 (* power ------------------------------------------------------------------------ *)
 
 module Power = Polysynth_hw.Power
-module Range = Polysynth_hw.Range
 module Dot = Polysynth_hw.Dot
 module TB = Polysynth_hw.Testbench
 
@@ -201,36 +200,6 @@ let test_power_invalid_samples () =
   Alcotest.check_raises "samples < 1"
     (Invalid_argument "Power.estimate: samples < 1") (fun () ->
       ignore (Power.estimate ~samples:0 n))
-
-(* range ------------------------------------------------------------------------- *)
-
-let test_range_simple () =
-  let n = N.of_prog ~width:8 (prog_of_strings [ "x + y" ]) in
-  let ranges = Range.analyze n in
-  let out = List.assoc "P1" n.N.outputs in
-  let iv = ranges.(out) in
-  Alcotest.(check int) "max 255+255" 510 (Z.to_int_exn iv.Range.hi);
-  Alcotest.(check int) "min 0" 0 (Z.to_int_exn iv.Range.lo);
-  (* 510 needs 10 bits in two's complement *)
-  Alcotest.(check int) "required width" 10 (Range.required_width iv)
-
-let test_range_mult_growth () =
-  let n = N.of_prog ~width:8 (prog_of_strings [ "x*y" ]) in
-  (* 255*255 = 65025 needs 17 signed bits *)
-  Alcotest.(check int) "max width" 17 (Range.max_required_width n);
-  Alcotest.(check int) "growth" 9 (Range.growth n)
-
-let test_range_negative () =
-  let n = N.of_prog ~width:8 (prog_of_strings [ "x - y" ]) in
-  let ranges = Range.analyze n in
-  let out = List.assoc "P1" n.N.outputs in
-  Alcotest.(check int) "min -255" (-255) (Z.to_int_exn ranges.(out).Range.lo)
-
-let test_range_custom_inputs () =
-  let n = N.of_prog ~width:16 (prog_of_strings [ "x*y" ]) in
-  let unit_range _ = { Range.lo = Z.zero; hi = Z.of_int 3 } in
-  Alcotest.(check int) "narrow inputs stay narrow" 5
-    (Range.max_required_width ~input_range:unit_range n)
 
 (* dot / testbench ----------------------------------------------------------------- *)
 
@@ -778,13 +747,6 @@ let () =
             test_power_leakage_tracks_area;
           Alcotest.test_case "invalid samples" `Quick test_power_invalid_samples;
           Alcotest.test_case "pinned totals" `Quick test_power_pinned_totals;
-        ] );
-      ( "range",
-        [
-          Alcotest.test_case "addition" `Quick test_range_simple;
-          Alcotest.test_case "multiplication growth" `Quick test_range_mult_growth;
-          Alcotest.test_case "negative" `Quick test_range_negative;
-          Alcotest.test_case "custom inputs" `Quick test_range_custom_inputs;
         ] );
       ( "dot/testbench",
         [

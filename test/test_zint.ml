@@ -405,6 +405,28 @@ let prop_mixed_divmod =
          && canonical (Z.gcd big za)
          && Z.divides (Z.gcd big za) za))
 
+(* ---- the bounded memo table ---------------------------------------------- *)
+
+module Memo = Polysynth_zint.Memo.Make (Int)
+
+let test_memo_fifo () =
+  let t : string Memo.t = Memo.create 2 in
+  Alcotest.(check (option string)) "empty" None (Memo.find t 1);
+  Memo.add t 1 "one";
+  Memo.add t 2 "two";
+  (* replacing a held key does not queue it twice *)
+  Memo.add t 1 "uno";
+  Alcotest.(check (option string)) "replaced" (Some "uno") (Memo.find t 1);
+  (* a third key evicts the oldest, whatever was read since *)
+  Memo.add t 3 "three";
+  Alcotest.(check (option string)) "oldest evicted" None (Memo.find t 1);
+  Alcotest.(check (option string)) "kept" (Some "two") (Memo.find t 2);
+  Alcotest.(check (option string)) "newest" (Some "three") (Memo.find t 3);
+  Alcotest.(check (pair int int)) "hits, misses" (3, 2) (Memo.stats t);
+  Memo.clear t;
+  Alcotest.(check (pair int int)) "counters reset" (0, 0) (Memo.stats t);
+  Alcotest.(check (option string)) "cleared" None (Memo.find t 3)
+
 let () =
   Alcotest.run "zint"
     [
@@ -428,6 +450,8 @@ let () =
           Alcotest.test_case "num_bits" `Quick test_num_bits;
           Alcotest.test_case "to_int_opt bounds" `Quick test_to_int_opt_bounds;
         ] );
+      ( "memo",
+        [ Alcotest.test_case "bounded FIFO" `Quick test_memo_fifo ] );
       ( "native boundaries",
         [
           prop_native_oracle;
