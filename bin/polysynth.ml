@@ -442,7 +442,16 @@ let run_synthesis options =
          write path
            (Cemit.emit ~func_name:"polysynth_dut" ~self_check:16
               (Lazy.force netlist)));
-      exit_code ~cert:(Some main_report.Engine.cert) ~lint
+      (* --check prints every report's certificate, and the worst decides *)
+      let certs =
+        if options.check then List.map (fun r -> r.Engine.cert) reports
+        else [ main_report.Engine.cert ]
+      in
+      let cert =
+        Option.value ~default:main_report.Engine.cert
+          (List.find_opt (fun c -> not (is_verified c)) certs)
+      in
+      exit_code ~cert:(Some cert) ~lint
 
 (* ---- command line ------------------------------------------------------ *)
 

@@ -10,21 +10,38 @@ type entry = { name : string; poly : Poly.t; def : Expr.t }
 type t = {
   mutable entries : entry list;
   mutable counter : int;
+  avoid : string list;
   lock : Mutex.t;
 }
 
-let create () = { entries = []; counter = 0; lock = Mutex.create () }
+let create ?(avoid = []) () =
+  { entries = []; counter = 0; avoid; lock = Mutex.create () }
 
 let find_unlocked tab poly =
   List.find_opt (fun e -> Poly.equal e.poly poly) tab.entries
+
+let taken tab name =
+  List.mem name tab.avoid || List.exists (fun e -> e.name = name) tab.entries
+
+let rec next_divisor_name tab =
+  tab.counter <- tab.counter + 1;
+  let name = Printf.sprintf "d%d" tab.counter in
+  if taken tab name then next_divisor_name tab else name
+
+let y2_name tab v =
+  let base = "y2_" ^ v in
+  let rec go k =
+    let name = Printf.sprintf "%s_%d" base k in
+    if taken tab name then go (k + 1) else name
+  in
+  if taken tab base then go 1 else base
 
 let divisor_var tab poly =
   Mutex.protect tab.lock (fun () ->
       match find_unlocked tab poly with
       | Some e -> e.name
       | None ->
-        tab.counter <- tab.counter + 1;
-        let name = Printf.sprintf "d%d" tab.counter in
+        let name = next_divisor_name tab in
         tab.entries <-
           tab.entries @ [ { name; poly; def = Expr.of_poly poly } ];
         name)
@@ -35,7 +52,7 @@ let y2_var tab v =
       match find_unlocked tab poly with
       | Some e -> e.name
       | None ->
-        let name = Printf.sprintf "y2_%s" v in
+        let name = y2_name tab v in
         let def =
           Expr.mul [ Expr.var v; Expr.sub (Expr.var v) Expr.one ]
         in

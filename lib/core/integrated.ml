@@ -4,19 +4,20 @@ module Expr = Polysynth_expr.Expr
 module Prog = Polysynth_expr.Prog
 module Extract = Polysynth_cse.Extract
 
-let is_generated_var v =
-  let prefix = Extract.block_prefix in
-  String.length v >= String.length prefix
-  && String.sub v 0 (String.length prefix) = prefix
-
 (* Refine every flat body (building blocks and outputs of a cube/kernel
    extraction) with the algebraic toolbox: CCE grouping, content
    extraction, perfect powers and division by the linear blocks discovered
-   across all the bodies.  Divisors are restricted to input variables so
-   that block definitions cannot become cyclic. *)
+   across all the bodies.  Divisors are restricted to input variables (a
+   divisor mentioning an extracted block could make block definitions
+   cyclic), and the divisor names avoid every name the bodies use. *)
 let refine_bodies ~blocks ~outputs =
   let all_bodies = List.map snd blocks @ List.map snd outputs in
-  let table = Blocktab.create () in
+  let is_generated_var v = List.mem_assoc v blocks in
+  let table =
+    Blocktab.create
+      ~avoid:(List.map fst blocks @ List.concat_map Poly.vars all_bodies)
+      ()
+  in
   let divisors =
     Blocks.discover all_bodies
     |> List.filter (fun d ->

@@ -110,7 +110,11 @@ let dedup reps =
   go [] reps
 
 let build ?ctx ?max_blocks polys =
-  let table = Blocktab.create () in
+  let table =
+    Blocktab.create
+      ~avoid:(List.sort_uniq String.compare (List.concat_map Poly.vars polys))
+      ()
+  in
   let divisors = Blocks.discover ?max_blocks polys in
   (* one TED manager for the whole system: sub-functions shared across
      polynomials land on shared nodes, and decompose emits identical

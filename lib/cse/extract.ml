@@ -57,15 +57,16 @@ let decode_expr e =
 
 (* ---- work items ------------------------------------------------------------ *)
 
-type item = { name : string; mutable body : Poly.t }
+type item = { name : string; body : Poly.t }
 
-(* Operator count of one body as a flat sum of products.  The greedy loop
-   recomputes the cost of every item for each of its ~40 trial rewrites
-   per round, but a trial changes only a few bodies — so the per-body
-   count, a pure function of the body, is always memoized, keyed by the
-   polynomial's (monomial-hash based) hash.  The table is domain-local:
-   the engine fans the integrated variants out across domains and each
-   keeps its own lock-free table. *)
+(* Operator count of one body as a flat sum of products; block variables
+   and coefficient literals count as plain operands.  The greedy loop
+   computes each item's count once per round and reuses it in every trial
+   that leaves the body physically unchanged, so a trial counts only the
+   bodies it rewrites.  The count is a pure function of the body and is
+   always memoized, keyed by the polynomial through [Poly.hash].  The
+   table is domain-local: the engine fans the integrated variants out
+   across domains and each keeps its own lock-free table. *)
 module Ptbl = Hashtbl.Make (Poly)
 
 (* Lifecycle: a domain-local table cannot be cleared from another domain,
@@ -113,11 +114,6 @@ let clear_cost_memo () =
 let cost_memo_stats () =
   (Atomic.get cost_memo_hits, Atomic.get cost_memo_misses)
 
-let flat_cost items =
-  (* operator count of all bodies as flat sums of products; block variables
-     and coefficient literals count as plain operands *)
-  List.fold_left (fun acc it -> acc + body_ops it.body) 0 items
-
 (* ---- candidate moves --------------------------------------------------------- *)
 
 (* A candidate is a multi-term body to become a new block (kernels,
@@ -127,11 +123,34 @@ type candidate = Block of Poly.t | Cube of Monomial.t
 module PolyMap = Map.Make (Poly)
 module MonoSet = Set.Make (Monomial)
 
-let subset_terms small big =
-  (* every (coeff, monomial) term of [small] appears in [big] *)
-  List.for_all
-    (fun (c, m) -> Z.equal (Poly.coeff big m) c)
-    (Poly.terms small)
+(* The term-list merges below walk two polynomials' descending term lists
+   once.  [same ~neg c c'] says whether [c'] is [c], or [-c] when [neg]. *)
+let same ~neg c c' = if neg then Z.equal c (Z.neg c') else Z.equal c c'
+
+(* every (coeff, monomial) term of [small] appears in [big], with its
+   coefficient negated when [neg] *)
+let rec subset_terms ~neg small big =
+  match small, big with
+  | [], _ -> true
+  | _ :: _, [] -> false
+  | (c, m) :: small', (c', m') :: big' ->
+    let cmp = Monomial.compare m m' in
+    if cmp = 0 then same ~neg c c' && subset_terms ~neg small' big'
+    else cmp < 0 && subset_terms ~neg small big'
+
+(* the terms of [k] that [k'] has too, with its coefficient negated when
+   [neg], in [k]'s order *)
+let common_terms ~neg k k' =
+  let rec go acc k k' =
+    match k, k' with
+    | [], _ | _, [] -> List.rev acc
+    | ((c, m) as t) :: kr, (c', m') :: kr' ->
+      let cmp = Monomial.compare m m' in
+      if cmp = 0 then go (if same ~neg c c' then t :: acc else acc) kr kr'
+      else if cmp > 0 then go acc kr k'
+      else go acc k kr'
+  in
+  go [] k k'
 
 (* sign-aware containment: [Some 1] when d appears verbatim, [Some (-1)]
    when its negation does (systems with mirror symmetry share
@@ -139,8 +158,9 @@ let subset_terms small big =
    to sign is part of the enhanced flow, not of the [13] baseline, so it
    is switchable. *)
 let subset_terms_signed ~signs d big =
-  if subset_terms d big then Some 1
-  else if signs && subset_terms (Poly.neg d) big then Some (-1)
+  let d = Poly.terms d and big = Poly.terms big in
+  if subset_terms ~neg:false d big then Some 1
+  else if signs && subset_terms ~neg:true d big then Some (-1)
   else None
 
 (* canonical sign for a candidate: positive leading coefficient *)
@@ -168,16 +188,14 @@ let candidate_blocks ~signs instances =
   let kernels = List.map fst (PolyMap.bindings grouped) in
   (* pairwise term intersections of distinct kernels (up to sign) expose
      shared sub-expressions that are not whole kernels *)
-  let intersect k k' =
-    let common =
-      List.filter (fun (c, m) -> Z.equal (Poly.coeff k' m) c) (Poly.terms k)
-    in
-    if List.length common >= 2 then
-      let inter = Poly.of_terms common in
+  let intersect ~neg k k' =
+    match common_terms ~neg (Poly.terms k) (Poly.terms k') with
+    | _ :: _ :: _ as common ->
+      let inter = Poly.of_sorted_terms common in
       if not (Poly.equal inter k) && not (Poly.equal inter k') then
         [ norm inter ]
       else []
-    else []
+    | [] | [ _ ] -> []
   in
   let rec intersections acc = function
     | [] -> acc
@@ -185,8 +203,8 @@ let candidate_blocks ~signs instances =
       let acc =
         List.fold_left
           (fun acc k' ->
-            intersect k k'
-            @ (if signs then intersect k (Poly.neg k') else [])
+            intersect ~neg:false k k'
+            @ (if signs then intersect ~neg:true k k' else [])
             @ acc)
           acc rest
       in
@@ -196,11 +214,23 @@ let candidate_blocks ~signs instances =
   List.map (fun k -> Block k) kernels
   @ List.map (fun k -> Block k) (List.sort_uniq Poly.compare inters)
 
+(* Every cube of degree >= 2 that is the gcd of two term monomials.  A
+   monomial that occurs twice is its own gcd, so the distinct monomials
+   are paired once each and the repeated ones seed the set; a monomial of
+   degree below 2 has no such gcd with anything. *)
 let candidate_cubes items =
+  let add (seen, repeated) (_, m) =
+    if not (MonoSet.mem m seen) then (MonoSet.add m seen, repeated)
+    else if Monomial.degree m >= 2 then (seen, MonoSet.add m repeated)
+    else (seen, repeated)
+  in
+  let seen, repeated =
+    List.fold_left
+      (fun acc it -> List.fold_left add acc (Poly.terms it.body))
+      (MonoSet.empty, MonoSet.empty) items
+  in
   let monos =
-    List.concat_map
-      (fun it -> List.map snd (Poly.terms it.body))
-      items
+    List.filter (fun m -> Monomial.degree m >= 2) (MonoSet.elements seen)
   in
   let rec pairwise acc = function
     | [] -> acc
@@ -214,22 +244,38 @@ let candidate_cubes items =
       in
       pairwise acc rest
   in
-  let cubes = pairwise MonoSet.empty monos in
+  let cubes = pairwise repeated monos in
   List.map (fun c -> Cube c) (MonoSet.elements cubes)
 
 (* ---- applying a move ---------------------------------------------------------- *)
 
+(* Whether [body] can contain +-(c*d) at all: a kernel keeps the body's
+   coefficients and divides its monomials by the co-kernel, so a kernel
+   holding +-d needs a body term with coefficient +-(lc d) on a monomial
+   that [lm d] divides. *)
+let may_contain ~signs d body =
+  match Poly.terms d with
+  | [] -> true
+  | (lc, lm) :: _ ->
+    let neg_lc = Z.neg lc in
+    List.exists
+      (fun (c, m) ->
+        (Z.equal c lc || (signs && Z.equal c neg_lc)) && Monomial.divides lm m)
+      (Poly.terms body)
+
 let rewrite_with_block ~signs block_var d body =
   (* replace every residual occurrence of +-(c*d) inside [body] by
-     +-(c * block_var) *)
+     +-(c * block_var); a body without one comes back physically unchanged *)
   let rec go body =
     let usable =
-      List.filter_map
-        (fun (ck, k) ->
-          match subset_terms_signed ~signs d k with
-          | Some sign -> Some (ck, sign)
-          | None -> None)
-        (Kernel.kernels body)
+      if not (may_contain ~signs d body) then []
+      else
+        List.filter_map
+          (fun (ck, k) ->
+            match subset_terms_signed ~signs d k with
+            | Some sign -> Some (ck, sign)
+            | None -> None)
+          (Kernel.kernels body)
     in
     match usable with
     | [] -> body
@@ -244,14 +290,18 @@ let rewrite_with_block ~signs block_var d body =
   in
   go body
 
+(* a body with no term divisible by [c] comes back physically unchanged *)
 let rewrite_with_cube block_var c body =
-  Poly.of_terms
-    (List.map
-       (fun (k, m) ->
-         match Monomial.div m c with
-         | Some rest -> (k, Monomial.mul rest (Monomial.var block_var))
-         | None -> (k, m))
-       (Poly.terms body))
+  if not (List.exists (fun (_, m) -> Monomial.divides c m) (Poly.terms body))
+  then body
+  else
+    Poly.of_terms
+      (List.map
+         (fun (k, m) ->
+           match Monomial.div m c with
+           | Some rest -> (k, Monomial.mul rest (Monomial.var block_var))
+           | None -> (k, m))
+         (Poly.terms body))
 
 (* names of items the candidate body depends on, transitively; rewriting
    those would create a reference cycle between block definitions *)
@@ -270,32 +320,47 @@ let dependency_closure items body =
   in
   go [] (Poly.vars body)
 
+(* the items after the move, in order, then the new block *)
 let apply_candidate ~signs fresh_name cand items =
-  (* returns the new item list (bodies are fresh copies) *)
   let block_body =
     match cand with
     | Block d -> d
     | Cube c -> Poly.monomial c
   in
   let frozen = dependency_closure items block_body in
-  let copy = List.map (fun it -> { it with body = it.body }) items in
-  List.iter
+  let rewrite =
+    match cand with
+    | Block d -> rewrite_with_block ~signs fresh_name d
+    | Cube c -> rewrite_with_cube fresh_name c
+  in
+  List.map
     (fun it ->
-      if not (List.mem it.name frozen) then
-        it.body <-
-          (match cand with
-           | Block d -> rewrite_with_block ~signs fresh_name d it.body
-           | Cube c -> rewrite_with_cube fresh_name c it.body))
-    copy;
-  copy @ [ { name = fresh_name; body = block_body } ]
+      if List.mem it.name frozen then it else { it with body = rewrite it.body })
+    items
+  @ [ { name = fresh_name; body = block_body } ]
+
+(* flat cost of a trial: [costs] are the round's per-item counts, reused
+   for every body the move left physically unchanged *)
+let trial_cost costs items trial =
+  let rec go acc costs items trial =
+    match costs, items, trial with
+    | n :: costs, it :: items, it' :: trial ->
+      go (acc + if it'.body == it.body then n else body_ops it'.body)
+        costs items trial
+    | [], [], trial ->
+      List.fold_left (fun acc it -> acc + body_ops it.body) acc trial
+    | _ -> invalid_arg "Extract.trial_cost"
+  in
+  go 0 costs items trial
 
 (* count how many items actually changed; a candidate that rewrites nothing
    is useless even if the cost metric ties *)
 let num_rewritten before after =
+  let n = List.length before in
   List.fold_left2
     (fun acc b a -> if Poly.equal b.body a.body then acc else acc + 1)
     0 before
-    (List.filteri (fun i _ -> i < List.length before) after)
+    (List.filteri (fun i _ -> i < n) after)
 
 (* ---- main loop -------------------------------------------------------------------- *)
 
@@ -311,10 +376,12 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true)
       (fun i p -> { name = Printf.sprintf "P%d" (i + 1); body = p })
       encoded
   in
-  let block_counter = ref 0 in
-  let fresh () =
-    incr block_counter;
-    Printf.sprintf "%s%d" block_prefix !block_counter
+  (* after block [cse_t<k>], the next block takes the least index above [k]
+     whose name is not a variable of the system *)
+  let avoid = List.concat_map Poly.vars encoded in
+  let rec name_after k =
+    let name = Printf.sprintf "%s%d" block_prefix (k + 1) in
+    if List.mem name avoid then name_after (k + 1) else (k + 1, name)
   in
   (* cheap ranking before the exact trial application keeps the loop
      polynomial even on 25-polynomial systems *)
@@ -343,10 +410,11 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true)
       (uses - 1) * (Monomial.degree c - 1)
   in
   let trials_per_round = 40 in
-  let rec loop iters items block_order =
+  let rec loop iters last items block_order =
     if iters >= max_iters then (items, block_order)
     else begin
-      let current_cost = flat_cost items in
+      let costs = List.map (fun it -> body_ops it.body) items in
+      let current_cost = List.fold_left ( + ) 0 costs in
       let instances = kernel_instances items in
       let block_candidates =
         match strategy with
@@ -365,12 +433,12 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true)
       let shortlisted =
         List.filteri (fun i _ -> i < trials_per_round) ranked
       in
-      let name = Printf.sprintf "%s%d" block_prefix (!block_counter + 1) in
+      let index, name = name_after last in
       let best =
         List.fold_left
           (fun best (_, cand) ->
             let trial = apply_candidate ~signs name cand items in
-            let cost = flat_cost trial in
+            let cost = trial_cost costs items trial in
             if cost < current_cost && num_rewritten items trial >= 1 then
               match best with
               | Some (_, best_cost, _) when best_cost <= cost -> best
@@ -381,11 +449,10 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true)
       match best with
       | None -> (items, block_order)
       | Some (_, _, trial) ->
-        let _ = fresh () in
-        loop (iters + 1) trial (block_order @ [ name ])
+        loop (iters + 1) index trial (block_order @ [ name ])
     end
   in
-  let items, block_names = loop 0 outputs [] in
+  let items, block_names = loop 0 0 outputs [] in
   let find_item n = List.find (fun it -> it.name = n) items in
   (* bindings must come out in dependency order: a block created early may
      have been rewritten to use a block created later *)

@@ -18,9 +18,11 @@
     extraction.
 
     The greedy loop scores its trial rewrites by the flat operator count
-    of each body.  That count is a pure function of the body, so it is
-    always memoized, in a domain-local table that {!clear_cost_memo}
-    empties; no setting bypasses it. *)
+    of each body.  Each round counts every body once; a trial reuses that
+    count for every body it leaves unchanged and counts only the bodies it
+    rewrites and its new block.  The count is a pure function of the body,
+    so it is also memoized, in a domain-local table that
+    {!clear_cost_memo} empties; no setting bypasses it. *)
 
 module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog
@@ -41,7 +43,9 @@ type result = {
           polynomial (named [P1], [P2], ...) *)
   blocks : (string * Poly.t) list;
       (** the extracted building blocks as polynomials (block bodies may
-          mention earlier blocks by name), in creation order *)
+          mention earlier blocks by name), in dependency order.  Blocks are
+          named [cse_t1, cse_t2, ...], skipping any name that is a
+          variable of the input system. *)
   output_bodies : (string * Poly.t) list;
       (** the rewritten flat polynomial of each output (block names appear
           as variables), in input order *)
@@ -58,9 +62,6 @@ val run :
     matches sub-expressions up to negation ([P = S + A] together with
     [P' = S - A]), an enhancement beyond [13] that the baseline disables;
     [max_iters] (default 100) bounds the number of greedy extractions. *)
-
-val block_prefix : string
-(** Prefix of generated block names ("cse_t"). *)
 
 val clear_cost_memo : unit -> unit
 (** Invalidate the domain-local flat-cost memo in every domain (the

@@ -7,8 +7,9 @@ module Monomial = Polysynth_poly.Monomial
    round, and [rewrite_with_block] re-kernels the body after every rewrite
    — but most bodies are unchanged between calls.  Kernelling is the hot
    stage, so [kernels] and [largest_cube] are memoized here, keyed by the
-   polynomial itself through its (monomial-hash based) [Poly.hash], in two
-   bounded FIFO tables shared across domains (Polysynth_zint.Memo).
+   polynomial itself through [Poly.hash] (every term's coefficient and
+   monomial, mixed so that the low bits spread), in two bounded FIFO
+   tables shared across domains (Polysynth_zint.Memo).
 
    Kernelling is a pure function of the polynomial, so the memo is always
    on.  The summed hits/misses of both tables are the engine trace's

@@ -85,8 +85,14 @@ let vars p =
 let mentions v p = List.exists (fun (_, m) -> Monomial.mentions v m) p
 
 let equal (a : t) (b : t) =
-  try List.for_all2 (fun (c, m) (c', m') -> Z.equal c c' && Monomial.equal m m') a b
-  with Invalid_argument _ -> false
+  let rec go a b =
+    match a, b with
+    | [], [] -> true
+    | (c, m) :: a, (c', m') :: b ->
+      Monomial.equal m m' && Z.equal c c' && go a b
+    | [], _ :: _ | _ :: _, [] -> false
+  in
+  a == b || go a b
 
 let compare a b =
   let rec go a b =
@@ -103,10 +109,19 @@ let compare a b =
   in
   go a b
 
+(* SplitMix64's finalizer with its constants cut to 63 bits: every output
+   bit depends on every input bit, so [Hashtbl]'s low-bit buckets spread
+   even over polynomials that differ only in a small coefficient *)
+let mix z =
+  let z = (z lxor (z lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let z = (z lxor (z lsr 27)) * 0x14d049bb133111eb in
+  z lxor (z lsr 31)
+
 let hash p =
   List.fold_left
-    (fun acc (c, m) -> (acc * 8191 + Z.hash c + (Monomial.hash m * 31)) land max_int)
+    (fun acc (c, m) -> mix ((acc * 31) + mix (Z.hash c) + Monomial.hash m))
     3 p
+  land max_int
 
 let neg p = List.map (fun (c, m) -> (Z.neg c, m)) p
 

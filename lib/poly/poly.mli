@@ -54,8 +54,18 @@ val vars : t -> string list
 val mentions : string -> t -> bool
 
 val equal : t -> t -> bool
+(** Structural equality, which is mathematical equality; [true] at once
+    on a physically equal value. *)
+
 val compare : t -> t -> int
+
 val hash : t -> int
+(** Non-negative, consistent with {!equal}, and mixed term by term so
+    that its low bits, which [Hashtbl] picks buckets from, spread over
+    polynomials that differ only in a small coefficient or exponent.  The
+    value decides no output: no table keyed by polynomials (the
+    algebraic-division memo, the kernelling memos, the extraction's
+    flat-cost memo) is ever iterated. *)
 
 (** {1 Ring operations} *)
 

@@ -11,16 +11,20 @@ let run ~input args =
     (Printf.sprintf "printf '%%s\\n' %s | %s %s - >/dev/null 2>&1"
        (Filename.quote input) (Filename.quote polysynth) args)
 
-(* the stdout lines of [polysynth args] starting with [prefix] *)
-let lines_with ~prefix args =
+(* the exit code of [polysynth args] and its stdout lines starting with
+   [prefix] *)
+let output ~prefix args =
   let out = Filename.temp_file "polysynth" ".out" in
-  ignore
-    (Sys.command
-       (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote polysynth) args
-          (Filename.quote out)));
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote polysynth) args
+         (Filename.quote out))
+  in
   let lines = In_channel.with_open_text out In_channel.input_lines in
   Sys.remove out;
-  List.filter (String.starts_with ~prefix) lines
+  (code, List.filter (String.starts_with ~prefix) lines)
+
+let lines_with ~prefix args = snd (output ~prefix args)
 
 let test_width_below_one () =
   List.iter
@@ -90,6 +94,51 @@ let test_range_figures () =
     (lines_with ~prefix:"range analysis" ("--range " ^ Filename.quote x));
   Sys.remove x
 
+(* Each system names a variable the way a generated block is named ([d1],
+   [d2], [cse_t1]); the blocks must take other names, or a program reads
+   the input where it meant the block (and one extraction never ended). *)
+let test_block_names () =
+  List.iter
+    (fun file ->
+      List.iter
+        (fun ring ->
+          let args =
+            Printf.sprintf "--compare --check -j 1%s data/%s" ring file
+          in
+          let code, certs = output ~prefix:"certificate (" args in
+          Alcotest.(check int) (args ^ " exit") 0 code;
+          Alcotest.(check int) (args ^ " certificates") 4 (List.length certs);
+          List.iter
+            (fun l ->
+              Alcotest.(check bool) l true
+                (String.ends_with ~suffix:": verified" l))
+            certs)
+        [ ""; " --ring" ])
+    [
+      "input_named_d1.poly";
+      "inputs_named_d1_d2.poly";
+      "input_named_cse_t1.poly";
+      "input_named_cse_t1_kernel.poly";
+    ]
+
+(* --check exits 2 unless every printed certificate is verified, the
+   baselines' included *)
+let test_check_exit_code () =
+  let code, certs =
+    output ~prefix:"certificate ("
+      "--compare --check -j 1 data/input_named_cse_t1.poly"
+  in
+  Alcotest.(check (list string))
+    "certificates"
+    [
+      "certificate (direct): verified";
+      "certificate (horner): verified";
+      "certificate (factor+cse): verified";
+      "certificate (proposed): verified";
+    ]
+    certs;
+  Alcotest.(check int) "exit" 0 code
+
 let () =
   Alcotest.run "cli"
     [
@@ -105,4 +154,10 @@ let () =
             test_bad_values;
         ] );
       ( "range", [ Alcotest.test_case "figures" `Quick test_range_figures ] );
+      ( "check",
+        [
+          Alcotest.test_case "block names avoid the inputs" `Quick
+            test_block_names;
+          Alcotest.test_case "exit code" `Quick test_check_exit_code;
+        ] );
     ]

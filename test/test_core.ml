@@ -176,6 +176,18 @@ let test_algdiv_zero_and_const () =
   let e1, t1 = decompose_with [ "x + y" ] (p "42") in
   check_p "const" (p "42") (expand_with t1 e1)
 
+(* generated names skip the ones the table must avoid, and each other *)
+let test_blocktab_avoids_names () =
+  let table = Blocktab.create ~avoid:[ "d1"; "d3"; "y2_x"; "y2_x_1" ] () in
+  Alcotest.(check string) "first divisor" "d2"
+    (Blocktab.divisor_var table (p "x + y"));
+  Alcotest.(check string) "second divisor" "d4"
+    (Blocktab.divisor_var table (p "x - y"));
+  Alcotest.(check string) "y2 of x" "y2_x_2" (Blocktab.y2_var table "x");
+  Alcotest.(check string) "y2 of y" "y2_y" (Blocktab.y2_var table "y");
+  Alcotest.(check string) "registered once" "d2"
+    (Blocktab.divisor_var table (p "x + y"))
+
 (* canonical rep -------------------------------------------------------------------------- *)
 
 let test_canonical_rep_shares_y_blocks () =
@@ -746,6 +758,8 @@ let () =
           Alcotest.test_case "table 14.2 P1" `Quick test_algdiv_table_14_2_p1;
           Alcotest.test_case "no divisors" `Quick test_algdiv_no_divisors;
           Alcotest.test_case "zero and const" `Quick test_algdiv_zero_and_const;
+          Alcotest.test_case "block names avoid inputs" `Quick
+            test_blocktab_avoids_names;
         ] );
       ( "canonical_rep",
         [

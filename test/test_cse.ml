@@ -166,6 +166,61 @@ let test_extract_improves_or_equal () =
         (Dag.total_ops c <= direct))
     systems
 
+(* The printed result of every [X.run] call shape the synthesis flow uses,
+   over the paper's tables, the benchmark systems without SG 4x3/5x3, and
+   twelve fixed random draws, pinned by one digest per call shape.  The
+   extraction loop is a hot path: speeding it up must not move a block. *)
+module Examples = Polysynth_workloads.Examples
+module Benchmarks = Polysynth_workloads.Benchmarks
+module Random_system = Polysynth_workloads.Random_system
+
+let digest_systems =
+  let bench n = (Option.get (Benchmarks.by_name n)).Benchmarks.polys in
+  let random_shape =
+    {
+      Random_system.num_polys = 4;
+      num_vars = 3;
+      max_terms = 6;
+      max_degree = 3;
+      max_coeff = 16;
+      sharing = true;
+    }
+  in
+  [ Examples.table_14_1; Examples.table_14_2 ]
+  @ List.map bench [ "SG 3x2"; "SG 4x2"; "SG 5x2"; "Quad"; "Mibench"; "MVCS" ]
+  @ List.init 12 (fun i -> Random_system.generate ~seed:(i + 1) random_shape)
+
+let print_result (r : X.result) =
+  let line (n, q) = n ^ " = " ^ P.to_string q in
+  String.concat "\n"
+    (List.map line r.X.blocks
+    @ List.map line r.X.output_bodies
+    @ [ Format.asprintf "%a" Prog.pp r.X.prog ])
+
+let test_extract_digests () =
+  List.iter
+    (fun (shape, run, expected) ->
+      let printed =
+        String.concat "\n--\n"
+          (List.map (fun s -> print_result (run s)) digest_systems)
+      in
+      Alcotest.(check string) shape expected
+        (Digest.to_hex (Digest.string printed)))
+    [
+      ( "vars only",
+        (fun s -> X.run ~mode:X.Vars_only s),
+        "e08c2f4f2f266fd7685317e26718bd54" );
+      ( "literals, signs",
+        (fun s -> X.run ~mode:X.Coeff_literals ~signs:true s),
+        "7a596514b188a890c3cccae75efe7875" );
+      ( "literals, no signs",
+        (fun s -> X.run ~mode:X.Coeff_literals ~signs:false s),
+        "90dba0862d1802c566e3c27b08b33fa6" );
+      ( "kcm rectangles",
+        (fun s -> X.run ~mode:X.Coeff_literals ~strategy:X.Kcm_rectangles s),
+        "ccdb1e12de253dee3277f61d1e9aa7e2" );
+    ]
+
 (* kcm --------------------------------------------------------------------------- *)
 
 module Kcm = Polysynth_cse.Kcm
@@ -321,6 +376,8 @@ let () =
           Alcotest.test_case "common cube" `Quick test_extract_common_cube;
           Alcotest.test_case "improves or equal" `Quick
             test_extract_improves_or_equal;
+          Alcotest.test_case "printed results pinned" `Quick
+            test_extract_digests;
         ] );
       ( "kcm",
         [

@@ -334,6 +334,51 @@ let test_to_string () =
 
 (* parser tests --------------------------------------------------------------- *)
 
+
+(* equality walks both term lists; a physically equal value short-cuts *)
+let test_equal () =
+  let a = p "3*x^2*y - 2*y + 7" in
+  Alcotest.(check bool) "same value" true (P.equal a a);
+  Alcotest.(check bool) "equal copies" true (P.equal a (p "7 - 2*y + 3*x^2*y"));
+  Alcotest.(check bool) "shorter" false (P.equal a (p "3*x^2*y - 2*y"));
+  Alcotest.(check bool) "longer" false (P.equal (p "3*x^2*y - 2*y") a);
+  Alcotest.(check bool) "zero" false (P.equal P.zero a);
+  Alcotest.(check bool) "last coefficient" false
+    (P.equal a (p "3*x^2*y - 2*y + 8"));
+  Alcotest.(check bool) "last monomial" false
+    (P.equal a (p "3*x^2*y - 2*y + 7*z"))
+
+(* [Hashtbl] picks buckets from a hash's low bits, so those must spread
+   over polynomials that differ in small coefficients and exponents *)
+let test_hash_spread () =
+  Alcotest.(check bool) "5*y^2 and 36*y" true
+    (P.hash (p "5*y^2") <> P.hash (p "36*y"));
+  let exponents =
+    List.concat_map
+      (fun i -> List.map (fun j -> (i, j)) [ 0; 1; 2; 3 ])
+      [ 0; 1; 2; 3 ]
+    |> List.filter (fun (i, j) -> i + j > 0)
+  in
+  let coeffs = List.filter (( <> ) 0) (List.init 41 (fun c -> c - 20)) in
+  let family =
+    List.concat_map
+      (fun c ->
+        List.concat_map
+          (fun (i, j) ->
+            List.init 11 (fun k ->
+                P.add
+                  (P.term (Z.of_int c) (Mono.of_list [ ("x", i); ("y", j) ]))
+                  (P.of_int (k - 5))))
+          exponents)
+      coeffs
+  in
+  Alcotest.(check int) "family size" 6600 (List.length family);
+  let low = Hashtbl.create 4096 in
+  List.iter (fun q -> Hashtbl.replace low (P.hash q land 4095) ()) family;
+  let distinct = Hashtbl.length low in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct low-12-bit hashes >= 3000" distinct)
+    true (distinct >= 3000)
 let test_parse_examples () =
   check_p "paper F"
     (P.add_list
@@ -511,6 +556,9 @@ let () =
           Alcotest.test_case "subst" `Quick test_subst;
           Alcotest.test_case "coeffs_in" `Quick test_coeffs_in;
           Alcotest.test_case "to_string" `Quick test_to_string;
+          Alcotest.test_case "equal" `Quick test_equal;
+          Alcotest.test_case "hash spreads over low bits" `Quick
+            test_hash_spread;
         ] );
       ( "parse",
         [
