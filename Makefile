@@ -1,24 +1,26 @@
 # Development / CI entry points.
 #
-#   make ci      build + full test suite + format check + lint + fuzz smoke
-#                + benchmark smoke
+#   make ci      build + full test suite + Python unit tests + format check
+#                + lint + fuzz smoke + benchmark smoke + evidence-record check
 #   make build   compile everything
 #   make test    run the alcotest/qcheck suites
+#   make test-py run the Python unit tests (perfbench's runner and the
+#                evidence-record checker)
 #   make fmt     check formatting (skipped when ocamlformat is absent)
 #   make lint    verify + lint + certificate-guarded simplify over every
 #                benchmark and example system (exit 2 on a refuted/unknown
 #                certificate, 4 on a scheduler/binder invariant violation,
 #                3 on other error-severity findings)
-#   make bench   quick benchmark smoke run (tables + short timings)
-#   make bench-json
-#                write a quick-mode run to _build/bench-quick.json and
-#                validate it against the schema (the committed BENCH_*.json
-#                files are never rewritten)
+#   make bench   benchmark smoke run: one short perfbench run per workload,
+#                failing unless every result is correct and none failed
+#   make bench-records
+#                check the committed BENCH_PR*.json evidence records: pair
+#                order, quartiles, win counts and the claim rule
 #   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
 
-.PHONY: ci build test fmt lint fuzz bench bench-json
+.PHONY: ci build test test-py fmt lint fuzz bench bench-records
 
-ci: build test fmt lint fuzz bench bench-json
+ci: build test test-py fmt lint fuzz bench bench-records
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
@@ -43,10 +45,23 @@ fmt:
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-bench:
-	dune exec bench/main.exe -- --quick
+test-py:
+	python3 -m unittest perfbench/test_run.py
+	python3 test/test_check_bench_records.py
 
-bench-json:
-	dune build bench/main.exe
-	dune exec bench/main.exe -- --quick --json > _build/bench-quick.json
-	dune exec bench/main.exe -- --validate _build/bench-quick.json
+# run.py exits 0 even when a result is incorrect, so read its last line:
+# the result object
+bench:
+	@for w in sg-banks small-search warm-iterate; do \
+	  echo "== perfbench $$w"; \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 0) || exit $$?; \
+	  printf '%s\n' "$$out" | tail -n 1 | python3 -c \
+	    'import json, sys; r = json.load(sys.stdin); \
+	     print("correct:", r["correct"], "failed:", r["failed"]); \
+	     sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+	    || exit 1; \
+	done
+
+bench-records:
+	python3 test/check_bench_records.py

@@ -1,7 +1,7 @@
 (* Regenerate every table and figure of the paper's evaluation.
 
    Usage:
-     experiments                 all tables (about 15-18 s on a 2-core host)
+     experiments                 all tables (about 10 s on a 2-core host)
      experiments --quick         small benchmarks only
      experiments --fig1          the Fig. 14.1 representation dump
      experiments --ablation      the stage-contribution ablation

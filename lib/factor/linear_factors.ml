@@ -1,23 +1,64 @@
 module Z = Polysynth_zint.Zint
 module Poly = Polysynth_poly.Poly
 
-let divisors z =
-  (* positive divisors of |z|, by trial division — coefficients are small *)
-  let n = Z.abs z in
-  if Z.is_zero n then [ Z.one ]
-  else begin
-    let out = ref [] in
-    let i = ref Z.one in
-    while Z.compare (Z.mul !i !i) n <= 0 do
-      if Z.divides !i n then begin
-        out := !i :: !out;
-        let q = Z.divexact n !i in
-        if not (Z.equal q !i) then out := q :: !out
-      end;
-      i := Z.add !i Z.one
-    done;
-    !out
-  end
+(* Trial division stops at this prime bound.  Every |c| < 2^32 still
+   factors completely: a cofactor below 65537^2 with no prime factor up to
+   the bound is itself prime. *)
+let trial_bound = 65_536
+
+(* the prime factorization of [n > 0] as (prime, exponent) pairs, dividing
+   out each prime as it is found so the loop stops at the square root of
+   the remaining cofactor; [None] when a cofactor with no prime factor up to
+   [trial_bound] is too large to be known prime *)
+let factorization n =
+  let rec small n d acc =
+    (* native ints: [n] fits, and [d <= trial_bound + 1] keeps [d * d] exact *)
+    if n = 1 then Some acc
+    else if d * d > n then Some ((Z.of_int n, 1) :: acc)
+    else if d > trial_bound then None
+    else if n mod d = 0 then begin
+      let rec strip n e = if n mod d = 0 then strip (n / d) (e + 1) else (n, e) in
+      let n, e = strip n 0 in
+      small n (d + 1) ((Z.of_int d, e) :: acc)
+    end
+    else small n (d + 1) acc
+  in
+  let rec big n d acc =
+    match Z.to_int_opt n with
+    | Some n -> small n d acc
+    | None when d > trial_bound -> None
+    | None ->
+      let dz = Z.of_int d in
+      if Z.divides dz n then begin
+        let rec strip n e =
+          if Z.divides dz n then strip (Z.divexact n dz) (e + 1) else (n, e)
+        in
+        let n, e = strip n 0 in
+        big n (d + 1) ((dz, e) :: acc)
+      end
+      else big n (d + 1) acc
+  in
+  big n 2 []
+
+(* more (numerator, denominator) divisor pairs than this give no candidates:
+   a highly composite coefficient would otherwise take quadratic time *)
+let max_candidate_pairs = 4096
+
+(* the number of divisors of a factorization, saturating past
+   [max_candidate_pairs] *)
+let num_divisors =
+  List.fold_left
+    (fun n (_, e) -> Stdlib.min (max_candidate_pairs + 1) (n * (e + 1)))
+    1
+
+(* the positive divisors of a factorization *)
+let divisors =
+  List.fold_left
+    (fun ds (p, e) ->
+      List.concat_map
+        (fun d -> List.init (e + 1) (fun k -> Z.mul d (Z.pow p k)))
+        ds)
+    [ Z.one ]
 
 let check_univariate v u =
   if Poly.is_zero u then invalid_arg "Linear_factors: zero polynomial";
@@ -68,13 +109,18 @@ let roots v u =
     | None -> Z.one
   in
   let candidates =
-    List.concat_map
-      (fun b ->
-        List.concat_map
-          (fun a ->
-            if Z.is_one (Z.gcd a b) then [ (b, a); (Z.neg b, a) ] else [])
-          (divisors leading))
-      (divisors trailing)
+    match (factorization (Z.abs trailing), factorization (Z.abs leading)) with
+    | Some fb, Some fa
+      when num_divisors fb * num_divisors fa <= max_candidate_pairs ->
+      let dens = divisors fa in
+      List.concat_map
+        (fun b ->
+          List.concat_map
+            (fun a ->
+              if Z.is_one (Z.gcd a b) then [ (b, a); (Z.neg b, a) ] else [])
+            dens)
+        (divisors fb)
+    | _ -> []
   in
   let found =
     List.filter (fun (b, a) -> Z.is_zero (eval_at v b a u)) candidates

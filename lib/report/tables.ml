@@ -258,45 +258,6 @@ let mcm_rows ?(names = [ "SG 3x2"; "SG 4x2"; "Quad"; "Mibench"; "MVCS" ]) () =
                ops = Cost.total_operators opt };
            ] ))
 
-(* sequential/pipelined implementation study of the chosen decompositions *)
-let implementation_rows ?(names = [ "SG 3x2"; "Quad"; "MVCS" ]) () =
-  benchmarks ~names ()
-  |> List.map (fun (b : B.t) ->
-         let w = b.B.width in
-         let r = run_method ~width:w Engine.Proposed b.B.polys in
-         let n = Netlist.of_prog ~width:w r.Engine.prog in
-         let fsmd =
-           Polysynth_hw.Fsmd.build
-             { Polysynth_hw.Schedule.multipliers = 1; adders = 1 }
-             n
-         in
-         let period = Cost.default.Cost.mult_delay w +. 4.0 in
-         let st = Polysynth_hw.Stage.cut ~target_period:period n in
-         ( b.B.name,
-           [
-             Printf.sprintf "fsmd(1x1): %d states, %d regs, %d ops"
-               fsmd.Polysynth_hw.Fsmd.num_states
-               fsmd.Polysynth_hw.Fsmd.num_registers
-               (List.length fsmd.Polysynth_hw.Fsmd.micro_ops);
-             Printf.sprintf "pipeline@%.0f: %d stages, %d regs" period
-               st.Polysynth_hw.Stage.num_stages
-               st.Polysynth_hw.Stage.pipeline_registers;
-           ] ))
-
-let render_implementation groups =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "Implementation study — sequential and pipelined forms of the proposed \
-     decompositions\n";
-  List.iter
-    (fun (name, lines) ->
-      Buffer.add_string buf (Printf.sprintf "  %s:\n" name);
-      List.iter
-        (fun l -> Buffer.add_string buf (Printf.sprintf "    %s\n" l))
-        lines)
-    groups;
-  Buffer.contents buf
-
 let render_named_ablation ~title groups =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (title ^ "\n");

@@ -33,8 +33,6 @@ type bench_row = {
 val table_14_3_rows : ?names:string list -> unit -> bench_row list
 (** One row per benchmark (default: all eight of the paper). *)
 
-val average_area_improvement : bench_row list -> float
-
 (** {1 Figure 14.1 — the representation data structure} *)
 
 val fig_14_1_dump : unit -> string
@@ -71,13 +69,6 @@ val extended_rows : unit -> bench_row list
 val mcm_rows : ?names:string list -> unit -> (string * ablation_row list) list
 (** The proposed decomposition before and after lowering constant
     multiplications to shared shift-add networks (MCM). *)
-
-val implementation_rows :
-  ?names:string list -> unit -> (string * string list) list
-(** Sequential (FSMD) and pipelined implementation summaries of the
-    proposed decompositions. *)
-
-val render_implementation : (string * string list) list -> string
 
 val render_named_ablation : title:string -> (string * ablation_row list) list -> string
 val render_schedule : (string * (string * int) list) list -> string

@@ -1,6 +1,8 @@
 (* The polysynth command line at its boundary: invalid options give a
-   usage error (exit 1), never a result or an uncaught exception; and the
-   figures of the --range report. *)
+   usage error (exit 1), never a result or an uncaught exception; the
+   figures of the --range report and of the implementation summary; and
+   adversarial systems (input names that shadow generated blocks, large
+   coefficients) synthesize with every certificate verified. *)
 
 (* the test runs in the build directory of [test/] *)
 let polysynth = "../bin/polysynth.exe"
@@ -12,13 +14,17 @@ let run ~input args =
        (Filename.quote input) (Filename.quote polysynth) args)
 
 (* the exit code of [polysynth args] and its stdout lines starting with
-   [prefix] *)
-let output ~prefix args =
+   [prefix]; with [timeout], a run still going after that many seconds is
+   stopped and exits 124 *)
+let output ?timeout ~prefix args =
   let out = Filename.temp_file "polysynth" ".out" in
+  let limit =
+    Option.fold ~none:"" ~some:(Printf.sprintf "timeout %d ") timeout
+  in
   let code =
     Sys.command
-      (Printf.sprintf "%s %s > %s 2>/dev/null" (Filename.quote polysynth) args
-         (Filename.quote out))
+      (Printf.sprintf "%s%s %s > %s 2>/dev/null" limit
+         (Filename.quote polysynth) args (Filename.quote out))
   in
   let lines = In_channel.with_open_text out In_channel.input_lines in
   Sys.remove out;
@@ -94,10 +100,9 @@ let test_range_figures () =
     (lines_with ~prefix:"range analysis" ("--range " ^ Filename.quote x));
   Sys.remove x
 
-(* Each system names a variable the way a generated block is named ([d1],
-   [d2], [cse_t1]); the blocks must take other names, or a program reads
-   the input where it meant the block (and one extraction never ended). *)
-let test_block_names () =
+(* [--compare --check -j 1] on each of [files] in data/, exact and under
+   [--ring], exits 0 with four verified certificates *)
+let check_all_verified ?timeout files =
   List.iter
     (fun file ->
       List.iter
@@ -105,7 +110,7 @@ let test_block_names () =
           let args =
             Printf.sprintf "--compare --check -j 1%s data/%s" ring file
           in
-          let code, certs = output ~prefix:"certificate (" args in
+          let code, certs = output ?timeout ~prefix:"certificate (" args in
           Alcotest.(check int) (args ^ " exit") 0 code;
           Alcotest.(check int) (args ^ " certificates") 4 (List.length certs);
           List.iter
@@ -114,12 +119,60 @@ let test_block_names () =
                 (String.ends_with ~suffix:": verified" l))
             certs)
         [ ""; " --ring" ])
+    files
+
+(* Each system names a variable the way a generated block is named ([d1],
+   [d2], [cse_t1]); the blocks must take other names, or a program reads
+   the input where it meant the block (and one extraction never ended). *)
+let test_block_names () =
+  check_all_verified
     [
       "input_named_d1.poly";
       "inputs_named_d1_d2.poly";
       "input_named_cse_t1.poly";
       "input_named_cse_t1_kernel.poly";
     ]
+
+(* Coefficients of 33 to 71 bits, a prime above the trial-division bound
+   and highly composite ones: rational-root discovery must not take time
+   that grows with a coefficient's value (each run takes milliseconds).
+   The timeout turns such a regression into a failure, not a hang. *)
+let test_large_coefficients () =
+  check_all_verified ~timeout:20
+    [
+      "large_coeff_2_32.poly";
+      "large_coeff_2_40.poly";
+      "large_coeff_2_61.poly";
+      "large_coeff_3_40.poly";
+      "large_coeff_prime_2_61_1.poly";
+      "large_coeff_2_70_3_40.poly";
+      "large_coeff_semiprime.poly";
+      "large_coeff_primorial.poly";
+    ]
+
+(* the implementation summary of one example: the pipelined form at a
+   target period and the one-multiplier, one-adder FSMD *)
+let test_implementation_summary () =
+  let fsmd = Filename.temp_file "polysynth" ".v" in
+  let code, lines =
+    output ~prefix:""
+      ("../examples/data/quadratic_filter.poly --pipeline 30 --fsmd "
+      ^ Filename.quote fsmd)
+  in
+  Sys.remove fsmd;
+  Alcotest.(check int) "exit" 0 code;
+  Alcotest.(check (list string))
+    "pipeline and fsmd lines"
+    [
+      "pipelining at period 30.0: 2 stage(s), 6 pipeline register(s), \
+       achieved period 28.0";
+      "fsmd: 12 states, 4 registers, 13 micro-ops (1 multiplier, 1 adder)";
+    ]
+    (List.filter
+       (fun l ->
+         String.starts_with ~prefix:"pipelining at" l
+         || String.starts_with ~prefix:"fsmd:" l)
+       lines)
 
 (* --check exits 2 unless every printed certificate is verified, the
    baselines' included *)
@@ -159,5 +212,12 @@ let () =
           Alcotest.test_case "block names avoid the inputs" `Quick
             test_block_names;
           Alcotest.test_case "exit code" `Quick test_check_exit_code;
+          Alcotest.test_case "large coefficients" `Quick
+            test_large_coefficients;
+        ] );
+      ( "implementation",
+        [
+          Alcotest.test_case "pipeline and fsmd summary" `Quick
+            test_implementation_summary;
         ] );
     ]

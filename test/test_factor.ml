@@ -190,6 +190,25 @@ let test_roots_none () =
   Alcotest.(check int) "x^2+1 has no rational roots" 0
     (List.length (LF.roots "x" (p "x^2 + 1")))
 
+(* candidates come from factoring the end coefficients: powers past a
+   native int factor at once, every coefficient below 2^32 factors
+   completely, and a cofactor too large to be known prime, or too many
+   divisor pairs, give none *)
+let test_roots_large_coefficients () =
+  let roots s =
+    List.map (fun (b, a) -> (Z.to_string b, Z.to_string a)) (LF.roots "x" (p s))
+  in
+  let pair = Alcotest.(list (pair string string)) in
+  Alcotest.check pair "2^40*x - 3^40"
+    [ (Z.to_string (Z.pow (Z.of_int 3) 40), Z.to_string (Z.pow2 40)) ]
+    (roots "2^40*x - 3^40");
+  Alcotest.check pair "65521*65519*x - 65519" [ ("1", "65521") ]
+    (roots "65521*65519*x - 65519");
+  Alcotest.check pair "(2^61 - 1)*(x - 1): no candidates" []
+    (roots "2305843009213693951*x - 2305843009213693951");
+  Alcotest.check pair "47# * (x - 1): 2^30 divisor pairs, no candidates" []
+    (roots "614889782588491410*x - 614889782588491410")
+
 let test_roots_invalid () =
   Alcotest.check_raises "multivariate"
     (Invalid_argument "Linear_factors: polynomial is not univariate")
@@ -517,6 +536,8 @@ let () =
           Alcotest.test_case "rational roots" `Quick test_roots_rational;
           Alcotest.test_case "zero root" `Quick test_roots_zero_root;
           Alcotest.test_case "no roots" `Quick test_roots_none;
+          Alcotest.test_case "large coefficients" `Quick
+            test_roots_large_coefficients;
           Alcotest.test_case "invalid input" `Quick test_roots_invalid;
           Alcotest.test_case "reconstruct" `Quick test_linear_factors_reconstruct;
           Alcotest.test_case "multiplicity" `Quick test_linear_factors_multiplicity;
