@@ -1,5 +1,5 @@
 (* Differential fuzzer: random polynomial systems through every synthesis
-   method, cross-checked at five levels —
+   method, cross-checked at six levels —
    1. certificates: the engine's own equivalence certifier must return
       Verified for every method (a Refuted certificate prints its
       counterexample input; Unknown is also a failure here, since these
@@ -14,11 +14,17 @@
    5. simplify: the certificate-guarded simplification pass keeps the
       netlist Verified against the source system, and never proposes a
       rewrite the certificate refutes (a Refuted rejection would mean the
-      proposer itself is unsound, not just imprecise).
+      proposer itself is unsound, not just imprecise);
+   6. abstract interpretation: on the netlist and its MCM lowering, the
+      product analysis contains every cell's concrete value
+      (Netlist.values) on random input vectors.  The vectors come from a
+      generator of their own, so this level leaves the draws of the other
+      levels unchanged.
 
    Usage:  fuzz [ITERATIONS] [SEED]      (defaults: 200, 1)
    Exit code 0 = all checks passed. *)
 
+module Z = Polysynth_zint.Zint
 module P = Polysynth_poly.Poly
 module Netlist = Polysynth_hw.Netlist
 module Mcm = Polysynth_hw.Mcm
@@ -30,6 +36,8 @@ module Equiv = Polysynth_analysis.Equiv
 module Diag = Polysynth_analysis.Diag
 module Suite = Polysynth_analysis.Suite
 module Simplify = Polysynth_analysis.Simplify
+module Absint = Polysynth_analysis.Absint
+module Domains = Polysynth_analysis.Domains
 module Canonical = Polysynth_finite_ring.Canonical
 module Rng = Polysynth_zint.Xorshift
 
@@ -136,6 +144,23 @@ let () =
             (Simplify.describe rw)
         | _ -> ())
       o.Simplify.rejected;
+    (* 6. every concrete cell value lies in its abstract fact *)
+    let vectors = Rng.make seed in
+    let contains label netlist =
+      let facts = Absint.analyze_product netlist in
+      let draw = Netlist.draw_inputs vectors netlist in
+      for _ = 1 to 5 do
+        let inputs = draw () in
+        Array.iteri
+          (fun i v ->
+            if not (Domains.Product.contains ~width facts.(i) v) then
+              fail "%s: cell %d = %s outside %s" label i (Z.to_string v)
+                (Domains.Product.to_string facts.(i)))
+          (Netlist.values netlist (fun v -> List.assoc v inputs))
+      done
+    in
+    contains "absint netlist" n;
+    contains "absint MCM" opt;
     (* stats *)
     let base = List.nth reports 2 in
     if base.Engine.cost.Polysynth_hw.Cost.area > 0 then

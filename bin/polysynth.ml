@@ -273,6 +273,8 @@ let usage_error options =
     Some "--candidate-budget must be 0 or more"
   else if fails (fun p -> p > 0.) options.pipeline_period then
     Some "--pipeline must be a positive clock period"
+  else if Option.is_some options.c_out && options.width > 64 then
+    Some "--emit-c needs --width of at most 64"
   else None
 
 let run_synthesis options =
@@ -549,7 +551,7 @@ let testbench_arg =
 let c_arg =
   let doc =
     "Emit self-checking C code for the decomposition (compile and run it \
-     to validate the implementation)."
+     to validate the implementation); needs a $(b,--width) of at most 64."
   in
   Arg.(value & opt (some string) None & info [ "emit-c" ] ~docv:"FILE" ~doc)
 

@@ -1,16 +1,11 @@
 (* Generic forward abstract interpretation over the netlist DAG.
 
-   The engine is a textbook worklist fixpoint: every cell starts at
-   bottom, cells are seeded in topological order (the [cells] array of a
-   well-formed netlist is topo-sorted, so one sweep normally reaches the
-   fixpoint and the re-queued users confirm stability on their second
-   visit), and a cell's users are re-queued whenever its fact grows.
-
-   Termination: facts only move up the lattice ([join] with the previous
-   fact) and every domain in {!Domains} has finite height over a fixed
-   width — intervals are bounded by [[0, 2^w)], known-bits chains have
-   height [w], congruences height [w+1] — so each cell's fact can strictly
-   increase only finitely often and the worklist drains. *)
+   The [cells] array of a netlist is topologically ordered (fanin ids
+   precede their users), so one pass in array order computes every cell's
+   fact from facts that are already final: no worklist, no re-visits and
+   no join with a previous fact.  A cell whose fanin is not an earlier
+   cell (a malformed netlist, which Wellformed rejects before the suite
+   runs any analysis) stays at bottom. *)
 
 module Netlist = Polysynth_hw.Netlist
 
@@ -31,40 +26,12 @@ module Make (D : Domains.DOMAIN) = struct
 
   let analyze (n : Netlist.t) =
     let width = n.Netlist.width in
-    let num = Array.length n.Netlist.cells in
-    let facts = Array.make num D.bottom in
-    let users = Array.make num [] in
-    Array.iter
-      (fun (c : Netlist.cell) ->
-        List.iter
-          (fun s -> if s >= 0 && s < num then users.(s) <- c.id :: users.(s))
-          c.fanin)
+    let facts = Array.make (Array.length n.Netlist.cells) D.bottom in
+    Array.iteri
+      (fun i (cell : Netlist.cell) ->
+        if List.for_all (fun s -> s >= 0 && s < i) cell.fanin then
+          facts.(i) <- transfer ~width facts cell)
       n.Netlist.cells;
-    let in_queue = Array.make num false in
-    let q = Queue.create () in
-    let push i =
-      if not in_queue.(i) then begin
-        in_queue.(i) <- true;
-        Queue.add i q
-      end
-    in
-    Array.iter (fun (c : Netlist.cell) -> push c.id) n.Netlist.cells;
-    while not (Queue.is_empty q) do
-      let i = Queue.take q in
-      in_queue.(i) <- false;
-      let cell = n.Netlist.cells.(i) in
-      (* cells with out-of-range fanin (caught separately by Wellformed)
-         just stay at bottom *)
-      if List.for_all (fun s -> s >= 0 && s < num) cell.fanin then begin
-        let nf =
-          D.join ~width facts.(i) (transfer ~width facts cell)
-        in
-        if not (D.leq nf facts.(i)) then begin
-          facts.(i) <- nf;
-          List.iter push users.(i)
-        end
-      end
-    done;
     facts
 
   let to_strings (n : Netlist.t) facts =

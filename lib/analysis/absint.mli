@@ -1,12 +1,9 @@
 (** Generic forward abstract interpretation over the netlist DAG.
 
-    [Make] lifts any {!Domains.DOMAIN} into a worklist fixpoint analysis.
-    Cells start at bottom and are seeded in topological order, so on a
-    well-formed netlist the fixpoint is reached in one sweep; users of a
-    cell are re-queued whenever its fact grows.  Termination follows from
-    the finite height of every domain over a fixed width: facts only move
-    up the lattice, so each cell changes finitely often and the worklist
-    drains. *)
+    [Make] lifts any {!Domains.DOMAIN} into a forward analysis: one pass
+    over the topologically ordered [cells], each cell's fact the transfer
+    of its fanins' facts.  A cell whose fanin is not an earlier cell stays
+    at bottom. *)
 
 module Netlist := Polysynth_hw.Netlist
 

@@ -112,88 +112,32 @@ end
 
 (* ---- wrap-aware intervals over Z_2^m ------------------------------------ *)
 
-(* Values live in [0, 2^w).  Each transfer computes the exact integer
-   interval and re-normalizes: a result spanning at least 2^w values is
-   top, otherwise both ends wrap; an interval whose wrapped ends cross the
-   zero boundary is widened to top rather than split. *)
+(* Values live in [0, 2^w).  Each transfer is the exact integer interval
+   transfer of [Int_interval], re-normalized by [wrap]: a result spanning
+   at least 2^w values is top, otherwise both ends wrap; an interval whose
+   wrapped ends cross the zero boundary is widened to top rather than
+   split. *)
 module Interval = struct
-  type t = Bot | Iv of Z.t * Z.t  (* 0 <= lo <= hi < 2^w *)
+  include Int_interval
 
   let name = "interval"
-  let bottom = Bot
-  let is_bottom t = t = Bot
-  let top ~width = Iv (Z.zero, Z.sub (Z.pow2 width) Z.one)
 
-  let equal a b =
-    match (a, b) with
-    | Bot, Bot -> true
-    | Iv (l1, h1), Iv (l2, h2) -> Z.equal l1 l2 && Z.equal h1 h2
-    | _ -> false
-
-  let leq a b =
-    match (a, b) with
-    | Bot, _ -> true
-    | _, Bot -> false
-    | Iv (l1, h1), Iv (l2, h2) -> Z.compare l2 l1 <= 0 && Z.compare h1 h2 <= 0
-
-  let join ~width:_ a b =
-    match (a, b) with
-    | Bot, x | x, Bot -> x
-    | Iv (l1, h1), Iv (l2, h2) -> Iv (Z.min l1 l2, Z.max h1 h2)
-
-  (* normalize an exact integer interval into the wrapped lattice *)
-  let of_exact ~width lo hi =
-    if Z.compare (Z.sub hi lo) (Z.sub (Z.pow2 width) Z.one) >= 0 then
-      top ~width
-    else
-      let lo' = clamp ~width lo and hi' = clamp ~width hi in
-      if Z.compare lo' hi' <= 0 then Iv (lo', hi') else top ~width
-
-  let const ~width c = Iv (clamp ~width c, clamp ~width c)
-  let input ~width _ = top ~width
-
-  let lift1 ~width f = function
+  let wrap ~width = function
     | Bot -> Bot
-    | Iv (l, h) ->
-      let lo, hi = f l h in
-      of_exact ~width lo hi
+    | Iv (lo, hi) ->
+      if Z.compare (Z.sub hi lo) (Z.sub (Z.pow2 width) Z.one) >= 0 then
+        top ~width
+      else
+        let lo' = clamp ~width lo and hi' = clamp ~width hi in
+        if Z.compare lo' hi' <= 0 then Iv (lo', hi') else top ~width
 
-  let lift2 ~width f a b =
-    match (a, b) with
-    | Bot, _ | _, Bot -> Bot
-    | Iv (l1, h1), Iv (l2, h2) ->
-      let lo, hi = f l1 h1 l2 h2 in
-      of_exact ~width lo hi
-
-  let neg ~width = lift1 ~width (fun l h -> (Z.neg h, Z.neg l))
-
-  (* operands are non-negative, so the product bounds are the corner
-     products *)
-  let mul_bounds l1 h1 l2 h2 =
-    let products = [ Z.mul l1 l2; Z.mul l1 h2; Z.mul h1 l2; Z.mul h1 h2 ] in
-    ( List.fold_left Z.min (List.hd products) (List.tl products),
-      List.fold_left Z.max (List.hd products) (List.tl products) )
-
-  let add ~width = lift2 ~width (fun l1 h1 l2 h2 -> (Z.add l1 l2, Z.add h1 h2))
-  let sub ~width = lift2 ~width (fun l1 h1 l2 h2 -> (Z.sub l1 h2, Z.sub h1 l2))
-  let mul ~width = lift2 ~width mul_bounds
-  let cmul ~width c = lift1 ~width (fun l h -> mul_bounds c c l h)
-  let shl ~width k = lift1 ~width (fun l h -> mul_bounds (Z.pow2 k) (Z.pow2 k) l h)
-
-  let as_const ~width:_ = function
-    | Iv (l, h) when Z.equal l h -> Some l
-    | _ -> None
-
-  let contains ~width:_ t v =
-    match t with
-    | Bot -> false
-    | Iv (l, h) -> Z.compare l v <= 0 && Z.compare v h <= 0
-
-  let to_string = function
-    | Bot -> "bot"
-    | Iv (l, h) ->
-      if Z.equal l h then Z.to_string l
-      else Printf.sprintf "[%s, %s]" (Z.to_string l) (Z.to_string h)
+  let const ~width c = wrap ~width (const ~width c)
+  let neg ~width a = wrap ~width (neg ~width a)
+  let add ~width a b = wrap ~width (add ~width a b)
+  let sub ~width a b = wrap ~width (sub ~width a b)
+  let mul ~width a b = wrap ~width (mul ~width a b)
+  let cmul ~width c a = wrap ~width (cmul ~width c a)
+  let shl ~width k a = wrap ~width (shl ~width k a)
 end
 
 (* ---- known bits ---------------------------------------------------------- *)

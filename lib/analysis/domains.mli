@@ -3,7 +3,7 @@
     Every domain implements the same lattice signature: a finite-height
     lattice ([bottom], [top], [join], [leq]) plus one transfer function
     per netlist operator.  [Absint.Make] turns any such domain into a
-    forward fixpoint analysis over the {!Polysynth_hw.Netlist.t} DAG.
+    forward one-pass analysis over the {!Polysynth_hw.Netlist.t} DAG.
 
     Soundness contract: if a cell concretely evaluates (under
     {!Polysynth_hw.Netlist.eval}, i.e. clamped to [width] bits) to [v],
@@ -59,9 +59,9 @@ module Int_interval : sig
   val range : t -> (Z.t * Z.t) option
 end
 
-(** Wrap-aware intervals: [lo, hi] with [0 <= lo <= hi < 2^width]; a
-    transfer result spanning the full ring or straddling the wrap point
-    widens to top. *)
+(** Wrap-aware intervals: [lo, hi] with [0 <= lo <= hi < 2^width].  Each
+    transfer is {!Int_interval}'s, wrapped into the ring: a result
+    spanning the full ring or straddling the wrap point widens to top. *)
 module Interval : DOMAIN
 
 (** Per-bit three-valued facts (0 / 1 / unknown).  Bit 0 subsumes the

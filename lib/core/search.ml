@@ -93,9 +93,10 @@ let score options prog =
 (* Every representation of every polynomial, and every block binding, is
    interned once into one DAG; a combination is then costed by walking only
    the nodes live from its roots.  The walk reproduces [Netlist.of_dag],
-   [Cost.of_netlist] and [Dag.counts]: a live node is a cell whose fanins
-   are its operands, except that the constant of a one-constant
-   multiplication folds into the Cmult.  The walk follows cell fanins only,
+   [Cost.of_netlist] and [Dag.counts]: a live node is the cell
+   [Netlist.lower_node] makes of it, priced by [Cost.cell_area] and
+   [Cost.cell_delay], so the constant of a one-constant multiplication
+   folds into the Cmult.  The walk follows cell fanins only,
    so a constant that feeds nothing but Cmults is never visited, just as
    [Netlist.of_dag] drops it.  Area and operator counts are integer sums and
    delay is a max over arrivals, so the visiting order cannot change a
@@ -129,38 +130,19 @@ let shared_scorer options (r : Represent.t) =
   let fanin = Array.make (2 * size) (-1) in
   let area = Array.make size 0 and delay = Array.make size 0.0 in
   let ops = Array.make size 0 in
-  let const_of j =
-    match Dag.node dag j with Dag.Nconst c -> Some c | _ -> None
-  in
   List.iter
     (fun (id : Dag.id) ->
       let i = (id :> int) in
-      let cell ~op a b cell_area cell_delay =
-        fanin.(2 * i) <- a;
-        fanin.((2 * i) + 1) <- b;
-        area.(i) <- cell_area;
-        delay.(i) <- cell_delay;
-        ops.(i) <- op
-      in
-      match Dag.node dag id with
-      | Dag.Nconst _ | Dag.Nvar _ -> ()
-      | Dag.Nneg a ->
-        cell ~op:0 (a :> int) (-1) (model.Cost.neg_area m)
-          (model.Cost.neg_delay m)
-      | Dag.Nadd (a, b) | Dag.Nsub (a, b) ->
-        cell ~op:1 (a :> int) (b :> int) (model.Cost.add_area m)
-          (model.Cost.add_delay m)
-      | Dag.Nmul (a, b) -> (
-          match const_of a, const_of b with
-          | Some c, None ->
-            cell ~op:1 (b :> int) (-1) (model.Cost.cmult_area m c)
-              (model.Cost.cmult_delay m c)
-          | None, Some c ->
-            cell ~op:1 (a :> int) (-1) (model.Cost.cmult_area m c)
-              (model.Cost.cmult_delay m c)
-          | Some _, Some _ | None, None ->
-            cell ~op:1 (a :> int) (b :> int) (model.Cost.mult_area m)
-              (model.Cost.mult_delay m)))
+      let op, args = Netlist.lower_node dag id in
+      List.iteri (fun k (a : Dag.id) -> fanin.((2 * i) + k) <- (a :> int)) args;
+      area.(i) <- Cost.cell_area model m op;
+      delay.(i) <- Cost.cell_delay model m op;
+      ops.(i) <-
+        (match op with
+         | Netlist.Input _ | Netlist.Constant _ | Netlist.Negate
+         | Netlist.Shl _ ->
+           0
+         | Netlist.Add2 | Netlist.Sub2 | Netlist.Mult2 | Netlist.Cmult _ -> 1))
     (Dag.live dag ~roots:flat_ids);
   (* scratch for one combination; a node belongs to the current one when
      its stamp equals [epoch], and [order] lists those nodes operands

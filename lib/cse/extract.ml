@@ -364,8 +364,10 @@ let num_rewritten before after =
 
 (* ---- main loop -------------------------------------------------------------------- *)
 
-let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true)
-    ?(max_iters = 100) polys =
+(* bound on the number of greedy extractions in one run *)
+let max_iters = 100
+
+let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
   let encoded =
     match mode with
     | Coeff_literals -> List.map encode_coeff_literals polys

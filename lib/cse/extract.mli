@@ -55,13 +55,12 @@ val run :
   ?mode:mode ->
   ?strategy:strategy ->
   ?signs:bool ->
-  ?max_iters:int ->
   Poly.t list ->
   result
 (** [mode] defaults to [Coeff_literals]; [signs] (default true) also
     matches sub-expressions up to negation ([P = S + A] together with
-    [P' = S - A]), an enhancement beyond [13] that the baseline disables;
-    [max_iters] (default 100) bounds the number of greedy extractions. *)
+    [P' = S - A]), an enhancement beyond [13] that the baseline disables.
+    At most 100 greedy extractions are made. *)
 
 val clear_cost_memo : unit -> unit
 (** Invalidate the domain-local flat-cost memo in every domain (the

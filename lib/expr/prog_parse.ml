@@ -40,12 +40,14 @@ let program_exn text =
   in
   let defs = List.map parse_entry entries in
   if defs = [] then raise (Parse_error "empty program");
-  (* duplicate and forward-reference checks *)
+  (* duplicate, self-reference and forward-reference checks *)
   let rec check_scope seen = function
     | [] -> ()
     | (name, expr) :: rest ->
       if List.mem name seen then
         raise (Parse_error ("duplicate definition of " ^ name));
+      if List.mem name (Expr.vars expr) then
+        raise (Parse_error (name ^ " refers to itself"));
       List.iter
         (fun v ->
           let defined_later = List.mem_assoc v rest in

@@ -21,8 +21,9 @@ exception Parse_error of string
 (** Raised by {!program_exn} only. *)
 
 val program : string -> (Prog.t, error) result
-(** [Error (`Parse _)] on malformed input, duplicate definitions, forward
-    references, or programs with no outputs. *)
+(** [Error (`Parse _)] on malformed input, duplicate definitions, a
+    definition that refers to itself, forward references, or programs
+    with no outputs. *)
 
 val program_exn : string -> Prog.t
 (** @raise Parse_error under the same conditions. *)

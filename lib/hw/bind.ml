@@ -7,22 +7,32 @@ type binding = {
   mux_inputs : int;
 }
 
-type unit_class = Free | Mult_unit | Add_unit
+let class_code = function
+  | Schedule.Free -> 0
+  | Schedule.Mult_unit -> 1
+  | Schedule.Add_unit -> 2
 
-let class_of op =
-  match (op : Netlist.op) with
-  | Netlist.Input _ | Netlist.Constant _ | Netlist.Negate | Netlist.Shl _ ->
-    Free
-  | Netlist.Mult2 -> Mult_unit
-  | Netlist.Add2 | Netlist.Sub2 | Netlist.Cmult _ -> Add_unit
-
-let class_code = function Free -> 0 | Mult_unit -> 1 | Add_unit -> 2
-
-let duration (lm : Schedule.latency_model) op =
-  match class_of op with
-  | Free -> 0
-  | Mult_unit -> lm.Schedule.mult_cycles
-  | Add_unit -> lm.Schedule.add_cycles
+(* a value is alive from its finish step to the latest start step of a
+   consumer, and outputs stay alive to the end: [(finish, last_use)], with
+   [last_use.(i) = -1] for a value nothing reads *)
+let lifetimes lm (n : Netlist.t) (s : Schedule.schedule) =
+  let cells = n.Netlist.cells in
+  let finish i =
+    s.Schedule.start_step.(i) + Schedule.duration lm cells.(i).Netlist.op
+  in
+  let last_use = Array.make (Array.length cells) (-1) in
+  Array.iter
+    (fun cell ->
+      List.iter
+        (fun src ->
+          last_use.(src) <-
+            Stdlib.max last_use.(src) s.Schedule.start_step.(cell.Netlist.id))
+        cell.Netlist.fanin)
+    cells;
+  List.iter
+    (fun (_, i) -> last_use.(i) <- Stdlib.max last_use.(i) s.Schedule.latency)
+    n.Netlist.outputs;
+  (finish, last_use)
 
 let bind ?(latency_model = Schedule.default_latency) _resources
     (n : Netlist.t) (s : Schedule.schedule) =
@@ -38,7 +48,7 @@ let bind ?(latency_model = Schedule.default_latency) _resources
     let units : int ref list ref = ref [] in
     let order =
       Array.to_list cells
-      |> List.filter (fun c -> class_of c.Netlist.op = cls)
+      |> List.filter (fun c -> Schedule.class_of c.Netlist.op = cls)
       |> List.sort (fun a b ->
              let sa = s.Schedule.start_step.(a.Netlist.id)
              and sb = s.Schedule.start_step.(b.Netlist.id) in
@@ -48,7 +58,7 @@ let bind ?(latency_model = Schedule.default_latency) _resources
     List.iter
       (fun cell ->
         let t = s.Schedule.start_step.(cell.Netlist.id) in
-        let fin = t + duration lm cell.Netlist.op in
+        let fin = t + Schedule.duration lm cell.Netlist.op in
         let rec find i = function
           | [] ->
             units := !units @ [ ref fin ];
@@ -65,29 +75,16 @@ let bind ?(latency_model = Schedule.default_latency) _resources
       order;
     List.length !units
   in
-  let num_multipliers = assign Mult_unit in
-  let num_adders = assign Add_unit in
+  let num_multipliers = assign Schedule.Mult_unit in
+  let num_adders = assign Schedule.Add_unit in
   (* ---- registers: left-edge on lifetimes ------------------------------- *)
-  (* a value is alive from its finish step to the latest start step of a
-     consumer; it needs a register iff that interval is non-empty *)
-  let finish i = s.Schedule.start_step.(i) + duration lm cells.(i).Netlist.op in
-  let last_use = Array.make num (-1) in
-  Array.iter
-    (fun cell ->
-      List.iter
-        (fun src ->
-          last_use.(src) <-
-            Stdlib.max last_use.(src) s.Schedule.start_step.(cell.Netlist.id))
-        cell.Netlist.fanin)
-    cells;
-  (* outputs stay alive to the end *)
-  List.iter
-    (fun (_, i) -> last_use.(i) <- Stdlib.max last_use.(i) s.Schedule.latency)
-    n.Netlist.outputs;
+  (* a value needs a register iff its lifetime interval is non-empty *)
+  let finish, last_use = lifetimes lm n s in
   let needs_register i =
-    match class_of cells.(i).Netlist.op with
-    | Free -> false (* wires/constants/inputs are always available *)
-    | Mult_unit | Add_unit -> last_use.(i) > finish i || last_use.(i) < 0
+    match Schedule.class_of cells.(i).Netlist.op with
+    | Schedule.Free -> false (* wires/constants/inputs are always available *)
+    | Schedule.Mult_unit | Schedule.Add_unit ->
+      last_use.(i) > finish i || last_use.(i) < 0
   in
   let intervals =
     Array.to_list cells
@@ -114,9 +111,9 @@ let bind ?(latency_model = Schedule.default_latency) _resources
   let tbl = Hashtbl.create 32 in
   Array.iter
     (fun cell ->
-      match class_of cell.Netlist.op with
-      | Free -> ()
-      | Mult_unit | Add_unit ->
+      match Schedule.class_of cell.Netlist.op with
+      | Schedule.Free -> ()
+      | Schedule.Mult_unit | Schedule.Add_unit ->
         List.iteri
           (fun port src ->
             let key = (unit_of.(cell.Netlist.id), port) in
@@ -140,39 +137,22 @@ let bind ?(latency_model = Schedule.default_latency) _resources
 let is_consistent (n : Netlist.t) (s : Schedule.schedule) b =
   let cells = n.Netlist.cells in
   let num = Array.length cells in
-  let lm = Schedule.default_latency in
+  let finish, last_use = lifetimes Schedule.default_latency n s in
   let ok = ref true in
   (* units: no temporal overlap on the same physical unit *)
   for i = 0 to num - 1 do
     for j = i + 1 to num - 1 do
       let ci = cells.(i) and cj = cells.(j) in
       if
-        class_of ci.Netlist.op <> Free
+        Schedule.class_of ci.Netlist.op <> Schedule.Free
         && b.unit_of.(i) = b.unit_of.(j)
-        && class_of ci.Netlist.op = class_of cj.Netlist.op
-      then begin
-        let si = s.Schedule.start_step.(i)
-        and sj = s.Schedule.start_step.(j) in
-        let fi = si + duration lm ci.Netlist.op
-        and fj = sj + duration lm cj.Netlist.op in
-        if si < fj && sj < fi then ok := false
-      end
+        && Schedule.class_of ci.Netlist.op = Schedule.class_of cj.Netlist.op
+        && s.Schedule.start_step.(i) < finish j
+        && s.Schedule.start_step.(j) < finish i
+      then ok := false
     done
   done;
   (* registers: overlapping lifetimes never share *)
-  let finish i = s.Schedule.start_step.(i) + duration lm cells.(i).Netlist.op in
-  let last_use = Array.make num (-1) in
-  Array.iter
-    (fun cell ->
-      List.iter
-        (fun src ->
-          last_use.(src) <-
-            Stdlib.max last_use.(src) s.Schedule.start_step.(cell.Netlist.id))
-        cell.Netlist.fanin)
-    cells;
-  List.iter
-    (fun (_, i) -> last_use.(i) <- Stdlib.max last_use.(i) s.Schedule.latency)
-    n.Netlist.outputs;
   for i = 0 to num - 1 do
     for j = i + 1 to num - 1 do
       if

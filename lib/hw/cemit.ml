@@ -52,29 +52,15 @@ let emit ?(func_name = "polysynth") ?self_check ?(seed = 1) (n : Netlist.t) =
   (match self_check with
    | None -> ()
    | Some vectors ->
-     let rng = Rng.make seed in
+     let draw = Netlist.draw_inputs (Rng.make seed) n in
      add "\nint main(void) {\n";
      add "  int errors = 0;\n";
      List.iter
        (fun (name, _) -> add "  word %s;\n" (Verilog.legalize name))
        n.Netlist.outputs;
      for _ = 1 to vectors do
-       let assignment =
-         List.map
-           (fun v ->
-             let hi = Rng.next rng (1 lsl 30) and lo = Rng.next rng (1 lsl 30) in
-             let value =
-               Z.erem_pow2
-                 (Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo))
-                 w
-             in
-             (v, value))
-           inputs
-       in
-       let env v =
-         match List.assoc_opt v assignment with Some x -> x | None -> Z.zero
-       in
-       let expected = Netlist.eval n env in
+       let assignment = draw () in
+       let expected = Netlist.eval n (fun v -> List.assoc v assignment) in
        let args =
          List.map (fun (_, value) -> "UINT64_C(" ^ Z.to_string value ^ ")")
            assignment

@@ -48,6 +48,22 @@ let default =
     fanout_delay = 0.7;
   }
 
+let cell_area model m (op : Netlist.op) =
+  match op with
+  | Netlist.Input _ | Netlist.Constant _ | Netlist.Shl _ -> 0
+  | Netlist.Negate -> model.neg_area m
+  | Netlist.Add2 | Netlist.Sub2 -> model.add_area m
+  | Netlist.Mult2 -> model.mult_area m
+  | Netlist.Cmult c -> model.cmult_area m c
+
+let cell_delay model m (op : Netlist.op) =
+  match op with
+  | Netlist.Input _ | Netlist.Constant _ | Netlist.Shl _ -> 0.0
+  | Netlist.Negate -> model.neg_delay m
+  | Netlist.Add2 | Netlist.Sub2 -> model.add_delay m
+  | Netlist.Mult2 -> model.mult_delay m
+  | Netlist.Cmult c -> model.cmult_delay m c
+
 type report = {
   area : int;
   delay : float;
@@ -78,23 +94,21 @@ let of_netlist ?(model = default) (n : Netlist.t) =
           (fun acc i -> Float.max acc arrival.(i))
           0.0 cell.fanin
       in
-      let cell_area, cell_delay, kind =
+      let kind =
         match cell.op with
-        | Input _ | Constant _ -> (0, 0.0, `Free)
-        | Negate -> (model.neg_area m, model.neg_delay m, `Free)
-        | Add2 | Sub2 -> (model.add_area m, model.add_delay m, `Add)
-        | Mult2 -> (model.mult_area m, model.mult_delay m, `Mult)
-        | Cmult c -> (model.cmult_area m c, model.cmult_delay m c, `Cmult)
-        | Shl _ -> (0, 0.0, `Free)
+        | Input _ | Constant _ | Negate | Shl _ -> `Free
+        | Add2 | Sub2 -> `Add
+        | Mult2 -> `Mult
+        | Cmult _ -> `Cmult
       in
       let load =
         model.fanout_delay *. float_of_int (Stdlib.max 0 (fanout.(cell.id) - 1))
       in
-      arrival.(cell.id) <- fanin_arrival +. cell_delay +. load;
+      arrival.(cell.id) <- fanin_arrival +. cell_delay model m cell.op +. load;
       let r = !report in
       report :=
         {
-          area = r.area + cell_area;
+          area = r.area + cell_area model m cell.op;
           delay = Float.max r.delay arrival.(cell.id);
           num_mults = (r.num_mults + match kind with `Mult -> 1 | _ -> 0);
           num_cmults = (r.num_cmults + match kind with `Cmult -> 1 | _ -> 0);

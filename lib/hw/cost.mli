@@ -34,6 +34,15 @@ val csd_digits : Z.t -> int
 (** Number of non-zero digits in the canonical signed-digit (non-adjacent
     form) representation; 0 for zero, 1 for powers of two. *)
 
+val cell_area : model -> int -> Netlist.op -> int
+(** Gate equivalents of one cell at the given operand width: inputs,
+    constants and shifts are free wiring. *)
+
+val cell_delay : model -> int -> Netlist.op -> float
+(** Delay of one cell at the given operand width, before fanout load.
+    These two are the price list every costing of a netlist or DAG reads:
+    {!of_netlist}, {!Power}, {!Stage} and the search's scorer. *)
+
 type report = {
   area : int;  (** total gate equivalents *)
   delay : float;  (** critical path through the netlist *)

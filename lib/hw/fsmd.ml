@@ -25,15 +25,6 @@ type t = {
   width : int;
 }
 
-type unit_class = Free | Mult_unit | Add_unit
-
-let class_of op =
-  match (op : Netlist.op) with
-  | Netlist.Input _ | Netlist.Constant _ | Netlist.Negate | Netlist.Shl _ ->
-    Free
-  | Netlist.Mult2 -> Mult_unit
-  | Netlist.Add2 | Netlist.Sub2 | Netlist.Cmult _ -> Add_unit
-
 let build ?(latency_model = Schedule.default_latency) resources
     (n : Netlist.t) =
   let s = Schedule.list_schedule_exn ~latency_model resources n in
@@ -51,9 +42,9 @@ let build ?(latency_model = Schedule.default_latency) resources
   for i = num - 1 downto 0 do
     let cell = cells.(i) in
     let contribution =
-      match class_of cell.Netlist.op with
-      | Free -> last_use.(i)
-      | Mult_unit | Add_unit -> s.Schedule.start_step.(i)
+      match Schedule.class_of cell.Netlist.op with
+      | Schedule.Free -> last_use.(i)
+      | Schedule.Mult_unit | Schedule.Add_unit -> s.Schedule.start_step.(i)
     in
     List.iter
       (fun src -> last_use.(src) <- Stdlib.max last_use.(src) contribution)
@@ -67,9 +58,9 @@ let build ?(latency_model = Schedule.default_latency) resources
     Array.to_list cells
     |> List.filter_map (fun c ->
            let i = c.Netlist.id in
-           match class_of c.Netlist.op with
-           | Free -> None
-           | Mult_unit | Add_unit ->
+           match Schedule.class_of c.Netlist.op with
+           | Schedule.Free -> None
+           | Schedule.Mult_unit | Schedule.Add_unit ->
              let start = s.Schedule.start_step.(i) + 1 in
              Some (i, start, Stdlib.max last_use.(i) start))
     |> List.sort (fun (_, a, _) (_, b, _) -> Stdlib.compare a b)
@@ -107,9 +98,9 @@ let build ?(latency_model = Schedule.default_latency) resources
     Array.to_list cells
     |> List.filter_map (fun cell ->
            let i = cell.Netlist.id in
-           match class_of cell.Netlist.op with
-           | Free -> None
-           | Mult_unit | Add_unit ->
+           match Schedule.class_of cell.Netlist.op with
+           | Schedule.Free -> None
+           | Schedule.Mult_unit | Schedule.Add_unit ->
              let cls, idx = b.Bind.unit_of.(i) in
              Some
                {

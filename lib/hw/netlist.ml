@@ -1,6 +1,7 @@
 module Z = Polysynth_zint.Zint
 module Dag = Polysynth_expr.Dag
 module Prog = Polysynth_expr.Prog
+module Rng = Polysynth_zint.Xorshift
 
 type op =
   | Input of string
@@ -20,84 +21,52 @@ type t = {
   width : int;
 }
 
+let lower_node dag i =
+  let const_of j =
+    match Dag.node dag j with Dag.Nconst c -> Some c | _ -> None
+  in
+  match Dag.node dag i with
+  | Dag.Nconst c -> (Constant c, [])
+  | Dag.Nvar v -> (Input v, [])
+  | Dag.Nneg a -> (Negate, [ a ])
+  | Dag.Nadd (a, b) -> (Add2, [ a; b ])
+  | Dag.Nsub (a, b) -> (Sub2, [ a; b ])
+  | Dag.Nmul (a, b) -> (
+      (* a multiplication with exactly one constant operand becomes a
+         Cmult cell that embeds the value; only a (degenerate) product of
+         two constants keeps its operands *)
+      match const_of a, const_of b with
+      | Some ca, None -> (Cmult ca, [ b ])
+      | None, Some cb -> (Cmult cb, [ a ])
+      | Some _, Some _ | None, None -> (Mult2, [ a; b ]))
+
 let of_dag ~width dag ~outputs =
   let roots = List.map snd outputs in
   let live = Dag.live dag ~roots in
-  (* first pass: which constants survive as real cells? a constant feeding
-     only multiplications is folded into Cmult cells *)
-  let const_of i =
-    match Dag.node dag i with Dag.Nconst c -> Some c | _ -> None
-  in
-  let const_needed = Hashtbl.create 16 in
-  List.iter
-    (fun i ->
-      match Dag.node dag i with
-      | Dag.Nconst _ | Dag.Nvar _ -> ()
-      | Dag.Nneg a -> (
-          match const_of a with
-          | Some _ -> Hashtbl.replace const_needed a ()
-          | None -> ())
-      | Dag.Nadd (a, b) | Dag.Nsub (a, b) ->
-        List.iter
-          (fun x ->
-            match const_of x with
-            | Some _ -> Hashtbl.replace const_needed x ()
-            | None -> ())
-          [ a; b ]
-      | Dag.Nmul (a, b) -> (
-          (* a multiplication with exactly one constant operand becomes a
-             Cmult cell that embeds the value; only a (degenerate) product
-             of two constants keeps its operands as cells *)
-          match const_of a, const_of b with
-          | Some _, Some _ ->
-            Hashtbl.replace const_needed a ();
-            Hashtbl.replace const_needed b ()
-          | _ -> ()))
-    live;
-  List.iter
-    (fun (_, r) ->
-      match const_of r with
-      | Some _ -> Hashtbl.replace const_needed r ()
-      | None -> ())
-    outputs;
-  let id_map = Hashtbl.create 64 in
-  let cells = ref [] in
-  let next = ref 0 in
-  let emit op fanin =
-    let id = !next in
-    incr next;
-    cells := { id; op; fanin } :: !cells;
-    id
-  in
-  List.iter
-    (fun i ->
-      let skip_const =
-        match const_of i with
-        | Some _ -> not (Hashtbl.mem const_needed i)
-        | None -> false
-      in
-      if not skip_const then begin
-        let resolve j = Hashtbl.find id_map j in
-        let cell_id =
-          match Dag.node dag i with
-          | Dag.Nconst c -> emit (Constant c) []
-          | Dag.Nvar v -> emit (Input v) []
-          | Dag.Nneg a -> emit Negate [ resolve a ]
-          | Dag.Nadd (a, b) -> emit Add2 [ resolve a; resolve b ]
-          | Dag.Nsub (a, b) -> emit Sub2 [ resolve a; resolve b ]
-          | Dag.Nmul (a, b) -> (
-              match const_of a, const_of b with
-              | Some ca, None -> emit (Cmult ca) [ resolve b ]
-              | None, Some cb -> emit (Cmult cb) [ resolve a ]
-              | Some _, Some _ | None, None ->
-                emit Mult2 [ resolve a; resolve b ])
-        in
-        Hashtbl.replace id_map i cell_id
-      end)
-    live;
+  let lowered = List.map (lower_node dag) live in
+  (* first pass: mark the nodes some cell reads and the outputs; a
+     constant becomes a cell only when marked, so one feeding nothing but
+     multiplications lives on only inside their Cmult cells *)
+  let needed = Array.make (Dag.num_nodes dag) false in
+  let need (i : Dag.id) = needed.((i :> int)) <- true in
+  List.iter (fun (_, args) -> List.iter need args) lowered;
+  List.iter need roots;
+  (* second pass: one cell per live node, constants only where needed *)
+  let cell_of = Array.make (Dag.num_nodes dag) (-1) in
+  let resolve (i : Dag.id) = cell_of.((i :> int)) in
+  let cells = ref [] and next = ref 0 in
+  List.iter2
+    (fun (i : Dag.id) (op, args) ->
+      match op with
+      | Constant _ when not needed.((i :> int)) -> ()
+      | _ ->
+        cells := { id = !next; op; fanin = List.map resolve args } :: !cells;
+        cell_of.((i :> int)) <- !next;
+        incr next)
+    live lowered;
   {
     cells = Array.of_list (List.rev !cells);
-    outputs = List.map (fun (n, r) -> (n, Hashtbl.find id_map r)) outputs;
+    outputs = List.map (fun (n, r) -> (n, resolve r)) outputs;
     width;
   }
 
@@ -173,9 +142,8 @@ let to_prog n =
     outputs = List.map (fun (nm, id) -> (nm, exprs.(id))) n.outputs;
   }
 
-let eval n env =
+let values n env =
   let values = Array.make (Array.length n.cells) Z.zero in
-  let clamp v = Z.erem_pow2 v n.width in
   Array.iter
     (fun cell ->
       let arg k = values.(List.nth cell.fanin k) in
@@ -190,6 +158,21 @@ let eval n env =
         | Cmult c -> Z.mul c (arg 0)
         | Shl k -> Z.mul (Z.pow2 k) (arg 0)
       in
-      values.(cell.id) <- clamp v)
+      values.(cell.id) <- Z.erem_pow2 v n.width)
     n.cells;
+  values
+
+let eval n env =
+  let values = values n env in
   List.map (fun (name, id) -> (name, values.(id))) n.outputs
+
+let draw_inputs rng n =
+  let inputs = inputs n in
+  fun () ->
+    List.map
+      (fun v ->
+        (* two limbs so widths above 30 still get full-range values *)
+        let hi = Rng.next rng (1 lsl 30) and lo = Rng.next rng (1 lsl 30) in
+        let word = Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo) in
+        (v, Z.erem_pow2 word n.width))
+      inputs

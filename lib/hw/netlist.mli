@@ -28,6 +28,12 @@ type t = {
   width : int;  (** operand bit-width *)
 }
 
+val lower_node : Dag.t -> Dag.id -> op * Dag.id list
+(** The operator a DAG node lowers to, with the nodes it reads: a
+    multiplication with exactly one constant operand becomes a [Cmult]
+    that embeds the constant and reads only the other operand.  This is
+    the rule {!of_dag} applies to every live node. *)
+
 val of_dag : width:int -> Dag.t -> outputs:(string * Dag.id) list -> t
 (** Keep only the nodes reachable from the outputs; multiplications with a
     constant operand become [Cmult] cells (the constant cell itself is kept
@@ -49,6 +55,19 @@ val to_prog : t -> Polysynth_expr.Prog.t
     outputs as {!eval} once results are reduced mod [2^width] — this is
     what lets {!Polysynth_analysis.Equiv} certify netlist rewrites. *)
 
+val values : t -> (string -> Z.t) -> Z.t array
+(** Bit-accurate evaluation: every cell's value, indexed by cell id, each
+    reduced into [[0, 2^width)] (wrap-around bit-vector arithmetic).
+    {!eval}, {!Power} and the emitters' expected values all come from
+    here. *)
+
 val eval : t -> (string -> Z.t) -> (string * Z.t) list
-(** Bit-accurate evaluation: every cell result is reduced into
-    [[0, 2^width)] (wrap-around bit-vector arithmetic). *)
+(** The output values of {!values}, by output name and in output order. *)
+
+val draw_inputs :
+  Polysynth_zint.Xorshift.t -> t -> unit -> (string * Z.t) list
+(** [draw_inputs rng n] is a generator of random input vectors for [n]:
+    each call draws one word in [[0, 2^width)] per input, in {!inputs}
+    order, from two 30-bit draws of [rng] (so widths above 30 bits get
+    full-range values).  Test benches, C self-checks and power estimation
+    all draw their vectors here. *)

@@ -22,6 +22,18 @@ type latency_model = {
 val default_latency : latency_model
 (** Two-cycle multipliers, single-cycle adders. *)
 
+type unit_class =
+  | Free  (** inputs, constants, negations and shifts: wiring *)
+  | Mult_unit  (** general multiplications *)
+  | Add_unit  (** additions, subtractions and constant multiplications *)
+
+val class_of : Netlist.op -> unit_class
+(** The functional-unit class an operator runs on; {!Bind} and
+    {!Fsmd} read the same classes. *)
+
+val duration : latency_model -> Netlist.op -> int
+(** Steps an operator occupies its unit: 0 for [Free] operators. *)
+
 type schedule = {
   start_step : int array;  (** indexed by cell id; inputs/constants at 0 *)
   latency : int;  (** first step at which every output is available *)

@@ -5,14 +5,6 @@ type staging = {
   achieved_period : float;
 }
 
-let cell_delay (model : Cost.model) width op =
-  match (op : Netlist.op) with
-  | Netlist.Input _ | Netlist.Constant _ | Netlist.Shl _ -> 0.0
-  | Netlist.Negate -> model.Cost.neg_delay width
-  | Netlist.Add2 | Netlist.Sub2 -> model.Cost.add_delay width
-  | Netlist.Mult2 -> model.Cost.mult_delay width
-  | Netlist.Cmult c -> model.Cost.cmult_delay width c
-
 let cut ?(model = Cost.default) ~target_period (n : Netlist.t) =
   if target_period <= 0.0 then invalid_arg "Stage.cut: non-positive period";
   let cells = n.Netlist.cells in
@@ -23,7 +15,7 @@ let cut ?(model = Cost.default) ~target_period (n : Netlist.t) =
   Array.iter
     (fun cell ->
       let i = cell.Netlist.id in
-      let d = cell_delay model w cell.Netlist.op in
+      let d = Cost.cell_delay model w cell.Netlist.op in
       (* candidate stage: the latest fanin stage *)
       let s0 =
         List.fold_left
@@ -93,7 +85,7 @@ let is_valid ?(model = Cost.default) (n : Netlist.t) s =
   Array.iter
     (fun cell ->
       let i = cell.Netlist.id in
-      let d = cell_delay model w cell.Netlist.op in
+      let d = Cost.cell_delay model w cell.Netlist.op in
       let a =
         List.fold_left
           (fun acc src ->

@@ -5,9 +5,8 @@ module Rng = Polysynth_zint.Xorshift
 let emit ?(module_name = "polysynth") ?(vectors = 16) ?(seed = 1)
     (n : Netlist.t) =
   let w = n.Netlist.width in
-  let rng = Rng.make seed in
+  let draw = Netlist.draw_inputs (Rng.make seed) n in
   let inputs = List.map Verilog.legalize (Netlist.inputs n) in
-  let raw_inputs = Netlist.inputs n in
   let outputs = List.map (fun (name, _) -> Verilog.legalize name) n.Netlist.outputs in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
@@ -22,27 +21,13 @@ let emit ?(module_name = "polysynth") ?(vectors = 16) ?(seed = 1)
        (List.map (fun p -> Printf.sprintf ".%s(%s)" p p) (inputs @ outputs)));
   add "  initial begin\n";
   for _ = 1 to vectors do
-    let assignment =
-      List.map
-        (fun v ->
-          let hi = Rng.next rng (1 lsl 30) and lo = Rng.next rng (1 lsl 30) in
-          let value =
-            Z.erem_pow2
-              (Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo))
-              w
-          in
-          (v, value))
-        raw_inputs
-    in
+    let assignment = draw () in
     List.iter
       (fun (v, value) ->
         add "    %s = %d'd%s;\n" (Verilog.legalize v) w (Z.to_string value))
       assignment;
     add "    #1;\n";
-    let env v =
-      match List.assoc_opt v assignment with Some x -> x | None -> Z.zero
-    in
-    let expected = Netlist.eval n env in
+    let expected = Netlist.eval n (fun v -> List.assoc v assignment) in
     List.iter
       (fun (name, _) ->
         let value = List.assoc name expected in

@@ -609,6 +609,77 @@ let test_bind_consistent_on_examples () =
           (Bind.is_consistent n s b))
     example_systems
 
+(* ---- emitters and analyses pinned on Proposed netlists ------------------ *)
+
+(* One MD5 per artifact over the Proposed netlists of five systems at
+   widths 8, 16 and 48 (above 30 bits the input draw needs both limbs):
+   the testbench, the self-checking C file, the product analysis, the
+   width lint in both modes and the pipeline cut at period 30.  Recorded
+   before evaluation, prices and input draws each moved to one home. *)
+let pinned_artifacts =
+  [
+    ("testbench", "3421818b796b40a1c16875afe5231847");
+    ("c self-check", "8f2b3fa238695df4f83b5e461e4a39b3");
+    ("product analysis", "2621ea6714a02a1f11f5070267dfa94d");
+    ("width lint", "24997f828586e1b8267587174cf850e1");
+    ("pipeline cut", "1dd1bce6517c5f42a37b1bfc5092acd4");
+  ]
+
+let test_pinned_proposed_artifacts () =
+  let module Testbench = Polysynth_hw.Testbench in
+  let module Cemit = Polysynth_hw.Cemit in
+  let module Stage = Polysynth_hw.Stage in
+  let systems =
+    [ Ex.table_14_1; Ex.table_14_2 ]
+    @ List.map
+        (fun name -> (Option.get (B.by_name name)).B.polys)
+        [ "Quad"; "Mibench"; "MVCS" ]
+  in
+  let netlists =
+    List.concat_map
+      (fun polys ->
+        List.map
+          (fun width ->
+            let config =
+              {
+                (Engine.Config.default ~width) with
+                Engine.Config.parallelism = 1;
+                certify = false;
+              }
+            in
+            let r, _ = Engine.synthesize config polys in
+            Netlist.of_prog ~width r.Engine.prog)
+          [ 8; 16; 48 ])
+      systems
+  in
+  let lines f = String.concat "\n" (List.concat_map f netlists) in
+  let artifact = function
+    | "testbench" -> lines (fun n -> [ Testbench.emit n ])
+    | "c self-check" -> lines (fun n -> [ Cemit.emit ~self_check:16 n ])
+    | "product analysis" ->
+      lines (fun n ->
+          Absint.Product_analysis.to_strings n (Absint.analyze_product n))
+    | "width lint" ->
+      lines (fun n ->
+          List.map Diag.to_string
+            (Widths.check_netlist ~mode:Widths.Exact n
+            @ Widths.check_netlist ~mode:Widths.Ring n))
+    | _ ->
+      lines (fun n ->
+          let s = Stage.cut ~target_period:30.0 n in
+          [
+            Printf.sprintf "%d %d %h [%s]" s.Stage.num_stages
+              s.Stage.pipeline_registers s.Stage.achieved_period
+              (String.concat ";"
+                 (Array.to_list (Array.map string_of_int s.Stage.stage_of)));
+          ])
+  in
+  List.iter
+    (fun (name, expected) ->
+      Alcotest.(check string) name expected
+        (Digest.to_hex (Digest.string (artifact name))))
+    pinned_artifacts
+
 let test_suite_binding_pass_and_exit_code () =
   (* the default suite runs the cross-check and reports nothing on a
      healthy program ... *)
@@ -731,6 +802,11 @@ let () =
             test_bind_consistent_on_examples;
           Alcotest.test_case "suite cross-check and exit code" `Quick
             test_suite_binding_pass_and_exit_code;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "proposed netlist artifacts" `Quick
+            test_pinned_proposed_artifacts;
         ] );
       ( "integration",
         [

@@ -67,6 +67,28 @@ let test_bad_values () =
       Alcotest.(check int) (args ^ " synthesizes") 0 (run ~input:"x*y+x+3*y" args))
     [ "--pipeline=2"; "--jobs=0"; "--time-budget=0"; "--candidate-budget=0" ]
 
+(* C emission is 64-bit: a wider datapath is a usage error, reported
+   before any synthesis and without writing the file *)
+let test_emit_c_width () =
+  let file = Filename.temp_file "polysynth" ".c" in
+  Sys.remove file;
+  let emit width =
+    run ~input:"x*y+x"
+      (Printf.sprintf "--width %d --emit-c %s" width (Filename.quote file))
+  in
+  Alcotest.(check int) "--width 100 --emit-c is a usage error" 1 (emit 100);
+  Alcotest.(check bool) "no file written" false (Sys.file_exists file);
+  Alcotest.(check int) "--width 64 --emit-c writes C" 0 (emit 64);
+  Alcotest.(check bool) "file written" true (Sys.file_exists file);
+  Sys.remove file
+
+(* a binding that reads its own name is a program error, not an input *)
+let test_evaluate_self_reference () =
+  Alcotest.(check int) "t = t + 1 is rejected" 1
+    (run ~input:"t = t + 1\nP1 = t*x" "--evaluate");
+  Alcotest.(check int) "t = x + 1 is costed" 0
+    (run ~input:"t = x + 1\nP1 = t*x" "--evaluate")
+
 let range_line bits growth =
   Printf.sprintf
     "range analysis: widest intermediate needs %d bits (growth %d over the \
@@ -205,6 +227,10 @@ let () =
         [
           Alcotest.test_case "invalid values are rejected" `Quick
             test_bad_values;
+          Alcotest.test_case "emit-c above 64 bits is rejected" `Quick
+            test_emit_c_width;
+          Alcotest.test_case "evaluate rejects self-reference" `Quick
+            test_evaluate_self_reference;
         ] );
       ( "range", [ Alcotest.test_case "figures" `Quick test_range_figures ] );
       ( "check",

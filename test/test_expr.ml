@@ -250,6 +250,7 @@ let test_prog_parse_errors () =
   bad "x + 1" "missing '='";
   bad "a = x\na = y\nz = a" "duplicate";
   bad "a = b + 1\nb = x\nout = a + b" "forward reference";
+  bad "t = t + 1\nP1 = t*x" "t refers to itself";
   bad "" "empty";
   bad "1bad = x\nout = 1bad" "bad definition name"
 
