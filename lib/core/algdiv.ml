@@ -6,16 +6,37 @@ module Dag = Polysynth_expr.Dag
 module Kernel = Polysynth_cse.Kernel
 module Squarefree = Polysynth_factor.Squarefree
 
-module PolyTbl = Hashtbl.Make (Poly)
+(* a memo key carries its polynomial's hash, so a miss hashes it once *)
+module Key = struct
+  type t = { poly : Poly.t; hash : int }
+
+  let equal a b = a.hash = b.hash && Poly.equal a.poly b.poly
+  let hash k = k.hash
+end
+
+module Memo = Hashtbl.Make (Key)
+
+(* a divisor and its block name, registered in the table on first use *)
+type divisor = { div : Poly.t; mutable name : string option }
 
 type session = {
   table : Blocktab.t;
-  divs : Poly.t list;
-  memo : Expr.t PolyTbl.t;
+  divs : divisor list;
+  memo : Expr.t Memo.t;
 }
 
 let make_session table ~divisors =
-  { table; divs = divisors; memo = PolyTbl.create 64 }
+  { table;
+    divs = List.map (fun div -> { div; name = None }) divisors;
+    memo = Memo.create 64 }
+
+let divisor_name s d =
+  match d.name with
+  | Some name -> name
+  | None ->
+    let name = Blocktab.divisor_var s.table d.div in
+    d.name <- Some name;
+    name
 
 let cost e = Dag.total_ops (Dag.tree_counts e)
 
@@ -30,21 +51,19 @@ let cheapest candidates =
            if c < best_cost then (cand, c) else best)
          (first, cost first) rest)
 
+(* [p = c * primitive_part p]: the content with the sign of the leading
+   coefficient *)
+let content_factor p =
+  let c = Poly.content p in
+  if Z.is_negative (fst (Poly.leading p)) then Z.neg c else c
+
 (* expression for a possibly non-normalized linear root: strip the content
    onto a constant factor and reference the divisor block *)
 let root_expr s root =
-  let n = Blocks.normalize root in
-  if Blocks.is_linear n then begin
-    let const_ratio =
-      match Poly.div_exact root n with
-      | Some c -> Poly.to_const_opt c
-      | None -> None
-    in
-    match const_ratio with
-    | Some c ->
-      Expr.mul [ Expr.const c; Expr.var (Blocktab.divisor_var s.table n) ]
-    | None -> Expr.of_poly root
-  end
+  let c = content_factor root in
+  let n = Poly.div_scalar_exact root c in
+  if Blocks.is_linear n then
+    Expr.mul [ Expr.const c; Expr.var (Blocktab.divisor_var s.table n) ]
   else Expr.of_poly root
 
 (* Recursion is bounded: a polynomial reached [max_depth] levels down is
@@ -68,30 +87,27 @@ let could_be_perfect_power p =
        [ 2; 3; 5; 7 ]
 
 let rec decompose_at depth s p =
-  match PolyTbl.find_opt s.memo p with
+  let key = { Key.poly = p; hash = Poly.hash p } in
+  match Memo.find_opt s.memo key with
   | Some e -> e
   | None ->
     (* break potential cycles defensively: memoize the direct form first,
        then overwrite with the winner *)
-    PolyTbl.replace s.memo p (Expr.of_poly p);
-    let result = choose depth s p in
-    PolyTbl.replace s.memo p result;
+    let direct = Expr.of_poly p in
+    Memo.replace s.memo key direct;
+    let result = choose depth s p direct in
+    Memo.replace s.memo key result;
     result
 
-and choose depth s p =
-  if Poly.is_zero p || Poly.is_const p then Expr.of_poly p
+and choose depth s p direct =
+  if Poly.is_zero p || Poly.is_const p then direct
   else begin
     let deeper = decompose_at (depth + 1) s in
-    let direct = Expr.of_poly p in
     let content_candidate =
-      let pp = Poly.primitive_part p in
-      match Poly.div_exact p pp with
-      | Some c ->
-        (match Poly.to_const_opt c with
-         | Some c when not (Z.is_one (Z.abs c)) && Poly.num_terms p >= 2 ->
-           [ Expr.mul [ Expr.const c; deeper pp ] ]
-         | Some _ | None -> [])
-      | None -> []
+      let c = content_factor p in
+      if (not (Z.is_one (Z.abs c))) && Poly.num_terms p >= 2 then
+        [ Expr.mul [ Expr.const c; deeper (Poly.div_scalar_exact p c) ] ]
+      else []
     in
     let power_candidate =
       if not (could_be_perfect_power p) then []
@@ -107,10 +123,10 @@ and choose depth s p =
         let division_candidates =
           List.filter_map
             (fun d ->
-              let q, r = Poly.div_rem p d in
+              let q, r = Poly.div_rem p d.div in
               if Poly.is_zero q then None
               else begin
-                let dv = Blocktab.divisor_var s.table d in
+                let dv = divisor_name s d in
                 Some
                   (Expr.add [ Expr.mul [ Expr.var dv; deeper q ]; deeper r ])
               end)

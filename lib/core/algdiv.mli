@@ -23,9 +23,16 @@ type session
     the polynomial, at whatever recursion depth that was, so a caller that
     shares one session across polynomials fixes the order of its calls:
     {!Represent.build} fills one session per system, polynomial by
-    polynomial. *)
+    polynomial.  A memo key carries its polynomial's {!Poly.hash}, so a
+    miss hashes the polynomial once, and a miss builds the direct form
+    once: it is both the entry that guards against cycles and the first
+    candidate. *)
 
 val make_session : Blocktab.t -> divisors:Poly.t list -> session
+(** A divisor is named on first use: the first candidate that divides by
+    it registers it in the table ({!Blocktab.divisor_var}), and the
+    session keeps the name, so blocks are named in the order the
+    decomposition first uses them. *)
 
 val decompose : session -> Poly.t -> Expr.t
 (** Best decomposition found; expands back to the input polynomial (with

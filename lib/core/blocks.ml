@@ -4,19 +4,13 @@ module Kernel = Polysynth_cse.Kernel
 module Squarefree = Polysynth_factor.Squarefree
 module Linear_factors = Polysynth_factor.Linear_factors
 
-let normalize p =
-  if Poly.is_zero p then p
-  else
-    let pp = Poly.primitive_part p in
-    pp
-
 let is_linear p =
   (not (Poly.is_zero p)) && (not (Poly.is_const p)) && Poly.degree p = 1
 
 module PolySet = Set.Make (Poly)
 
 let add_candidate acc p =
-  let n = normalize p in
+  let n = Poly.primitive_part p in
   if is_linear n && Poly.num_terms n >= 2 then PolySet.add n acc else acc
 
 let candidates_of_poly acc p =

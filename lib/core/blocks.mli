@@ -16,9 +16,6 @@
 
 module Poly := Polysynth_poly.Poly
 
-val normalize : Poly.t -> Poly.t
-(** Primitive part with positive leading coefficient. *)
-
 val is_linear : Poly.t -> bool
 (** Total degree 1 (any number of variables, constant addend allowed). *)
 

@@ -145,12 +145,25 @@ and pow base k =
     | Pow (e, j) -> pow e (j * k)
     | Var _ | Add _ | Mul _ -> Pow (base, k)
 
+(* A term is built as [mul (const c :: factors)] would normalize it, without
+   the flattening and sorting: a monomial's variables are distinct and come
+   in name order, so the sorted factors are its exponent-1 variables, then
+   its powers, then [|c|] unless it is one, negated for a negative [c]. *)
 let of_poly p =
   let of_term (c, m) =
-    let factors =
-      List.map (fun (v, e) -> pow (var v) e) (Monomial.to_list m)
+    let vars, pows =
+      Monomial.fold
+        (fun (vars, pows) v e ->
+          if e = 1 then (Var v :: vars, pows) else (vars, Pow (Var v, e) :: pows))
+        ([], []) m
     in
-    mul (const c :: factors)
+    let c' = Z.abs c in
+    let parts =
+      List.rev_append vars
+        (List.rev_append pows (if Z.is_one c' then [] else [ Const c' ]))
+    in
+    let body = match parts with [] -> one | [ e ] -> e | parts -> Mul parts in
+    if Z.is_negative c then Neg body else body
   in
   add (List.map of_term (Poly.terms p))
 

@@ -37,4 +37,7 @@ val perfect_power_root : Poly.t -> (Poly.t * int) option
 
 val integer_root : Z.t -> int -> Z.t option
 (** [integer_root n k] is the exact [k]-th root of [n] when it exists
-    ([k >= 1]; negative [n] allowed for odd [k]). *)
+    ([k >= 1]; negative [n] allowed for odd [k]).  The cost is bounded by
+    bit length: a root of a [b]-bit value has about [b / k] bits, so a
+    binary search over that range takes about [b / k] steps, in native
+    ints when [n] fits one. *)

@@ -161,25 +161,61 @@ let pow p e =
 
 let add_list ps = List.fold_left add zero ps
 
-let div_rem a b =
-  if is_zero b then raise Division_by_zero;
-  let cb, mb = leading b in
-  let rec go q r =
+(* [r - cq*mq*b] in one merge, with no negated copy or product list: the
+   tail of [r] past the last term it touches is shared *)
+let sub_scaled r cq mq b =
+  let rec next r b =
+    match b with
+    | [] -> r
+    | (c, m) :: b -> insert r (Z.mul cq c) (Monomial.mul mq m) b
+  and insert r c m b =
     match r with
-    | [] -> (q, r)
-    | (cr, mr) :: _ ->
-      (match Monomial.div mr mb with
-       | Some mq when Z.divides cb cr ->
-         let cq = Z.divexact cr cb in
-         let t = term cq mq in
-         go (add q t) (sub r (mul_term cq mq b))
-       | Some _ | None ->
-         (* move the irreducible leading term into the remainder and keep
-            dividing what is left *)
-         let qrest, rrest = go q (List.tl r) in
-         (qrest, (cr, mr) :: rrest))
+    | (cr, mr) :: r' ->
+      let cmp = Monomial.compare mr m in
+      if cmp > 0 then (cr, mr) :: insert r' c m b
+      else if cmp = 0 then
+        let d = Z.sub cr c in
+        if Z.is_zero d then next r' b else (d, mr) :: next r' b
+      else (Z.neg c, m) :: next r b
+    | [] -> (Z.neg c, m) :: next r b
   in
-  go zero a
+  next r b
+
+(* The division's loops are top-level functions, so a division allocates
+   no closure.  [first_reducible cb mb r] is the suffix of [r] from its
+   first term reducible by [cb*mb]. *)
+let rec first_reducible cb mb r =
+  match r with
+  | [] -> []
+  | (c, m) :: rest ->
+    if Monomial.divides mb m && (Z.is_one cb || Z.divides cb c) then r
+    else first_reducible cb mb rest
+
+(* [r]'s terms before the suffix [from], pushed onto [acc] *)
+let rec push_until from acc r =
+  if r == from then acc
+  else match r with t :: r -> push_until from (t :: acc) r | [] -> acc
+
+(* Reduce the leading term of the running remainder [r] while it is
+   reducible and move it to the remainder while it is not.  Quotient terms
+   come out strictly descending, so they are collected in reverse and never
+   merge; once no term of [r] is reducible, [r] is the remainder's tail,
+   shared as it is. *)
+let rec divide cb mb b_tail q_rev rem_rev r =
+  match first_reducible cb mb r with
+  | [] -> (List.rev q_rev, List.rev_append rem_rev r)
+  | (cr, mr) :: rest as from ->
+    let mq =
+      match Monomial.div mr mb with Some mq -> mq | None -> assert false
+    in
+    let cq = if Z.is_one cb then cr else Z.divexact cr cb in
+    divide cb mb b_tail ((cq, mq) :: q_rev) (push_until from rem_rev r)
+      (sub_scaled rest cq mq b_tail)
+
+let div_rem a b =
+  match b with
+  | [] -> raise Division_by_zero
+  | (cb, mb) :: b_tail -> divide cb mb b_tail [] [] a
 
 let div_exact a b =
   if is_zero b then None

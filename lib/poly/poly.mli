@@ -88,7 +88,12 @@ val div_exact : t -> t -> t option
 val div_rem : t -> t -> t * t
 (** Multivariate division with remainder: [div_rem a b = (q, r)] with
     [a = q*b + r], where no term of [r] is reducible by the leading term of
-    [b] (monomial and coefficient divisibility).
+    [b] (monomial and coefficient divisibility).  The running remainder's
+    leading term is reduced while it is reducible and moved to [r] while it
+    is not, which over [Z] fixes [(q, r)]: [3x / (2x + 1)] is [(0, 3x)].
+    [r] may share its tail with [a]: once nothing left is reducible, that
+    part is returned as it is, so a division with a zero quotient returns
+    [a] itself as the remainder.
     @raise Division_by_zero when [b] is zero. *)
 
 val divides : t -> t -> bool

@@ -271,6 +271,25 @@ let prop_of_poly_exact =
       let q = E.to_poly e in
       P.equal q (E.to_poly (E.of_poly q)))
 
+(* the direct form as the smart constructors build it, kept as the
+   reference for [of_poly]'s construction of the same value *)
+let reference_of_poly q =
+  E.add
+    (List.map
+       (fun (c, m) ->
+         E.mul
+           (E.const c
+           :: List.map (fun (v, e) -> E.pow (E.var v) e) (Mono.to_list m)))
+       (P.terms q))
+
+let prop_of_poly_reference =
+  prop "of_poly builds the smart constructors' form"
+    QCheck.(pair arb_expr (int_range 0 30))
+    (fun (e, k) ->
+      (* scaled by 10^k: coefficients of one limb and of several *)
+      let q = P.mul_scalar (Z.pow (Z.of_int 10) k) (E.to_poly e) in
+      E.of_poly q = reference_of_poly q)
+
 let prop_dag_counts_at_most_tree =
   prop "sharing never increases cost" arb_expr (fun e ->
       let dag = Dag.create () in
@@ -350,6 +369,7 @@ let () =
           prop_eval_matches_poly;
           prop_dag_eval_matches;
           prop_of_poly_exact;
+          prop_of_poly_reference;
           prop_dag_counts_at_most_tree;
           prop_pp_parses_to_same_poly;
           prop_subst_identity;

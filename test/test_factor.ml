@@ -161,6 +161,57 @@ let test_integer_root () =
   check "k=1" 17 1 (Some 17);
   check "root of 0" 0 5 (Some 0)
 
+(* the earlier design's root search, kept as the reference: binary search
+   over all of [0, |n|] *)
+let reference_integer_root n k =
+  let root_abs n =
+    let rec search lo hi =
+      if Z.compare lo hi > 0 then None
+      else
+        let mid = Z.div (Z.add lo hi) Z.two in
+        let c = Z.compare (Z.pow mid k) n in
+        if c = 0 then Some mid
+        else if c < 0 then search (Z.add mid Z.one) hi
+        else search lo (Z.sub mid Z.one)
+    in
+    search Z.zero n
+  in
+  if k = 1 then Some n
+  else if Z.is_negative n then
+    if k land 1 = 0 then None else Option.map Z.neg (root_abs (Z.abs n))
+  else root_abs n
+
+let test_integer_root_reference () =
+  let zs = Z.of_string in
+  let near v = [ Z.sub v Z.one; v; Z.add v Z.one ] in
+  let powers =
+    List.concat_map
+      (fun r ->
+        List.concat_map (fun k -> near (Z.pow (zs r) k)) [ 2; 3; 4; 5; 6; 7 ])
+      [ "2"; "3"; "10"; "255"; "1000"; "65537"; "3037000499"; "2147483647";
+        "2147483648"; "1000000007"; "18446744073709551615" ]
+  in
+  let boundaries =
+    List.concat_map near
+      [ Z.of_int max_int; Z.pow2 62; Z.pow (Z.pow2 31) 2; Z.pow2 63;
+        Z.pow (Z.of_int 3037000499) 2; Z.pow2 30; Z.pow2 60; Z.pow2 120 ]
+  in
+  let values = (Z.zero :: powers) @ boundaries in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun k ->
+              let show = function None -> "none" | Some r -> Z.to_string r in
+              Alcotest.(check string)
+                (Printf.sprintf "root %d of %s" k (Z.to_string n))
+                (show (reference_integer_root n k))
+                (show (S.integer_root n k)))
+            [ 1; 2; 3; 4; 5; 6; 7 ])
+        [ n; Z.neg n ])
+    values
+
 (* linear factors --------------------------------------------------------------- *)
 
 module LF = Polysynth_factor.Linear_factors
@@ -529,6 +580,8 @@ let () =
           Alcotest.test_case "is_squarefree" `Quick test_squarefree_detects;
           Alcotest.test_case "perfect powers" `Quick test_perfect_power;
           Alcotest.test_case "integer roots" `Quick test_integer_root;
+          Alcotest.test_case "integer roots match the reference search" `Quick
+            test_integer_root_reference;
         ] );
       ( "linear_factors",
         [
