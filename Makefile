@@ -8,9 +8,10 @@
 #                evidence-record checker)
 #   make fmt     check formatting (skipped when ocamlformat is absent)
 #   make lint    verify + lint + certificate-guarded simplify over every
-#                benchmark and example system (exit 2 on a refuted/unknown
-#                certificate, 4 on a scheduler/binder invariant violation,
-#                3 on other error-severity findings)
+#                benchmark system, and over every example and test data
+#                system both exact and with --ring (exit 2 on a
+#                refuted/unknown certificate, 4 on a scheduler/binder
+#                invariant violation, 3 on other error-severity findings)
 #   make bench   benchmark smoke run: one short perfbench run per workload,
 #                failing unless every result is correct and none failed
 #   make bench-records
@@ -24,9 +25,12 @@ ci: build test test-py fmt lint fuzz bench bench-records
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
-	@for f in examples/data/*.poly; do \
-	  echo "== $$f"; \
-	  dune exec bin/polysynth.exe -- "$$f" --check --lint --simplify || exit $$?; \
+	@for f in examples/data/*.poly test/data/*.poly; do \
+	  for ring in "" --ring; do \
+	    echo "== $$f $$ring"; \
+	    dune exec bin/polysynth.exe -- "$$f" $$ring --check --lint --simplify \
+	      || exit $$?; \
+	  done; \
 	done
 
 fuzz:

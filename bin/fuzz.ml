@@ -120,7 +120,7 @@ let () =
      | Error (`No_progress d) -> fail "scheduler stuck: %s" d.Schedule.message
      | Ok s ->
        if not (Schedule.is_valid res n s) then fail "invalid schedule";
-       let b = Bind.bind res n s in
+       let b = Bind.bind n s in
        if not (Bind.is_consistent n s b) then fail "inconsistent binding");
     (* 5. the guarded simplify pass preserves semantics *)
     let named =

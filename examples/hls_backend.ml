@@ -53,9 +53,10 @@ let () =
   (* bind the 1-multiplier schedule onto units and registers *)
   let res = { Schedule.multipliers = 1; adders = 1 } in
   let s = Schedule.list_schedule_exn res netlist in
-  let b = Bind.bind res netlist s in
+  let b = Bind.bind netlist s in
   Format.printf
-    "@.binding at 1 multiplier / 1 adder: %d multiplier(s), %d adder(s), %d      register(s), %d mux input(s)@."
+    "@.binding at 1 multiplier / 1 adder: %d multiplier(s), %d adder(s), %d \
+     register(s), %d mux input(s)@."
     b.Bind.num_multipliers b.Bind.num_adders b.Bind.num_registers
     b.Bind.mux_inputs;
 

@@ -50,7 +50,6 @@ let to_string d =
     (location_label d.location)
     d.message
 
-let pp fmt d = Format.pp_print_string fmt (to_string d)
 
 let json_string s =
   let b = Buffer.create (String.length s + 2) in

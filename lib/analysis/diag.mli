@@ -39,8 +39,6 @@ val has_errors : t list -> bool
 val to_string : t -> string
 (** One line: [error[wf.use-before-def] binding d2: ...]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val to_json : t -> string
 (** One object: [{"severity":..,"code":..,"location":..,"message":..}]. *)
 

@@ -1,17 +1,14 @@
 module Z = Polysynth_zint.Zint
 
-(* ---- the lattice signature -------------------------------------------- *)
+(* ---- the domain signature --------------------------------------------- *)
 
 module type DOMAIN = sig
   type t
 
-  val name : string
   val bottom : t
   val is_bottom : t -> bool
   val top : width:int -> t
-  val equal : t -> t -> bool
   val leq : t -> t -> bool
-  val join : width:int -> t -> t -> t
 
   (* transfer functions, one per netlist operator *)
   val const : width:int -> Z.t -> t
@@ -46,27 +43,15 @@ let is_pow2 c =
 module Int_interval = struct
   type t = Bot | Iv of Z.t * Z.t
 
-  let name = "int-interval"
   let bottom = Bot
   let is_bottom t = t = Bot
   let top ~width = Iv (Z.zero, Z.sub (Z.pow2 width) Z.one)
-
-  let equal a b =
-    match (a, b) with
-    | Bot, Bot -> true
-    | Iv (l1, h1), Iv (l2, h2) -> Z.equal l1 l2 && Z.equal h1 h2
-    | _ -> false
 
   let leq a b =
     match (a, b) with
     | Bot, _ -> true
     | _, Bot -> false
     | Iv (l1, h1), Iv (l2, h2) -> Z.compare l2 l1 <= 0 && Z.compare h1 h2 <= 0
-
-  let join ~width:_ a b =
-    match (a, b) with
-    | Bot, x | x, Bot -> x
-    | Iv (l1, h1), Iv (l2, h2) -> Iv (Z.min l1 l2, Z.max h1 h2)
 
   let const ~width:_ c = Iv (c, c)
   let input ~width _ = top ~width
@@ -120,8 +105,6 @@ end
 module Interval = struct
   include Int_interval
 
-  let name = "interval"
-
   let wrap ~width = function
     | Bot -> Bot
     | Iv (lo, hi) ->
@@ -150,16 +133,9 @@ module Known_bits = struct
   (* bits.(i) is the fact for bit i (LSB first): 0, 1, or 2 = unknown *)
   type t = Bot | Bits of int array
 
-  let name = "known-bits"
   let bottom = Bot
   let is_bottom t = t = Bot
   let top ~width = Bits (Array.make width 2)
-
-  let equal a b =
-    match (a, b) with
-    | Bot, Bot -> true
-    | Bits x, Bits y -> x = y
-    | _ -> false
 
   let leq a b =
     match (a, b) with
@@ -168,12 +144,6 @@ module Known_bits = struct
     | Bits x, Bits y ->
       Array.length x = Array.length y
       && Array.for_all2 (fun bx by -> by = 2 || bx = by) x y
-
-  let join ~width:_ a b =
-    match (a, b) with
-    | Bot, x | x, Bot -> x
-    | Bits x, Bits y ->
-      Bits (Array.map2 (fun bx by -> if bx = by then bx else 2) x y)
 
   let bits_of ~width v =
     let arr = Array.make width 0 in
@@ -301,16 +271,9 @@ module Congruence = struct
      top, [k = width] pins the value exactly *)
   type t = Bot | Cong of int * Z.t
 
-  let name = "congruence"
   let bottom = Bot
   let is_bottom t = t = Bot
   let top ~width:_ = Cong (0, Z.zero)
-
-  let equal a b =
-    match (a, b) with
-    | Bot, Bot -> true
-    | Cong (k1, r1), Cong (k2, r2) -> k1 = k2 && Z.equal r1 r2
-    | _ -> false
 
   let leq a b =
     match (a, b) with
@@ -318,17 +281,6 @@ module Congruence = struct
     | _, Bot -> false
     | Cong (k1, r1), Cong (k2, r2) ->
       k1 >= k2 && Z.equal (Z.erem_pow2 r1 k2) r2
-
-  let join ~width:_ a b =
-    match (a, b) with
-    | Bot, x | x, Bot -> x
-    | Cong (k1, r1), Cong (k2, r2) ->
-      let k = Stdlib.min k1 k2 in
-      let r1' = Z.erem_pow2 r1 k and r2' = Z.erem_pow2 r2 k in
-      let k =
-        if Z.equal r1' r2' then k else Stdlib.min k (Z.val2 (Z.sub r1' r2'))
-      in
-      Cong (k, Z.erem_pow2 r1 k)
 
   let const ~width c = Cong (width, clamp ~width c)
   let input ~width t = ignore t; top ~width
@@ -397,20 +349,11 @@ module Product = struct
     | Bot
     | P of { iv : Interval.t; kb : Known_bits.t; cg : Congruence.t }
 
-  let name = "product"
   let bottom = Bot
   let is_bottom t = t = Bot
 
   let top ~width =
     P { iv = Interval.top ~width; kb = Known_bits.top ~width; cg = Congruence.top ~width }
-
-  let equal a b =
-    match (a, b) with
-    | Bot, Bot -> true
-    | P x, P y ->
-      Interval.equal x.iv y.iv && Known_bits.equal x.kb y.kb
-      && Congruence.equal x.cg y.cg
-    | _ -> false
 
   let leq a b =
     match (a, b) with
@@ -519,13 +462,6 @@ module Product = struct
       reduce ~width
         (P { iv = fiv ~width x.iv; kb = fkb ~width x.kb; cg = fcg ~width x.cg })
 
-  (* unlike the transfer functions, join is not strict: bottom is its
-     identity, so it cannot go through [lift2] *)
-  let join ~width a b =
-    match (a, b) with
-    | Bot, x | x, Bot -> x
-    | P _, P _ ->
-      lift2 ~width Interval.join Known_bits.join Congruence.join a b
   let const ~width c = mk_const ~width (clamp ~width c)
   let input ~width _ = top ~width
   let neg ~width = lift1 ~width Interval.neg Known_bits.neg Congruence.neg

@@ -1,9 +1,10 @@
 (** Abstract domains over [Z_2^m] for the netlist dataflow framework.
 
-    Every domain implements the same lattice signature: a finite-height
-    lattice ([bottom], [top], [join], [leq]) plus one transfer function
-    per netlist operator.  [Absint.Make] turns any such domain into a
-    forward one-pass analysis over the {!Polysynth_hw.Netlist.t} DAG.
+    Every domain implements the same signature: [bottom], [top] and the
+    order [leq], one transfer function per netlist operator and a few
+    queries.  [Absint.Make] turns any such domain into a forward one-pass
+    analysis over the {!Polysynth_hw.Netlist.t} DAG, which needs no join:
+    each cell's fact is computed once from final fanin facts.
 
     Soundness contract: if a cell concretely evaluates (under
     {!Polysynth_hw.Netlist.eval}, i.e. clamped to [width] bits) to [v],
@@ -17,13 +18,10 @@ module Z = Polysynth_zint.Zint
 module type DOMAIN = sig
   type t
 
-  val name : string
   val bottom : t
   val is_bottom : t -> bool
   val top : width:int -> t
-  val equal : t -> t -> bool
   val leq : t -> t -> bool
-  val join : width:int -> t -> t -> t
 
   (** transfer functions, one per netlist operator *)
 

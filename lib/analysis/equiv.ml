@@ -285,13 +285,8 @@ let certify ?ctx ?(samples = 8) ?(size_budget = 100_000) polys prog =
 
 (* ---- netlist spot checks ---------------------------------------------- *)
 
-let spot_check_netlist ?(seed = 1) ?(samples = 5) ?outputs polys
-    (n : Netlist.t) =
-  let named =
-    match outputs with
-    | Some l -> l
-    | None -> List.mapi (fun i p -> (output_name i, p)) polys
-  in
+let spot_check_netlist ?(seed = 1) ?(samples = 5) polys (n : Netlist.t) =
+  let named = List.mapi (fun i p -> (output_name i, p)) polys in
   let width = n.Netlist.width in
   let vars =
     List.sort_uniq String.compare

@@ -70,12 +70,11 @@ val certify :
 val spot_check_netlist :
   ?seed:int ->
   ?samples:int ->
-  ?outputs:(string * Poly.t) list ->
   Poly.t list ->
   Netlist.t ->
   (unit, counterexample) result
 (** Bit-accurate sampling oracle for lowered hardware: evaluates the
     netlist on random input vectors and compares every output with the
     source polynomial reduced modulo [2^width].  A sampler, not a decision
-    procedure — [Ok ()] means no mismatch was found.  [outputs] overrides
-    the default [P1..Pn] naming. *)
+    procedure — [Ok ()] means no mismatch was found.  Output [P{i+1}] is
+    compared with [List.nth polys i]. *)

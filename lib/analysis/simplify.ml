@@ -331,18 +331,12 @@ let run ?(samples = 4) ?(size_budget = 100_000) ?system ?facts
 
 (* ---- diagnostics -------------------------------------------------------- *)
 
-let diags_of_outcome ?(max_findings = 20) o =
-  let take n l =
-    let rec go k = function
-      | x :: rest when k > 0 -> x :: go (k - 1) rest
-      | _ -> []
-    in
-    go n l
-  in
+let diags_of_outcome o =
+  let take l = List.filteri (fun i _ -> i < 20) l in
   let applied =
     List.map
       (fun rw -> Diag.info ~code:"simplify.rewrite" (Diag.Cell rw.cell) (describe rw))
-      (take max_findings o.applied)
+      (take o.applied)
   in
   let rejected =
     List.map
@@ -358,7 +352,7 @@ let diags_of_outcome ?(max_findings = 20) o =
             (Printf.sprintf "rewrite not certified (%s): %s" why (describe rw))
         | Equiv.Verified ->
           Diag.info ~code:"simplify.rewrite" (Diag.Cell rw.cell) (describe rw))
-      (take max_findings o.rejected)
+      (take o.rejected)
   in
   let summary =
     let eliminated = cells_eliminated o in

@@ -76,7 +76,8 @@ val run :
     the recovery would exceed [size_budget].  [facts] reuses an existing
     product analysis. *)
 
-val diags_of_outcome : ?max_findings:int -> outcome -> Diag.t list
+val diags_of_outcome : outcome -> Diag.t list
 (** Findings for {!Suite}: ["simplify.summary"] / ["simplify.rewrite"] /
     ["simplify.uncertified"] infos, plus a ["simplify.unsound"] {e error}
-    for every rewrite the certificate refuted. *)
+    for every rewrite the certificate refuted; at most 20 applied and 20
+    rejected rewrites are listed. *)

@@ -55,7 +55,7 @@ let binding_check n =
     ]
   | Ok sched ->
     let schedule_ok = Schedule.is_valid resources n sched in
-    let b = Bind.bind resources n sched in
+    let b = Bind.bind n sched in
     let binding_ok = Bind.is_consistent n sched b in
     (if schedule_ok then []
      else
@@ -133,28 +133,6 @@ let exit_code r =
     if Diag.has_errors r.binding then 4
     else if Diag.has_errors (diags r) then 3
     else 0
-
-let to_text r =
-  let buf = Buffer.create 256 in
-  let section title = function
-    | [] -> ()
-    | ds ->
-      Buffer.add_string buf (title ^ ":\n");
-      List.iter
-        (fun d -> Buffer.add_string buf ("  " ^ Diag.to_string d ^ "\n"))
-        ds
-  in
-  section "well-formedness" r.wellformed;
-  section "widths" r.widths;
-  section "redundancy" r.redundancy;
-  section "binding" r.binding;
-  section "simplify" r.simplify;
-  (match r.cert with
-   | Some c ->
-     Buffer.add_string buf
-       (Printf.sprintf "certificate: %s\n" (Equiv.cert_to_string c))
-   | None -> ());
-  if Buffer.length buf = 0 then "no findings\n" else Buffer.contents buf
 
 let to_json r =
   let arr ds = "[" ^ String.concat "," (List.map Diag.to_json ds) ^ "]" in

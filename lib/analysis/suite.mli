@@ -54,5 +54,4 @@ val exit_code : report -> int
     cross-check failed (an internal invariant violation), [3] when any
     other finding has [Error] severity, [0] otherwise. *)
 
-val to_text : report -> string
 val to_json : report -> string

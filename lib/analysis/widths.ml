@@ -44,7 +44,7 @@ let op_label (op : Netlist.op) =
   | Netlist.Cmult _ -> "constant multiplication"
   | Netlist.Shl k -> Printf.sprintf "left shift by %d" k
 
-let check_netlist ?(max_findings = 20) ~mode (n : Netlist.t) =
+let check_netlist ~mode (n : Netlist.t) =
   let needs = needs n in
   let width = n.Netlist.width in
   let findings =
@@ -62,7 +62,7 @@ let check_netlist ?(max_findings = 20) ~mode (n : Netlist.t) =
               | _ -> None))
   in
   let total = List.length findings in
-  let shown = if total > max_findings then max_findings else total in
+  let shown = Stdlib.min total 20 in
   let head =
     List.filteri (fun i _ -> i < shown) findings
     |> List.map (fun ((cell : Netlist.cell), need) ->

@@ -35,11 +35,7 @@ val growth : Netlist.t -> int
 (** [max_required_width] minus the datapath width (0 when nothing
     outgrows the datapath). *)
 
-val check_netlist :
-  ?max_findings:int ->
-  mode:mode ->
-  Netlist.t ->
-  Diag.t list
+val check_netlist : mode:mode -> Netlist.t -> Diag.t list
 (** Codes: [width.overflow] (warning, [Exact] mode), [width.wrap] (info,
-    [Ring] mode).  At most [max_findings] (default 20) per-cell findings
-    are emitted, followed by one summary diagnostic counting the rest. *)
+    [Ring] mode).  At most 20 per-cell findings are emitted, followed by
+    one summary diagnostic counting the rest. *)

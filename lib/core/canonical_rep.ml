@@ -15,7 +15,7 @@ let falling_factors table v k =
            Expr.sub (Expr.var v) (Expr.int (i + 2)))
   end
 
-let term_factors _ctx table c mono =
+let term_factors table c mono =
   let factors =
     List.concat_map
       (fun (v, k) -> falling_factors table v k)
@@ -27,5 +27,5 @@ let rep ctx table p =
   let falling = Canonical.canonicalize ctx p in
   Expr.add
     (List.map
-       (fun (c, mono) -> term_factors ctx table c mono)
+       (fun (c, mono) -> term_factors table c mono)
        (Canonical.falling_terms falling))

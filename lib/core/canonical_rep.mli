@@ -15,7 +15,3 @@ val rep : Canonical.ctx -> Blocktab.t -> Poly.t -> Expr.t
 (** Expression of the canonical form of the polynomial.  Note that it is
     equal to the input only {e as a bit-vector function} on the ring (not
     as a polynomial over the integers). *)
-
-val term_factors :
-  Canonical.ctx -> Blocktab.t -> Polysynth_zint.Zint.t -> Polysynth_poly.Monomial.t -> Expr.t
-(** Expression of one falling term (exposed for tests). *)

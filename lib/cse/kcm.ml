@@ -93,7 +93,7 @@ let value_of t rows cols =
   let ops = Dag.total_ops (Dag.tree_counts (Expr.of_poly body)) in
   (List.length rows - 1) * ops
 
-let prime_rectangles ?(max_rectangles = 64) t =
+let prime_rectangles t =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   let consider cols =
@@ -121,11 +121,11 @@ let prime_rectangles ?(max_rectangles = 64) t =
   let ranked =
     List.stable_sort (fun a b -> Stdlib.compare b.value a.value) !out
   in
-  List.filteri (fun i _ -> i < max_rectangles) ranked
+  List.filteri (fun i _ -> i < 64) ranked
 
-let candidates ?max_rectangles polys =
+let candidates polys =
   let t = build polys in
-  let rects = prime_rectangles ?max_rectangles t in
+  let rects = prime_rectangles t in
   let rec dedup seen = function
     | [] -> []
     | r :: rest ->

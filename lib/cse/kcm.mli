@@ -30,13 +30,13 @@ val num_cols : t -> int
 val row_kernel : t -> int -> Monomial.t * Poly.t
 (** Co-kernel and kernel of a row.  @raise Invalid_argument out of range. *)
 
-val prime_rectangles : ?max_rectangles:int -> t -> rectangle list
+val prime_rectangles : t -> rectangle list
 (** Prime rectangles with at least two rows and two columns, best value
-    first; [max_rectangles] (default 64) bounds the output.  Seeds are the
-    single-row column sets and all pairwise row intersections, closed under
-    the (rows of all columns / columns of all rows) Galois connection, so
-    every reported rectangle is prime. *)
+    first, at most 64 of them.  Seeds are the single-row column sets and
+    all pairwise row intersections, closed under the (rows of all columns
+    / columns of all rows) Galois connection, so every reported rectangle
+    is prime. *)
 
-val candidates : ?max_rectangles:int -> Poly.t list -> Poly.t list
+val candidates : Poly.t list -> Poly.t list
 (** The rectangle bodies, best first — drop-in candidate blocks for the
     extraction loop. *)

@@ -45,14 +45,6 @@ and compare_list xs ys =
 
 let equal a b = compare a b = 0
 
-let rec hash = function
-  | Const c -> Z.hash c * 3
-  | Var v -> Hashtbl.hash v * 5
-  | Neg e -> (hash e * 7) + 1
-  | Add es -> List.fold_left (fun acc e -> (acc * 31 + hash e) land max_int) 11 es
-  | Mul es -> List.fold_left (fun acc e -> (acc * 37 + hash e) land max_int) 13 es
-  | Pow (e, k) -> ((hash e * 41) + k) land max_int
-
 let zero = Const Z.zero
 let one = Const Z.one
 

@@ -38,7 +38,6 @@ val one : t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 (** {1 Conversions} *)
 

@@ -12,35 +12,20 @@ let class_code = function
   | Schedule.Mult_unit -> 1
   | Schedule.Add_unit -> 2
 
-(* a value is alive from its finish step to the latest start step of a
-   consumer, and outputs stay alive to the end: [(finish, last_use)], with
-   [last_use.(i) = -1] for a value nothing reads *)
-let lifetimes lm (n : Netlist.t) (s : Schedule.schedule) =
-  let cells = n.Netlist.cells in
+(* a value is alive from its finish step to its last read
+   ([Schedule.last_read]): [(finish, last_use)], with [last_use.(i) = -1]
+   for a value nothing reads *)
+let lifetimes (n : Netlist.t) (s : Schedule.schedule) =
   let finish i =
-    s.Schedule.start_step.(i) + Schedule.duration lm cells.(i).Netlist.op
+    s.Schedule.start_step.(i) + Schedule.duration n.Netlist.cells.(i).Netlist.op
   in
-  let last_use = Array.make (Array.length cells) (-1) in
-  Array.iter
-    (fun cell ->
-      List.iter
-        (fun src ->
-          last_use.(src) <-
-            Stdlib.max last_use.(src) s.Schedule.start_step.(cell.Netlist.id))
-        cell.Netlist.fanin)
-    cells;
-  List.iter
-    (fun (_, i) -> last_use.(i) <- Stdlib.max last_use.(i) s.Schedule.latency)
-    n.Netlist.outputs;
-  (finish, last_use)
+  (finish, Schedule.last_read n s)
 
-let bind ?(latency_model = Schedule.default_latency) _resources
-    (n : Netlist.t) (s : Schedule.schedule) =
+let bind (n : Netlist.t) (s : Schedule.schedule) =
   let cells = n.Netlist.cells in
   let num = Array.length cells in
   if Array.length s.Schedule.start_step <> num then
     invalid_arg "Bind.bind: schedule does not match the netlist";
-  let lm = latency_model in
   (* ---- functional units: greedy reuse in (start step, id) order ------- *)
   let unit_of = Array.make num (0, 0) in
   let assign cls =
@@ -58,7 +43,7 @@ let bind ?(latency_model = Schedule.default_latency) _resources
     List.iter
       (fun cell ->
         let t = s.Schedule.start_step.(cell.Netlist.id) in
-        let fin = t + Schedule.duration lm cell.Netlist.op in
+        let fin = t + Schedule.duration cell.Netlist.op in
         let rec find i = function
           | [] ->
             units := !units @ [ ref fin ];
@@ -78,20 +63,16 @@ let bind ?(latency_model = Schedule.default_latency) _resources
   let num_multipliers = assign Schedule.Mult_unit in
   let num_adders = assign Schedule.Add_unit in
   (* ---- registers: left-edge on lifetimes ------------------------------- *)
-  (* a value needs a register iff its lifetime interval is non-empty *)
-  let finish, last_use = lifetimes lm n s in
-  let needs_register i =
-    match Schedule.class_of cells.(i).Netlist.op with
-    | Schedule.Free -> false (* wires/constants/inputs are always available *)
-    | Schedule.Mult_unit | Schedule.Add_unit ->
-      last_use.(i) > finish i || last_use.(i) < 0
-  in
+  (* a unit value needs a register iff it is read after it finishes;
+     wires, constants and inputs are always available *)
+  let finish, last_use = lifetimes n s in
   let intervals =
     Array.to_list cells
     |> List.filter_map (fun c ->
            let i = c.Netlist.id in
-           if needs_register i && last_use.(i) >= 0 then
-             Some (i, finish i, last_use.(i))
+           if Schedule.class_of c.Netlist.op <> Schedule.Free
+              && last_use.(i) > finish i
+           then Some (i, finish i, last_use.(i))
            else None)
     |> List.sort (fun (_, a, _) (_, b, _) -> Stdlib.compare a b)
   in
@@ -137,7 +118,7 @@ let bind ?(latency_model = Schedule.default_latency) _resources
 let is_consistent (n : Netlist.t) (s : Schedule.schedule) b =
   let cells = n.Netlist.cells in
   let num = Array.length cells in
-  let finish, last_use = lifetimes Schedule.default_latency n s in
+  let finish, last_use = lifetimes n s in
   let ok = ref true in
   (* units: no temporal overlap on the same physical unit *)
   for i = 0 to num - 1 do

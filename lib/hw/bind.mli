@@ -24,16 +24,13 @@ type binding = {
           steering-logic cost *)
 }
 
-val bind :
-  ?latency_model:Schedule.latency_model ->
-  Schedule.resources ->
-  Netlist.t ->
-  Schedule.schedule ->
-  binding
-(** @raise Invalid_argument if the schedule does not belong to the
+val bind : Netlist.t -> Schedule.schedule -> binding
+(** A value needs a register when it is read ({!Schedule.last_read})
+    after the step at which it finishes.
+    @raise Invalid_argument if the schedule does not belong to the
     netlist (array sizes differ). *)
 
 val is_consistent : Netlist.t -> Schedule.schedule -> binding -> bool
-(** Checker: no two operations share a unit in overlapping time, unit
-    counts within the declared totals, every multi-step value has a
-    register, and no two values with overlapping lifetimes share one. *)
+(** Checker: no two operations of one class share a unit in overlapping
+    steps, and no two values with overlapping lifetimes share a
+    register. *)

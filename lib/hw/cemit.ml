@@ -2,7 +2,7 @@ module Z = Polysynth_zint.Zint
 
 module Rng = Polysynth_zint.Xorshift
 
-let emit ?(func_name = "polysynth") ?self_check ?(seed = 1) (n : Netlist.t) =
+let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
   let w = n.Netlist.width in
   if w > 64 then invalid_arg "Cemit.emit: width exceeds 64 bits";
   let fname = Verilog.legalize func_name in
@@ -52,7 +52,7 @@ let emit ?(func_name = "polysynth") ?self_check ?(seed = 1) (n : Netlist.t) =
   (match self_check with
    | None -> ()
    | Some vectors ->
-     let draw = Netlist.draw_inputs (Rng.make seed) n in
+     let draw = Netlist.draw_inputs (Rng.make 1) n in
      add "\nint main(void) {\n";
      add "  int errors = 0;\n";
      List.iter

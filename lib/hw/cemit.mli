@@ -11,12 +11,8 @@
     on any mismatch — so compiling and running the output is an end-to-end
     semantic check of the decomposition. *)
 
-val emit :
-  ?func_name:string ->
-  ?self_check:int ->
-  ?seed:int ->
-  Netlist.t ->
-  string
+val emit : ?func_name:string -> ?self_check:int -> Netlist.t -> string
 (** [func_name] defaults to "polysynth"; [self_check] (a vector count)
-    adds the self-checking [main]; [seed] (default 1) drives the vector
-    generator.  @raise Invalid_argument when the width exceeds 64 bits. *)
+    adds the self-checking [main], its vectors drawn from a generator
+    seeded with 1.  @raise Invalid_argument when the width exceeds 64
+    bits. *)

@@ -1,8 +1,8 @@
 module Z = Polysynth_zint.Zint
 
-let of_netlist ?(graph_name = "polysynth") (n : Netlist.t) =
+let of_netlist (n : Netlist.t) =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" graph_name);
+  Buffer.add_string buf "digraph polysynth {\n";
   Buffer.add_string buf "  rankdir=BT;\n";
   let output_names id =
     List.filter_map

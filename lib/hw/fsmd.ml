@@ -25,31 +25,13 @@ type t = {
   width : int;
 }
 
-let build ?(latency_model = Schedule.default_latency) resources
-    (n : Netlist.t) =
-  let s = Schedule.list_schedule_exn ~latency_model resources n in
-  let b = Bind.bind ~latency_model resources n s in
+let build resources (n : Netlist.t) =
+  let s = Schedule.list_schedule_exn resources n in
+  let b = Bind.bind n s in
   let cells = n.Netlist.cells in
   let num = Array.length cells in
-    (* free cells (shifts, negations) are folded into the consumer's operand
-     steering, so a read through them happens at the *consumer's* launch
-     state: lifetimes propagate transitively through free cells, walking
-     consumers before producers (reverse topological order) *)
-  let last_use = Array.make num (-1) in
-  List.iter
-    (fun (_, i) -> last_use.(i) <- Stdlib.max last_use.(i) s.Schedule.latency)
-    n.Netlist.outputs;
-  for i = num - 1 downto 0 do
-    let cell = cells.(i) in
-    let contribution =
-      match Schedule.class_of cell.Netlist.op with
-      | Schedule.Free -> last_use.(i)
-      | Schedule.Mult_unit | Schedule.Add_unit -> s.Schedule.start_step.(i)
-    in
-    List.iter
-      (fun src -> last_use.(src) <- Stdlib.max last_use.(src) contribution)
-      cell.Netlist.fanin
-  done;
+  (* free cells are folded into the consumer's operand steering *)
+  let last_use = Schedule.last_read n s in
   (* a value lands in its register at the end of its launch state
      (non-blocking write), so its lifetime starts at launch+1; readers at
      the landing state still see the previous value, which is exactly the

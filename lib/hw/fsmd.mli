@@ -40,11 +40,7 @@ type t = {
   width : int;
 }
 
-val build :
-  ?latency_model:Schedule.latency_model ->
-  Schedule.resources ->
-  Netlist.t ->
-  t
+val build : Schedule.resources -> Netlist.t -> t
 (** Schedules and binds internally, then constructs the FSMD. *)
 
 val simulate : t -> (string -> Z.t) -> (string * Z.t) list

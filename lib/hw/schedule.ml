@@ -2,9 +2,9 @@ type resources = { multipliers : int; adders : int }
 
 let unlimited = { multipliers = max_int; adders = max_int }
 
-type latency_model = { mult_cycles : int; add_cycles : int }
-
-let default_latency = { mult_cycles = 2; add_cycles = 1 }
+(* the latency model: two-cycle multipliers, single-cycle adders *)
+let mult_cycles = 2
+let add_cycles = 1
 
 type schedule = {
   start_step : int array;
@@ -21,52 +21,48 @@ let class_of op =
   | Netlist.Mult2 -> Mult_unit
   | Netlist.Add2 | Netlist.Sub2 | Netlist.Cmult _ -> Add_unit
 
-let duration lm op =
+let duration op =
   match class_of op with
   | Free -> 0
-  | Mult_unit -> lm.mult_cycles
-  | Add_unit -> lm.add_cycles
+  | Mult_unit -> mult_cycles
+  | Add_unit -> add_cycles
 
-let asap ?(latency_model = default_latency) (n : Netlist.t) =
+let asap (n : Netlist.t) =
   let start = Array.make (Array.length n.Netlist.cells) 0 in
   Array.iter
     (fun cell ->
       let ready =
         List.fold_left
           (fun acc i ->
-            let fin =
-              start.(i) + duration latency_model (n.Netlist.cells.(i)).Netlist.op
-            in
-            Stdlib.max acc fin)
+            Stdlib.max acc (start.(i) + duration n.Netlist.cells.(i).Netlist.op))
           0 cell.Netlist.fanin
       in
       start.(cell.Netlist.id) <- ready)
     n.Netlist.cells;
   start
 
-let finish_time lm (n : Netlist.t) start =
+let finish_time (n : Netlist.t) start =
   Array.fold_left
     (fun acc cell ->
-      Stdlib.max acc (start.(cell.Netlist.id) + duration lm cell.Netlist.op))
+      Stdlib.max acc (start.(cell.Netlist.id) + duration cell.Netlist.op))
     0 n.Netlist.cells
 
-let critical_path_latency ?(latency_model = default_latency) n =
-  finish_time latency_model n (asap ~latency_model n)
+let critical_path_latency n = finish_time n (asap n)
 
 (* ALAP start times for priority (slack) computation *)
-let alap lm (n : Netlist.t) deadline =
+let alap (n : Netlist.t) deadline =
   let cells = n.Netlist.cells in
   let late = Array.make (Array.length cells) deadline in
   (* initialize: every cell may finish by the deadline *)
   Array.iteri
-    (fun i cell -> late.(i) <- deadline - duration lm cell.Netlist.op)
+    (fun i cell -> late.(i) <- deadline - duration cell.Netlist.op)
     cells;
   (* walk in reverse topological order, tightening producers *)
   for i = Array.length cells - 1 downto 0 do
     let cell = cells.(i) in
     List.iter
       (fun src ->
-        let bound = late.(cell.Netlist.id) - duration lm cells.(src).Netlist.op in
+        let bound = late.(cell.Netlist.id) - duration cells.(src).Netlist.op in
         if bound < late.(src) then late.(src) <- bound)
       cell.Netlist.fanin
   done;
@@ -80,15 +76,12 @@ type no_progress = {
 
 exception Stuck of no_progress
 
-let list_schedule_result ?(latency_model = default_latency) resources
-    (n : Netlist.t) =
+let list_schedule_result resources (n : Netlist.t) =
   if resources.multipliers < 1 || resources.adders < 1 then
     invalid_arg "Schedule.list_schedule: need at least one unit per class";
-  let lm = latency_model in
   let cells = n.Netlist.cells in
   let num = Array.length cells in
-  let deadline = critical_path_latency ~latency_model n in
-  let late = alap lm n deadline in
+  let late = alap n (critical_path_latency n) in
   let start = Array.make num (-1) in
   let finished = Array.make num (-1) in
   (* inputs/constants/negations are free: schedule them as soon as their
@@ -140,16 +133,16 @@ let list_schedule_result ?(latency_model = default_latency) resources
           | Mult_unit ->
             if available !busy_until_mult resources.multipliers t then begin
               start.(id) <- t;
-              finished.(id) <- t + lm.mult_cycles;
-              busy_until_mult := (t + lm.mult_cycles) :: !busy_until_mult;
+              finished.(id) <- t + mult_cycles;
+              busy_until_mult := (t + mult_cycles) :: !busy_until_mult;
               false
             end
             else true
           | Add_unit ->
             if available !busy_until_add resources.adders t then begin
               start.(id) <- t;
-              finished.(id) <- t + lm.add_cycles;
-              busy_until_add := (t + lm.add_cycles) :: !busy_until_add;
+              finished.(id) <- t + add_cycles;
+              busy_until_add := (t + add_cycles) :: !busy_until_add;
               false
             end
             else true)
@@ -157,7 +150,7 @@ let list_schedule_result ?(latency_model = default_latency) resources
     in
     unscheduled := leftover @ rest;
     incr step;
-    if !step > 4 * (num + 1) * (lm.mult_cycles + lm.add_cycles) then begin
+    if !step > 4 * (num + 1) * (mult_cycles + add_cycles) then begin
       let stuck = List.map (fun c -> c.Netlist.id) !unscheduled in
       raise
         (Stuck
@@ -174,28 +167,50 @@ let list_schedule_result ?(latency_model = default_latency) resources
            })
     end
   done;
-  let latency = finish_time lm n start in
+  let latency = finish_time n start in
   { start_step = start; latency; steps_used = latency }
 
-let list_schedule ?latency_model resources n =
-  match list_schedule_result ?latency_model resources n with
+let list_schedule resources n =
+  match list_schedule_result resources n with
   | s -> Ok s
   | exception Stuck d -> Error (`No_progress d)
 
-let list_schedule_exn ?latency_model resources n =
-  match list_schedule_result ?latency_model resources n with
+let list_schedule_exn resources n =
+  match list_schedule_result resources n with
   | s -> s
   | exception Stuck d -> failwith ("Schedule.list_schedule: " ^ d.message)
 
-let is_valid ?(latency_model = default_latency) resources (n : Netlist.t) s =
-  let lm = latency_model in
+(* free cells (shifts, negations) are folded into the consumer's operand
+   steering, so a read through them happens at the consumer's start step:
+   walking consumers before producers (reverse topological order) carries
+   a free cell's last read on to its fanin *)
+let last_read (n : Netlist.t) s =
+  let cells = n.Netlist.cells in
+  let last = Array.make (Array.length cells) (-1) in
+  List.iter
+    (fun (_, i) -> last.(i) <- Stdlib.max last.(i) s.latency)
+    n.Netlist.outputs;
+  for i = Array.length cells - 1 downto 0 do
+    let cell = cells.(i) in
+    let read_at =
+      match class_of cell.Netlist.op with
+      | Free -> last.(i)
+      | Mult_unit | Add_unit -> s.start_step.(i)
+    in
+    List.iter
+      (fun src -> last.(src) <- Stdlib.max last.(src) read_at)
+      cell.Netlist.fanin
+  done;
+  last
+
+let is_valid resources (n : Netlist.t) s =
   let cells = n.Netlist.cells in
   let deps_ok =
     Array.for_all
       (fun cell ->
         List.for_all
           (fun src ->
-            s.start_step.(src) + duration lm cells.(src).Netlist.op
+            s.start_step.(src) + duration cells.(src).Netlist.op
             <= s.start_step.(cell.Netlist.id))
           cell.Netlist.fanin)
       cells
@@ -206,7 +221,7 @@ let is_valid ?(latency_model = default_latency) resources (n : Netlist.t) s =
       let used cls =
         Array.fold_left
           (fun acc cell ->
-            let d = duration lm cell.Netlist.op in
+            let d = duration cell.Netlist.op in
             if
               class_of cell.Netlist.op = cls
               && s.start_step.(cell.Netlist.id) <= t

@@ -2,10 +2,11 @@
 
     After a decomposition is chosen, high-level synthesis maps its operator
     DAG onto a limited number of functional units over clock steps.  This
-    module provides ASAP/ALAP analyses and a priority list scheduler
-    (least-slack first), which exposes the area/latency trade-off of a
-    decomposition: heavily shared building blocks serialize and need more
-    steps on narrow resource budgets. *)
+    module provides a priority list scheduler (least slack first, the
+    slack from ASAP/ALAP start times) under a fixed latency model
+    (two-cycle multipliers, single-cycle adders), which exposes the
+    area/latency trade-off of a decomposition: heavily shared building
+    blocks serialize and need more steps on narrow resource budgets. *)
 
 type resources = {
   multipliers : int;  (** general multipliers available per step *)
@@ -13,14 +14,6 @@ type resources = {
 }
 
 val unlimited : resources
-
-type latency_model = {
-  mult_cycles : int;  (** >= 1 *)
-  add_cycles : int;  (** >= 1; used for adds, subs and constant mults *)
-}
-
-val default_latency : latency_model
-(** Two-cycle multipliers, single-cycle adders. *)
 
 type unit_class =
   | Free  (** inputs, constants, negations and shifts: wiring *)
@@ -31,8 +24,10 @@ val class_of : Netlist.op -> unit_class
 (** The functional-unit class an operator runs on; {!Bind} and
     {!Fsmd} read the same classes. *)
 
-val duration : latency_model -> Netlist.op -> int
-(** Steps an operator occupies its unit: 0 for [Free] operators. *)
+val duration : Netlist.op -> int
+(** Steps an operator occupies its unit under the fixed latency model:
+    2 for a multiplication, 1 for an [Add_unit] operator, 0 for [Free]
+    operators. *)
 
 type schedule = {
   start_step : int array;  (** indexed by cell id; inputs/constants at 0 *)
@@ -40,10 +35,7 @@ type schedule = {
   steps_used : int;
 }
 
-val asap : ?latency_model:latency_model -> Netlist.t -> int array
-(** Earliest start step of every cell. *)
-
-val critical_path_latency : ?latency_model:latency_model -> Netlist.t -> int
+val critical_path_latency : Netlist.t -> int
 (** Latency with unlimited resources. *)
 
 type no_progress = {
@@ -56,20 +48,23 @@ type no_progress = {
     ordered); well-formed inputs always schedule. *)
 
 val list_schedule :
-  ?latency_model:latency_model ->
-  resources ->
-  Netlist.t ->
-  (schedule, [ `No_progress of no_progress ]) result
+  resources -> Netlist.t -> (schedule, [ `No_progress of no_progress ]) result
 (** Priority list scheduling; ties broken deterministically by cell id.
     @raise Invalid_argument when a resource class has fewer than one
     unit. *)
 
-val list_schedule_exn :
-  ?latency_model:latency_model -> resources -> Netlist.t -> schedule
+val list_schedule_exn : resources -> Netlist.t -> schedule
 (** {!list_schedule}, raising [Failure] with the diagnostic message on
     [`No_progress] — the historical behaviour, for callers that treat a
     stuck schedule as a fatal invariant violation. *)
 
-val is_valid : ?latency_model:latency_model -> resources -> Netlist.t -> schedule -> bool
+val last_read : Netlist.t -> schedule -> int array
+(** Per cell id, the last step at which its value is read: the latest
+    start step of a [Mult_unit] or [Add_unit] consumer, where a read
+    through a [Free] cell (a shift or a negation) counts at that cell's
+    own last read, and [latency] for an output; [-1] for a value nothing
+    reads.  {!Bind} and {!Fsmd} both size register lifetimes from it. *)
+
+val is_valid : resources -> Netlist.t -> schedule -> bool
 (** Checker used by the tests: dependences respected, per-step resource
     usage within bounds. *)

@@ -2,10 +2,9 @@ module Z = Polysynth_zint.Zint
 
 module Rng = Polysynth_zint.Xorshift
 
-let emit ?(module_name = "polysynth") ?(vectors = 16) ?(seed = 1)
-    (n : Netlist.t) =
+let emit ?(module_name = "polysynth") ?(vectors = 16) (n : Netlist.t) =
   let w = n.Netlist.width in
-  let draw = Netlist.draw_inputs (Rng.make seed) n in
+  let draw = Netlist.draw_inputs (Rng.make 1) n in
   let inputs = List.map Verilog.legalize (Netlist.inputs n) in
   let outputs = List.map (fun (name, _) -> Verilog.legalize name) n.Netlist.outputs in
   let buf = Buffer.create 4096 in

@@ -6,8 +6,7 @@
     bit-accurate reference simulator ({!Netlist.eval}).  The generated
     file is self-contained Verilog-2001 and prints PASS/FAIL. *)
 
-val emit :
-  ?module_name:string -> ?vectors:int -> ?seed:int -> Netlist.t -> string
+val emit : ?module_name:string -> ?vectors:int -> Netlist.t -> string
 (** [module_name] must match the one given to {!Verilog.emit} (default
-    "polysynth"); [vectors] (default 16) test vectors are generated from
-    [seed] (default 1). *)
+    "polysynth"); [vectors] (default 16) test vectors are drawn from a
+    generator seeded with 1. *)

@@ -65,8 +65,3 @@ let name_of id =
 
 let ranks () = (Atomic.get state).ranks
 
-let rank_of id =
-  let r = ranks () in
-  if id < 0 || id >= Array.length r then
-    invalid_arg "Symtab.rank_of: unknown id";
-  r.(id)

@@ -23,15 +23,13 @@ val find : string -> int option
 val name_of : int -> string
 (** Inverse of {!intern}.  @raise Invalid_argument on an unknown id. *)
 
-val rank_of : int -> int
-(** Alphabetical rank of the id's name among all interned names.  Ranks
-    shift as new names are interned, but the relative order of two fixed
-    ids never changes. *)
-
 val ranks : unit -> int array
 (** The current id -> rank table as one consistent snapshot; index it with
-    ids obtained before the call.  Taking one snapshot per bulk operation
-    is the intended hot-path usage. *)
+    ids obtained before the call.  An id's rank is the alphabetical rank
+    of its name among all interned names: ranks shift as new names are
+    interned, but the relative order of two fixed ids never changes.
+    Taking one snapshot per bulk operation is the intended hot-path
+    usage. *)
 
 val size : unit -> int
 (** Number of interned names. *)

@@ -604,7 +604,7 @@ let test_bind_consistent_on_examples () =
       | Ok s ->
         Alcotest.(check bool) (name ^ ": schedule valid") true
           (Schedule.is_valid res n s);
-        let b = Bind.bind res n s in
+        let b = Bind.bind n s in
         Alcotest.(check bool) (name ^ ": binding consistent") true
           (Bind.is_consistent n s b))
     example_systems

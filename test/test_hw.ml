@@ -212,8 +212,8 @@ let contains hay needle =
 
 let test_dot_structure () =
   let n = N.of_prog ~width:8 (prog_of_strings [ "x*y + 3" ]) in
-  let dot = Dot.of_netlist ~graph_name:"g" n in
-  Alcotest.(check bool) "digraph" true (contains dot "digraph g {");
+  let dot = Dot.of_netlist n in
+  Alcotest.(check bool) "digraph" true (contains dot "digraph polysynth {");
   Alcotest.(check bool) "mult node" true (contains dot "shape=box");
   Alcotest.(check bool) "edges" true (contains dot "->");
   Alcotest.(check bool) "output label" true (contains dot "[P1]");
@@ -534,7 +534,7 @@ let test_bind_unit_counts () =
   let n = N.of_prog ~width:16 (prog_of_strings [ "x*y"; "z*w"; "q*r" ]) in
   let res = { Schedule.multipliers = 2; adders = 2 } in
   let s = Schedule.list_schedule_exn res n in
-  let b = Bind.bind res n s in
+  let b = Bind.bind n s in
   Alcotest.(check bool) "at most 2 multipliers" true (b.Bind.num_multipliers <= 2);
   Alcotest.(check bool) "consistent" true (Bind.is_consistent n s b)
 
@@ -544,7 +544,7 @@ let test_bind_registers_on_serialization () =
   let n = N.of_prog ~width:16 (prog_of_strings [ "x*y + z*w + q*r" ]) in
   let res = { Schedule.multipliers = 1; adders = 1 } in
   let s = Schedule.list_schedule_exn res n in
-  let b = Bind.bind res n s in
+  let b = Bind.bind n s in
   Alcotest.(check bool) "some registers" true (b.Bind.num_registers >= 1);
   Alcotest.(check bool) "consistent" true (Bind.is_consistent n s b)
 
@@ -556,7 +556,7 @@ let test_bind_mux_inputs_grow_with_sharing () =
   let res = { Schedule.multipliers = 1; adders = 1 } in
   let sb netlist =
     let s = Schedule.list_schedule_exn res netlist in
-    Bind.bind res netlist s
+    Bind.bind netlist s
   in
   Alcotest.(check bool) "more ops on one unit, more mux inputs" true
     ((sb wide).Bind.mux_inputs > (sb narrow).Bind.mux_inputs)
@@ -578,10 +578,153 @@ let prop_bind_consistent =
       let n = N.of_prog ~width:16 (prog_of_strings specs) in
       let res = { Schedule.multipliers = m; adders = a } in
       let s = Schedule.list_schedule_exn res n in
-      let b = Bind.bind res n s in
+      let b = Bind.bind n s in
       Bind.is_consistent n s b
       && b.Bind.num_multipliers <= m
       && b.Bind.num_adders <= a)
+
+(* m = a*b is finished at step 2 but read at step 4, through the shift
+   s = m << 1, by o = add4 + s: the shift is wiring, so the read counts at
+   o's step and m needs a register *)
+let test_bind_read_through_shift () =
+  let cell id op fanin = { N.id; op; fanin } in
+  let n =
+    {
+      N.cells =
+        [|
+          cell 0 (N.Input "a") []; cell 1 (N.Input "b") [];
+          cell 2 N.Mult2 [ 0; 1 ]; cell 3 (N.Shl 1) [ 2 ];
+          cell 4 (N.Input "c") []; cell 5 (N.Input "d") [];
+          cell 6 N.Add2 [ 4; 5 ]; cell 7 (N.Input "e") [];
+          cell 8 N.Add2 [ 6; 7 ]; cell 9 (N.Input "f") [];
+          cell 10 N.Add2 [ 8; 9 ]; cell 11 (N.Input "g") [];
+          cell 12 N.Add2 [ 10; 11 ]; cell 13 N.Add2 [ 12; 3 ];
+        |];
+      outputs = [ ("o", 13) ];
+      width = 16;
+    }
+  in
+  let s =
+    Schedule.list_schedule_exn { Schedule.multipliers = 1; adders = 1 } n
+  in
+  Alcotest.(check int) "m starts at 0" 0 s.Schedule.start_step.(2);
+  Alcotest.(check int) "o starts at 4" 4 s.Schedule.start_step.(13);
+  let b = Bind.bind n s in
+  Alcotest.(check int) "registers" 1 b.Bind.num_registers;
+  Alcotest.(check int) "m has a register" 0 b.Bind.register_of.(2);
+  Alcotest.(check bool) "consistent" true (Bind.is_consistent n s b)
+
+(* random netlists with shifts and negations among the unit operators:
+   each spec entry picks an operator and two earlier cells *)
+let gen_netlist_spec =
+  QCheck.Gen.(
+    triple
+      (list_size (int_range 1 14)
+         (quad (int_range 0 5) (int_range 0 1000) (int_range 0 1000)
+            (int_range 0 3)))
+      (int_range 1 3) (int_range 1 3))
+
+let netlist_of_spec spec =
+  let inputs = [ "x"; "y"; "z" ] in
+  let k = List.length inputs in
+  let cells =
+    List.mapi (fun i v -> { N.id = i; op = N.Input v; fanin = [] }) inputs
+    @ List.mapi
+        (fun j (code, a, b, c) ->
+          let id = k + j in
+          let a = a mod id and b = b mod id in
+          let op, fanin =
+            match code with
+            | 0 -> (N.Mult2, [ a; b ])
+            | 1 -> (N.Add2, [ a; b ])
+            | 2 -> (N.Sub2, [ a; b ])
+            | 3 -> (N.Cmult (Z.of_int (c + 3)), [ a ])
+            | 4 -> (N.Shl (c + 1), [ a ])
+            | _ -> (N.Negate, [ a ])
+          in
+          { N.id; op; fanin })
+        spec
+  in
+  let num = List.length cells in
+  let outputs =
+    ("o_last", num - 1)
+    :: List.filteri (fun j _ -> j mod 3 = 0)
+         (List.init (num - k) (fun j -> (Printf.sprintf "o%d" j, k + j)))
+  in
+  { N.cells = Array.of_list cells; outputs; width = 16 }
+
+let prop_bind_registers_cover_reads =
+  prop "registers cover every late read" ~count:200
+    (QCheck.make gen_netlist_spec ~print:(fun (spec, m, a) ->
+         Printf.sprintf "m=%d a=%d [%s]" m a
+           (String.concat "; "
+              (List.map
+                 (fun (o, x, y, c) -> Printf.sprintf "%d,%d,%d,%d" o x y c)
+                 spec))))
+    (fun (spec, m, a) ->
+      let n = netlist_of_spec spec in
+      let cells = n.N.cells in
+      let num = Array.length cells in
+      let s =
+        Schedule.list_schedule_exn { Schedule.multipliers = m; adders = a } n
+      in
+      let b = Bind.bind n s in
+      let is_unit i =
+        match cells.(i).N.op with
+        | N.Mult2 | N.Add2 | N.Sub2 | N.Cmult _ -> true
+        | N.Input _ | N.Constant _ | N.Shl _ | N.Negate -> false
+      in
+      (* two-cycle multipliers, single-cycle adders *)
+      let finish i =
+        let cycles =
+          match cells.(i).N.op with
+          | N.Mult2 -> 2
+          | _ -> if is_unit i then 1 else 0
+        in
+        s.Schedule.start_step.(i) + cycles
+      in
+      (* the last read of cell i: the start step of each unit consumer,
+         and through a free consumer the free cell's own last read *)
+      let rec last_read i =
+        let from_outputs =
+          if List.exists (fun (_, o) -> o = i) n.N.outputs then
+            s.Schedule.latency
+          else -1
+        in
+        Array.fold_left
+          (fun acc (c : N.cell) ->
+            if not (List.mem i c.N.fanin) then acc
+            else if is_unit c.N.id then max acc s.Schedule.start_step.(c.N.id)
+            else max acc (last_read c.N.id))
+          from_outputs cells
+      in
+      let live =
+        List.filter
+          (fun i -> is_unit i && last_read i > finish i)
+          (List.init num Fun.id)
+      in
+      let covered = List.for_all (fun i -> b.Bind.register_of.(i) >= 0) live in
+      let disjoint =
+        List.for_all
+          (fun i ->
+            List.for_all
+              (fun j ->
+                i >= j
+                || b.Bind.register_of.(i) < 0
+                || b.Bind.register_of.(i) <> b.Bind.register_of.(j)
+                || last_read i < finish j
+                || last_read j < finish i)
+              (List.init num Fun.id))
+          (List.init num Fun.id)
+      in
+      let live_at t =
+        List.length
+          (List.filter (fun i -> finish i <= t && t <= last_read i) live)
+      in
+      let peak =
+        List.fold_left max 0 (List.init (s.Schedule.latency + 1) live_at)
+      in
+      covered && disjoint && b.Bind.num_registers >= peak)
 
 (* fsmd -------------------------------------------------------------------------- *)
 
@@ -812,7 +955,10 @@ let () =
             test_bind_registers_on_serialization;
           Alcotest.test_case "mux inputs" `Quick
             test_bind_mux_inputs_grow_with_sharing;
+          Alcotest.test_case "read through shift" `Quick
+            test_bind_read_through_shift;
           prop_bind_consistent;
+          prop_bind_registers_cover_reads;
         ] );
       ( "properties",
         [
