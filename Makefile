@@ -18,10 +18,12 @@
 #                check the committed BENCH_PR*.json evidence records: pair
 #                order, quartiles, win counts and the claim rule
 #   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
+#   make golden  diff the output of experiments.exe in every mode and of
+#                fuzz.exe 200 1 against the recorded files in test/golden/
 
-.PHONY: ci build test test-py fmt lint fuzz bench bench-records
+.PHONY: ci build test test-py fmt lint fuzz golden bench bench-records
 
-ci: build test test-py fmt lint fuzz bench bench-records
+ci: build test test-py fmt lint fuzz golden bench bench-records
 
 lint:
 	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
@@ -35,6 +37,21 @@ lint:
 
 fuzz:
 	dune exec bin/fuzz.exe -- 200 1
+
+# each experiments mode writes test/golden/experiments[-MODE].txt; the
+# default mode has no suffix
+GOLDEN_MODES = fig1 ablation strategies objectives schedule extended mcm
+
+golden:
+	dune build bin/experiments.exe bin/fuzz.exe
+	_build/default/bin/experiments.exe \
+	  | diff -u test/golden/experiments.txt -
+	@for m in $(GOLDEN_MODES); do \
+	  echo "== experiments --$$m"; \
+	  _build/default/bin/experiments.exe --$$m \
+	    | diff -u test/golden/experiments-$$m.txt - || exit 1; \
+	done
+	_build/default/bin/fuzz.exe 200 1 | diff -u test/golden/fuzz-200-1.txt -
 
 build:
 	dune build
