@@ -133,14 +133,21 @@ let is_consistent (n : Netlist.t) (s : Schedule.schedule) b =
       then ok := false
     done
   done;
-  (* registers: overlapping lifetimes never share *)
+  (* registers: a unit value read after it finishes has one, and values
+     whose closed lifetimes [finish, last read] meet never share: a value
+     written at the step another is last read clobbers it *)
   for i = 0 to num - 1 do
+    if
+      Schedule.class_of cells.(i).Netlist.op <> Schedule.Free
+      && last_use.(i) > finish i
+      && b.register_of.(i) < 0
+    then ok := false;
     for j = i + 1 to num - 1 do
       if
         b.register_of.(i) >= 0
         && b.register_of.(i) = b.register_of.(j)
-        && finish i < last_use.(j)
-        && finish j < last_use.(i)
+        && finish i <= last_use.(j)
+        && finish j <= last_use.(i)
       then ok := false
     done
   done;

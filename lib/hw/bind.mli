@@ -32,5 +32,6 @@ val bind : Netlist.t -> Schedule.schedule -> binding
 
 val is_consistent : Netlist.t -> Schedule.schedule -> binding -> bool
 (** Checker: no two operations of one class share a unit in overlapping
-    steps, and no two values with overlapping lifetimes share a
-    register. *)
+    steps, every unit value read after it finishes has a register, and no
+    two values share a register when their lifetimes, closed intervals
+    from finish step to last read, meet. *)

@@ -160,8 +160,7 @@ let list_schedule_result resources (n : Netlist.t) =
              message =
                Printf.sprintf
                  "no progress after %d steps: %d cell%s still unscheduled \
-                  (the netlist is not topologically ordered, or a latency \
-                  bound is inconsistent)"
+                  (the netlist is not topologically ordered)"
                  !step (List.length stuck)
                  (if List.length stuck = 1 then "" else "s");
            })

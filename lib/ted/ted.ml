@@ -55,8 +55,9 @@ let zero m = leaf m Z.zero
 let one m = leaf m Z.one
 
 let mk_node m var const linear =
-  if node_of m linear = Leaf Z.zero then const
-  else intern m (Node { var; const; linear })
+  match node_of m linear with
+  | Leaf c when Z.is_zero c -> const
+  | Leaf _ | Node _ -> intern m (Node { var; const; linear })
 
 (* position of a variable in the decomposition order; unseen variables are
    appended (deterministically, at first use) *)

@@ -3,22 +3,24 @@
     The canonical-form and factorization algorithms of the synthesis flow
     manipulate constants such as [2^m], [lambda!] and scaled filter
     coefficients exactly; native [int] overflows for realistic bit-widths, so
-    this module provides a self-contained bignum implementation
-    (sign-magnitude, base [2^30] limbs).
+    this module provides a self-contained bignum implementation.
 
-    Almost every coefficient the flow meets fits a machine word, so the
-    arithmetic takes native-int fast paths where the operands allow:
-    [add], [sub], [divmod] (and [div], [rem], [ediv_rem], [divexact],
-    [divides] through it) and [gcd] when both operands are below [2^60];
-    [mul] when both are below [2^30]; [pow2 m] and [erem_pow2 z m] for
-    [m < 62].  Every other case runs the limb code.  A fast path builds its
-    result in exactly the limb layout the limb code produces, so there is
-    one representation per value: [compare], [hash], and polymorphic
-    comparison or hashing of structures holding a [t], give the same
-    answers whichever path built it.
+    Almost every value the flow meets fits a machine word, so a value [v]
+    with [min_int < v <= max_int] is held as an immediate native int: it
+    allocates nothing, and arithmetic on such values runs in native ints.
+    Only a wider value (and [min_int], whose negation has no native form) is
+    a sign-magnitude record of base [2^30] limbs.  An immediate [add],
+    [sub] or [mul] that overflows moves to the limb code, and a limb result
+    that fits comes back as an immediate, so there is one representation
+    per value: [equal], [hash], and polymorphic equality or hashing of
+    structures holding a [t], give the same answers whichever operation
+    built it.  [hash] is the limb formula ([sign + 2] folded over the limbs
+    of the magnitude, least significant first) for every value, immediate
+    or not.  Polymorphic comparison does not follow numeric order; order
+    values with [compare].
 
-    All values are immutable.  [compare], [equal] and [hash] are structural
-    and consistent with each other. *)
+    All values are immutable.  [compare], [equal] and [hash] are consistent
+    with each other. *)
 
 type t
 
