@@ -18,8 +18,9 @@
 #                check the committed BENCH_PR*.json evidence records: pair
 #                order, quartiles, win counts and the claim rule
 #   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
-#   make golden  diff the output of experiments.exe in every mode and of
-#                fuzz.exe 200 1 against the recorded files in test/golden/
+#   make golden  diff the output of experiments.exe in every mode, of
+#                fuzz.exe 200 1 and the --fsmd Verilog of every example data
+#                system against the recorded files in test/golden/
 
 .PHONY: ci build test test-py fmt lint fuzz golden bench bench-records
 
@@ -39,11 +40,12 @@ fuzz:
 	dune exec bin/fuzz.exe -- 200 1
 
 # each experiments mode writes test/golden/experiments[-MODE].txt; the
-# default mode has no suffix
+# default mode has no suffix.  examples/data/NAME.poly's sequential
+# Verilog (--fsmd) is test/golden/fsmd-NAME.v
 GOLDEN_MODES = fig1 ablation strategies objectives schedule extended mcm
 
 golden:
-	dune build bin/experiments.exe bin/fuzz.exe
+	dune build bin/experiments.exe bin/fuzz.exe bin/polysynth.exe
 	_build/default/bin/experiments.exe \
 	  | diff -u test/golden/experiments.txt -
 	@for m in $(GOLDEN_MODES); do \
@@ -52,6 +54,14 @@ golden:
 	    | diff -u test/golden/experiments-$$m.txt - || exit 1; \
 	done
 	_build/default/bin/fuzz.exe 200 1 | diff -u test/golden/fuzz-200-1.txt -
+	@tmp=$$(mktemp) || exit 1; \
+	for f in examples/data/*.poly; do \
+	  echo "== fsmd $$f"; \
+	  _build/default/bin/polysynth.exe "$$f" --fsmd "$$tmp" >/dev/null \
+	    && diff -u test/golden/fsmd-$$(basename "$$f" .poly).v "$$tmp" \
+	    || { rm -f "$$tmp"; exit 1; }; \
+	done; \
+	rm -f "$$tmp"
 
 build:
 	dune build
