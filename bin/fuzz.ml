@@ -10,7 +10,9 @@
    3. lint: the proposed decomposition carries no error-severity
       static-analysis finding;
    4. rewrites: the scheduler (typed result interface) and binder
-      invariants hold on the synthesized netlist;
+      invariants hold on the synthesized netlist, and its FSMD computes
+      what the netlist does on a random input vector (drawn from a
+      generator of its own, like level 6's);
    5. simplify: the certificate-guarded simplification pass keeps the
       netlist Verified against the source system, and never proposes a
       rewrite the certificate refutes (a Refuted rejection would mean the
@@ -30,6 +32,7 @@ module Netlist = Polysynth_hw.Netlist
 module Mcm = Polysynth_hw.Mcm
 module Schedule = Polysynth_hw.Schedule
 module Bind = Polysynth_hw.Bind
+module Fsmd = Polysynth_hw.Fsmd
 module Engine = Polysynth_core.Engine
 module Rand = Polysynth_workloads.Random_system
 module Equiv = Polysynth_analysis.Equiv
@@ -112,7 +115,7 @@ let () =
         if d.Diag.severity = Diag.Error then
           fail "lint: %s" (Diag.to_string d))
       (Suite.diags lint);
-    (* 4. schedule + binding invariants *)
+    (* 4. schedule + binding invariants; the FSMD agrees with the netlist *)
     let res =
       { Schedule.multipliers = 1 + Rng.next rng 3; adders = 1 + Rng.next rng 3 }
     in
@@ -121,7 +124,16 @@ let () =
      | Ok s ->
        if not (Schedule.is_valid res n s) then fail "invalid schedule";
        let b = Bind.bind n s in
-       if not (Bind.is_consistent n s b) then fail "inconsistent binding");
+       if not (Bind.is_consistent n s b) then fail "inconsistent binding";
+       let inputs = Netlist.draw_inputs (Rng.make seed) n () in
+       let env v = List.assoc v inputs in
+       if
+         not
+           (List.for_all2
+              (fun (_, v) (_, w) -> Z.equal v w)
+              (Fsmd.simulate (Fsmd.build res n) env)
+              (Netlist.eval n env))
+       then fail "FSMD simulation differs from the netlist");
     (* 5. the guarded simplify pass preserves semantics *)
     let named =
       List.mapi (fun k p -> (Printf.sprintf "P%d" (k + 1), p)) system

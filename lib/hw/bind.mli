@@ -2,20 +2,25 @@
     units and registers.
 
     After {!Schedule} assigns start steps, binding decides which physical
-    multiplier/adder executes each operation (greedy reuse in step order)
-    and allocates registers for values that must survive across steps
-    (left-edge algorithm on lifetime intervals).  The report quantifies
-    the resource side of a decomposition: fewer operations generally mean
-    fewer units, but heavy sharing lengthens lifetimes and can cost
-    registers and multiplexing. *)
+    multiplier/adder executes each operation and which register holds
+    each result.  One left-edge allocator does both: a unit is busy over
+    the closed interval from its launch step to the step before it
+    finishes, and a multiplier or adder result holds its register from
+    the state after its launch (the write lands at the end of the launch
+    state) to its last read ({!Schedule.last_read}), and at least for
+    that one state.  This is the register model {!Fsmd} runs, and
+    {!Fsmd.build} takes its units and registers from here.  The report
+    quantifies the resource side of a decomposition: fewer operations
+    generally mean fewer units, but heavy sharing lengthens lifetimes and
+    can cost registers and multiplexing. *)
 
 type binding = {
-  unit_of : (int * int) array;
-      (** per cell id: (unit class, unit index); class 0 = free/wire,
-          1 = multiplier, 2 = adder *)
+  unit_of : (Schedule.unit_class * int) array;
+      (** per cell id: its unit class and the index of the unit of that
+          class running it; [(Free, 0)] for wiring *)
   register_of : int array;
-      (** per cell id: register index holding its result, or [-1] when
-          the value never crosses a step boundary *)
+      (** per cell id: register index holding its result; [-1] for
+          [Free] cells, which hold none *)
   num_multipliers : int;
   num_adders : int;
   num_registers : int;
@@ -25,13 +30,11 @@ type binding = {
 }
 
 val bind : Netlist.t -> Schedule.schedule -> binding
-(** A value needs a register when it is read ({!Schedule.last_read})
-    after the step at which it finishes.
-    @raise Invalid_argument if the schedule does not belong to the
+(** @raise Invalid_argument if the schedule does not belong to the
     netlist (array sizes differ). *)
 
 val is_consistent : Netlist.t -> Schedule.schedule -> binding -> bool
-(** Checker: no two operations of one class share a unit in overlapping
-    steps, every unit value read after it finishes has a register, and no
-    two values share a register when their lifetimes, closed intervals
-    from finish step to last read, meet. *)
+(** Checker: no two operations share a unit in overlapping steps, every
+    multiplier or adder result has a register, and no two results share
+    a register when their lifetimes, the closed intervals
+    [[launch + 1, max (last read, launch + 1)]], meet. *)

@@ -10,11 +10,10 @@ type source =
 type micro_op = {
   step : int;
   op : Netlist.op;
-  unit_class : int;
+  unit_class : Schedule.unit_class;
   unit_index : int;
   sources : source list;
   dest_register : int;
-  latched_at : int;
 }
 
 type t = {
@@ -29,41 +28,6 @@ let build resources (n : Netlist.t) =
   let s = Schedule.list_schedule_exn resources n in
   let b = Bind.bind n s in
   let cells = n.Netlist.cells in
-  let num = Array.length cells in
-  (* free cells are folded into the consumer's operand steering *)
-  let last_use = Schedule.last_read n s in
-  (* a value lands in its register at the end of its launch state
-     (non-blocking write), so its lifetime starts at launch+1; readers at
-     the landing state still see the previous value, which is exactly the
-     Verilog semantics the emitter uses *)
-  let intervals =
-    Array.to_list cells
-    |> List.filter_map (fun c ->
-           let i = c.Netlist.id in
-           match Schedule.class_of c.Netlist.op with
-           | Schedule.Free -> None
-           | Schedule.Mult_unit | Schedule.Add_unit ->
-             let start = s.Schedule.start_step.(i) + 1 in
-             Some (i, start, Stdlib.max last_use.(i) start))
-    |> List.sort (fun (_, a, _) (_, b, _) -> Stdlib.compare a b)
-  in
-  let register_of = Array.make num (-1) in
-  let registers : int ref list ref = ref [] in
-  List.iter
-    (fun (i, start, stop) ->
-      let rec find k = function
-        | [] ->
-          registers := !registers @ [ ref stop ];
-          k
-        | r :: rest ->
-          if !r < start then begin
-            r := stop;
-            k
-          end
-          else find (k + 1) rest
-      in
-      register_of.(i) <- find 0 !registers)
-    intervals;
   (* resolve a cell value to a steering expression over registers, inputs
      and constants, folding the free cells combinationally *)
   let rec source_of i =
@@ -74,7 +38,7 @@ let build resources (n : Netlist.t) =
     | Netlist.Shl k -> Shifted (k, source_of (List.hd cell.Netlist.fanin))
     | Netlist.Negate -> Negated (source_of (List.hd cell.Netlist.fanin))
     | Netlist.Mult2 | Netlist.Add2 | Netlist.Sub2 | Netlist.Cmult _ ->
-      From_register register_of.(i)
+      From_register b.Bind.register_of.(i)
   in
   let micro_ops =
     Array.to_list cells
@@ -83,23 +47,22 @@ let build resources (n : Netlist.t) =
            match Schedule.class_of cell.Netlist.op with
            | Schedule.Free -> None
            | Schedule.Mult_unit | Schedule.Add_unit ->
-             let cls, idx = b.Bind.unit_of.(i) in
+             let unit_class, unit_index = b.Bind.unit_of.(i) in
              Some
                {
                  step = s.Schedule.start_step.(i);
                  op = cell.Netlist.op;
-                 unit_class = cls;
-                 unit_index = idx;
+                 unit_class;
+                 unit_index;
                  sources = List.map source_of cell.Netlist.fanin;
-                 dest_register = register_of.(i);
-                 latched_at = s.Schedule.start_step.(i);
+                 dest_register = b.Bind.register_of.(i);
                })
     |> List.sort (fun a b -> Stdlib.compare (a.step, a.dest_register) (b.step, b.dest_register))
   in
   {
     micro_ops;
     num_states = Stdlib.max 1 s.Schedule.latency;
-    num_registers = List.length !registers;
+    num_registers = b.Bind.num_registers;
     output_sources =
       List.map (fun (name, i) -> (name, source_of i)) n.Netlist.outputs;
     width = n.Netlist.width;
@@ -217,7 +180,9 @@ let to_verilog ?(module_name = "polysynth_fsmd") fsmd =
             | Netlist.Shl _ -> assert false
           in
           add "          regs[%d] <= %s; // %s unit %d\n" m.dest_register rhs
-            (if m.unit_class = 1 then "mult" else "add")
+            (match m.unit_class with
+             | Schedule.Mult_unit -> "mult"
+             | Schedule.Add_unit | Schedule.Free -> "add")
             m.unit_index)
         ops;
       add "        end\n"

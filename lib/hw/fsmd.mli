@@ -3,10 +3,12 @@
 
     Where {!Verilog} emits the fully parallel (combinational) datapath,
     this module time-multiplexes the operations of a {!Schedule} onto the
-    bound functional units: every unit result is latched into a register
-    allocated by the left-edge algorithm, operands are steered from
-    registers/inputs/constants through the free cells (shifts,
-    negations), and a state counter sequences the steps.
+    functional units and registers of its {!Bind.bind}: every unit result
+    is written into its register at the end of its launch state,
+    operands are steered from registers/inputs/constants through the
+    free cells (shifts, negations), and a state counter sequences the
+    steps.  The module allocates nothing itself, so its unit and register
+    counts are the binding's.
 
     The module carries its own cycle-accurate interpreter
     ({!simulate}), so the construction is checked against the
@@ -25,11 +27,10 @@ type source =
 type micro_op = {
   step : int;  (** state in which the operation starts *)
   op : Netlist.op;  (** Mult2 / Add2 / Sub2 / Cmult only *)
-  unit_class : int;  (** 1 = multiplier, 2 = adder, as in {!Bind} *)
+  unit_class : Schedule.unit_class;  (** [Mult_unit] or [Add_unit] *)
   unit_index : int;
   sources : source list;
-  dest_register : int;
-  latched_at : int;  (** state at whose end the result is written *)
+  dest_register : int;  (** written at the end of state [step] *)
 }
 
 type t = {
@@ -41,7 +42,8 @@ type t = {
 }
 
 val build : Schedule.resources -> Netlist.t -> t
-(** Schedules and binds internally, then constructs the FSMD. *)
+(** Schedules ({!Schedule.list_schedule_exn}) and binds ({!Bind.bind})
+    internally, then constructs the FSMD. *)
 
 val simulate : t -> (string -> Z.t) -> (string * Z.t) list
 (** Cycle-accurate execution; agrees with {!Netlist.eval} of the netlist

@@ -9,7 +9,6 @@ let add_cycles = 1
 type schedule = {
   start_step : int array;
   latency : int;
-  steps_used : int;
 }
 
 type unit_class = Free | Mult_unit | Add_unit
@@ -166,8 +165,7 @@ let list_schedule_result resources (n : Netlist.t) =
            })
     end
   done;
-  let latency = finish_time n start in
-  { start_step = start; latency; steps_used = latency }
+  { start_step = start; latency = finish_time n start }
 
 let list_schedule resources n =
   match list_schedule_result resources n with

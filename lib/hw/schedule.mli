@@ -32,7 +32,6 @@ val duration : Netlist.op -> int
 type schedule = {
   start_step : int array;  (** indexed by cell id; inputs/constants at 0 *)
   latency : int;  (** first step at which every output is available *)
-  steps_used : int;
 }
 
 val critical_path_latency : Netlist.t -> int
@@ -63,7 +62,8 @@ val last_read : Netlist.t -> schedule -> int array
     start step of a [Mult_unit] or [Add_unit] consumer, where a read
     through a [Free] cell (a shift or a negation) counts at that cell's
     own last read, and [latency] for an output; [-1] for a value nothing
-    reads.  {!Bind} and {!Fsmd} both size register lifetimes from it. *)
+    reads.  {!Bind} sizes register lifetimes from it, for itself and for
+    {!Fsmd}. *)
 
 val is_valid : resources -> Netlist.t -> schedule -> bool
 (** Checker used by the tests: dependences respected, per-step resource

@@ -609,6 +609,54 @@ let test_bind_consistent_on_examples () =
           (Bind.is_consistent n s b))
     example_systems
 
+(* Fsmd takes its registers from Bind: on the Proposed netlists of four
+   Table 14.3 systems at four budgets, the register counts and every
+   micro-op's destination agree *)
+let test_bind_agrees_with_fsmd () =
+  let module Fsmd = Polysynth_hw.Fsmd in
+  List.iter
+    (fun name ->
+      let b = Option.get (B.by_name name) in
+      let width = b.B.width in
+      let config =
+        {
+          (Engine.Config.default ~width) with
+          Engine.Config.parallelism = 1;
+          certify = false;
+        }
+      in
+      let r, _ = Engine.synthesize config b.B.polys in
+      let n = Netlist.of_prog ~width r.Engine.prog in
+      List.iter
+        (fun (m, a) ->
+          let res = { Schedule.multipliers = m; adders = a } in
+          let s = Schedule.list_schedule_exn res n in
+          let bound = Bind.bind n s in
+          let fsmd = Fsmd.build res n in
+          let label = Printf.sprintf "%s at %d/%d" name m a in
+          Alcotest.(check int) (label ^ ": registers")
+            bound.Bind.num_registers fsmd.Fsmd.num_registers;
+          (* a unit launches at most one operation per step, so the step
+             and unit name the cell a micro-op runs *)
+          let register_of (op : Fsmd.micro_op) =
+            let cell =
+              List.find
+                (fun i ->
+                  s.Schedule.start_step.(i) = op.Fsmd.step
+                  && bound.Bind.unit_of.(i)
+                     = (op.Fsmd.unit_class, op.Fsmd.unit_index))
+                (List.init (Netlist.num_cells n) Fun.id)
+            in
+            bound.Bind.register_of.(cell)
+          in
+          Alcotest.(check (list int)) (label ^ ": destinations")
+            (List.map register_of fsmd.Fsmd.micro_ops)
+            (List.map
+               (fun (op : Fsmd.micro_op) -> op.Fsmd.dest_register)
+               fsmd.Fsmd.micro_ops))
+        [ (1, 1); (1, 2); (2, 2); (4, 4) ])
+    [ "Quad"; "Mibench"; "MVCS"; "SG 3x2" ]
+
 (* ---- emitters and analyses pinned on Proposed netlists ------------------ *)
 
 (* One MD5 per artifact over the Proposed netlists of five systems at
@@ -802,6 +850,8 @@ let () =
             test_bind_consistent_on_examples;
           Alcotest.test_case "suite cross-check and exit code" `Quick
             test_suite_binding_pass_and_exit_code;
+          Alcotest.test_case "agrees with fsmd" `Slow
+            test_bind_agrees_with_fsmd;
         ] );
       ( "pinned",
         [

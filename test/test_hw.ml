@@ -528,6 +528,7 @@ let test_stage_invalid_target () =
 (* bind -------------------------------------------------------------------------- *)
 
 module Bind = Polysynth_hw.Bind
+module Fsmd = Polysynth_hw.Fsmd
 
 let test_bind_unit_counts () =
   (* 3 independent multiplies scheduled on 2 multipliers need exactly 2 *)
@@ -583,9 +584,9 @@ let prop_bind_consistent =
       && b.Bind.num_multipliers <= m
       && b.Bind.num_adders <= a)
 
-(* m = a*b is finished at step 2 but read at step 4, through the shift
+(* m = a*b is launched at step 0 but read at step 4, through the shift
    s = m << 1, by o = add4 + s: the shift is wiring, so the read counts at
-   o's step and m needs a register *)
+   o's step and m holds its register over steps 1..4 *)
 let shift_read_netlist () =
   let cell id op fanin = { N.id; op; fanin } in
   {
@@ -615,13 +616,16 @@ let test_bind_read_through_shift () =
   let n, s, b = shift_read_binding () in
   Alcotest.(check int) "m starts at 0" 0 s.Schedule.start_step.(2);
   Alcotest.(check int) "o starts at 4" 4 s.Schedule.start_step.(13);
-  Alcotest.(check int) "registers" 1 b.Bind.num_registers;
+  (* m holds register 0; the adder chain shares register 1, and o takes
+     register 0 after m's last read *)
+  Alcotest.(check int) "registers" 2 b.Bind.num_registers;
   Alcotest.(check int) "m has a register" 0 b.Bind.register_of.(2);
   Alcotest.(check bool) "consistent" true (Bind.is_consistent n s b)
 
 (* hand-edited bindings of the same netlist, which is_consistent must
-   reject.  Cell 12 (an add at step 3) finishes at step 4, where o reads
-   m from register 0: writing cell 12 into register 0 clobbers m *)
+   reject.  Cell 12 (an add at step 3) lands in its register at the end of
+   step 3, before o reads m from register 0 at step 4: writing cell 12
+   into register 0 clobbers m *)
 let test_bind_rejects_shared_at_last_read () =
   let n, s, b = shift_read_binding () in
   let register_of = Array.copy b.Bind.register_of in
@@ -629,7 +633,7 @@ let test_bind_rejects_shared_at_last_read () =
   Alcotest.(check bool) "inconsistent" false
     (Bind.is_consistent n s { b with Bind.register_of })
 
-(* m is read two steps after it finishes, so it needs a register *)
+(* every unit result, m among them, needs a register *)
 let test_bind_rejects_missing_register () =
   let n, s, b = shift_read_binding () in
   let register_of = Array.copy b.Bind.register_of in
@@ -697,15 +701,6 @@ let prop_bind_registers_cover_reads =
         | N.Mult2 | N.Add2 | N.Sub2 | N.Cmult _ -> true
         | N.Input _ | N.Constant _ | N.Shl _ | N.Negate -> false
       in
-      (* two-cycle multipliers, single-cycle adders *)
-      let finish i =
-        let cycles =
-          match cells.(i).N.op with
-          | N.Mult2 -> 2
-          | _ -> if is_unit i then 1 else 0
-        in
-        s.Schedule.start_step.(i) + cycles
-      in
       (* the last read of cell i: the start step of each unit consumer,
          and through a free consumer the free cell's own last read *)
       let rec last_read i =
@@ -721,37 +716,37 @@ let prop_bind_registers_cover_reads =
             else max acc (last_read c.N.id))
           from_outputs cells
       in
-      let live =
-        List.filter
-          (fun i -> is_unit i && last_read i > finish i)
-          (List.init num Fun.id)
-      in
-      let covered = List.for_all (fun i -> b.Bind.register_of.(i) >= 0) live in
+      (* a unit result is written at the end of its launch step and held
+         to its last read, for at least one step *)
+      let first i = s.Schedule.start_step.(i) + 1 in
+      let last i = max (last_read i) (first i) in
+      let units = List.filter is_unit (List.init num Fun.id) in
+      let covered = List.for_all (fun i -> b.Bind.register_of.(i) >= 0) units in
       let disjoint =
         List.for_all
           (fun i ->
             List.for_all
               (fun j ->
                 i >= j
-                || b.Bind.register_of.(i) < 0
                 || b.Bind.register_of.(i) <> b.Bind.register_of.(j)
-                || last_read i < finish j
-                || last_read j < finish i)
-              (List.init num Fun.id))
-          (List.init num Fun.id)
+                || last i < first j
+                || last j < first i)
+              units)
+          units
       in
       let live_at t =
-        List.length
-          (List.filter (fun i -> finish i <= t && t <= last_read i) live)
+        List.length (List.filter (fun i -> first i <= t && t <= last i) units)
       in
       let peak =
         List.fold_left max 0 (List.init (s.Schedule.latency + 1) live_at)
       in
-      covered && disjoint && b.Bind.num_registers >= peak)
+      (* left-edge is optimal on intervals: exactly the peak *)
+      covered && disjoint
+      && b.Bind.num_registers = peak
+      && (Fsmd.build { Schedule.multipliers = m; adders = a } n).Fsmd.num_registers
+         = peak)
 
 (* fsmd -------------------------------------------------------------------------- *)
-
-module Fsmd = Polysynth_hw.Fsmd
 
 let fsmd_matches netlist res =
   let fsmd = Fsmd.build res netlist in
