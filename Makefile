@@ -19,8 +19,9 @@
 #                order, quartiles, win counts and the claim rule
 #   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
 #   make golden  diff the output of experiments.exe in every mode, of
-#                fuzz.exe 200 1 and the --fsmd Verilog of every example data
-#                system against the recorded files in test/golden/
+#                fuzz.exe 200 1 and the --fsmd Verilog and summary line of
+#                every example data system against the recorded files in
+#                test/golden/
 
 .PHONY: ci build test test-py fmt lint fuzz golden bench bench-records
 
@@ -41,7 +42,9 @@ fuzz:
 
 # each experiments mode writes test/golden/experiments[-MODE].txt; the
 # default mode has no suffix.  examples/data/NAME.poly's sequential
-# Verilog (--fsmd) is test/golden/fsmd-NAME.v
+# Verilog (--fsmd) is test/golden/fsmd-NAME.v and its "fsmd: ..." summary
+# line is test/golden/fsmd-NAME.txt (the "wrote" line names a temporary
+# file, so only the summary line is kept)
 GOLDEN_MODES = fig1 ablation strategies objectives schedule extended mcm
 
 golden:
@@ -56,9 +59,11 @@ golden:
 	_build/default/bin/fuzz.exe 200 1 | diff -u test/golden/fuzz-200-1.txt -
 	@tmp=$$(mktemp) || exit 1; \
 	for f in examples/data/*.poly; do \
+	  name=$$(basename "$$f" .poly); \
 	  echo "== fsmd $$f"; \
-	  _build/default/bin/polysynth.exe "$$f" --fsmd "$$tmp" >/dev/null \
-	    && diff -u test/golden/fsmd-$$(basename "$$f" .poly).v "$$tmp" \
+	  _build/default/bin/polysynth.exe "$$f" --fsmd "$$tmp" \
+	    | grep '^fsmd: ' | diff -u test/golden/fsmd-$$name.txt - \
+	    && diff -u test/golden/fsmd-$$name.v "$$tmp" \
 	    || { rm -f "$$tmp"; exit 1; }; \
 	done; \
 	rm -f "$$tmp"
