@@ -124,14 +124,14 @@ let () =
      | Ok s ->
        if not (Schedule.is_valid res n s) then fail "invalid schedule";
        let b = Bind.bind n s in
-       if not (Bind.is_consistent n s b) then fail "inconsistent binding";
+       if not (Bind.is_consistent b) then fail "inconsistent binding";
        let inputs = Netlist.draw_inputs (Rng.make seed) n () in
        let env v = List.assoc v inputs in
        if
          not
            (List.for_all2
               (fun (_, v) (_, w) -> Z.equal v w)
-              (Fsmd.simulate (Fsmd.build res n) env)
+              (Fsmd.simulate b env)
               (Netlist.eval n env))
        then fail "FSMD simulation differs from the netlist");
     (* 5. the guarded simplify pass preserves semantics *)

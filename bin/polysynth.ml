@@ -20,6 +20,7 @@ module Prog_parse = Polysynth_expr.Prog_parse
 module Stage = Polysynth_hw.Stage
 module Fsmd = Polysynth_hw.Fsmd
 module Schedule = Polysynth_hw.Schedule
+module Bind = Polysynth_hw.Bind
 module Engine = Polysynth_core.Engine
 module Search = Polysynth_core.Search
 module Suite = Polysynth_analysis.Suite
@@ -423,16 +424,19 @@ let run_synthesis options =
       (match options.fsmd_out with
        | None -> ()
        | Some path ->
-         let fsmd =
-           Fsmd.build
-             { Schedule.multipliers = 1; adders = 1 }
-             (Lazy.force netlist)
+         let n = Lazy.force netlist in
+         let b =
+           Bind.bind n
+             (Schedule.list_schedule_exn
+                { Schedule.multipliers = 1; adders = 1 }
+                n)
          in
+         let states = Fsmd.states b in
          Printf.printf
            "fsmd: %d states, %d registers, %d micro-ops (1 multiplier, 1 adder)\n"
-           fsmd.Fsmd.num_states fsmd.Fsmd.num_registers
-           (List.length fsmd.Fsmd.micro_ops);
-         write path (Fsmd.to_verilog ~module_name:"polysynth_fsmd" fsmd));
+           (Array.length states) b.Bind.num_registers
+           (Array.fold_left (fun acc ops -> acc + List.length ops) 0 states);
+         write path (Fsmd.to_verilog ~module_name:"polysynth_fsmd" b));
       (match options.testbench_out with
        | None -> ()
        | Some path ->

@@ -56,7 +56,7 @@ let binding_check n =
   | Ok sched ->
     let schedule_ok = Schedule.is_valid resources n sched in
     let b = Bind.bind n sched in
-    let binding_ok = Bind.is_consistent n sched b in
+    let binding_ok = Bind.is_consistent b in
     (if schedule_ok then []
      else
        [

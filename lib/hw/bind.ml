@@ -1,4 +1,6 @@
 type binding = {
+  netlist : Netlist.t;
+  schedule : Schedule.schedule;
   unit_of : (Schedule.unit_class * int) array;
   register_of : int array;
   num_multipliers : int;
@@ -102,6 +104,8 @@ let bind (n : Netlist.t) (s : Schedule.schedule) =
     cells;
   let mux_inputs = Hashtbl.fold (fun _ srcs acc -> acc + List.length srcs) tbl 0 in
   {
+    netlist = n;
+    schedule = s;
     unit_of;
     register_of;
     num_multipliers;
@@ -120,7 +124,8 @@ let disjoint resource_of intervals =
         intervals)
     intervals
 
-let is_consistent n s b =
+let is_consistent b =
+  let n = b.netlist and s = b.schedule in
   let registers = lifetimes n s in
   disjoint (fun i -> b.unit_of.(i)) (busy_spans n s)
   && List.for_all (fun (i, _, _) -> b.register_of.(i) >= 0) registers

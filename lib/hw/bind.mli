@@ -8,13 +8,16 @@
     finishes, and a multiplier or adder result holds its register from
     the state after its launch (the write lands at the end of the launch
     state) to its last read ({!Schedule.last_read}), and at least for
-    that one state.  This is the register model {!Fsmd} runs, and
-    {!Fsmd.build} takes its units and registers from here.  The report
+    that one state.  The binding carries its netlist and schedule, so
+    it is all {!Fsmd} needs to run and emit the sequential datapath:
+    callers schedule and bind once and pass the binding on.  The report
     quantifies the resource side of a decomposition: fewer operations
     generally mean fewer units, but heavy sharing lengthens lifetimes and
     can cost registers and multiplexing. *)
 
 type binding = {
+  netlist : Netlist.t;  (** the netlist that was bound *)
+  schedule : Schedule.schedule;  (** its schedule, as given to {!bind} *)
   unit_of : (Schedule.unit_class * int) array;
       (** per cell id: its unit class and the index of the unit of that
           class running it; [(Free, 0)] for wiring *)
@@ -33,7 +36,7 @@ val bind : Netlist.t -> Schedule.schedule -> binding
 (** @raise Invalid_argument if the schedule does not belong to the
     netlist (array sizes differ). *)
 
-val is_consistent : Netlist.t -> Schedule.schedule -> binding -> bool
+val is_consistent : binding -> bool
 (** Checker: no two operations share a unit in overlapping steps, every
     multiplier or adder result has a register, and no two results share
     a register when their lifetimes, the closed intervals

@@ -537,7 +537,7 @@ let test_bind_unit_counts () =
   let s = Schedule.list_schedule_exn res n in
   let b = Bind.bind n s in
   Alcotest.(check bool) "at most 2 multipliers" true (b.Bind.num_multipliers <= 2);
-  Alcotest.(check bool) "consistent" true (Bind.is_consistent n s b)
+  Alcotest.(check bool) "consistent" true (Bind.is_consistent b)
 
 let test_bind_registers_on_serialization () =
   (* with one multiplier, early results wait for the final adder chain:
@@ -547,7 +547,7 @@ let test_bind_registers_on_serialization () =
   let s = Schedule.list_schedule_exn res n in
   let b = Bind.bind n s in
   Alcotest.(check bool) "some registers" true (b.Bind.num_registers >= 1);
-  Alcotest.(check bool) "consistent" true (Bind.is_consistent n s b)
+  Alcotest.(check bool) "consistent" true (Bind.is_consistent b)
 
 let test_bind_mux_inputs_grow_with_sharing () =
   let narrow = N.of_prog ~width:16 (prog_of_strings [ "x*y" ]) in
@@ -580,7 +580,7 @@ let prop_bind_consistent =
       let res = { Schedule.multipliers = m; adders = a } in
       let s = Schedule.list_schedule_exn res n in
       let b = Bind.bind n s in
-      Bind.is_consistent n s b
+      Bind.is_consistent b
       && b.Bind.num_multipliers <= m
       && b.Bind.num_adders <= a)
 
@@ -604,42 +604,41 @@ let shift_read_netlist () =
     width = 16;
   }
 
-(* the netlist on 1 multiplier and 1 adder, and its binding *)
+(* the binding of the netlist on 1 multiplier and 1 adder *)
 let shift_read_binding () =
   let n = shift_read_netlist () in
-  let s =
-    Schedule.list_schedule_exn { Schedule.multipliers = 1; adders = 1 } n
-  in
-  (n, s, Bind.bind n s)
+  Bind.bind n
+    (Schedule.list_schedule_exn { Schedule.multipliers = 1; adders = 1 } n)
 
 let test_bind_read_through_shift () =
-  let n, s, b = shift_read_binding () in
+  let b = shift_read_binding () in
+  let s = b.Bind.schedule in
   Alcotest.(check int) "m starts at 0" 0 s.Schedule.start_step.(2);
   Alcotest.(check int) "o starts at 4" 4 s.Schedule.start_step.(13);
   (* m holds register 0; the adder chain shares register 1, and o takes
      register 0 after m's last read *)
   Alcotest.(check int) "registers" 2 b.Bind.num_registers;
   Alcotest.(check int) "m has a register" 0 b.Bind.register_of.(2);
-  Alcotest.(check bool) "consistent" true (Bind.is_consistent n s b)
+  Alcotest.(check bool) "consistent" true (Bind.is_consistent b)
 
 (* hand-edited bindings of the same netlist, which is_consistent must
    reject.  Cell 12 (an add at step 3) lands in its register at the end of
    step 3, before o reads m from register 0 at step 4: writing cell 12
    into register 0 clobbers m *)
 let test_bind_rejects_shared_at_last_read () =
-  let n, s, b = shift_read_binding () in
+  let b = shift_read_binding () in
   let register_of = Array.copy b.Bind.register_of in
   register_of.(12) <- 0;
   Alcotest.(check bool) "inconsistent" false
-    (Bind.is_consistent n s { b with Bind.register_of })
+    (Bind.is_consistent { b with Bind.register_of })
 
 (* every unit result, m among them, needs a register *)
 let test_bind_rejects_missing_register () =
-  let n, s, b = shift_read_binding () in
+  let b = shift_read_binding () in
   let register_of = Array.copy b.Bind.register_of in
   register_of.(2) <- -1;
   Alcotest.(check bool) "inconsistent" false
-    (Bind.is_consistent n s { b with Bind.register_of; num_registers = 0 })
+    (Bind.is_consistent { b with Bind.register_of; num_registers = 0 })
 
 (* random netlists with shifts and negations among the unit operators:
    each spec entry picks an operator and two earlier cells *)
@@ -740,16 +739,24 @@ let prop_bind_registers_cover_reads =
       let peak =
         List.fold_left max 0 (List.init (s.Schedule.latency + 1) live_at)
       in
+      (* the FSMD steers operands through the shifts and negations *)
+      let inputs = N.draw_inputs (Polysynth_zint.Xorshift.make 1) n () in
+      let env v = List.assoc v inputs in
       (* left-edge is optimal on intervals: exactly the peak *)
       covered && disjoint
       && b.Bind.num_registers = peak
-      && (Fsmd.build { Schedule.multipliers = m; adders = a } n).Fsmd.num_registers
-         = peak)
+      && List.for_all2
+           (fun (_, v) (_, w) -> Z.equal v w)
+           (Fsmd.simulate b env) (N.eval n env))
 
 (* fsmd -------------------------------------------------------------------------- *)
 
+(* the binding of [netlist] on [res] *)
+let bound res netlist =
+  Bind.bind netlist (Schedule.list_schedule_exn res netlist)
+
 let fsmd_matches netlist res =
-  let fsmd = Fsmd.build res netlist in
+  let b = bound res netlist in
   let checks =
     [ (0, 0); (1, 2); (17, 200); (255, 255); (123, 45) ]
   in
@@ -757,7 +764,7 @@ let fsmd_matches netlist res =
     (fun (xv, yv) ->
       let env v = if String.equal v "x" then Z.of_int xv else Z.of_int yv in
       let reference = N.eval netlist env in
-      let sequential = Fsmd.simulate fsmd env in
+      let sequential = Fsmd.simulate b env in
       List.for_all
         (fun (name, _) ->
           Z.equal (List.assoc name reference) (List.assoc name sequential))
@@ -780,15 +787,16 @@ let test_fsmd_matches_reference () =
 
 let test_fsmd_register_sharing () =
   let netlist = N.of_prog ~width:16 (prog_of_strings [ "x*y + x + y" ]) in
-  let fsmd = Fsmd.build { Schedule.multipliers = 1; adders = 1 } netlist in
-  Alcotest.(check bool) "registers allocated" true (fsmd.Fsmd.num_registers >= 1);
+  let b = bound { Schedule.multipliers = 1; adders = 1 } netlist in
+  let ops = Array.fold_left (fun acc l -> acc + List.length l) 0 (Fsmd.states b) in
+  Alcotest.(check bool) "registers allocated" true (b.Bind.num_registers >= 1);
   Alcotest.(check bool) "fewer registers than ops" true
-    (fsmd.Fsmd.num_registers <= List.length fsmd.Fsmd.micro_ops)
+    (b.Bind.num_registers <= ops)
 
 let test_fsmd_verilog_structure () =
   let netlist = N.of_prog ~width:8 (prog_of_strings [ "3*x*y + 5" ]) in
-  let fsmd = Fsmd.build { Schedule.multipliers = 1; adders = 1 } netlist in
-  let v = Fsmd.to_verilog ~module_name:"seq" fsmd in
+  let b = bound { Schedule.multipliers = 1; adders = 1 } netlist in
+  let v = Fsmd.to_verilog ~module_name:"seq" b in
   List.iter
     (fun needle ->
       Alcotest.(check bool) needle true (contains v needle))
@@ -810,10 +818,10 @@ let prop_fsmd_equivalent =
        ~print:(fun (specs, _, _) -> String.concat ";" specs))
     (fun (specs, (m, a), (xv, yv)) ->
       let netlist = N.of_prog ~width:12 (prog_of_strings specs) in
-      let fsmd = Fsmd.build { Schedule.multipliers = m; adders = a } netlist in
+      let b = bound { Schedule.multipliers = m; adders = a } netlist in
       let env v = if String.equal v "x" then Z.of_int xv else Z.of_int yv in
       let reference = N.eval netlist env in
-      let sequential = Fsmd.simulate fsmd env in
+      let sequential = Fsmd.simulate b env in
       List.for_all
         (fun (name, _) ->
           Z.equal (List.assoc name reference) (List.assoc name sequential))
