@@ -21,7 +21,10 @@ let () =
   if has "--fig1" then print_string (T.fig_14_1_dump ())
   else if has "--ablation" then begin
     let names = if has "--quick" then Some quick_names else None in
-    print_string (T.render_ablation (T.ablation_rows ?names ()))
+    print_string
+      (T.render_named_ablation
+         ~title:"Ablation — pipeline variants in isolation"
+         (T.ablation_rows ?names ()))
   end
   else if has "--strategies" then
     print_string

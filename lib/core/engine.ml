@@ -347,7 +347,7 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
         (vs, List.length vs))
   in
   let searched =
-    ( Search.score options sel.Search.prog,
+    ( sel.Search.key,
       report_of Proposed sel.Search.prog sel.Search.labels
         (sel.Search.cost, sel.Search.counts) )
   in

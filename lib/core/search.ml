@@ -28,6 +28,7 @@ let default_options ~width =
 
 type selection = {
   prog : Prog.t;
+  key : float array;
   labels : string list;
   cost : Cost.report;
   counts : Dag.counts;
@@ -294,6 +295,7 @@ let select options (r : Represent.t) =
   let cost, counts = measure options prog in
   {
     prog;
+    key = !best_key;
     labels = List.map (fun (rep : Represent.rep) -> rep.Represent.label) choice;
     cost;
     counts;

@@ -56,6 +56,9 @@ val measure : options -> Prog.t -> Cost.report * Dag.counts
 
 type selection = {
   prog : Prog.t;  (** chosen representations, with used block bindings *)
+  key : float array;
+      (** its objective key as the scorer computed it; equals
+          [score options prog] *)
   labels : string list;  (** chosen representation label per polynomial *)
   cost : Cost.report;
   counts : Dag.counts;

@@ -319,18 +319,3 @@ let render_table_14_3 rows =
     (Printf.sprintf "  average area improvement: %.1f%%\n"
        (average_area_improvement rows));
   Buffer.contents buf
-
-let render_ablation groups =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "Ablation — pipeline variants in isolation\n";
-  List.iter
-    (fun (name, rows) ->
-      Buffer.add_string buf (Printf.sprintf "  %s:\n" name);
-      List.iter
-        (fun r ->
-          Buffer.add_string buf
-            (Printf.sprintf "    %-24s area=%8d delay=%6.1f ops=%4d\n"
-               r.variant r.area r.delay r.ops))
-        rows)
-    groups;
-  Buffer.contents buf

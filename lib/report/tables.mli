@@ -70,11 +70,12 @@ val mcm_rows : ?names:string list -> unit -> (string * ablation_row list) list
 (** The proposed decomposition before and after lowering constant
     multiplications to shared shift-add networks (MCM). *)
 
-val render_named_ablation : title:string -> (string * ablation_row list) list -> string
 val render_schedule : (string * (string * int) list) list -> string
 
 (** {1 Rendering} *)
 
 val render_counts : title:string -> counts_row list -> string
 val render_table_14_3 : bench_row list -> string
-val render_ablation : (string * ablation_row list) list -> string
+val render_named_ablation : title:string -> (string * ablation_row list) list -> string
+(** One block per group, headed by [title]: the ablation, strategy,
+    objective and MCM studies all print through it. *)

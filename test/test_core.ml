@@ -513,6 +513,7 @@ let oracle_mismatches ~width (r : Represent.t) =
                      run what))
             [
               ("keys", o.key_mismatches = 0);
+              ("key", s.Search.key = Search.score (options ()) s.Search.prog);
               ("labels", o.o_labels = s.Search.labels);
               ("cost", o.o_cost = s.Search.cost);
               ("counts", o.o_counts = s.Search.counts);
