@@ -174,18 +174,18 @@ module Examples = Polysynth_workloads.Examples
 module Benchmarks = Polysynth_workloads.Benchmarks
 module Random_system = Polysynth_workloads.Random_system
 
+let random_shape =
+  {
+    Random_system.num_polys = 4;
+    num_vars = 3;
+    max_terms = 6;
+    max_degree = 3;
+    max_coeff = 16;
+    sharing = true;
+  }
+
 let digest_systems =
   let bench n = (Option.get (Benchmarks.by_name n)).Benchmarks.polys in
-  let random_shape =
-    {
-      Random_system.num_polys = 4;
-      num_vars = 3;
-      max_terms = 6;
-      max_degree = 3;
-      max_coeff = 16;
-      sharing = true;
-    }
-  in
   [ Examples.table_14_1; Examples.table_14_2 ]
   @ List.map bench [ "SG 3x2"; "SG 4x2"; "SG 5x2"; "Quad"; "Mibench"; "MVCS" ]
   @ List.init 12 (fun i -> Random_system.generate ~seed:(i + 1) random_shape)
@@ -197,28 +197,47 @@ let print_result (r : X.result) =
     @ List.map line r.X.output_bodies
     @ [ Format.asprintf "%a" Prog.pp r.X.prog ])
 
-let test_extract_digests () =
-  List.iter
-    (fun (shape, run, expected) ->
+let call_shapes =
+  [
+    ("vars only", fun s -> X.run ~mode:X.Vars_only s);
+    ("literals, signs", fun s -> X.run ~mode:X.Coeff_literals ~signs:true s);
+    ( "literals, no signs",
+      fun s -> X.run ~mode:X.Coeff_literals ~signs:false s );
+    ( "kcm rectangles",
+      fun s -> X.run ~mode:X.Coeff_literals ~strategy:X.Kcm_rectangles s );
+  ]
+
+(* one digest per call shape, in [call_shapes] order *)
+let check_digests systems expected =
+  List.iter2
+    (fun (shape, run) expected ->
       let printed =
         String.concat "\n--\n"
-          (List.map (fun s -> print_result (run s)) digest_systems)
+          (List.map (fun s -> print_result (run s)) systems)
       in
       Alcotest.(check string) shape expected
         (Digest.to_hex (Digest.string printed)))
+    call_shapes expected
+
+let test_extract_digests () =
+  check_digests digest_systems
     [
-      ( "vars only",
-        (fun s -> X.run ~mode:X.Vars_only s),
-        "e08c2f4f2f266fd7685317e26718bd54" );
-      ( "literals, signs",
-        (fun s -> X.run ~mode:X.Coeff_literals ~signs:true s),
-        "7a596514b188a890c3cccae75efe7875" );
-      ( "literals, no signs",
-        (fun s -> X.run ~mode:X.Coeff_literals ~signs:false s),
-        "90dba0862d1802c566e3c27b08b33fa6" );
-      ( "kcm rectangles",
-        (fun s -> X.run ~mode:X.Coeff_literals ~strategy:X.Kcm_rectangles s),
-        "ccdb1e12de253dee3277f61d1e9aa7e2" );
+      "e08c2f4f2f266fd7685317e26718bd54";
+      "7a596514b188a890c3cccae75efe7875";
+      "90dba0862d1802c566e3c27b08b33fa6";
+      "ccdb1e12de253dee3277f61d1e9aa7e2";
+    ]
+
+(* 200 fixed draws of the same random shape, so a change to which bodies a
+   trial rewrites is checked on many more greedy rounds *)
+let test_extract_random_digests () =
+  check_digests
+    (List.init 200 (fun i -> Random_system.generate ~seed:(i + 1) random_shape))
+    [
+      "eaf3148e2529bc691da1eaf937af5f44";
+      "dd2b503c9ec04f7b57e0bbf9416dfb1b";
+      "83f9329a9185931db7e2a636604448fa";
+      "b3ed9606948bf8173a98de9dd2808a85";
     ]
 
 (* kcm --------------------------------------------------------------------------- *)
@@ -378,6 +397,8 @@ let () =
             test_extract_improves_or_equal;
           Alcotest.test_case "printed results pinned" `Quick
             test_extract_digests;
+          Alcotest.test_case "200 random draws pinned" `Quick
+            test_extract_random_digests;
         ] );
       ( "kcm",
         [
