@@ -26,7 +26,9 @@ type session
     polynomial.  A memo key carries its polynomial's {!Poly.hash}, so a
     miss hashes the polynomial once, and a miss builds the direct form
     once: it is both the entry that guards against cycles and the first
-    candidate. *)
+    candidate.  An entry keeps its expression's operator count
+    ({!Polysynth_expr.Dag.tree_ops}) next to the expression, so a caller
+    one level up prices a candidate built on it without walking it. *)
 
 val make_session : Blocktab.t -> divisors:Poly.t list -> session
 (** A divisor is named on first use: the first candidate that divides by
@@ -37,4 +39,19 @@ val make_session : Blocktab.t -> divisors:Poly.t list -> session
 val decompose : session -> Poly.t -> Expr.t
 (** Best decomposition found; expands back to the input polynomial (with
     block variables replaced by their definitions).  Structural rewrites
-    stop 4 recursion levels below the call. *)
+    stop 4 recursion levels below the call.  Candidates are compared by
+    operator count, the earliest winning a tie.  A division candidate
+    [d * Q + R] is priced by {!division_price} from the memo entries of
+    [R] and [Q] (decomposed in that order) and built only if it wins;
+    the content, perfect-power, common-coefficient and co-kernel
+    candidates are built and their trees counted. *)
+
+val division_price : Expr.t * int -> Expr.t * int -> int
+(** [division_price (eq, cq) (er, cr)] is the operator count
+    ({!Polysynth_expr.Dag.tree_ops}) of the division candidate
+    [Expr.add [Expr.mul [Expr.var dv; eq]; er]], where [eq] and [er] are
+    decompositions of a non-zero quotient and of a remainder, [cq] and
+    [cr] their counts and [dv] the divisor's block name: [cq + cr], plus a
+    multiplication unless [eq] is +-1 and an addition unless [er] is 0.
+    This is how {!decompose} prices a division candidate without building
+    it. *)

@@ -341,24 +341,26 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
         let sel = Search.select options store in
         (sel, sel.Search.combinations_evaluated))
   in
+  let scored (label, prog) =
+    let key, cost, counts = Search.score_full options prog in
+    (key, report_of Proposed prog [ label ] (cost, counts))
+  in
+  (* the variants are scored inside their stage, warm or cold: only their
+     construction is memoized *)
   let variants =
     stage stages (prefix ^ "integrated") (fun () ->
         let vs = obtain_variants config ~pmap ~may key polys in
-        (vs, List.length vs))
+        (List.map scored vs, List.length vs))
   in
   let searched =
     ( sel.Search.key,
       report_of Proposed sel.Search.prog sel.Search.labels
         (sel.Search.cost, sel.Search.counts) )
   in
-  let scored (label, prog) =
-    let key, cost, counts = Search.score_full options prog in
-    (key, report_of Proposed prog [ label ] (cost, counts))
-  in
   snd
     (List.fold_left
        (fun (bk, br) (ck, cr) -> if ck < bk then (ck, cr) else (bk, br))
-       searched (List.map scored variants))
+       searched variants)
 
 let baseline (config : Config.t) ~prefix stages method_name polys =
   stage stages (prefix ^ "baseline") (fun () ->

@@ -1,6 +1,7 @@
 module Z = Polysynth_zint.Zint
 module Poly = Polysynth_poly.Poly
 module Expr = Polysynth_expr.Expr
+module Dag = Polysynth_expr.Dag
 module Canonical = Polysynth_finite_ring.Canonical
 module Squarefree = Polysynth_factor.Squarefree
 module Ted = Polysynth_ted.Ted
@@ -76,14 +77,11 @@ let canonical_split_rep ctx table session p =
   let keys = List.rev !order in
   if List.length keys <= 1 then None
   else begin
-    let tree_cost e =
-      Polysynth_expr.Dag.total_ops (Polysynth_expr.Dag.tree_counts e)
-    in
     let part key =
       let q = Hashtbl.find groups key in
       let canonical = Canonical_rep.rep ctx table q in
       let plain = Algdiv.decompose session q in
-      if tree_cost canonical < tree_cost plain then canonical else plain
+      if Dag.tree_ops canonical < Dag.tree_ops plain then canonical else plain
     in
     Some (Expr.add (List.map part keys))
   end

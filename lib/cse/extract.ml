@@ -101,7 +101,7 @@ let body_ops body =
     n
   | None ->
     Atomic.incr cost_memo_misses;
-    let n = Dag.total_ops (Dag.tree_counts (Expr.of_poly body)) in
+    let n = Dag.tree_ops (Expr.of_poly body) in
     if Ptbl.length tbl > 65536 then Ptbl.reset tbl;
     Ptbl.add tbl body n;
     n
@@ -290,54 +290,56 @@ let rewrite_with_block ~signs block_var d body =
   in
   go body
 
-(* a body with no term divisible by [c] comes back physically unchanged *)
+(* only called on a body with a term divisible by [c] *)
 let rewrite_with_cube block_var c body =
-  if not (List.exists (fun (_, m) -> Monomial.divides c m) (Poly.terms body))
-  then body
-  else
-    Poly.of_terms
-      (List.map
-         (fun (k, m) ->
-           match Monomial.div m c with
-           | Some rest -> (k, Monomial.mul rest (Monomial.var block_var))
-           | None -> (k, m))
-         (Poly.terms body))
+  Poly.of_terms
+    (List.map
+       (fun (k, m) ->
+         match Monomial.div m c with
+         | Some rest -> (k, Monomial.mul rest (Monomial.var block_var))
+         | None -> (k, m))
+       (Poly.terms body))
 
-(* names of items the candidate body depends on, transitively; rewriting
-   those would create a reference cycle between block definitions *)
-let dependency_closure items body =
-  let bodies = List.map (fun it -> (it.name, it.body)) items in
-  let rec go seen frontier =
-    match frontier with
-    | [] -> seen
-    | v :: rest ->
-      if List.mem v seen then go seen rest
-      else
-        let seen = v :: seen in
-        (match List.assoc_opt v bodies with
-         | Some b -> go seen (Poly.vars b @ rest)
-         | None -> go seen rest)
+(* whether a name is an item the candidate body depends on, transitively;
+   rewriting that item would create a reference cycle between block
+   definitions.  [bodies] maps the round's item names to their bodies. *)
+let dependency_closure bodies body =
+  let seen = Hashtbl.create 16 in
+  let rec visit v =
+    if not (Hashtbl.mem seen v) then begin
+      Hashtbl.add seen v ();
+      match Hashtbl.find_opt bodies v with
+      | Some b -> List.iter visit (Poly.vars b)
+      | None -> ()
+    end
   in
-  go [] (Poly.vars body)
+  List.iter visit (Poly.vars body);
+  Hashtbl.mem seen
 
-(* the items after the move, in order, then the new block *)
-let apply_candidate ~signs fresh_name cand items =
+(* the items after the move, in order, then the new block.  Only the
+   [holders] (a sublist of [items], in order) can change: every other item
+   comes back as it is, exactly as the rewrite would return it. *)
+let apply_candidate ~signs bodies fresh_name cand holders items =
   let block_body =
     match cand with
     | Block d -> d
     | Cube c -> Poly.monomial c
   in
-  let frozen = dependency_closure items block_body in
+  let frozen = dependency_closure bodies block_body in
   let rewrite =
     match cand with
     | Block d -> rewrite_with_block ~signs fresh_name d
     | Cube c -> rewrite_with_cube fresh_name c
   in
-  List.map
-    (fun it ->
-      if List.mem it.name frozen then it else { it with body = rewrite it.body })
-    items
-  @ [ { name = fresh_name; body = block_body } ]
+  let rec go items holders =
+    match items, holders with
+    | it :: items, h :: holders' when it == h ->
+      (if frozen it.name then it else { it with body = rewrite it.body })
+      :: go items holders'
+    | it :: items, holders -> it :: go items holders
+    | [], _ -> [ { name = fresh_name; body = block_body } ]
+  in
+  go items holders
 
 (* flat cost of a trial: [costs] are the round's per-item counts, reused
    for every body the move left physically unchanged *)
@@ -386,30 +388,38 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
     if List.mem name avoid then name_after (k + 1) else (k + 1, name)
   in
   (* cheap ranking before the exact trial application keeps the loop
-     polynomial even on 25-polynomial systems *)
+     polynomial even on 25-polynomial systems.  The scan also yields the
+     holders, the items (in order) a trial can rewrite: for a block, those
+     with a kernel holding it (the same memoized kernels the rewrite
+     reads), for a cube, those with a term it divides. *)
+  let keep it holders =
+    match holders with h :: _ when h == it -> holders | _ -> it :: holders
+  in
   let estimate instances items cand =
     match cand with
     | Block d ->
       let ops_d = body_ops d in
-      let occ =
-        List.length
-          (List.filter
-             (fun (_, _, k) -> subset_terms_signed ~signs d k <> None)
-             instances)
+      let occ, holders =
+        List.fold_left
+          (fun ((occ, holders) as acc) (it, _, k) ->
+            match subset_terms_signed ~signs d k with
+            | None -> acc
+            | Some _ -> (occ + 1, keep it holders))
+          (0, []) instances
       in
-      occ * ops_d
+      (occ * ops_d, List.rev holders)
     | Cube c ->
-      let uses =
+      let uses, holders =
         List.fold_left
           (fun acc it ->
-            acc
-            + List.length
-                (List.filter
-                   (fun (_, m) -> Monomial.divides c m)
-                   (Poly.terms it.body)))
-          0 items
+            List.fold_left
+              (fun ((uses, holders) as acc) (_, m) ->
+                if Monomial.divides c m then (uses + 1, keep it holders)
+                else acc)
+              acc (Poly.terms it.body))
+          (0, []) items
       in
-      (uses - 1) * (Monomial.degree c - 1)
+      ((uses - 1) * (Monomial.degree c - 1), List.rev holders)
   in
   let trials_per_round = 40 in
   let rec loop iters last items block_order =
@@ -417,6 +427,8 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
     else begin
       let costs = List.map (fun it -> body_ops it.body) items in
       let current_cost = List.fold_left ( + ) 0 costs in
+      let bodies = Hashtbl.create 64 in
+      List.iter (fun it -> Hashtbl.replace bodies it.name it.body) items;
       let instances = kernel_instances items in
       let block_candidates =
         match strategy with
@@ -428,7 +440,11 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
       in
       let candidates = block_candidates @ candidate_cubes items in
       let ranked =
-        List.map (fun cand -> (estimate instances items cand, cand)) candidates
+        List.map
+          (fun cand ->
+            let est, holders = estimate instances items cand in
+            (est, (cand, holders)))
+          candidates
         |> List.filter (fun (est, _) -> est > 0)
         |> List.stable_sort (fun (a, _) (b, _) -> Stdlib.compare b a)
       in
@@ -438,8 +454,8 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
       let index, name = name_after last in
       let best =
         List.fold_left
-          (fun best (_, cand) ->
-            let trial = apply_candidate ~signs name cand items in
+          (fun best (_, (cand, holders)) ->
+            let trial = apply_candidate ~signs bodies name cand holders items in
             let cost = trial_cost costs items trial in
             if cost < current_cost && num_rewritten items trial >= 1 then
               match best with

@@ -18,11 +18,16 @@
     extraction.
 
     The greedy loop scores its trial rewrites by the flat operator count
-    of each body.  Each round counts every body once; a trial reuses that
-    count for every body it leaves unchanged and counts only the bodies it
-    rewrites and its new block.  The count is a pure function of the body,
-    so it is also memoized, in a domain-local table that
-    {!clear_cost_memo} empties; no setting bypasses it. *)
+    of each body.  The ranking scan that shortlists a candidate also
+    records the items that hold it: for a block, the items with a kernel
+    holding it (up to sign when [signs] is on), for a cube, the items
+    with a term it divides.  A trial rewrites only those items and returns
+    every other item as it is, which is what the rewrite would return:
+    both read the same memoized kernels.  Each round counts every body
+    once; a trial reuses that count for every body it leaves unchanged and
+    counts only the bodies it rewrites and its new block.  The count is a
+    pure function of the body, so it is also memoized, in a domain-local
+    table that {!clear_cost_memo} empties; no setting bypasses it. *)
 
 module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog

@@ -90,7 +90,7 @@ let rectangle_of_cols t cols =
 
 let value_of t rows cols =
   let body = body_of_cols t cols in
-  let ops = Dag.total_ops (Dag.tree_counts (Expr.of_poly body)) in
+  let ops = Dag.tree_ops (Expr.of_poly body) in
   (List.length rows - 1) * ops
 
 let prime_rectangles t =

@@ -193,6 +193,21 @@ let tree_counts expr =
   in
   go zero_counts expr
 
+(* [total_ops (tree_counts e)] without building a record per node: an
+   n-operand sum or product costs n - 1, a k-th power k - 1 *)
+let tree_ops expr =
+  let rec go acc (e : Expr.t) =
+    match e with
+    | Expr.Const _ | Expr.Var _ -> acc
+    | Expr.Neg e -> go acc e
+    | Expr.Pow (b, k) -> go (acc + k - 1) b
+    | Expr.Mul operands | Expr.Add operands -> go_list (acc - 1) operands
+  and go_list acc = function
+    | [] -> acc
+    | e :: rest -> go_list (go (acc + 1) e) rest
+  in
+  go 0 expr
+
 let eval dag env root =
   let memo = Hashtbl.create 64 in
   let rec go i =

@@ -54,4 +54,8 @@ val tree_counts : Expr.t -> counts
 (** Operator count of one expression *as a tree* (no sharing at all): the
     cost of a naive direct implementation. *)
 
+val tree_ops : Expr.t -> int
+(** [total_ops (tree_counts e)], counted without allocating per node: the
+    price every decomposition builder compares its candidates by. *)
+
 val eval : t -> (string -> Z.t) -> id -> Z.t

@@ -1,5 +1,6 @@
 module Z = Polysynth_zint.Zint
 module Poly = Polysynth_poly.Poly
+module Monomial = Polysynth_poly.Monomial
 
 type factorization = { unit_part : Z.t; factors : (Poly.t * int) list }
 
@@ -136,11 +137,39 @@ let integer_root n k =
     else Option.map Z.neg (integer_root_abs (Z.abs n) k)
   else integer_root_abs n k
 
+let rec igcd a b = if b = 0 then a else igcd b (a mod b)
+
+(* the prime factors of [n >= 1], increasing *)
+let prime_factors n =
+  let rec strip n q = if n mod q = 0 then strip (n / q) q else n in
+  let rec go n q =
+    if n < 2 then []
+    else if q * q > n then [ n ]
+    else if n mod q = 0 then q :: go (strip n q) (q + 1)
+    else go n (q + 1)
+  in
+  go n 2
+
+(* The value test run before the square-free factorization (see the
+   interface for why it is sound): some prime [q] dividing every exponent
+   of the leading monomial must leave [u] a [q]-th power at two fixed
+   points, its [i]-th variable set to [2i + 3], then to [-(3i + 2)]. *)
+let may_be_perfect_power u =
+  let g = Monomial.fold (fun g _ e -> igcd g e) 0 (snd (Poly.leading u)) in
+  g >= 2
+  &&
+  let index = List.mapi (fun i v -> (v, i)) (Poly.vars u) in
+  let at f = Poly.eval (fun v -> Z.of_int (f (List.assoc v index))) u in
+  let a = at (fun i -> (2 * i) + 3) and b = at (fun i -> -((3 * i) + 2)) in
+  List.exists
+    (fun q -> integer_root a q <> None && integer_root b q <> None)
+    (prime_factors g)
+
 let perfect_power_root u =
-  if Poly.is_zero u || Poly.is_const u then None
+  if Poly.is_zero u || Poly.is_const u || not (may_be_perfect_power u) then
+    None
   else begin
     let { unit_part; factors } = squarefree u in
-    let rec igcd a b = if b = 0 then a else igcd b (a mod b) in
     let k = List.fold_left (fun acc (_, e) -> igcd acc e) 0 factors in
     (* try divisors of k from largest to smallest *)
     let rec try_k k =

@@ -33,7 +33,19 @@ val is_trivial : factorization -> bool
 val perfect_power_root : Poly.t -> (Poly.t * int) option
 (** [perfect_power_root u = Some (v, k)] with the largest [k >= 2] such that
     [u = v^k] (e.g. [x^2 + 2xy + y^2] gives [(x + y, 2)]); [None] when [u]
-    is not a perfect power. *)
+    is not a perfect power.
+
+    Most polynomials are not powers, so a value test runs before the
+    square-free factorization and answers [None] for most of them at the
+    cost of two evaluations.  It is sound: if [u = v^k], then the leading
+    monomial of [u] is that of [v] to the [k] (the monomial order is
+    multiplicative), so [k] divides each of its exponents, and for a prime
+    [q] dividing [k], [u(a) = (v^(k/q)(a))^q] is the [q]-th power of an
+    integer at every integer point [a].  So [u] is factorized only when
+    some prime dividing every exponent of its leading monomial leaves it a
+    [q]-th power at two fixed points (the [i]-th variable in name order
+    set to [2i + 3], then to [-(3i + 2)]); a [u] that fails cannot be a
+    perfect power, and the result equals that of factorizing it. *)
 
 val integer_root : Z.t -> int -> Z.t option
 (** [integer_root n k] is the exact [k]-th root of [n] when it exists

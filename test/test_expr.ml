@@ -322,6 +322,14 @@ let prop_tree_counts_nonnegative =
       let c = Dag.tree_counts e in
       c.Dag.mults >= 0 && c.Dag.adds >= 0 && c.Dag.const_mults <= c.Dag.mults)
 
+let prop_tree_ops =
+  prop "tree_ops is total_ops of tree_counts"
+    QCheck.(pair arb_expr arb_expr)
+    (fun (e, f) ->
+      List.for_all
+        (fun e -> Dag.tree_ops e = Dag.total_ops (Dag.tree_counts e))
+        [ e; E.of_poly (E.to_poly e); E.mul [ e; f ]; E.add [ e; E.neg f ] ])
+
 let prop_compare_total_order =
   prop "compare is a total order" QCheck.(pair arb_expr arb_expr)
     (fun (a, b) ->
@@ -376,6 +384,7 @@ let () =
           prop_vars_sound;
           prop_size_positive;
           prop_tree_counts_nonnegative;
+          prop_tree_ops;
           prop_compare_total_order;
         ] );
     ]

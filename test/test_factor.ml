@@ -558,6 +558,21 @@ let prop_perfect_power_expands =
       | Some (v, k) -> P.equal sq (P.pow v k)
       | None -> false)
 
+(* [v^k] for k from 2 to 5: the value test before the square-free
+   factorization must let every perfect power through, cubes and fifth
+   powers included *)
+let prop_higher_power_expands =
+  prop "perfect_power_root reconstructs v^k" ~count:100
+    (QCheck.make
+       QCheck.Gen.(pair (gen_poly ~max_terms:3 ()) (int_range 2 5))
+       ~print:(fun (v, k) -> Printf.sprintf "(%s)^%d" (P.to_string v) k))
+    (fun (v, k) ->
+      QCheck.assume (not (P.is_const v));
+      let u = P.pow v k in
+      match S.perfect_power_root u with
+      | Some (w, j) -> j >= k && P.equal u (P.pow w j)
+      | None -> false)
+
 let () =
   Alcotest.run "factor"
     [
@@ -629,5 +644,6 @@ let () =
           prop_squarefree_factors_are_squarefree;
           prop_square_detected;
           prop_perfect_power_expands;
+          prop_higher_power_expands;
         ] );
     ]
