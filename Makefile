@@ -19,23 +19,29 @@
 #                order, quartiles, win counts and the claim rule
 #   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
 #   make golden  diff the output of experiments.exe in every mode, of
-#                fuzz.exe 200 1 and the --fsmd Verilog and summary line of
-#                every example data system against the recorded files in
-#                test/golden/
+#                fuzz.exe 200 1, of make lint's commands and the --fsmd
+#                Verilog and summary line of every example data system
+#                against the recorded files in test/golden/
 
 .PHONY: ci build test test-py fmt lint fuzz golden bench bench-records
 
 ci: build test test-py fmt lint fuzz golden bench bench-records
 
-lint:
-	dune exec bin/polysynth.exe -- --benchmark all --check --lint --simplify
-	@for f in examples/data/*.poly test/data/*.poly; do \
+# the commands of make lint; make golden diffs their stdout against
+# test/golden/lint.txt
+LINT_RUN = _build/default/bin/polysynth.exe --benchmark all --check --lint \
+	  --simplify || exit $$?; \
+	for f in examples/data/*.poly test/data/*.poly; do \
 	  for ring in "" --ring; do \
 	    echo "== $$f $$ring"; \
-	    dune exec bin/polysynth.exe -- "$$f" $$ring --check --lint --simplify \
-	      || exit $$?; \
+	    _build/default/bin/polysynth.exe "$$f" $$ring --check --lint \
+	      --simplify || exit $$?; \
 	  done; \
 	done
+
+lint:
+	dune build bin/polysynth.exe
+	@$(LINT_RUN)
 
 fuzz:
 	dune exec bin/fuzz.exe -- 200 1
@@ -57,6 +63,7 @@ golden:
 	    | diff -u test/golden/experiments-$$m.txt - || exit 1; \
 	done
 	_build/default/bin/fuzz.exe 200 1 | diff -u test/golden/fuzz-200-1.txt -
+	@echo "== lint"; { $(LINT_RUN); } | diff -u test/golden/lint.txt -
 	@tmp=$$(mktemp) || exit 1; \
 	for f in examples/data/*.poly; do \
 	  name=$$(basename "$$f" .poly); \
