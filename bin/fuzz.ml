@@ -17,9 +17,9 @@
       netlist Verified against the source system, and never proposes a
       rewrite the certificate refutes (a Refuted rejection would mean the
       proposer itself is unsound, not just imprecise);
-   6. abstract interpretation: on the netlist and its MCM lowering, the
-      product analysis contains every cell's concrete value
-      (Netlist.values) on random input vectors.  The vectors come from a
+   6. abstract interpretation: on the netlist and its MCM lowering, every
+      cell's concrete value (Netlist.values) lies in its constant fact
+      (Absint.constants) on random input vectors.  The vectors come from a
       generator of their own, so this level leaves the draws of the other
       levels unchanged.
 
@@ -156,18 +156,18 @@ let () =
             (Simplify.describe rw)
         | _ -> ())
       o.Simplify.rejected;
-    (* 6. every concrete cell value lies in its abstract fact *)
+    (* 6. every concrete cell value lies in its constant fact *)
     let vectors = Rng.make seed in
     let contains label netlist =
-      let facts = Absint.analyze_product netlist in
+      let facts = Absint.constants netlist in
       let draw = Netlist.draw_inputs vectors netlist in
       for _ = 1 to 5 do
         let inputs = draw () in
         Array.iteri
           (fun i v ->
-            if not (Domains.Product.contains ~width facts.(i) v) then
+            if not (Domains.Const.contains ~width facts.(i) v) then
               fail "%s: cell %d = %s outside %s" label i (Z.to_string v)
-                (Domains.Product.to_string facts.(i)))
+                (Domains.Const.to_string facts.(i)))
           (Netlist.values netlist (fun v -> List.assoc v inputs))
       done
     in

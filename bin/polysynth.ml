@@ -378,11 +378,11 @@ let run_synthesis options =
       in
       if options.analyze then begin
         let n = Lazy.force netlist in
-        print_string
-          "analysis (wrap interval | known bits msb-first | congruence):\n";
+        Printf.printf "analysis (pre-wrap interval | constant mod 2^%d):\n"
+          n.Netlist.width;
         List.iter
           (fun line -> Printf.printf "  %s\n" line)
-          (Absint.Product_analysis.to_strings n (Absint.analyze_product n))
+          (Absint.to_strings n)
       end;
       if options.use_mcm && not options.json then begin
         let r = Cost.of_netlist (Lazy.force netlist) in
@@ -633,9 +633,9 @@ let lint_arg =
 
 let analyze_arg =
   let doc =
-    "Print the per-cell facts of the reduced-product abstract \
-     interpretation (wrap-aware interval, known bits, congruence mod 2^k) \
-     over the emitted netlist."
+    "Print two facts per cell of the emitted netlist: its pre-wrap \
+     integer interval (what the width lint reads) and its constant value \
+     mod 2^width, or top (what --simplify reads)."
   in
   Arg.(value & flag & info [ "analyze" ] ~doc)
 

@@ -6,12 +6,17 @@
     analysis over the {!Polysynth_hw.Netlist.t} DAG, which needs no join:
     each cell's fact is computed once from final fanin facts.
 
+    Two domains ship, one per client: {!Int_interval} backs the width
+    lint and {!Const} backs {!Simplify}.  Every rewrite [Simplify] makes
+    is certified by {!Equiv} in the ring, so the pass needs only the
+    facts it acts on: which cells are constants.
+
     Soundness contract: if a cell concretely evaluates (under
     {!Polysynth_hw.Netlist.eval}, i.e. clamped to [width] bits) to [v],
     then [contains ~width fact v] holds for the fact the analysis infers
     for that cell.  The exception is {!Int_interval}, which tracks the
     {e pre-wrap} integer value of each cell and is sound with respect to
-    exact integer evaluation instead; it backs the width lint. *)
+    exact integer evaluation instead. *)
 
 module Z = Polysynth_zint.Zint
 
@@ -57,29 +62,12 @@ module Int_interval : sig
   val range : t -> (Z.t * Z.t) option
 end
 
-(** Wrap-aware intervals: [lo, hi] with [0 <= lo <= hi < 2^width].  Each
-    transfer is {!Int_interval}'s, wrapped into the ring: a result
-    spanning the full ring or straddling the wrap point widens to top. *)
-module Interval : DOMAIN
+(** Constants mod [2^width]: bottom, one constant in [[0, 2^width)], or
+    top.  Besides folding constant operands it knows that a product with
+    a zero factor, a [Cmult] by a multiple of [2^width] and a [Shl] by at
+    least [width] are zero. *)
+module Const : DOMAIN
 
-(** Per-bit three-valued facts (0 / 1 / unknown).  Bit 0 subsumes the
-    parity domain. *)
-module Known_bits : DOMAIN
-
-(** [value = r (mod 2^k)]: tracks the low [k] bits exactly.  [k = 0] is
-    top; [k = width] pins the cell to a constant. *)
-module Congruence : DOMAIN
-
-(** Reduced product of {!Interval}, {!Known_bits} and {!Congruence}:
-    after every transfer, constants discovered by one factor are pushed
-    into the others, congruence low bits flow into known bits and the
-    known trailing-bit run flows back into the congruence.  Reduction
-    only tightens, so each component is at or below what the standalone
-    factor would compute. *)
-module Product : sig
-  include DOMAIN
-
-  val interval : t -> Interval.t
-  val known_bits : t -> Known_bits.t
-  val congruence : t -> Congruence.t
-end
+(* perfbench's replay is the only user of this alias; the benchmark change
+   that updates the replay (ROADMAP items 1 and 2) deletes it *)
+module Product = Const

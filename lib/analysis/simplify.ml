@@ -1,10 +1,10 @@
 (* Certificate-guarded netlist simplification.
 
-   The pass consumes the per-cell facts of the reduced-product analysis
-   ({!Absint.analyze_product}) and proposes local rewrites: constant
-   folding, x+0 / x*1 / x*0 identities, 0-x -> -x, multiply-by-constant
-   strength reduction (general multiplier -> Cmult, Cmult 2^k -> Shl,
-   Cmult -1 -> Negate) and dead-cell elimination.
+   The pass consumes the per-cell constants of {!Absint.constants} and
+   proposes local rewrites: constant folding, x+0 / x*1 / x*0 identities,
+   0-x -> -x, multiply-by-constant strength reduction (general multiplier
+   -> Cmult, Cmult 2^k -> Shl, Cmult -1 -> Negate) and dead-cell
+   elimination.
 
    Nothing is trusted: every candidate netlist is certified against the
    reference polynomial system by {!Equiv} under the ring context of the
@@ -40,7 +40,7 @@ let describe rw =
 
 let propose ~facts (n : Netlist.t) =
   let width = n.Netlist.width in
-  let cst i = Domains.Product.as_const ~width facts.(i) in
+  let cst i = Domains.Const.as_const ~width facts.(i) in
   let is_zero i = match cst i with Some c -> Z.is_zero c | None -> false in
   let rewrites = ref [] in
   let push cell action reason =
@@ -174,8 +174,10 @@ let prune (n : Netlist.t) =
 
 (* ---- certification ------------------------------------------------------ *)
 
-let certify_netlist ?(samples = 4) ?(size_budget = 100_000) ~polys
-    (candidate : Netlist.t) =
+(* the expansion budget of the reference recovery and of each certificate *)
+let size_budget = 100_000
+
+let certify_netlist ~samples ~polys (candidate : Netlist.t) =
   let prog = Netlist.to_prog candidate in
   (* Equiv matches output P{i+1} against the i-th polynomial *)
   let prog =
@@ -193,7 +195,6 @@ let certify_netlist ?(samples = 4) ?(size_budget = 100_000) ~polys
 (* ---- the pass ----------------------------------------------------------- *)
 
 type stats = {
-  facts_computed : int;  (** cells whose product fact is strictly below top *)
   proposed : int;
   applied : int;
   rejected : int;
@@ -213,24 +214,14 @@ type outcome = {
 
 let cells_eliminated o = o.stats.cells_before - o.stats.cells_after
 
-let run ?(samples = 4) ?(size_budget = 100_000) ?system ?facts
-    (n : Netlist.t) =
-  let width = n.Netlist.width in
+let run ?(samples = 4) ?system ?facts (n : Netlist.t) =
   let facts =
-    match facts with Some f -> f | None -> Absint.analyze_product n
-  in
-  let facts_computed =
-    Array.fold_left
-      (fun acc f ->
-        if Domains.Product.leq (Domains.Product.top ~width) f then acc
-        else acc + 1)
-      0 facts
+    match facts with Some f -> f | None -> Absint.constants n
   in
   let rewrites = propose ~facts n in
   let cells_before = Netlist.num_cells n in
   let mk_stats ?(applied = 0) ?(rejected = 0) ?(certs = 0) final =
     {
-      facts_computed;
       proposed = List.length rewrites;
       applied;
       rejected;
@@ -274,7 +265,7 @@ let run ?(samples = 4) ?(size_budget = 100_000) ?system ?facts
     let attempt acc =
       let cand = prune (apply n acc) in
       incr certs;
-      match certify_netlist ~samples ~size_budget ~polys cand with
+      match certify_netlist ~samples ~polys cand with
       | Equiv.Verified -> Ok cand
       | c -> Error c
     in

@@ -1,7 +1,7 @@
 (** Certificate-guarded netlist simplification.
 
-    Consumes the reduced-product facts of {!Absint} and proposes local
-    rewrites — constant folding, [x+0]/[x*1]/[x*0] identities,
+    Consumes the per-cell constants of {!Absint.constants} and proposes
+    local rewrites — constant folding, [x+0]/[x*1]/[x*0] identities,
     [0-x -> -x], multiply-by-constant strength reduction
     ([Mult2 -> Cmult], [Cmult 2^k -> Shl], [Cmult -1 -> Negate]) — plus
     dead-cell elimination.
@@ -12,7 +12,9 @@
     never change semantics.  A failing batch is retried one rewrite at a
     time, isolating an unsound proposal (caught as [Refuted] and surfaced
     as a ["simplify.unsound"] error diagnostic) while sound rewrites
-    still land. *)
+    still land.  Because the certificate, not the analysis, vouches for
+    every rewrite, the pass needs no fact beyond which cells are
+    constants. *)
 
 module Z := Polysynth_zint.Zint
 module Netlist := Polysynth_hw.Netlist
@@ -27,7 +29,7 @@ type rewrite = { cell : int; action : action; reason : string }
 
 val describe : rewrite -> string
 
-val propose : facts:Domains.Product.t array -> Netlist.t -> rewrite list
+val propose : facts:Domains.Const.t array -> Netlist.t -> rewrite list
 (** Rewrites justified by the given per-cell facts.  Proposals only —
     nothing here is certified. *)
 
@@ -41,7 +43,6 @@ val prune : Netlist.t -> Netlist.t
 (** Drop cells unreachable from the outputs and renumber. *)
 
 type stats = {
-  facts_computed : int;  (** cells whose product fact is strictly below top *)
   proposed : int;
   applied : int;
   rejected : int;
@@ -64,17 +65,17 @@ val cells_eliminated : outcome -> int
 
 val run :
   ?samples:int ->
-  ?size_budget:int ->
   ?system:(string * Poly.t) list ->
-  ?facts:Domains.Product.t array ->
+  ?facts:Domains.Const.t array ->
   Netlist.t ->
   outcome
 (** The guarded pass.  [system] supplies the reference polynomials by
     output name (recommended — exact and cheap); without it the reference
     is recovered from the netlist itself, guarded by
     {!Equiv.expansion_estimate}, and the pass degrades to a no-op when
-    the recovery would exceed [size_budget].  [facts] reuses an existing
-    product analysis. *)
+    the recovery would exceed an estimate of 100 000 (the same budget
+    bounds each certificate).  [facts] reuses an existing
+    {!Absint.constants} analysis. *)
 
 val diags_of_outcome : outcome -> Diag.t list
 (** Findings for {!Suite}: ["simplify.summary"] / ["simplify.rewrite"] /

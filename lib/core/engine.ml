@@ -390,12 +390,11 @@ let certify_report (config : Config.t) ~prefix stages certs polys r =
   end
 
 (* When [config.simplify] is on, the selected decomposition is lowered to
-   a netlist, the reduced-product analysis runs over it (an "analyze"
-   stage whose candidate count is the number of cells with an informative
-   fact, i.e. strictly below top), and the certificate-guarded simplify
-   pass rewrites it (a "simplify" stage counting eliminated cells).  The
-   outcome rides on the report; [report.prog] is untouched — the
-   simplified artifact is the netlist. *)
+   a netlist, the constant analysis runs over it (an "analyze" stage whose
+   candidate count is the number of cells with a constant fact), and the
+   certificate-guarded simplify pass rewrites it (a "simplify" stage
+   counting eliminated cells).  The outcome rides on the report;
+   [report.prog] is untouched — the simplified artifact is the netlist. *)
 let simplify_report (config : Config.t) ~prefix stages polys r =
   if not config.Config.simplify then r
   else begin
@@ -403,15 +402,16 @@ let simplify_report (config : Config.t) ~prefix stages polys r =
     let n = Netlist.of_prog ~width r.prog in
     let facts =
       stage stages (prefix ^ "analyze") (fun () ->
-          let facts = Absint.analyze_product n in
-          let informative =
+          let facts = Absint.constants n in
+          let constants =
             Array.fold_left
               (fun acc f ->
-                if Domains.Product.leq (Domains.Product.top ~width) f then acc
-                else acc + 1)
+                if Option.is_some (Domains.Const.as_const ~width f) then
+                  acc + 1
+                else acc)
               0 facts
           in
-          (facts, informative))
+          (facts, constants))
     in
     let system =
       List.mapi (fun i p -> (Printf.sprintf "P%d" (i + 1), p)) polys

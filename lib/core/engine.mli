@@ -86,10 +86,10 @@ module Config : sig
             (a ["<method>/certify"] trace stage); off, reports carry
             [Unknown "not certified"] *)
     simplify : bool;
-        (** lower every selected decomposition, run the reduced-product
-            abstract interpretation over the netlist and the
-            certificate-guarded simplify pass on its facts — recorded as
-            ["<method>/analyze"] (candidates = cells with an informative
+        (** lower every selected decomposition, run the constant
+            analysis over the netlist and the certificate-guarded
+            simplify pass on its facts — recorded as
+            ["<method>/analyze"] (candidates = cells with a constant
             fact) and ["<method>/simplify"] (candidates = cells
             eliminated) trace stages *)
   }

@@ -460,28 +460,50 @@ let prop_domain_sound name dom ~clamp =
         vals;
       !ok)
 
-(* the reduced product is at least as precise as each factor analysis *)
-let prop_product_precision =
-  qprop "product at least as precise as factors" arb_rand_netlist
-    (fun (n, _env) ->
-      let pf = Absint.analyze_product n in
-      let module AI = Absint.Make (Domains.Interval) in
-      let module AK = Absint.Make (Domains.Known_bits) in
-      let module AC = Absint.Make (Domains.Congruence) in
-      let fi = AI.analyze n
-      and fk = AK.analyze n
-      and fc = AC.analyze n in
-      let ok = ref true in
-      Array.iteri
-        (fun i p ->
-          if
-            not
-              (Domains.Interval.leq (Domains.Product.interval p) fi.(i)
-              && Domains.Known_bits.leq (Domains.Product.known_bits p) fk.(i)
-              && Domains.Congruence.leq (Domains.Product.congruence p) fc.(i))
-          then ok := false)
-        pf;
-      !ok)
+(* each rule that makes a constant of a cell, at width 8: a zero factor
+   on either side, a constant multiplier that vanishes mod 2^8, a shift by
+   the width and a product of constants (wrapped); one power of two short
+   of the width, or a nonzero factor, leaves the cell unknown *)
+let test_constant_rules () =
+  let cell id op fanin = { Netlist.id; op; fanin } in
+  let n =
+    {
+      Netlist.cells =
+        [|
+          cell 0 (Netlist.Input "x") [];
+          cell 1 (Netlist.Constant Z.zero) [];
+          cell 2 Netlist.Mult2 [ 0; 1 ];
+          cell 3 Netlist.Mult2 [ 1; 0 ];
+          cell 4 (Netlist.Cmult (Z.of_int 256)) [ 0 ];
+          cell 5 (Netlist.Shl 8) [ 0 ];
+          cell 6 (Netlist.Constant (Z.of_int 20)) [];
+          cell 7 (Netlist.Constant (Z.of_int 13)) [];
+          cell 8 Netlist.Mult2 [ 6; 7 ];
+          cell 9 Netlist.Mult2 [ 0; 6 ];
+          cell 10 (Netlist.Cmult (Z.of_int 128)) [ 0 ];
+          cell 11 (Netlist.Shl 7) [ 0 ];
+        |];
+      outputs = [ ("P1", 8) ];
+      width = 8;
+    }
+  in
+  let facts = Absint.constants n in
+  List.iter
+    (fun (i, what, expected) ->
+      Alcotest.(check (option string))
+        (Printf.sprintf "c%d: %s" i what)
+        expected
+        (Option.map Z.to_string (Domains.Const.as_const ~width:8 facts.(i))))
+    [
+      (2, "x * 0", Some "0");
+      (3, "0 * x", Some "0");
+      (4, "cmult 256", Some "0");
+      (5, "shl 8", Some "0");
+      (8, "20 * 13 mod 2^8", Some "4");
+      (9, "x * 20", None);
+      (10, "cmult 128", None);
+      (11, "shl 7", None);
+    ]
 
 (* ---- certificate-guarded simplification -------------------------------- *)
 
@@ -557,11 +579,9 @@ let test_simplify_unsound_rewrite_refuted () =
   in
   let width = 8 in
   let n = Netlist.of_prog ~width prog in
-  let facts =
-    Array.map (fun _ -> Domains.Product.top ~width) n.Netlist.cells
-  in
+  let facts = Array.map (fun _ -> Domains.Const.top ~width) n.Netlist.cells in
   let out_id = List.assoc "P1" n.Netlist.outputs in
-  facts.(out_id) <- Domains.Product.const ~width Z.zero;
+  facts.(out_id) <- Domains.Const.const ~width Z.zero;
   let o = Simplify.run ~system:[ ("P1", poly "x + y") ] ~facts n in
   Alcotest.(check int) "nothing applied" 0 o.Simplify.stats.Simplify.applied;
   Alcotest.(check bool) "the lie was refuted" true
@@ -655,14 +675,15 @@ let test_fsmd_runs_table_bindings () =
 
 (* One MD5 per artifact over the Proposed netlists of five systems at
    widths 8, 16 and 48 (above 30 bits the input draw needs both limbs):
-   the testbench, the self-checking C file, the product analysis, the
-   width lint in both modes and the pipeline cut at period 30.  Recorded
-   before evaluation, prices and input draws each moved to one home. *)
+   the testbench, the self-checking C file, the interval and constant
+   analysis, the width lint in both modes and the pipeline cut at period
+   30.  Recorded before evaluation, prices and input draws each moved to
+   one home. *)
 let pinned_artifacts =
   [
     ("testbench", "3421818b796b40a1c16875afe5231847");
     ("c self-check", "8f2b3fa238695df4f83b5e461e4a39b3");
-    ("product analysis", "2621ea6714a02a1f11f5070267dfa94d");
+    ("interval and constant analysis", "0fa04af4fb056edb10d3d006bd19d744");
     ("width lint", "24997f828586e1b8267587174cf850e1");
     ("pipeline cut", "1dd1bce6517c5f42a37b1bfc5092acd4");
   ]
@@ -698,9 +719,7 @@ let test_pinned_proposed_artifacts () =
   let artifact = function
     | "testbench" -> lines (fun n -> [ Testbench.emit n ])
     | "c self-check" -> lines (fun n -> [ Cemit.emit ~self_check:16 n ])
-    | "product analysis" ->
-      lines (fun n ->
-          Absint.Product_analysis.to_strings n (Absint.analyze_product n))
+    | "interval and constant analysis" -> lines Absint.to_strings
     | "width lint" ->
       lines (fun n ->
           List.map Diag.to_string
@@ -814,19 +833,10 @@ let () =
           prop_domain_sound "int-interval (pre-wrap)"
             (module Domains.Int_interval : Domains.DOMAIN)
             ~clamp:false;
-          prop_domain_sound "wrap interval"
-            (module Domains.Interval : Domains.DOMAIN)
+          prop_domain_sound "constants"
+            (module Domains.Const : Domains.DOMAIN)
             ~clamp:true;
-          prop_domain_sound "known bits"
-            (module Domains.Known_bits : Domains.DOMAIN)
-            ~clamp:true;
-          prop_domain_sound "congruence"
-            (module Domains.Congruence : Domains.DOMAIN)
-            ~clamp:true;
-          prop_domain_sound "reduced product"
-            (module Domains.Product : Domains.DOMAIN)
-            ~clamp:true;
-          prop_product_precision;
+          Alcotest.test_case "constant rules" `Quick test_constant_rules;
         ] );
       ( "simplify",
         [

@@ -214,6 +214,60 @@ let test_check_exit_code () =
     certs;
   Alcotest.(check int) "exit" 0 code
 
+(* --analyze prints, per cell, the pre-wrap interval the width lint reads
+   and the constant Simplify reads: a [Constant c] cell's interval is
+   [c, c] and its constant c mod 2^16.  Table 14.1 has no constant cell,
+   so a system with a constant term runs too *)
+let test_analyze_printout () =
+  let module Z = Polysynth_zint.Zint in
+  let constants = ref 0 in
+  List.iter
+    (fun args ->
+      let code, lines = output ~prefix:"" (args ^ " --analyze") in
+      Alcotest.(check int) (args ^ ": exit") 0 code;
+      let rec after_header = function
+        | [] -> Alcotest.fail (args ^ ": no analysis header")
+        | "analysis (pre-wrap interval | constant mod 2^16):" :: cells ->
+          cells
+        | _ :: rest -> after_header rest
+      in
+      let cells =
+        List.filter (String.starts_with ~prefix:"  c") (after_header lines)
+      in
+      Alcotest.(check bool) (args ^ ": cell lines") true (cells <> []);
+      List.iter
+        (fun line ->
+          let lb = String.index line '[' and rb = String.index line ']' in
+          let interval = String.sub line (lb + 1) (rb - lb - 1) in
+          (* the operator column starts after the 8-character id column *)
+          let op = String.trim (String.sub line 8 (lb - 8)) in
+          let fact =
+            String.trim (String.sub line (rb + 1) (String.length line - rb - 1))
+          in
+          (match String.split_on_char ',' interval with
+           | [ lo; hi ] ->
+             Alcotest.(check bool) (line ^ ": interval") true
+               (Z.compare (Z.of_string lo) (Z.of_string (String.trim hi)) <= 0)
+           | _ -> Alcotest.fail (line ^ ": no interval"));
+          match Z.of_string op with
+          | c ->
+            incr constants;
+            Alcotest.(check string) (line ^ ": interval of a constant")
+              (Printf.sprintf "%s, %s" op op)
+              interval;
+            Alcotest.(check string) (line ^ ": constant")
+              (Z.to_string (Z.erem_pow2 c 16))
+              fact
+          | exception _ -> ())
+        cells)
+    [
+      "../examples/data/table_14_1.poly";
+      "../examples/data/table_14_1.poly --ring";
+      "data/large_coeff_2_70_3_40.poly";
+      "data/large_coeff_2_70_3_40.poly --ring";
+    ];
+  Alcotest.(check bool) "constant cells seen" true (!constants > 0)
+
 let () =
   Alcotest.run "cli"
     [
@@ -245,5 +299,7 @@ let () =
         [
           Alcotest.test_case "pipeline and fsmd summary" `Quick
             test_implementation_summary;
+          Alcotest.test_case "analyze prints interval and constant" `Quick
+            test_analyze_printout;
         ] );
     ]
