@@ -22,8 +22,10 @@
 #                fuzz.exe 200 1, of make lint's commands and the --fsmd
 #                Verilog and summary line of every example data system
 #                against the recorded files in test/golden/
+#   make size    print the non-test line count: every .ml and .mli line
+#                under lib/, bin/ and examples/ (not part of make ci)
 
-.PHONY: ci build test test-py fmt lint fuzz golden bench bench-records
+.PHONY: ci build test test-py fmt lint fuzz golden bench bench-records size
 
 ci: build test test-py fmt lint fuzz golden bench bench-records
 
@@ -108,3 +110,7 @@ bench:
 
 bench-records:
 	python3 test/check_bench_records.py
+
+size:
+	@find lib bin examples \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + \
+	  | wc -l

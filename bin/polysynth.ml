@@ -262,6 +262,20 @@ let max_width = 1024
    written as what a valid value satisfies, so that nan fails them. *)
 let usage_error options =
   let fails valid = function Some x -> not (valid x) | None -> false in
+  (* the reports that print text of their own, which --json would mix
+     into its one object *)
+  let text_only =
+    List.find_opt fst
+      [
+        (options.show_program, "--show-program");
+        (options.analyze, "--analyze");
+        (options.show_power, "--power");
+        (options.show_range, "--range");
+        (Option.is_some options.pipeline_period, "--pipeline");
+        (Option.is_some options.benchmark, "--benchmark");
+        (options.evaluate, "--evaluate");
+      ]
+  in
   if options.width < 1 || options.width > max_width then
     Some
       (Printf.sprintf "--width must be between 1 and %d (got %d)" max_width
@@ -276,7 +290,11 @@ let usage_error options =
     Some "--pipeline must be a positive clock period"
   else if Option.is_some options.c_out && options.width > 64 then
     Some "--emit-c needs --width of at most 64"
-  else None
+  else
+    match text_only with
+    | Some (_, flag) when options.json ->
+      Some (Printf.sprintf "--json prints one JSON object: drop %s" flag)
+    | _ -> None
 
 let run_synthesis options =
   match usage_error options with
@@ -408,10 +426,12 @@ let run_synthesis options =
            the %d-bit datapath)\n"
           (Widths.max_required_width n) (Widths.growth n) width
       end;
+      (* under --json, stdout holds the JSON object alone *)
+      let notes = if options.json then stderr else stdout in
       let write path contents =
         Out_channel.with_open_text path (fun oc ->
             Out_channel.output_string oc contents);
-        Printf.printf "wrote %s\n" path
+        Printf.fprintf notes "wrote %s\n" path
       in
       (match options.verilog_out with
        | None -> ()
@@ -432,7 +452,7 @@ let run_synthesis options =
                 n)
          in
          let states = Fsmd.states b in
-         Printf.printf
+         Printf.fprintf notes
            "fsmd: %d states, %d registers, %d micro-ops (1 multiplier, 1 adder)\n"
            (Array.length states) b.Bind.num_registers
            (Array.fold_left (fun acc ops -> acc + List.length ops) 0 states);
@@ -606,7 +626,9 @@ let json_arg =
   let doc =
     "Print one JSON object (reports plus the engine trace: per-stage wall \
      time, candidate counts, cache statistics, budget state) instead of \
-     the text report."
+     the text report; the notes of written files go to stderr.  Does not \
+     combine with $(b,--show-program), $(b,--analyze), $(b,--power), \
+     $(b,--range), $(b,--pipeline), $(b,--benchmark) or $(b,--evaluate)."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
 

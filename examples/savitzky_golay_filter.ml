@@ -35,8 +35,8 @@ let () =
         r.Engine.counts.Dag.mults r.Engine.counts.Dag.adds
         r.Engine.cost.Cost.area r.Engine.cost.Cost.delay)
     reports;
-  Format.printf "(%d memo hits across the representation, kernel and \
-                 flat-cost tables)@."
+  Format.printf "(%d memo hits across the representation and kernel \
+                 tables)@."
     trace.Engine.Trace.cache_hits;
 
   let proposed = List.nth reports 3 in

@@ -6,7 +6,6 @@ module Prog = Polysynth_expr.Prog
 module Dag = Polysynth_expr.Dag
 module Cost = Polysynth_hw.Cost
 module Canonical = Polysynth_finite_ring.Canonical
-module Extract = Polysynth_cse.Extract
 module Kernel = Polysynth_cse.Kernel
 module Equiv = Polysynth_analysis.Equiv
 module Absint = Polysynth_analysis.Absint
@@ -185,26 +184,21 @@ let memo_key ~ctx polys =
        vars);
   Buffer.contents b
 
-(* The engine manages three memo layers: its own representation/variant
-   store above (consulted only when [Config.cache] is on), the kernelling
-   memo inside Polysynth_cse.Kernel that serves the extraction loops, and
-   Extract's domain-local flat-cost memo (both always on: they cache pure
-   functions, so no per-run setting touches them).  They are cleared
-   together here (the single lifecycle point) and the trace reports both
-   the merged totals and the per-table split. *)
+(* The engine manages two memo layers: its own representation/variant
+   store above (consulted only when [Config.cache] is on) and the
+   kernelling memo inside Polysynth_cse.Kernel that serves the extraction
+   loops (always on: it caches a pure function, so no per-run setting
+   touches it).  They are cleared together here (the single lifecycle
+   point) and the trace reports both the merged totals and the per-table
+   split. *)
 let cache_table_stats () =
   let sh, sm = Memo.stats stores and vh, vm = Memo.stats variant_lists in
-  [
-    ("representation", (sh + vh, sm + vm));
-    ("kernel", Kernel.cache_stats ());
-    ("flat-cost", Extract.cost_memo_stats ());
-  ]
+  [ ("representation", (sh + vh, sm + vm)); ("kernel", Kernel.cache_stats ()) ]
 
 let clear_cache () =
   Memo.clear stores;
   Memo.clear variant_lists;
-  Kernel.clear_cache ();
-  Extract.clear_cost_memo ()
+  Kernel.clear_cache ()
 
 (* ---- parallel map over a domain pool ---------------------------------- *)
 

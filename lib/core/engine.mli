@@ -79,8 +79,8 @@ module Config : sig
     max_blocks : int option;  (** cap for block discovery *)
     cache : bool;
         (** consult/fill the engine's representation/variant store.  The
-            kernelling and flat-cost memos cache pure functions and are
-            always on, whatever this says. *)
+            kernelling memo caches a pure function and is always on,
+            whatever this says. *)
     certify : bool;
         (** run the equivalence certifier on every selected decomposition
             (a ["<method>/certify"] trace stage); off, reports carry
@@ -122,9 +122,11 @@ module Trace : sig
     cache_misses : int;
     cache_tables : (string * int * int) list;
         (** per-table [(name, hits, misses)] split of the totals above:
-            ["representation"] (the engine store), ["kernel"]
-            (kernelling memo), ["flat-cost"] (Extract's domain-local
-            body-cost memo) *)
+            ["representation"] (the engine store) and ["kernel"] (the
+            kernelling memo).  The counts repeat exactly only at
+            parallelism 1: two domains can miss the same polynomial in
+            the shared kernel table, so a parallel run's split can vary
+            from run to run. *)
     budget_exhausted : bool;
         (** a budget stopped some stage before it finished *)
     certificates : (string * string) list;
@@ -173,6 +175,5 @@ val parallel_map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val clear_cache : unit -> unit
 (** Empty every engine-owned memo in one place — the
-    representation/variant store, the kernelling memo of
-    [Polysynth_cse.Kernel], and the domain-local flat-cost memo of
-    [Polysynth_cse.Extract] — and reset their hit/miss counters. *)
+    representation/variant store and the kernelling memo of
+    [Polysynth_cse.Kernel] — and reset their hit/miss counters. *)

@@ -59,60 +59,9 @@ let decode_expr e =
 
 type item = { name : string; body : Poly.t }
 
-(* Operator count of one body as a flat sum of products; block variables
-   and coefficient literals count as plain operands.  The greedy loop
-   computes each item's count once per round and reuses it in every trial
-   that leaves the body physically unchanged, so a trial counts only the
-   bodies it rewrites.  The count is a pure function of the body and is
-   always memoized, keyed by the polynomial through [Poly.hash].  The
-   table is domain-local: the engine fans the integrated variants out
-   across domains and each keeps its own lock-free table. *)
-module Ptbl = Hashtbl.Make (Poly)
-
-(* Lifecycle: a domain-local table cannot be cleared from another domain,
-   so [clear_cost_memo] bumps a global epoch and every domain's slot
-   self-resets on its next access.  The hit/miss counters are global
-   atomics rather than per-domain: worker domains are transient (they die
-   when a [parallel_map] returns), so domain-local counts would vanish
-   with them. *)
-let cost_memo_epoch = Atomic.make 0
-let cost_memo_hits = Atomic.make 0
-let cost_memo_misses = Atomic.make 0
-
-let body_ops_key : (int * int Ptbl.t) ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      ref (Atomic.get cost_memo_epoch, Ptbl.create 1024))
-
-let body_ops body =
-  let slot = Domain.DLS.get body_ops_key in
-  let epoch = Atomic.get cost_memo_epoch in
-  let tbl =
-    let e, tbl = !slot in
-    if e = epoch then tbl
-    else begin
-      let fresh = Ptbl.create 1024 in
-      slot := (epoch, fresh);
-      fresh
-    end
-  in
-  match Ptbl.find_opt tbl body with
-  | Some n ->
-    Atomic.incr cost_memo_hits;
-    n
-  | None ->
-    Atomic.incr cost_memo_misses;
-    let n = Dag.tree_ops (Expr.of_poly body) in
-    if Ptbl.length tbl > 65536 then Ptbl.reset tbl;
-    Ptbl.add tbl body n;
-    n
-
-let clear_cost_memo () =
-  Atomic.incr cost_memo_epoch;
-  Atomic.set cost_memo_hits 0;
-  Atomic.set cost_memo_misses 0
-
-let cost_memo_stats () =
-  (Atomic.get cost_memo_hits, Atomic.get cost_memo_misses)
+(* perfbench's replay is the only caller of this no-op; the benchmark
+   change that updates the replay (ROADMAP item 1) deletes it *)
+let clear_cost_memo () = ()
 
 (* ---- candidate moves --------------------------------------------------------- *)
 
@@ -342,15 +291,16 @@ let apply_candidate ~signs bodies fresh_name cand holders items =
   go items holders
 
 (* flat cost of a trial: [costs] are the round's per-item counts, reused
-   for every body the move left physically unchanged *)
+   for every body the move left physically unchanged.  Block variables
+   and coefficient literals count as plain operands. *)
 let trial_cost costs items trial =
   let rec go acc costs items trial =
     match costs, items, trial with
     | n :: costs, it :: items, it' :: trial ->
-      go (acc + if it'.body == it.body then n else body_ops it'.body)
+      go (acc + if it'.body == it.body then n else Dag.poly_ops it'.body)
         costs items trial
     | [], [], trial ->
-      List.fold_left (fun acc it -> acc + body_ops it.body) acc trial
+      List.fold_left (fun acc it -> acc + Dag.poly_ops it.body) acc trial
     | _ -> invalid_arg "Extract.trial_cost"
   in
   go 0 costs items trial
@@ -398,7 +348,7 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
   let estimate instances items cand =
     match cand with
     | Block d ->
-      let ops_d = body_ops d in
+      let ops_d = Dag.poly_ops d in
       let occ, holders =
         List.fold_left
           (fun ((occ, holders) as acc) (it, _, k) ->
@@ -425,7 +375,7 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
   let rec loop iters last items block_order =
     if iters >= max_iters then (items, block_order)
     else begin
-      let costs = List.map (fun it -> body_ops it.body) items in
+      let costs = List.map (fun it -> Dag.poly_ops it.body) items in
       let current_cost = List.fold_left ( + ) 0 costs in
       let bodies = Hashtbl.create 64 in
       List.iter (fun it -> Hashtbl.replace bodies it.name it.body) items;

@@ -25,9 +25,8 @@
     every other item as it is, which is what the rewrite would return:
     both read the same memoized kernels.  Each round counts every body
     once; a trial reuses that count for every body it leaves unchanged and
-    counts only the bodies it rewrites and its new block.  The count is a
-    pure function of the body, so it is also memoized, in a domain-local
-    table that {!clear_cost_memo} empties; no setting bypasses it. *)
+    counts only the bodies it rewrites and its new block, from the terms
+    ({!Polysynth_expr.Dag.poly_ops}), with no expression built. *)
 
 module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog
@@ -67,12 +66,6 @@ val run :
     [P' = S - A]), an enhancement beyond [13] that the baseline disables.
     At most 100 greedy extractions are made. *)
 
+(* perfbench's replay is the only caller of this no-op; the benchmark
+   change that updates the replay (ROADMAP item 1) deletes it *)
 val clear_cost_memo : unit -> unit
-(** Invalidate the domain-local flat-cost memo in every domain (the
-    tables self-reset via a global epoch on their next access) and zero
-    the counters.  Part of the engine-owned cache set emptied by
-    [Engine.clear_cache]. *)
-
-val cost_memo_stats : unit -> int * int
-(** Cumulative [(hits, misses)] of the flat-cost memo across all domains
-    since start or {!clear_cost_memo}. *)

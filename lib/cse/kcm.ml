@@ -1,7 +1,6 @@
 module Z = Polysynth_zint.Zint
 module Poly = Polysynth_poly.Poly
 module Monomial = Polysynth_poly.Monomial
-module Expr = Polysynth_expr.Expr
 module Dag = Polysynth_expr.Dag
 
 module IntSet = Set.Make (Int)
@@ -88,11 +87,6 @@ let rectangle_of_cols t cols =
   let cols = cols_of_rows t rows in
   (rows, cols)
 
-let value_of t rows cols =
-  let body = body_of_cols t cols in
-  let ops = Dag.tree_ops (Expr.of_poly body) in
-  (List.length rows - 1) * ops
-
 let prime_rectangles t =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
@@ -104,7 +98,8 @@ let prime_rectangles t =
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.add seen key ();
           let body = body_of_cols t cols in
-          out := { rows; body; value = value_of t rows cols } :: !out
+          let value = (List.length rows - 1) * Dag.poly_ops body in
+          out := { rows; body; value } :: !out
         end
       end
     end

@@ -6,30 +6,23 @@ module Monomial = Polysynth_poly.Monomial
 (* The extraction loop (Extract.run) re-kernels every work-item body each
    round, and [rewrite_with_block] re-kernels the body after every rewrite
    — but most bodies are unchanged between calls.  Kernelling is the hot
-   stage, so [kernels] and [largest_cube] are memoized here, keyed by the
-   polynomial itself through [Poly.hash] (every term's coefficient and
-   monomial, mixed so that the low bits spread), in two bounded FIFO
-   tables shared across domains (Polysynth_zint.Memo).
+   stage, so [kernels] is memoized here, keyed by the polynomial itself
+   through [Poly.hash] (every term's coefficient and monomial, mixed so
+   that the low bits spread), in a bounded FIFO table shared across
+   domains (Polysynth_zint.Memo).
 
    Kernelling is a pure function of the polynomial, so the memo is always
-   on.  The summed hits/misses of both tables are the engine trace's
-   ["kernel"] table, and [Engine.clear_cache] clears them too. *)
+   on.  Its hits/misses are the engine trace's ["kernel"] table, and
+   [Engine.clear_cache] clears it too. *)
 module Memo = Polysynth_zint.Memo.Make (Poly)
 
 let kernel_memo : (Monomial.t * Poly.t) list Memo.t = Memo.create 8192
-let cube_memo : Monomial.t Memo.t = Memo.create 8192
-
-let clear_cache () =
-  Memo.clear kernel_memo;
-  Memo.clear cube_memo
-
-let cache_stats () =
-  let kh, km = Memo.stats kernel_memo and ch, cm = Memo.stats cube_memo in
-  (kh + ch, km + cm)
+let clear_cache () = Memo.clear kernel_memo
+let cache_stats () = Memo.stats kernel_memo
 
 (* ---- cubes --------------------------------------------------------------- *)
 
-let largest_cube_raw p =
+let largest_cube p =
   match Poly.terms p with
   | [] -> Monomial.one
   | (_, m) :: rest ->
@@ -39,14 +32,6 @@ let largest_cube_raw p =
         if Monomial.is_one acc then acc else go (Monomial.gcd acc m') tl
     in
     go m rest
-
-let largest_cube p =
-  match Memo.find cube_memo p with
-  | Some c -> c
-  | None ->
-    let c = largest_cube_raw p in
-    Memo.add cube_memo p c;
-    c
 
 let is_cube_free p = Monomial.is_one (largest_cube p)
 
@@ -118,7 +103,7 @@ let kernels_raw p =
             if in_terms >= 2 then begin
               let f = divide_cube pol (Monomial.var_of_id id) in
               if Poly.num_terms f >= 2 then begin
-                let c = largest_cube_raw f in
+                let c = largest_cube f in
                 let f1 = divide_cube f c in
                 let earlier_literal =
                   Array.exists (fun id' -> index.(id') < k) (Monomial.var_ids c)
@@ -133,7 +118,7 @@ let kernels_raw p =
           end)
         vars
     in
-    let c0 = largest_cube_raw p in
+    let c0 = largest_cube p in
     let p0 = divide_cube p c0 in
     explore 0 c0 p0;
     PolySet.elements !acc

@@ -208,6 +208,20 @@ let tree_ops expr =
   in
   go 0 expr
 
+(* [tree_ops (Expr.of_poly p)] read off the terms: n terms cost n - 1
+   adders, a term c*m costs deg m - 1 multipliers plus one for |c| <> 1,
+   and a constant term costs nothing *)
+let poly_ops p =
+  let term acc (c, m) =
+    let mults =
+      Polysynth_poly.Monomial.degree m - 1
+      + if Z.is_one (Z.abs c) then 0 else 1
+    in
+    acc + max 0 mults
+  in
+  let terms = Polysynth_poly.Poly.terms p in
+  List.fold_left term (max 0 (List.length terms - 1)) terms
+
 let eval dag env root =
   let memo = Hashtbl.create 64 in
   let rec go i =

@@ -58,4 +58,8 @@ val tree_ops : Expr.t -> int
 (** [total_ops (tree_counts e)], counted without allocating per node: the
     price every decomposition builder compares its candidates by. *)
 
+val poly_ops : Polysynth_poly.Poly.t -> int
+(** [tree_ops (Expr.of_poly p)], counted from the terms with no tree
+    built: the flat operator count the extraction loop scores bodies by. *)
+
 val eval : t -> (string -> Z.t) -> id -> Z.t

@@ -64,8 +64,7 @@ val hash : t -> int
     that its low bits, which [Hashtbl] picks buckets from, spread over
     polynomials that differ only in a small coefficient or exponent.  The
     value decides no output: no table keyed by polynomials (the
-    algebraic-division memo, the kernelling memos, the extraction's
-    flat-cost memo) is ever iterated. *)
+    algebraic-division memo, the kernelling memo) is ever iterated. *)
 
 (** {1 Ring operations} *)
 

@@ -268,6 +268,41 @@ let test_analyze_printout () =
     ];
   Alcotest.(check bool) "constant cells seen" true (!constants > 0)
 
+(* --json prints one JSON object and nothing else on stdout: the notes
+   of written files go to stderr, and a report that prints text of its
+   own is a usage error next to it *)
+let test_json_alone () =
+  let verilog = Filename.temp_file "polysynth" ".v"
+  and fsmd = Filename.temp_file "polysynth" ".v" in
+  let code, lines =
+    output ~prefix:""
+      (Printf.sprintf "../examples/data/table_14_1.poly --json --verilog %s \
+                       --fsmd %s"
+         (Filename.quote verilog) (Filename.quote fsmd))
+  in
+  Sys.remove verilog;
+  Sys.remove fsmd;
+  Alcotest.(check int) "exit" 0 code;
+  (match lines with
+   | [ line ] ->
+     Alcotest.(check bool) "one JSON object" true
+       (String.starts_with ~prefix:"{" line && String.ends_with ~suffix:"}" line)
+   | _ -> Alcotest.failf "%d stdout lines, not one" (List.length lines));
+  (* each input is one that the flag alone runs with exit 0 *)
+  List.iter
+    (fun (input, args) ->
+      Alcotest.(check int) ("--json " ^ args ^ " is a usage error") 1
+        (run ~input ("--json " ^ args)))
+    [
+      ("x*y+x", "--show-program");
+      ("x*y+x", "--analyze");
+      ("x*y+x", "--power");
+      ("x*y+x", "--range");
+      ("x*y+x", "--pipeline 30");
+      ("x*y+x", "--benchmark MVCS");
+      ("P1 = x*y + x", "--evaluate");
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -285,6 +320,7 @@ let () =
             test_emit_c_width;
           Alcotest.test_case "evaluate rejects self-reference" `Quick
             test_evaluate_self_reference;
+          Alcotest.test_case "json prints one object" `Quick test_json_alone;
         ] );
       ( "range", [ Alcotest.test_case "figures" `Quick test_range_figures ] );
       ( "check",

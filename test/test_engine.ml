@@ -112,6 +112,9 @@ let test_memo_hits_on_compare () =
   (* the second compare re-builds nothing at all: both are served from the
      representation store, and the kernelling memo keeps the first
      compare's entries *)
+  Alcotest.(check (list string)) "the trace's tables"
+    [ "representation"; "kernel" ]
+    (List.map (fun (name, _, _) -> name) trace2.Trace.cache_tables);
   Alcotest.(check (option (pair int int)))
     "second compare serves both" (Some (2, 0)) (representation trace2);
   Alcotest.(check int) "no misses on the second compare" 0

@@ -133,7 +133,19 @@ let test_tree_counts_table_14_1 () =
       Dag.zero_counts table_14_1_direct
   in
   Alcotest.(check int) "17 MULT" 17 total.Dag.mults;
-  Alcotest.(check int) "4 ADD" 4 total.Dag.adds
+  Alcotest.(check int) "4 ADD" 4 total.Dag.adds;
+  (* the flat count read off the terms agrees, down to the free
+     constants and negations *)
+  Alcotest.(check int) "poly_ops 21" 21
+    (List.fold_left
+       (fun acc e -> acc + Dag.poly_ops (E.to_poly e))
+       0 table_14_1_direct);
+  List.iter
+    (fun (s, ops) ->
+      Alcotest.(check int) ("poly_ops " ^ s) ops (Dag.poly_ops (p s));
+      Alcotest.(check int) ("tree_ops " ^ s) ops
+        (Dag.tree_ops (E.of_poly (p s))))
+    [ ("0", 0); ("1", 0); ("-1", 0); ("-5", 0); ("-x", 0); ("3*x^2*y", 3) ]
 
 let proposed_14_1 =
   (* d1 = x + 3y; P1 = d1^2; P2 = 4y^2*d1; P3 = 2xz*d1 *)
@@ -328,7 +340,8 @@ let prop_tree_ops =
     (fun (e, f) ->
       List.for_all
         (fun e -> Dag.tree_ops e = Dag.total_ops (Dag.tree_counts e))
-        [ e; E.of_poly (E.to_poly e); E.mul [ e; f ]; E.add [ e; E.neg f ] ])
+        [ e; E.of_poly (E.to_poly e); E.mul [ e; f ]; E.add [ e; E.neg f ] ]
+      && Dag.poly_ops (E.to_poly e) = Dag.tree_ops (E.of_poly (E.to_poly e)))
 
 let prop_compare_total_order =
   prop "compare is a total order" QCheck.(pair arb_expr arb_expr)
