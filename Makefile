@@ -19,9 +19,11 @@
 #                order, quartiles, win counts and the claim rule
 #   make fuzz    fixed-seed differential fuzz smoke run (200 systems, seed 1)
 #   make golden  diff the output of experiments.exe in every mode, of
-#                fuzz.exe 200 1, of make lint's commands and the --fsmd
-#                Verilog and summary line of every example data system
-#                against the recorded files in test/golden/
+#                fuzz.exe 200 1, of make lint's commands, of a power-objective
+#                compare of every example and test data system (exact and
+#                --ring) and the --fsmd Verilog and summary line of every
+#                example data system against the recorded files in
+#                test/golden/
 #   make size    print the non-test line count: every .ml and .mli line
 #                under lib/, bin/ and examples/ (not part of make ci)
 
@@ -38,6 +40,16 @@ LINT_RUN = _build/default/bin/polysynth.exe --benchmark all --check --lint \
 	    echo "== $$f $$ring"; \
 	    _build/default/bin/polysynth.exe "$$f" $$ring --check --lint \
 	      --simplify || exit $$?; \
+	  done; \
+	done
+
+# the power-objective compare that make golden diffs against
+# test/golden/power.txt
+POWER_RUN = for f in examples/data/*.poly test/data/*.poly; do \
+	  for ring in "" --ring; do \
+	    echo "== $$f $$ring"; \
+	    _build/default/bin/polysynth.exe "$$f" $$ring --objective power \
+	      --compare --check --power -j 1 || exit $$?; \
 	  done; \
 	done
 
@@ -66,6 +78,7 @@ golden:
 	done
 	_build/default/bin/fuzz.exe 200 1 | diff -u test/golden/fuzz-200-1.txt -
 	@echo "== lint"; { $(LINT_RUN); } | diff -u test/golden/lint.txt -
+	@echo "== power"; { $(POWER_RUN); } | diff -u test/golden/power.txt -
 	@tmp=$$(mktemp) || exit 1; \
 	for f in examples/data/*.poly; do \
 	  name=$$(basename "$$f" .poly); \
