@@ -33,25 +33,10 @@ let largest_cube p =
     in
     go m rest
 
-let is_cube_free p = Monomial.is_one (largest_cube p)
-
 (* Dividing every term by the same cube is a strictly order-preserving
    monomial map (the graded-lex order is compatible with multiplication),
-   so the quotient term lists below are already sorted and duplicate-free:
+   so the quotient term list below is already sorted and duplicate-free:
    [Poly.of_sorted_terms] skips the hashtable-and-sort of [Poly.of_terms]. *)
-
-let cube_free_part p =
-  let c = largest_cube p in
-  if Monomial.is_one c then p
-  else
-    Poly.of_sorted_terms
-      (List.map
-         (fun (k, m) ->
-           match Monomial.div m c with
-           | Some m' -> (k, m')
-           | None -> assert false)
-         (Poly.terms p))
-
 let divide_cube p c =
   if Monomial.is_one c then p
   else

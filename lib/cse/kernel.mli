@@ -28,16 +28,12 @@ val largest_cube : Poly.t -> Monomial.t
 (** The biggest cube (product of variables) dividing every term;
     [Monomial.one] for the zero polynomial. *)
 
-val is_cube_free : Poly.t -> bool
-
-val cube_free_part : Poly.t -> Poly.t
-(** [p = monomial(largest_cube p) * cube_free_part p]. *)
-
 val divide_cube : Poly.t -> Monomial.t -> Poly.t
 (** [divide_cube p c]: drop the terms not divisible by [c] and divide the
     rest — the quotient used to form kernels. *)
 
 val kernels : Poly.t -> (Monomial.t * Poly.t) list
 (** All (co-kernel, kernel) pairs of the polynomial, including the trivial
-    pair [(largest_cube p, cube_free_part p)] when the cube-free part has at
-    least two terms.  Pairs are distinct and deterministically ordered. *)
+    pair [(c, divide_cube p c)] with [c = largest_cube p] when that
+    cube-free part has at least two terms.  Pairs are distinct and
+    deterministically ordered. *)

@@ -142,23 +142,27 @@ let to_prog n =
     outputs = List.map (fun (nm, id) -> (nm, exprs.(id))) n.outputs;
   }
 
+let cell_value ~width op env arg =
+  let v =
+    match op with
+    | Input v -> env v
+    | Constant c -> c
+    | Negate -> Z.neg (arg 0)
+    | Add2 -> Z.add (arg 0) (arg 1)
+    | Sub2 -> Z.sub (arg 0) (arg 1)
+    | Mult2 -> Z.mul (arg 0) (arg 1)
+    | Cmult c -> Z.mul c (arg 0)
+    | Shl k -> Z.mul (Z.pow2 k) (arg 0)
+  in
+  Z.erem_pow2 v width
+
 let values n env =
   let values = Array.make (Array.length n.cells) Z.zero in
   Array.iter
     (fun cell ->
-      let arg k = values.(List.nth cell.fanin k) in
-      let v =
-        match cell.op with
-        | Input v -> env v
-        | Constant c -> c
-        | Negate -> Z.neg (arg 0)
-        | Add2 -> Z.add (arg 0) (arg 1)
-        | Sub2 -> Z.sub (arg 0) (arg 1)
-        | Mult2 -> Z.mul (arg 0) (arg 1)
-        | Cmult c -> Z.mul c (arg 0)
-        | Shl k -> Z.mul (Z.pow2 k) (arg 0)
-      in
-      values.(cell.id) <- Z.erem_pow2 v n.width)
+      values.(cell.id) <-
+        cell_value ~width:n.width cell.op env (fun k ->
+            values.(List.nth cell.fanin k)))
     n.cells;
   values
 
@@ -166,13 +170,13 @@ let eval n env =
   let values = values n env in
   List.map (fun (name, id) -> (name, values.(id))) n.outputs
 
-let draw_inputs rng n =
-  let inputs = inputs n in
-  fun () ->
-    List.map
-      (fun v ->
-        (* two limbs so widths above 30 still get full-range values *)
-        let hi = Rng.next rng (1 lsl 30) and lo = Rng.next rng (1 lsl 30) in
-        let word = Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo) in
-        (v, Z.erem_pow2 word n.width))
-      inputs
+let draw_words rng ~width inputs () =
+  List.map
+    (fun v ->
+      (* two limbs so widths above 30 still get full-range values *)
+      let hi = Rng.next rng (1 lsl 30) and lo = Rng.next rng (1 lsl 30) in
+      let word = Z.add (Z.mul (Z.of_int hi) (Z.pow2 30)) (Z.of_int lo) in
+      (v, Z.erem_pow2 word width))
+    inputs
+
+let draw_inputs rng n = draw_words rng ~width:n.width (inputs n)

@@ -55,19 +55,33 @@ val to_prog : t -> Polysynth_expr.Prog.t
     outputs as {!eval} once results are reduced mod [2^width] — this is
     what lets {!Polysynth_analysis.Equiv} certify netlist rewrites. *)
 
+val cell_value :
+  width:int -> op -> (string -> Z.t) -> (int -> Z.t) -> Z.t
+(** [cell_value ~width op env arg] is the value of a cell [op] whose
+    [k]-th operand has value [arg k], with an [Input v] reading [env v],
+    reduced into [[0, 2^width)] (wrap-around bit-vector arithmetic).  This
+    is the one evaluation rule: {!values} applies it cell by cell, and the
+    combination search applies it to the nodes of its shared DAG. *)
+
 val values : t -> (string -> Z.t) -> Z.t array
-(** Bit-accurate evaluation: every cell's value, indexed by cell id, each
-    reduced into [[0, 2^width)] (wrap-around bit-vector arithmetic).
-    {!eval}, {!Power} and the emitters' expected values all come from
-    here. *)
+(** Bit-accurate evaluation: every cell's value by {!cell_value},
+    indexed by cell id.  {!eval}, {!Power} and the emitters' expected
+    values all come from here. *)
 
 val eval : t -> (string -> Z.t) -> (string * Z.t) list
 (** The output values of {!values}, by output name and in output order. *)
 
+val draw_words :
+  Polysynth_zint.Xorshift.t -> width:int -> string list -> unit ->
+  (string * Z.t) list
+(** [draw_words rng ~width inputs] is a generator of random input vectors
+    over an explicit input list: each call draws one word in
+    [[0, 2^width)] per name, in list order, from two 30-bit draws of [rng]
+    (so widths above 30 bits get full-range values).  This is the one
+    input draw; {!Power.toggles} calls it with the sorted input list of
+    whatever it simulates. *)
+
 val draw_inputs :
   Polysynth_zint.Xorshift.t -> t -> unit -> (string * Z.t) list
-(** [draw_inputs rng n] is a generator of random input vectors for [n]:
-    each call draws one word in [[0, 2^width)] per input, in {!inputs}
-    order, from two 30-bit draws of [rng] (so widths above 30 bits get
-    full-range values).  Test benches, C self-checks and power estimation
-    all draw their vectors here. *)
+(** [draw_inputs rng n] is {!draw_words} over [n]'s width and {!inputs}.
+    Test benches and C self-checks draw their vectors here. *)

@@ -172,6 +172,22 @@ let test_large_coefficients () =
       "large_coeff_primorial.poly";
     ]
 
+(* The power objective at 200 bits: each toggle count compares values
+   wider than a native int, 30 bits at a time (bit by bit, this run took
+   minutes).  The timeout turns such a regression into a failure. *)
+let test_wide_power () =
+  let args =
+    "--objective power --width 200 --compare --check -j 1 \
+     ../examples/data/table_14_2.poly"
+  in
+  let code, certs = output ~timeout:20 ~prefix:"certificate (" args in
+  Alcotest.(check int) "exit" 0 code;
+  Alcotest.(check int) "certificates" 4 (List.length certs);
+  List.iter
+    (fun l ->
+      Alcotest.(check bool) l true (String.ends_with ~suffix:": verified" l))
+    certs
+
 (* the implementation summary of one example: the pipelined form at a
    target period and the one-multiplier, one-adder FSMD *)
 let test_implementation_summary () =
@@ -330,6 +346,8 @@ let () =
           Alcotest.test_case "exit code" `Quick test_check_exit_code;
           Alcotest.test_case "large coefficients" `Quick
             test_large_coefficients;
+          Alcotest.test_case "power objective at 200 bits" `Quick
+            test_wide_power;
         ] );
       ( "implementation",
         [

@@ -195,6 +195,45 @@ let test_power_pinned_totals () =
       (64, 0x1.1f10d5999999ap+22);
     ]
 
+(* the bit-by-bit count that the 30-bit chunks replaced, kept as the
+   reference *)
+let hamming_reference a b w =
+  let rec go i acc =
+    if i >= w then acc
+    else
+      let bit z = Z.to_int_exn (Z.erem_pow2 (Z.div z (Z.pow2 i)) 1) in
+      go (i + 1) (acc + if bit a <> bit b then 1 else 0)
+  in
+  go 0 0
+
+let prop_hamming_wide =
+  let gen =
+    QCheck.Gen.(
+      int_range 63 300 >>= fun w ->
+      let random =
+        map
+          (fun limbs ->
+            Z.erem_pow2
+              (List.fold_left
+                 (fun acc l -> Z.add (Z.mul acc (Z.pow2 30)) (Z.of_int l))
+                 Z.zero limbs)
+              w)
+          (list_repeat 11 (int_bound ((1 lsl 30) - 1)))
+      in
+      let value =
+        oneof [ return Z.zero; return (Z.sub (Z.pow2 w) Z.one); random ]
+      in
+      oneof
+        [
+          map (fun a -> (w, a, a)) value;
+          map2 (fun a b -> (w, a, b)) value value;
+        ])
+  in
+  prop "wide hamming distance = bit by bit" ~count:100
+    (QCheck.make gen ~print:(fun (w, a, b) ->
+         Printf.sprintf "width %d: %s, %s" w (Z.to_string a) (Z.to_string b)))
+    (fun (w, a, b) -> Power.hamming_distance a b w = hamming_reference a b w)
+
 let test_power_invalid_samples () =
   let n = N.of_prog ~width:8 (prog_of_strings [ "x" ]) in
   Alcotest.check_raises "samples < 1"
@@ -916,6 +955,7 @@ let () =
             test_power_leakage_tracks_area;
           Alcotest.test_case "invalid samples" `Quick test_power_invalid_samples;
           Alcotest.test_case "pinned totals" `Quick test_power_pinned_totals;
+          prop_hamming_wide;
         ] );
       ( "dot/testbench",
         [
