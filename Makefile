@@ -4,14 +4,17 @@
 #                + lint + fuzz smoke + benchmark smoke + evidence-record check
 #   make build   compile everything
 #   make test    run the alcotest/qcheck suites
-#   make test-py run the Python unit tests (perfbench's runner and the
-#                evidence-record checker)
+#   make test-py run the Python unit tests (perfbench's runner, the
+#                evidence-record checker and the export check)
 #   make fmt     check formatting (skipped when ocamlformat is absent)
-#   make lint    verify + lint + certificate-guarded simplify over every
-#                benchmark system, and over every example and test data
-#                system both exact and with --ring (exit 2 on a
-#                refuted/unknown certificate, 4 on a scheduler/binder
-#                invariant violation, 3 on other error-severity findings)
+#   make lint    check that every value lib/ exports is called by program
+#                code (test/check_exports.py, exceptions in
+#                test/check_exports.allow), then verify + lint +
+#                certificate-guarded simplify over every benchmark system,
+#                and over every example and test data system both exact
+#                and with --ring (exit 2 on a refuted/unknown certificate,
+#                4 on a scheduler/binder invariant violation, 3 on other
+#                error-severity findings)
 #   make bench   benchmark smoke run: one short perfbench run per workload,
 #                failing unless every result is correct and none failed
 #   make bench-records
@@ -31,8 +34,8 @@
 
 ci: build test test-py fmt lint fuzz golden bench bench-records
 
-# the commands of make lint; make golden diffs their stdout against
-# test/golden/lint.txt
+# the polysynth commands of make lint; make golden diffs their stdout
+# against test/golden/lint.txt
 LINT_RUN = _build/default/bin/polysynth.exe --benchmark all --check --lint \
 	  --simplify || exit $$?; \
 	for f in examples/data/*.poly test/data/*.poly; do \
@@ -54,6 +57,7 @@ POWER_RUN = for f in examples/data/*.poly test/data/*.poly; do \
 	done
 
 lint:
+	python3 test/check_exports.py
 	dune build bin/polysynth.exe
 	@$(LINT_RUN)
 
@@ -106,6 +110,7 @@ fmt:
 test-py:
 	python3 -m unittest perfbench/test_run.py
 	python3 test/test_check_bench_records.py
+	python3 test/test_check_exports.py
 
 # run.py exits 0 even when a result is incorrect, so read its last line:
 # the result object

@@ -106,9 +106,7 @@ let () =
     spot "netlist" n;
     spot "MCM" opt;
     (* 3. no error-severity lint finding on the proposed decomposition *)
-    let suite_cfg =
-      { (Suite.default ~width) with Suite.system = Some system; check = false }
-    in
+    let suite_cfg = { (Suite.default ~width) with Suite.system = Some system } in
     let lint = Suite.analyze suite_cfg proposed.Engine.prog in
     List.iter
       (fun (d : Diag.t) ->

@@ -114,14 +114,7 @@ let is_verified = function Equiv.Verified -> true | _ -> false
 (* equivalence certification already ran inside the engine; the suite here
    contributes well-formedness, width and redundancy findings *)
 let lint_of options ~ctx ?system prog =
-  let cfg =
-    {
-      (Suite.default ~width:options.width) with
-      Suite.ctx;
-      system;
-      check = false;
-    }
-  in
+  let cfg = { (Suite.default ~width:options.width) with Suite.ctx; system } in
   Suite.analyze cfg prog
 
 let print_lint l =

@@ -25,11 +25,6 @@ val error : code:string -> location -> string -> t
 val warning : code:string -> location -> string -> t
 val info : code:string -> location -> string -> t
 
-val severity_label : severity -> string
-(** ["error"], ["warning"] or ["info"]. *)
-
-val location_label : location -> string
-
 val compare : t -> t -> int
 (** Most severe first; then by code, location and message — a stable
     presentation order. *)

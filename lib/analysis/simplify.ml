@@ -38,6 +38,8 @@ let describe rw =
 
 (* ---- proposing rewrites from facts -------------------------------------- *)
 
+(* rewrites justified by the given per-cell facts; proposals only, nothing
+   here is certified *)
 let propose ~facts (n : Netlist.t) =
   let width = n.Netlist.width in
   let cst i = Domains.Const.as_const ~width facts.(i) in
@@ -139,6 +141,7 @@ let apply (n : Netlist.t) rewrites =
     outputs = List.map (fun (nm, i) -> (nm, root i)) n.Netlist.outputs;
   }
 
+(* drop cells unreachable from the outputs and renumber *)
 let prune (n : Netlist.t) =
   let num = Array.length n.Netlist.cells in
   let live = Array.make num false in

@@ -29,19 +29,6 @@ type rewrite = { cell : int; action : action; reason : string }
 
 val describe : rewrite -> string
 
-val propose : facts:Domains.Const.t array -> Netlist.t -> rewrite list
-(** Rewrites justified by the given per-cell facts.  Proposals only —
-    nothing here is certified. *)
-
-val apply : Netlist.t -> rewrite list -> Netlist.t
-(** Unchecked, id-stable application (forwarded cells keep their id and
-    simply lose their users); exposed so tests can inject unsound
-    rewrites and watch the certificate catch them.  Use {!run} for the
-    guarded pass. *)
-
-val prune : Netlist.t -> Netlist.t
-(** Drop cells unreachable from the outputs and renumber. *)
-
 type stats = {
   proposed : int;
   applied : int;

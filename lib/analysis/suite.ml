@@ -9,12 +9,11 @@ type config = {
   ctx : Canonical.ctx option;
   width : int;
   system : Poly.t list option;
-  check : bool;
 }
 
-let default ~width = { ctx = None; width; system = None; check = true }
+let default ~width = { ctx = None; width; system = None }
 
-(* random pre-filter effort of certification and of the simplify pass *)
+(* random pre-filter effort of the simplify pass *)
 let samples = 8
 
 type report = {
@@ -23,23 +22,10 @@ type report = {
   redundancy : Diag.t list;
   binding : Diag.t list;
   simplify : Diag.t list;
-  cert : Equiv.cert option;
 }
 
-let not_wellformed cfg =
-  if cfg.check && cfg.system <> None then
-    Some (Equiv.Unknown "program is not well-formed")
-  else None
-
-let empty_report cfg wf =
-  {
-    wellformed = wf;
-    widths = [];
-    redundancy = [];
-    binding = [];
-    simplify = [];
-    cert = not_wellformed cfg;
-  }
+let empty_report wf =
+  { wellformed = wf; widths = []; redundancy = []; binding = []; simplify = [] }
 
 (* Schedule on a deliberately tight resource budget (maximal unit
    sharing), bind, and re-check both results with the independent
@@ -77,13 +63,13 @@ let analyze cfg prog =
   let wf_prog = Wellformed.check_prog prog in
   if Diag.has_errors wf_prog then
     (* the program cannot safely be lowered to a netlist *)
-    empty_report cfg wf_prog
+    empty_report wf_prog
   else
     let n = Netlist.of_prog ~width:cfg.width prog in
     let wellformed =
       List.sort Diag.compare (wf_prog @ Wellformed.check_netlist n)
     in
-    if Diag.has_errors wellformed then empty_report cfg wellformed
+    if Diag.has_errors wellformed then empty_report wellformed
     else
       let widths =
         let mode =
@@ -113,31 +99,20 @@ let analyze cfg prog =
         in
         Simplify.diags_of_outcome (Simplify.run ~samples ?system n)
       in
-      let cert =
-        if cfg.check then
-          Option.map
-            (fun system -> Equiv.certify ?ctx:cfg.ctx ~samples system prog)
-            cfg.system
-        else None
-      in
-      { wellformed; widths; redundancy; binding; simplify; cert }
+      { wellformed; widths; redundancy; binding; simplify }
 
 let diags r =
   List.sort Diag.compare
     (r.wellformed @ r.widths @ r.redundancy @ r.binding @ r.simplify)
 
 let exit_code r =
-  match r.cert with
-  | Some (Equiv.Refuted _) | Some (Equiv.Unknown _) -> 2
-  | _ ->
-    if Diag.has_errors r.binding then 4
-    else if Diag.has_errors (diags r) then 3
-    else 0
+  if Diag.has_errors r.binding then 4
+  else if Diag.has_errors (diags r) then 3
+  else 0
 
 let to_json r =
   let arr ds = "[" ^ String.concat "," (List.map Diag.to_json ds) ^ "]" in
   Printf.sprintf
-    {|{"wellformed":%s,"widths":%s,"redundancy":%s,"binding":%s,"simplify":%s,"certificate":%s}|}
+    {|{"wellformed":%s,"widths":%s,"redundancy":%s,"binding":%s,"simplify":%s}|}
     (arr r.wellformed) (arr r.widths) (arr r.redundancy) (arr r.binding)
     (arr r.simplify)
-    (match r.cert with Some c -> Equiv.cert_to_json c | None -> "null")

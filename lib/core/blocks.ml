@@ -53,6 +53,8 @@ let candidates_of_poly acc p =
     | [] | _ :: _ :: _ -> acc
   end
 
+(* the ranking key: the number of system polynomials on which division by
+   the block makes progress (non-zero quotient) *)
 let usefulness system d =
   List.length
     (List.filter

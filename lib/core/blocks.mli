@@ -22,7 +22,3 @@ val is_linear : Poly.t -> bool
 val discover : ?max_blocks:int -> Poly.t list -> Poly.t list
 (** Linear building blocks of the system, best-ranked first; [max_blocks]
     (default 16) bounds the list. *)
-
-val usefulness : Poly.t list -> Poly.t -> int
-(** Ranking key: the number of system polynomials on which division by the
-    block makes progress (non-zero quotient). *)

@@ -62,7 +62,3 @@ let y2_var tab v =
 let bindings tab =
   Mutex.protect tab.lock (fun () ->
       List.map (fun e -> (e.name, e.def)) tab.entries)
-
-let defs tab =
-  Mutex.protect tab.lock (fun () ->
-      List.map (fun e -> (e.name, e.poly)) tab.entries)

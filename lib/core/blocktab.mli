@@ -26,6 +26,3 @@ val y2_var : t -> string -> string
 
 val bindings : t -> (string * Expr.t) list
 (** All registered definitions, in registration order. *)
-
-val defs : t -> (string * Poly.t) list
-(** Polynomial value of each block (for verification). *)

@@ -55,9 +55,4 @@ let extract p =
   let groups, left = extract_loop mult_terms [] gcds in
   { groups; residual = Poly.add (Poly.of_terms left) (Poly.of_terms const_terms) }
 
-let recompose { groups; residual } =
-  List.fold_left
-    (fun acc (g, b) -> Poly.add acc (Poly.mul_scalar g b))
-    residual groups
-
 let blocks r = List.map snd r.groups

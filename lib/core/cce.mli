@@ -24,9 +24,6 @@ type result = {
 val extract : Poly.t -> result
 (** [p = sum g_i * b_i + residual]. *)
 
-val recompose : result -> Poly.t
-(** Inverse of {!extract} (used as a test oracle). *)
-
 val blocks : result -> Poly.t list
 (** The extracted quotient blocks [b_i]. *)
 

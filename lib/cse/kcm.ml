@@ -52,14 +52,6 @@ let build polys =
   CubeMap.iter (fun cube i -> cols.(i) <- cube) !col_index;
   { rows; row_cols; cols }
 
-let num_rows t = Array.length t.rows
-let num_cols t = Array.length t.cols
-
-let row_kernel t i =
-  if i < 0 || i >= Array.length t.rows then
-    invalid_arg "Kcm.row_kernel: out of range";
-  t.rows.(i)
-
 type rectangle = { rows : int list; body : Poly.t; value : int }
 
 let body_of_cols t cols =

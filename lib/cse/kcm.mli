@@ -24,12 +24,6 @@ type rectangle = {
 
 val build : Poly.t list -> t
 
-val num_rows : t -> int
-val num_cols : t -> int
-
-val row_kernel : t -> int -> Monomial.t * Poly.t
-(** Co-kernel and kernel of a row.  @raise Invalid_argument out of range. *)
-
 val prime_rectangles : t -> rectangle list
 (** Prime rectangles with at least two rows and two columns, best value
     first, at most 64 of them.  Seeds are the single-row column sets and

@@ -221,23 +221,3 @@ let poly_ops p =
   in
   let terms = Polysynth_poly.Poly.terms p in
   List.fold_left term (max 0 (List.length terms - 1)) terms
-
-let eval dag env root =
-  let memo = Hashtbl.create 64 in
-  let rec go i =
-    match Hashtbl.find_opt memo i with
-    | Some v -> v
-    | None ->
-      let v =
-        match dag.nodes.(i) with
-        | Nconst c -> c
-        | Nvar v -> env v
-        | Nneg a -> Z.neg (go a)
-        | Nadd (a, b) -> Z.add (go a) (go b)
-        | Nsub (a, b) -> Z.sub (go a) (go b)
-        | Nmul (a, b) -> Z.mul (go a) (go b)
-      in
-      Hashtbl.add memo i v;
-      v
-  in
-  go root

@@ -61,5 +61,3 @@ val tree_ops : Expr.t -> int
 val poly_ops : Polysynth_poly.Poly.t -> int
 (** [tree_ops (Expr.of_poly p)], counted from the terms with no tree
     built: the flat operator count the extraction loop scores bodies by. *)
-
-val eval : t -> (string -> Z.t) -> id -> Z.t

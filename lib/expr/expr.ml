@@ -192,11 +192,6 @@ let vars e =
   in
   List.sort_uniq String.compare (go [] e)
 
-let rec size = function
-  | Const _ | Var _ -> 1
-  | Neg e | Pow (e, _) -> 1 + size e
-  | Add es | Mul es -> List.fold_left (fun acc e -> acc + size e) 1 es
-
 (* precedence: 0 sum, 1 product, 2 power/atom *)
 let rec pp_prec level fmt e =
   let paren needed body =

@@ -59,8 +59,5 @@ val subst : (string -> t option) -> t -> t
 val vars : t -> string list
 (** Sorted, without duplicates. *)
 
-val size : t -> int
-(** Number of nodes in the tree. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -12,6 +12,7 @@ let of_exprs exprs =
     outputs = List.mapi (fun i e -> (Printf.sprintf "P%d" (i + 1), e)) exprs;
   }
 
+(* the outputs with every binding substituted away *)
 let inline prog =
   let resolved = Hashtbl.create 8 in
   let lookup v = Hashtbl.find_opt resolved v in
@@ -60,18 +61,6 @@ let tree_counts prog =
           adds = acc.adds + c.adds;
         })
     Dag.zero_counts (inline prog)
-
-let rename_fresh ~prefix prog =
-  let rename v = prefix ^ v in
-  let bound = List.map fst prog.bindings in
-  let lookup v =
-    if List.mem v bound then Some (Expr.var (rename v)) else None
-  in
-  {
-    bindings =
-      List.map (fun (n, e) -> (rename n, Expr.subst lookup e)) prog.bindings;
-    outputs = List.map (fun (n, e) -> (n, Expr.subst lookup e)) prog.outputs;
-  }
 
 let pp fmt prog =
   Format.fprintf fmt "@[<v>";

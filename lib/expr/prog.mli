@@ -16,9 +16,6 @@ type t = {
 val of_exprs : Expr.t list -> t
 (** No bindings; outputs named [P1, P2, ...]. *)
 
-val inline : t -> (string * Expr.t) list
-(** The outputs with every binding substituted away. *)
-
 val to_polys : t -> (string * Poly.t) list
 (** Expand each output to its flat polynomial: the correctness contract is
     that a decomposition of a system expands back to the original system. *)
@@ -35,8 +32,5 @@ val counts : t -> Dag.counts
 val tree_counts : t -> Dag.counts
 (** Naive counts with bindings inlined and no sharing: what a direct
     implementation of each output would cost. *)
-
-val rename_fresh : prefix:string -> t -> t
-(** Prefix every binding name (avoids collisions when merging programs). *)
 
 val pp : Format.formatter -> t -> unit

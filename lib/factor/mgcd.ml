@@ -85,5 +85,3 @@ and divexact_poly p d =
 
 and primitive_part_in v p =
   if Poly.is_zero p then p else divexact_poly p (content_in v p)
-
-let gcd_list ps = List.fold_left gcd Poly.zero ps

@@ -12,8 +12,6 @@ val gcd : Poly.t -> Poly.t -> Poly.t
 (** Greatest common divisor, normalized to a positive leading coefficient
     (graded-lex leading term).  [gcd p 0 = |p|]; [gcd 0 0 = 0]. *)
 
-val gcd_list : Poly.t list -> Poly.t
-
 val pseudo_rem : string -> Poly.t -> Poly.t -> Poly.t
 (** [pseudo_rem v a b] is the pseudo-remainder of [a] by [b] viewed as
     univariate polynomials in [v]: the remainder of [lc_v(b)^k * a] divided

@@ -73,15 +73,6 @@ let squarefree u =
     let prim = Poly.div_scalar_exact u c in
     { unit_part = c; factors = decompose prim }
 
-let expand { unit_part; factors } =
-  List.fold_left
-    (fun acc (s, k) -> Poly.mul acc (Poly.pow s k))
-    (Poly.const unit_part) factors
-
-let is_squarefree u =
-  if Poly.is_const u then true
-  else List.for_all (fun (_, k) -> k = 1) (squarefree u).factors
-
 let is_trivial { unit_part; factors } =
   Z.is_one unit_part && match factors with [ (_, 1) ] -> true | _ -> false
 

@@ -20,13 +20,6 @@ type factorization = {
 val squarefree : Poly.t -> factorization
 (** @raise Invalid_argument on the zero polynomial. *)
 
-val expand : factorization -> Poly.t
-(** Multiply the factorization back out (inverse of {!squarefree}). *)
-
-val is_squarefree : Poly.t -> bool
-(** True when no non-constant square divides the polynomial.  Constants are
-    square-free. *)
-
 val is_trivial : factorization -> bool
 (** True when the factorization is just [1 * u^1] (no structure found). *)
 

@@ -27,7 +27,6 @@ val make_ctx : out_width:int -> ?var_widths:(string * int) list -> unit -> ctx
 
 val out_width : ctx -> int
 val var_width : ctx -> string -> int
-val lambda : ctx -> int
 val mu : ctx -> string -> int
 
 (** {1 Falling-factorial representation}
@@ -38,7 +37,6 @@ val mu : ctx -> string -> int
 type falling
 
 val falling_terms : falling -> (Z.t * Monomial.t) list
-val falling_of_terms : (Z.t * Monomial.t) list -> falling
 
 val to_falling : Poly.t -> falling
 (** Exact basis change via Stirling numbers of the second kind. *)
@@ -60,10 +58,6 @@ val term_modulus : ctx -> Monomial.t -> Z.t
 val canonicalize : ctx -> Poly.t -> falling
 (** The unique reduced falling form of the function computed by the
     polynomial. *)
-
-val canonical_poly : ctx -> Poly.t -> Poly.t
-(** [of_falling (canonicalize ctx p)]: the canonical form expanded back to
-    the power basis. *)
 
 val equal_functions : ctx -> Poly.t -> Poly.t -> bool
 (** Decision procedure: do the two polynomials compute the same bit-vector

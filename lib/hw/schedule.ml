@@ -1,7 +1,5 @@
 type resources = { multipliers : int; adders : int }
 
-let unlimited = { multipliers = max_int; adders = max_int }
-
 (* the latency model: two-cycle multipliers, single-cycle adders *)
 let mult_cycles = 2
 let add_cycles = 1

@@ -13,8 +13,6 @@ type resources = {
   adders : int;  (** adder/subtractor/constant-multiplier units per step *)
 }
 
-val unlimited : resources
-
 type unit_class =
   | Free  (** inputs, constants, negations and shifts: wiring *)
   | Mult_unit  (** general multiplications *)

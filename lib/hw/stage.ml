@@ -67,34 +67,3 @@ let cut ?(model = Cost.default) ~target_period (n : Netlist.t) =
     cells;
   let achieved_period = Array.fold_left Stdlib.max 0.0 arrival in
   { stage_of; num_stages; pipeline_registers = !pipeline_registers; achieved_period }
-
-let is_valid ?(model = Cost.default) (n : Netlist.t) s =
-  let cells = n.Netlist.cells in
-  let w = n.Netlist.width in
-  let ok = ref true in
-  (* monotone stages along edges *)
-  Array.iter
-    (fun cell ->
-      List.iter
-        (fun src ->
-          if s.stage_of.(src) > s.stage_of.(cell.Netlist.id) then ok := false)
-        cell.Netlist.fanin)
-    cells;
-  (* per-stage critical path <= achieved_period *)
-  let arrival = Array.make (Array.length cells) 0.0 in
-  Array.iter
-    (fun cell ->
-      let i = cell.Netlist.id in
-      let d = Cost.cell_delay model w cell.Netlist.op in
-      let a =
-        List.fold_left
-          (fun acc src ->
-            if s.stage_of.(src) < s.stage_of.(i) then acc
-            else Stdlib.max acc arrival.(src))
-          0.0 cell.Netlist.fanin
-        +. d
-      in
-      arrival.(i) <- a;
-      if a > s.achieved_period +. 1e-9 then ok := false)
-    cells;
-  !ok

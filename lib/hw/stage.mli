@@ -21,7 +21,3 @@ type staging = {
 val cut :
   ?model:Cost.model -> target_period:float -> Netlist.t -> staging
 (** @raise Invalid_argument on a non-positive target. *)
-
-val is_valid : ?model:Cost.model -> Netlist.t -> staging -> bool
-(** Checker: stages never decrease along an edge, and every stage's
-    internal critical path is at most [achieved_period]. *)

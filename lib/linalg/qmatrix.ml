@@ -6,16 +6,6 @@ let make rows cols f =
   if rows <= 0 || cols <= 0 then invalid_arg "Qmatrix.make: bad dimensions";
   { rows; cols; data = Array.init rows (fun i -> Array.init cols (f i)) }
 
-let of_lists rows_list =
-  match rows_list with
-  | [] -> invalid_arg "Qmatrix.of_lists: empty"
-  | first :: _ ->
-    let cols = List.length first in
-    if cols = 0 || List.exists (fun r -> List.length r <> cols) rows_list then
-      invalid_arg "Qmatrix.of_lists: ragged rows";
-    let data = Array.of_list (List.map Array.of_list rows_list) in
-    { rows = Array.length data; cols; data }
-
 let rows m = m.rows
 let cols m = m.cols
 let get m i j = m.data.(i).(j)
@@ -77,28 +67,3 @@ let solve a b =
   with Singular -> None
 
 let inverse a = solve a (identity a.rows)
-
-let equal a b =
-  a.rows = b.rows && a.cols = b.cols
-  && begin
-    let ok = ref true in
-    for i = 0 to a.rows - 1 do
-      for j = 0 to a.cols - 1 do
-        if not (Q.equal a.data.(i).(j) b.data.(i).(j)) then ok := false
-      done
-    done;
-    !ok
-  end
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf fmt ", ";
-      Q.pp fmt m.data.(i).(j)
-    done;
-    Format.fprintf fmt "]";
-    if i < m.rows - 1 then Format.fprintf fmt "@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -10,9 +10,6 @@ val make : int -> int -> (int -> int -> Polysynth_rat.Qint.t) -> t
 (** [make rows cols f] builds the matrix with entry [f i j] at row [i],
     column [j].  @raise Invalid_argument on non-positive dimensions. *)
 
-val of_lists : Polysynth_rat.Qint.t list list -> t
-(** @raise Invalid_argument on ragged or empty input. *)
-
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> Polysynth_rat.Qint.t
@@ -29,6 +26,3 @@ val solve : t -> t -> t option
     [a] is singular.  @raise Invalid_argument on dimension mismatch. *)
 
 val inverse : t -> t option
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -53,8 +53,7 @@ let equal = structural_equal
    turning their [equal] into pointer equality.  The weak set lets the GC
    reclaim monomials no longer referenced anywhere else.  The hot integer
    merge loops below do NOT pay the table lookup; sharing is applied where
-   monomials enter the system ([var]/[of_list]) and on demand via
-   [hashcons]. *)
+   monomials enter the system ([var]/[of_list]), through [hashcons]. *)
 module HC = Weak.Make (struct
   type nonrec t = t
 
@@ -405,5 +404,3 @@ let to_string m =
       (List.map
          (fun (v, e) -> if e = 1 then v else Printf.sprintf "%s^%d" v e)
          (to_list m))
-
-let pp fmt m = Format.pp_print_string fmt (to_string m)

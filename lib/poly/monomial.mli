@@ -66,13 +66,6 @@ val compare : t -> t -> int
 val hash : t -> int
 (** Precomputed structural hash (O(1)). *)
 
-val hashcons : t -> t
-(** The canonical physically-shared copy of the monomial: structurally
-    equal arguments return the same pointer for the lifetime of the value.
-    The constructors going through variable names ({!var}, {!of_list})
-    already return shared monomials; results of the arithmetic operations
-    are not shared unless passed through here. *)
-
 val mul : t -> t -> t
 
 val divides : t -> t -> bool
@@ -89,5 +82,4 @@ val remove_var : string -> t -> t
 
 val eval : (string -> Polysynth_zint.Zint.t) -> t -> Polysynth_zint.Zint.t
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -38,9 +38,6 @@ val num_terms : t -> int
 val is_zero : t -> bool
 val is_const : t -> bool
 val to_const_opt : t -> Z.t option
-val coeff : t -> Monomial.t -> Z.t
-val constant_term : t -> Z.t
-
 val leading : t -> Z.t * Monomial.t
 (** @raise Invalid_argument on the zero polynomial. *)
 
@@ -95,8 +92,6 @@ val div_rem : t -> t -> t * t
     [a] itself as the remainder.
     @raise Division_by_zero when [b] is zero. *)
 
-val divides : t -> t -> bool
-
 val content : t -> Z.t
 (** Non-negative gcd of all coefficients; [0] for the zero polynomial. *)
 
@@ -113,16 +108,9 @@ val derivative : string -> t -> t
 
 val eval : (string -> Z.t) -> t -> Z.t
 
-val eval_partial : (string * Z.t) list -> t -> t
-(** Substitute constants for some of the variables. *)
-
 val subst : string -> t -> t -> t
 (** [subst x q p] replaces every occurrence of variable [x] in [p] by the
     polynomial [q]. *)
-
-val shift : (string * Z.t) list -> t -> t
-(** [shift [(x, c); ...] p] substitutes [x + c] for [x] (used by the
-    Savitzky-Golay window generator). *)
 
 (** {1 Univariate views} *)
 
@@ -134,5 +122,4 @@ val of_coeffs_in : string -> (int * t) list -> t
 
 (** {1 Printing} *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -2,9 +2,9 @@ module Z = Polysynth_zint.Zint
 
 type t = { num : Z.t; den : Z.t }
 
-let num q = q.num
 let den q = q.den
 
+(* normalizes the fraction; raises Division_by_zero when [den] is zero *)
 let make num den =
   if Z.is_zero den then raise Division_by_zero;
   if Z.is_zero num then { num = Z.zero; den = Z.one }
@@ -17,7 +17,6 @@ let make num den =
 
 let of_zint n = { num = n; den = Z.one }
 let of_int n = of_zint (Z.of_int n)
-let of_ints a b = make (Z.of_int a) (Z.of_int b)
 
 let zero = of_int 0
 let one = of_int 1
@@ -25,14 +24,12 @@ let minus_one = of_int (-1)
 
 let is_zero q = Z.is_zero q.num
 let is_integer q = Z.is_one q.den
-let sign q = Z.sign q.num
 
 let equal a b = Z.equal a.num b.num && Z.equal a.den b.den
 
 let compare a b = Z.compare (Z.mul a.num b.den) (Z.mul b.num a.den)
 
 let neg q = { q with num = Z.neg q.num }
-let abs q = { q with num = Z.abs q.num }
 
 let inv q =
   if is_zero q then raise Division_by_zero;
@@ -54,18 +51,6 @@ let div a b =
 let to_zint_exn q =
   if is_integer q then q.num
   else failwith "Qint.to_zint_exn: not an integer"
-
-let round_nearest q =
-  (* |num|/den rounded half away from zero, sign restored afterwards *)
-  let two_num = Z.mul Z.two (Z.abs q.num) in
-  let quot = Z.div (Z.add two_num q.den) (Z.mul Z.two q.den) in
-  if sign q < 0 then Z.neg quot else quot
-
-let to_string q =
-  if is_integer q then Z.to_string q.num
-  else Z.to_string q.num ^ "/" ^ Z.to_string q.den
-
-let pp fmt q = Format.pp_print_string fmt (to_string q)
 
 module Infix = struct
   let ( + ) = add

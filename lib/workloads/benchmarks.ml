@@ -79,12 +79,3 @@ let all () =
   ]
 
 let by_name name = List.find_opt (fun b -> b.name = name) (all ())
-
-let characteristics_ok b =
-  let vars =
-    List.sort_uniq String.compare (List.concat_map Poly.vars b.polys)
-  in
-  List.length vars = b.num_vars
-  && List.for_all (fun q -> Poly.degree q <= b.degree) b.polys
-  && List.exists (fun q -> Poly.degree q = b.degree) b.polys
-  && List.length b.polys > 0

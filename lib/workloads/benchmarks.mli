@@ -26,7 +26,3 @@ val all : unit -> t list
     SG 3x2, SG 4x2, SG 4x3, SG 5x2, SG 5x3, Quad, Mibench, MVCS. *)
 
 val by_name : string -> t option
-
-val characteristics_ok : t -> bool
-(** Self-check: the generated system has the declared number of variables,
-    degree and polynomial count. *)

@@ -18,16 +18,11 @@ val chebyshev : degree:int -> Poly.t
     [T_n = 2x T_{n-1} - T_{n-2}]), used in function-approximation
     datapaths.  @raise Invalid_argument for negative degree. *)
 
-val lighting : unit -> Poly.t list
-(** A graphics-style lighting evaluation: three output channels, each a
-    degree-3 polynomial in (x, y, z) sharing the quadratic attenuation
-    block ("multi-variate polynomial system from graphics
-    applications"). *)
-
-val biquad_pair : unit -> Poly.t list
-(** Two cascaded biquad-section response polynomials in two variables with
-    a shared resonator block. *)
-
 val extended_suite : unit -> Benchmarks.t list
 (** The extra systems packaged with benchmark metadata (FIR8, Cheb5,
-    Lighting, Biquad). *)
+    Lighting, Biquad).  Lighting is a graphics-style lighting evaluation:
+    three output channels, each a degree-3 polynomial in (x, y, z)
+    sharing the quadratic attenuation block ("multi-variate polynomial
+    system from graphics applications").  Biquad is two cascaded
+    biquad-section response polynomials in two variables with a shared
+    resonator block. *)

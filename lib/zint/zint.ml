@@ -445,8 +445,6 @@ let of_string s =
   done;
   if negative then neg !acc else !acc
 
-let pp fmt z = Format.pp_print_string fmt (to_string z)
-
 module Infix = struct
   let ( + ) = add
   let ( - ) = sub

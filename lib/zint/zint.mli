@@ -45,8 +45,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 (** {1 Predicates and comparisons} *)
 
 val sign : t -> int

@@ -289,15 +289,7 @@ let test_suite_clean_exit () =
   let prog = Prog.of_exprs [ Expr.of_poly p ] in
   let cfg = { (Suite.default ~width:16) with Suite.system = Some [ p ] } in
   let r = Suite.analyze cfg prog in
-  Alcotest.(check int) "exit 0" 0 (Suite.exit_code r);
-  Alcotest.(check (option string)) "verified" (Some "verified")
-    (Option.map Equiv.cert_label r.Suite.cert)
-
-let test_suite_refuted_exit () =
-  let p = poly "7*x^2 + 3*x + 2" in
-  let bad = Prog.of_exprs [ Expr.of_poly (poly "7*x^2 + 3*x + 3") ] in
-  let cfg = { (Suite.default ~width:16) with Suite.system = Some [ p ] } in
-  Alcotest.(check int) "exit 2" 2 (Suite.exit_code (Suite.analyze cfg bad))
+  Alcotest.(check int) "exit 0" 0 (Suite.exit_code r)
 
 let test_suite_error_exit () =
   (* structurally broken program, lint only: exit 3, downstream skipped *)
@@ -307,8 +299,7 @@ let test_suite_error_exit () =
       outputs = [ ("P1", Expr.var "a") ];
     }
   in
-  let cfg = { (Suite.default ~width:16) with Suite.check = false } in
-  let r = Suite.analyze cfg prog in
+  let r = Suite.analyze (Suite.default ~width:16) prog in
   Alcotest.(check int) "exit 3" 3 (Suite.exit_code r);
   Alcotest.(check bool) "self-reference reported" true
     (has_code "wf.self-reference" r.Suite.wellformed);
@@ -753,32 +744,15 @@ let test_suite_binding_pass_and_exit_code () =
   let r = Suite.analyze (Suite.default ~width:8) prog in
   Alcotest.(check (list string)) "no binding findings" [] (codes r.Suite.binding);
   (* ... and a bind.* error maps to exit code 4, taking precedence over
-     the generic error exit but not over a failed certificate *)
+     the generic error exit *)
   let broken =
     {
       r with
       Suite.binding =
         [ Diag.error ~code:"bind.inconsistent" Diag.Program "injected" ];
-      cert = Some Equiv.Verified;
     }
   in
-  Alcotest.(check int) "bind error exits 4" 4 (Suite.exit_code broken);
-  let refuted_too =
-    {
-      broken with
-      Suite.cert =
-        Some
-          (Equiv.Refuted
-             {
-               Equiv.output = "P1";
-               point = [];
-               expected = Z.zero;
-               got = Some Z.one;
-             });
-    }
-  in
-  Alcotest.(check int) "refuted certificate still exits 2" 2
-    (Suite.exit_code refuted_too)
+  Alcotest.(check int) "bind error exits 4" 4 (Suite.exit_code broken)
 
 let () =
   Alcotest.run "analysis"
@@ -825,7 +799,6 @@ let () =
       ( "suite",
         [
           Alcotest.test_case "clean exit" `Quick test_suite_clean_exit;
-          Alcotest.test_case "refuted exit" `Quick test_suite_refuted_exit;
           Alcotest.test_case "error exit" `Quick test_suite_error_exit;
         ] );
       ( "absint",
