@@ -24,9 +24,10 @@
 #   make golden  diff the output of experiments.exe in every mode, of
 #                fuzz.exe 200 1, of make lint's commands, of a power-objective
 #                compare of every example and test data system (exact and
-#                --ring) and the --fsmd Verilog and summary line of every
-#                example data system against the recorded files in
-#                test/golden/
+#                --ring), of --evaluate --check --lint on every test data
+#                program (exact and --ring) and the --fsmd Verilog and
+#                summary line of every example data system against the
+#                recorded files in test/golden/
 #   make size    print the non-test line count: every .ml and .mli line
 #                under lib/, bin/ and examples/ (not part of make ci)
 
@@ -43,6 +44,16 @@ LINT_RUN = _build/default/bin/polysynth.exe --benchmark all --check --lint \
 	    echo "== $$f $$ring"; \
 	    _build/default/bin/polysynth.exe "$$f" $$ring --check --lint \
 	      --simplify || exit $$?; \
+	  done; \
+	done
+
+# the given-program costing and lint that make golden diffs against
+# test/golden/evaluate.txt
+EVALUATE_RUN = for f in test/data/*.prog; do \
+	  for ring in "" --ring; do \
+	    echo "== $$f $$ring"; \
+	    _build/default/bin/polysynth.exe "$$f" $$ring --evaluate --check \
+	      --lint || exit $$?; \
 	  done; \
 	done
 
@@ -83,6 +94,8 @@ golden:
 	_build/default/bin/fuzz.exe 200 1 | diff -u test/golden/fuzz-200-1.txt -
 	@echo "== lint"; { $(LINT_RUN); } | diff -u test/golden/lint.txt -
 	@echo "== power"; { $(POWER_RUN); } | diff -u test/golden/power.txt -
+	@echo "== evaluate"; { $(EVALUATE_RUN); } \
+	  | diff -u test/golden/evaluate.txt -
 	@tmp=$$(mktemp) || exit 1; \
 	for f in examples/data/*.poly; do \
 	  name=$$(basename "$$f" .poly); \
