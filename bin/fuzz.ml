@@ -27,7 +27,6 @@
    Exit code 0 = all checks passed. *)
 
 module Z = Polysynth_zint.Zint
-module P = Polysynth_poly.Poly
 module Netlist = Polysynth_hw.Netlist
 module Mcm = Polysynth_hw.Mcm
 module Schedule = Polysynth_hw.Schedule
@@ -92,7 +91,7 @@ let () =
       reports;
     (* 2. bit-accurate netlist checks on random vectors *)
     let proposed = List.nth reports 3 in
-    let n = Netlist.of_prog ~width proposed.Engine.prog in
+    let n = proposed.Engine.netlist in
     let opt = Mcm.optimize n in
     let spot label netlist =
       match
@@ -105,9 +104,13 @@ let () =
     in
     spot "netlist" n;
     spot "MCM" opt;
+    (* the guarded simplify pass, checked by 5 and linted by 3 *)
+    let named =
+      List.mapi (fun k p -> (Printf.sprintf "P%d" (k + 1), p)) system
+    in
+    let o = Simplify.run ~system:named n in
     (* 3. no error-severity lint finding on the proposed decomposition *)
-    let suite_cfg = { (Suite.default ~width) with Suite.system = Some system } in
-    let lint = Suite.analyze suite_cfg proposed.Engine.prog in
+    let lint = Suite.analyze proposed.Engine.prog n o in
     List.iter
       (fun (d : Diag.t) ->
         if d.Diag.severity = Diag.Error then
@@ -133,10 +136,6 @@ let () =
               (Netlist.eval n env))
        then fail "FSMD simulation differs from the netlist");
     (* 5. the guarded simplify pass preserves semantics *)
-    let named =
-      List.mapi (fun k p -> (Printf.sprintf "P%d" (k + 1), p)) system
-    in
-    let o = Simplify.run ~system:named n in
     (match
        Equiv.certify
          ~ctx:(Canonical.make_ctx ~out_width:width ())

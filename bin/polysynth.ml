@@ -112,10 +112,22 @@ let print_json ~options ~verified ?lint reports trace =
 let is_verified = function Equiv.Verified -> true | _ -> false
 
 (* equivalence certification already ran inside the engine; the suite here
-   contributes well-formedness, width and redundancy findings *)
-let lint_of options ~ctx ?system prog =
-  let cfg = { (Suite.default ~width:options.width) with Suite.ctx; system } in
-  Suite.analyze cfg prog
+   checks the program, the netlist it was costed on and the simplify
+   outcome -- the engine's when --simplify ran, otherwise one run here
+   against the source system's P1, P2, ... when there is one *)
+let lint_of ~ctx ?system ?simplified prog netlist =
+  let simplified =
+    match simplified with
+    | Some o -> o
+    | None ->
+      let system =
+        Option.map
+          (List.mapi (fun i p -> (Printf.sprintf "P%d" (i + 1), p)))
+          system
+      in
+      Simplify.run ?system netlist
+  in
+  Suite.analyze ?ctx prog netlist simplified
 
 let print_lint l =
   let ds = Suite.diags l in
@@ -138,14 +150,15 @@ let evaluate_program options text =
     Printf.eprintf "program error: %s\n" msg;
     1
   | Ok prog ->
-    let width = options.width in
-    let cost = Cost.of_prog ~width prog in
+    (* one lowering of the given program feeds its cost and its lint *)
+    let netlist = Netlist.of_prog ~width:options.width prog in
+    let cost = Cost.of_netlist netlist in
     let counts = Prog.counts prog in
     Printf.printf "given decomposition: MULT=%d ADD=%d area=%d delay=%.1f\n"
       counts.Dag.mults counts.Dag.adds cost.Cost.area cost.Cost.delay;
     let config = config_of options in
     let ctx = config.Engine.Config.ctx in
-    let lint = if options.lint then Some (lint_of options ~ctx prog) else None in
+    let lint = if options.lint then Some (lint_of ~ctx prog netlist) else None in
     Option.iter print_lint lint;
     (* re-synthesize the expanded system for comparison *)
     let system = List.map snd (Prog.to_polys prog) in
@@ -195,8 +208,8 @@ let run_benchmarks options name =
         let lint =
           if options.lint then
             Some
-              (lint_of options ~ctx:config.Engine.Config.ctx
-                 ~system:b.Benchmarks.polys r.Engine.prog)
+              (lint_of ~ctx:config.Engine.Config.ctx ~system:b.Benchmarks.polys
+                 ?simplified:r.Engine.simplified r.Engine.prog r.Engine.netlist)
           else None
         in
         let code = exit_code ~cert:(Some r.Engine.cert) ~lint in
@@ -325,8 +338,9 @@ let run_synthesis options =
       let lint =
         if options.lint then
           Some
-            (lint_of options ~ctx:config.Engine.Config.ctx ~system:polys
-               main_report.Engine.prog)
+            (lint_of ~ctx:config.Engine.Config.ctx ~system:polys
+               ?simplified:main_report.Engine.simplified main_report.Engine.prog
+               main_report.Engine.netlist)
         else None
       in
       let print_report r =
@@ -372,7 +386,6 @@ let run_synthesis options =
          | None -> ());
         if options.show_trace then print_string (Engine.Trace.to_text trace)
       end;
-      let width = options.width in
       if options.show_program then
         Format.printf "@.program:@.%a@." Prog.pp main_report.Engine.prog;
       let netlist =
@@ -383,7 +396,7 @@ let run_synthesis options =
                 from it when --simplify ran *)
              match main_report.Engine.simplified with
              | Some o -> o.Simplify.netlist
-             | None -> Netlist.of_prog ~width main_report.Engine.prog
+             | None -> main_report.Engine.netlist
            in
            if options.use_mcm then Mcm.optimize n else n)
       in
@@ -417,7 +430,7 @@ let run_synthesis options =
         Printf.printf
           "range analysis: widest intermediate needs %d bits (growth %d over \
            the %d-bit datapath)\n"
-          (Widths.max_required_width n) (Widths.growth n) width
+          (Widths.max_required_width n) (Widths.growth n) options.width
       end;
       (* under --json, stdout holds the JSON object alone *)
       let notes = if options.json then stderr else stdout in

@@ -6,7 +6,6 @@
 
 module Parse = Polysynth_poly.Parse
 module Prog = Polysynth_expr.Prog
-module Netlist = Polysynth_hw.Netlist
 module Cost = Polysynth_hw.Cost
 module Power = Polysynth_hw.Power
 module Schedule = Polysynth_hw.Schedule
@@ -25,7 +24,7 @@ let () =
   let result, _trace = Engine.synthesize (Engine.Config.default ~width) system in
   Format.printf "decomposition:@.%a@.@." Prog.pp result.Engine.prog;
 
-  let netlist = Netlist.of_prog ~width result.Engine.prog in
+  let netlist = result.Engine.netlist in
 
   (* area/delay, power and wordlength growth of the implementation *)
   Format.printf "cost:  %a@." Cost.pp_report (Cost.of_netlist netlist);

@@ -12,6 +12,7 @@ module Z = Polysynth_zint.Zint
 module P = Polysynth_poly.Poly
 module Prog = Polysynth_expr.Prog
 module Netlist = Polysynth_hw.Netlist
+module Equiv = Polysynth_analysis.Equiv
 module Engine = Polysynth_core.Engine
 
 let () =
@@ -37,11 +38,11 @@ let () =
     Engine.synthesize (Engine.Config.default ~width:16) system
   in
   Format.printf "@.decomposition:@.%a@.@." Prog.pp result.Engine.prog;
-  assert (Engine.verify system result.Engine.prog);
+  assert (result.Engine.cert = Equiv.Verified);
 
   (* simulate the synthesized netlist on a short input stream and check it
      against direct polynomial evaluation (both wrap at 16 bits) *)
-  let netlist = Netlist.of_prog ~width:16 result.Engine.prog in
+  let netlist = result.Engine.netlist in
   let samples = [ (0, 0); (1, 2); (100, 50); (65535, 1); (1234, 4321) ] in
   List.iter
     (fun (xv, yv) ->

@@ -13,6 +13,7 @@ module Ring = Polysynth_finite_ring.Canonical
 module Dag = Polysynth_expr.Dag
 module Cost = Polysynth_hw.Cost
 module Verilog = Polysynth_hw.Verilog
+module Equiv = Polysynth_analysis.Equiv
 module Engine = Polysynth_core.Engine
 module SG = Polysynth_workloads.Savitzky_golay
 
@@ -40,10 +41,10 @@ let () =
     trace.Engine.Trace.cache_hits;
 
   let proposed = List.nth reports 3 in
-  assert (Engine.verify ~ctx system proposed.Engine.prog);
+  assert (proposed.Engine.cert = Equiv.Verified);
 
   let verilog =
-    Verilog.emit_prog ~module_name:"sg5x2_bank" ~width proposed.Engine.prog
+    Verilog.emit ~module_name:"sg5x2_bank" proposed.Engine.netlist
   in
   let lines = String.split_on_char '\n' verilog in
   Format.printf "@.Verilog (%d lines), interface:@." (List.length lines);

@@ -1,20 +1,5 @@
-module Poly = Polysynth_poly.Poly
-module Prog = Polysynth_expr.Prog
-module Netlist = Polysynth_hw.Netlist
 module Schedule = Polysynth_hw.Schedule
 module Bind = Polysynth_hw.Bind
-module Canonical = Polysynth_finite_ring.Canonical
-
-type config = {
-  ctx : Canonical.ctx option;
-  width : int;
-  system : Poly.t list option;
-}
-
-let default ~width = { ctx = None; width; system = None }
-
-(* random pre-filter effort of the simplify pass *)
-let samples = 8
 
 type report = {
   wellformed : Diag.t list;
@@ -59,13 +44,12 @@ let binding_check n =
            missing register, or lifetime overlap)";
       ]
 
-let analyze cfg prog =
+let analyze ?ctx prog n simplified =
   let wf_prog = Wellformed.check_prog prog in
   if Diag.has_errors wf_prog then
-    (* the program cannot safely be lowered to a netlist *)
+    (* the netlist of a broken program is not worth checking *)
     empty_report wf_prog
   else
-    let n = Netlist.of_prog ~width:cfg.width prog in
     let wellformed =
       List.sort Diag.compare (wf_prog @ Wellformed.check_netlist n)
     in
@@ -73,7 +57,7 @@ let analyze cfg prog =
     else
       let widths =
         let mode =
-          match cfg.ctx with Some _ -> Widths.Ring | None -> Widths.Exact
+          match ctx with Some _ -> Widths.Ring | None -> Widths.Exact
         in
         Widths.check_netlist ~mode n
       in
@@ -82,23 +66,7 @@ let analyze cfg prog =
           (Redundancy.lint_prog prog @ Redundancy.lint_netlist n)
       in
       let binding = binding_check n in
-      let simplify =
-        (* pass the source system through when its outputs line up with
-           the netlist's; Simplify recovers a reference itself otherwise *)
-        let system =
-          Option.bind cfg.system (fun polys ->
-              let named =
-                List.mapi (fun i p -> (Printf.sprintf "P%d" (i + 1), p)) polys
-              in
-              if
-                List.for_all
-                  (fun (nm, _) -> List.mem_assoc nm named)
-                  n.Netlist.outputs
-              then Some named
-              else None)
-        in
-        Simplify.diags_of_outcome (Simplify.run ~samples ?system n)
-      in
+      let simplify = Simplify.diags_of_outcome simplified in
       { wellformed; widths; redundancy; binding; simplify }
 
 let diags r =

@@ -1,33 +1,24 @@
-(** The analysis suite: one entry point running every pass in order.
+(** The analysis suite: one entry point checking the artifacts of one
+    decomposition — its program, the netlist it lowers to and the outcome
+    of the simplify pass on that netlist — in order.  The suite builds
+    none of them: the caller hands over the ones it costed and emitted.
 
     Pass ordering is load-bearing.  Well-formedness runs first and gates
     everything else: width propagation, the redundancy lint, the
-    scheduler/binder cross-check and the simplify pass all assume a
+    scheduler/binder cross-check and the simplify findings all assume a
     single-assignment, acyclic program, so a structurally broken input
     yields only the well-formedness findings rather than garbage
     downstream results.
 
-    Every pass runs on every call.  The suite does not certify the program
-    against its source system: the engine certifies every report it
-    returns.  The scheduler/binder cross-check schedules and binds on a
-    one-multiplier, one-adder budget and re-checks both results with
-    {!Polysynth_hw.Schedule.is_valid} and {!Polysynth_hw.Bind.is_consistent}.
-    The simplify pass uses 8 random samples as its pre-filter. *)
+    The suite does not certify the program against its source system:
+    the engine certifies every report it returns.  The scheduler/binder
+    cross-check schedules and binds on a one-multiplier, one-adder budget
+    and re-checks both results with {!Polysynth_hw.Schedule.is_valid} and
+    {!Polysynth_hw.Bind.is_consistent}. *)
 
-module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog
+module Netlist := Polysynth_hw.Netlist
 module Canonical := Polysynth_finite_ring.Canonical
-
-type config = {
-  ctx : Canonical.ctx option;  (** ring context; selects [Ring] width mode *)
-  width : int;  (** datapath width the program is lowered at *)
-  system : Poly.t list option;
-      (** source system the simplify pass certifies its rewrites against;
-          [None] lets it recover one from the netlist *)
-}
-
-val default : width:int -> config
-(** No ring context, no source system. *)
 
 type report = {
   wellformed : Diag.t list;
@@ -39,7 +30,11 @@ type report = {
   simplify : Diag.t list;  (** [simplify.*] findings *)
 }
 
-val analyze : config -> Prog.t -> report
+val analyze :
+  ?ctx:Canonical.ctx -> Prog.t -> Netlist.t -> Simplify.outcome -> report
+(** [analyze ?ctx prog netlist simplified] checks [prog], the [netlist] it
+    lowers to and the [simplified] outcome of {!Simplify.run} on that
+    netlist.  A ring context selects the [Ring] width mode. *)
 
 val diags : report -> Diag.t list
 (** All findings of all passes, sorted by severity. *)

@@ -24,6 +24,7 @@ let method_label = function
 type report = {
   method_name : method_name;
   prog : Prog.t;
+  netlist : Netlist.t;
   counts : Dag.counts;
   cost : Cost.report;
   labels : string list;
@@ -273,10 +274,11 @@ let stage stages name f =
   stages := { Trace.name; wall = now () -. t0; candidates } :: !stages;
   r
 
-let report_of method_name prog labels (cost, counts) =
+let report_of method_name prog labels (netlist, cost, counts) =
   {
     method_name;
     prog;
+    netlist;
     counts;
     cost;
     labels;
@@ -336,8 +338,8 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
         (sel, sel.Search.combinations_evaluated))
   in
   let scored (label, prog) =
-    let key, cost, counts = Search.score_full options prog in
-    (key, report_of Proposed prog [ label ] (cost, counts))
+    let key, measured = Search.score_full options prog in
+    (key, report_of Proposed prog [ label ] measured)
   in
   (* the variants are scored inside their stage, warm or cold: only their
      construction is memoized *)
@@ -349,7 +351,7 @@ let proposed (config : Config.t) ~prefix stages budget_ok polys =
   let searched =
     ( sel.Search.key,
       report_of Proposed sel.Search.prog sel.Search.labels
-        (sel.Search.cost, sel.Search.counts) )
+        (sel.Search.netlist, sel.Search.cost, sel.Search.counts) )
   in
   snd
     (List.fold_left
@@ -383,17 +385,17 @@ let certify_report (config : Config.t) ~prefix stages certs polys r =
     { r with cert }
   end
 
-(* When [config.simplify] is on, the selected decomposition is lowered to
-   a netlist, the constant analysis runs over it (an "analyze" stage whose
-   candidate count is the number of cells with a constant fact), and the
-   certificate-guarded simplify pass rewrites it (a "simplify" stage
-   counting eliminated cells).  The outcome rides on the report;
-   [report.prog] is untouched — the simplified artifact is the netlist. *)
+(* When [config.simplify] is on, the constant analysis runs over the
+   report's netlist (an "analyze" stage whose candidate count is the number
+   of cells with a constant fact), and the certificate-guarded simplify pass
+   rewrites it (a "simplify" stage counting eliminated cells).  The outcome
+   rides on the report; [report.prog] and [report.netlist] are untouched —
+   the simplified artifact is the outcome's netlist. *)
 let simplify_report (config : Config.t) ~prefix stages polys r =
   if not config.Config.simplify then r
   else begin
     let width = config.Config.width in
-    let n = Netlist.of_prog ~width r.prog in
+    let n = r.netlist in
     let facts =
       stage stages (prefix ^ "analyze") (fun () ->
           let facts = Absint.constants n in
@@ -473,10 +475,3 @@ let compare_methods config polys =
           let r = certify_report config ~prefix stages certs polys r in
           simplify_report config ~prefix stages polys r)
         [ direct; horner; factor; prop ])
-
-let verify ?ctx polys prog =
-  (* an uncapped certification never answers [Unknown]: the pre-inlining
-     estimate saturates far below this budget *)
-  match Equiv.certify ?ctx ~size_budget:max_int polys prog with
-  | Equiv.Verified -> true
-  | Equiv.Refuted _ | Equiv.Unknown _ -> false

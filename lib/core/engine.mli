@@ -33,6 +33,7 @@ module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog
 module Dag := Polysynth_expr.Dag
 module Cost := Polysynth_hw.Cost
+module Netlist := Polysynth_hw.Netlist
 module Canonical := Polysynth_finite_ring.Canonical
 module Equiv := Polysynth_analysis.Equiv
 module Simplify := Polysynth_analysis.Simplify
@@ -44,8 +45,11 @@ val method_label : method_name -> string
 type report = {
   method_name : method_name;
   prog : Prog.t;
+  netlist : Netlist.t;
+      (** [prog] lowered at [Config.width]: the one netlist the engine
+          costs, simplifies and hands on *)
   counts : Dag.counts;  (** post-CSE MULT/ADD counts *)
-  cost : Cost.report;  (** estimated hardware area and delay *)
+  cost : Cost.report;  (** estimated hardware area and delay of [netlist] *)
   labels : string list;
       (** chosen representation per polynomial (Proposed only; a single
           variant label when an integrated decomposition won; empty for
@@ -86,9 +90,9 @@ module Config : sig
             (a ["<method>/certify"] trace stage); off, reports carry
             [Unknown "not certified"] *)
     simplify : bool;
-        (** lower every selected decomposition, run the constant
-            analysis over the netlist and the certificate-guarded
-            simplify pass on its facts — recorded as
+        (** run the constant analysis over every report's [netlist] and
+            the certificate-guarded simplify pass on its facts — recorded
+            as
             ["<method>/analyze"] (candidates = cells with a constant
             fact) and ["<method>/simplify"] (candidates = cells
             eliminated) trace stages *)
@@ -161,12 +165,6 @@ val compare_methods : Config.t -> Poly.t list -> report list * Trace.t
 (** All four methods on the same system, reported in declaration order of
     {!method_name} under one merged trace.  Proposed runs first, then the
     three baselines; only Proposed consults the representation store. *)
-
-val verify : ?ctx:Canonical.ctx -> Poly.t list -> Prog.t -> bool
-(** Does the program compute the system?  Exact polynomial equality when
-    no ring context is given; equality of bit-vector functions (via
-    canonical forms) when one is.  A boolean shorthand for
-    [Polysynth_analysis.Equiv.certify] with an uncapped size budget. *)
 
 val parallel_map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** The engine's domain-pool map: work-stealing over at most [domains]

@@ -31,6 +31,7 @@ type selection = {
   prog : Prog.t;
   key : float array;
   labels : string list;
+  netlist : Netlist.t;
   cost : Cost.report;
   counts : Dag.counts;
   combinations_evaluated : int;
@@ -58,16 +59,12 @@ let choice_of reps idx =
   List.init (Array.length reps) (fun i -> reps.(i).(idx.(i)))
 
 (* one DAG serves both the netlist and the operator counts *)
-let lower options prog =
+let measure options prog =
   let dag, roots = Prog.to_dag prog in
   let netlist = Netlist.of_dag ~width:options.width dag ~outputs:roots in
   ( netlist,
     Cost.of_netlist ~model:options.model netlist,
     Dag.counts dag ~roots:(List.map snd roots) )
-
-let measure options prog =
-  let _, cost, counts = lower options prog in
-  (cost, counts)
 
 (* lexicographic objective key; [power] is only called under Min_power *)
 let key objective ~area ~delay ~ops ~power =
@@ -85,7 +82,7 @@ let no_power () = invalid_arg "Search: no power estimate outside Min_power"
 let power_samples = 16
 
 let score_full options prog =
-  let netlist, cost, counts = lower options prog in
+  let ((netlist, cost, counts) as measured) = measure options prog in
   let key =
     key options.objective
       ~area:(float_of_int cost.Cost.area)
@@ -94,11 +91,9 @@ let score_full options prog =
       ~power:(fun () ->
         (Power.estimate ~samples:power_samples netlist).Power.total)
   in
-  (key, cost, counts)
+  (key, measured)
 
-let score options prog =
-  let key, _, _ = score_full options prog in
-  key
+let score options prog = fst (score_full options prog)
 
 (* Every representation of every polynomial, and every block binding, is
    interned once into one DAG; a combination is then costed by walking only
@@ -361,11 +356,12 @@ let select options (r : Represent.t) =
   end;
   let choice = choice_of reps !best_idx in
   let prog = prog_of_choice r choice in
-  let cost, counts = measure options prog in
+  let netlist, cost, counts = measure options prog in
   {
     prog;
     key = !best_key;
     labels = List.map (fun (rep : Represent.rep) -> rep.Represent.label) choice;
+    netlist;
     cost;
     counts;
     combinations_evaluated = !evaluated;

@@ -15,6 +15,7 @@
 module Prog := Polysynth_expr.Prog
 module Dag := Polysynth_expr.Dag
 module Cost := Polysynth_hw.Cost
+module Netlist := Polysynth_hw.Netlist
 
 type objective =
   | Min_area  (** the paper's objective *)
@@ -49,13 +50,14 @@ val score : options -> Prog.t -> float array
     search does not call it: it scores every objective on one shared DAG
     ({!scorer}), and tests use this function as its oracle. *)
 
-val score_full : options -> Prog.t -> float array * Cost.report * Dag.counts
-(** {!score} together with the cost report and operator counts it was
-    computed from, all from one lowering of the program. *)
+val measure : options -> Prog.t -> Netlist.t * Cost.report * Dag.counts
+(** The netlist a program lowers to at [options.width], its cost report
+    and the program's operator counts, all from one lowering (no
+    objective key, so no power estimate). *)
 
-val measure : options -> Prog.t -> Cost.report * Dag.counts
-(** The cost report and operator counts of a program, from one lowering
-    (no objective key, so no power estimate). *)
+val score_full :
+  options -> Prog.t -> float array * (Netlist.t * Cost.report * Dag.counts)
+(** {!score} together with the {!measure} it was computed from. *)
 
 type selection = {
   prog : Prog.t;  (** chosen representations, with used block bindings *)
@@ -63,6 +65,7 @@ type selection = {
       (** its objective key as the scorer computed it; equals
           [score options prog] *)
   labels : string list;  (** chosen representation label per polynomial *)
+  netlist : Netlist.t;  (** [prog] lowered, as {!measure} gives it *)
   cost : Cost.report;
   counts : Dag.counts;
   combinations_evaluated : int;

@@ -61,6 +61,3 @@ let emit ?(module_name = "polysynth") (n : Netlist.t) =
     n.outputs out_names;
   Buffer.add_string buf "endmodule\n";
   Buffer.contents buf
-
-let emit_prog ?module_name ~width prog =
-  emit ?module_name (Netlist.of_prog ~width prog)

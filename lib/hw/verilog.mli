@@ -7,9 +7,6 @@
 
 val emit : ?module_name:string -> Netlist.t -> string
 
-val emit_prog :
-  ?module_name:string -> width:int -> Polysynth_expr.Prog.t -> string
-
 val legalize : string -> string
 (** Make an arbitrary signal name a legal Verilog identifier (used for
     inputs/outputs whose names contain characters like [~]). *)

@@ -1,4 +1,3 @@
-module P = Polysynth_poly.Poly
 module Dag = Polysynth_expr.Dag
 module Prog = Polysynth_expr.Prog
 module Ring = Polysynth_finite_ring.Canonical
@@ -127,14 +126,16 @@ let fig_14_1_dump () =
 
 type ablation_row = { variant : string; area : int; delay : float; ops : int }
 
+let ablation_row variant (cost : Cost.report) counts =
+  { variant; area = cost.Cost.area; delay = cost.Cost.delay;
+    ops = Dag.total_ops counts }
+
+(* a program built outside the engine, lowered here *)
 let ablation_of_prog ~width variant prog =
-  let cost = Cost.of_prog ~width prog in
-  {
-    variant;
-    area = cost.Cost.area;
-    delay = cost.Cost.delay;
-    ops = Dag.total_ops (Prog.counts prog);
-  }
+  ablation_row variant (Cost.of_prog ~width prog) (Prog.counts prog)
+
+let ablation_of_report variant (r : Engine.report) =
+  ablation_row variant r.Engine.cost r.Engine.counts
 
 let ablation_rows ?names () =
   let selected = benchmarks ?names () in
@@ -159,8 +160,8 @@ let ablation_rows ?names () =
               ablation_of_prog ~width:w label (build b.B.polys))
             Integrated.variants
         @ [
-            ablation_of_prog ~width:w "proposed"
-              (run_method ~ctx ~width:w Engine.Proposed b.B.polys).Engine.prog;
+            ablation_of_report "proposed"
+              (run_method ~ctx ~width:w Engine.Proposed b.B.polys);
           ]
       in
       (b.B.name, rows))
@@ -170,8 +171,6 @@ let ablation_rows ?names () =
 
 module Extract = Polysynth_cse.Extract
 module Schedule = Polysynth_hw.Schedule
-module Netlist = Polysynth_hw.Netlist
-module Power = Polysynth_hw.Power
 module Extended = Polysynth_workloads.Extended
 
 let strategy_rows ?names () =
@@ -199,10 +198,8 @@ let objective_rows ?(names = [ "Quad"; "Mibench"; "MVCS" ]) () =
          let rows =
            List.map
              (fun (label, objective) ->
-               let r =
-                 run_method ~objective ~width:w Engine.Proposed b.B.polys
-               in
-               ablation_of_prog ~width:w label r.Engine.prog)
+               ablation_of_report label
+                 (run_method ~objective ~width:w Engine.Proposed b.B.polys))
              [
                ("min-area", Search.Min_area);
                ("min-delay", Search.Min_delay);
@@ -217,7 +214,7 @@ let schedule_rows ?(names = [ "SG 3x2"; "Quad"; "MVCS" ]) () =
   |> List.map (fun (b : B.t) ->
          let w = b.B.width in
          let r = run_method ~width:w Engine.Proposed b.B.polys in
-         let n = Netlist.of_prog ~width:w r.Engine.prog in
+         let n = r.Engine.netlist in
          let budgets =
            [ (1, 1); (1, 2); (2, 2); (4, 4); (max_int, max_int) ]
          in
@@ -245,18 +242,15 @@ let mcm_rows ?(names = [ "SG 3x2"; "SG 4x2"; "Quad"; "Mibench"; "MVCS" ]) () =
   |> List.map (fun (b : B.t) ->
          let w = b.B.width in
          let r = run_method ~width:w Engine.Proposed b.B.polys in
-         let n = Netlist.of_prog ~width:w r.Engine.prog in
-         let plain = Cost.of_netlist n in
-         let opt = Cost.of_netlist (Polysynth_hw.Mcm.optimize n) in
+         let n = r.Engine.netlist in
+         let row variant n =
+           let c = Cost.of_netlist n in
+           { variant; area = c.Cost.area; delay = c.Cost.delay;
+             ops = Cost.total_operators c }
+         in
          ( b.B.name,
-           [
-             { variant = "proposed"; area = plain.Cost.area;
-               delay = plain.Cost.delay;
-               ops = Cost.total_operators plain };
-             { variant = "proposed+mcm"; area = opt.Cost.area;
-               delay = opt.Cost.delay;
-               ops = Cost.total_operators opt };
-           ] ))
+           [ row "proposed" n; row "proposed+mcm" (Polysynth_hw.Mcm.optimize n) ]
+         ))
 
 let render_named_ablation ~title groups =
   let buf = Buffer.create 1024 in

@@ -16,8 +16,6 @@ type manager = {
   mutable nodes : node array;
   mutable len : int;
   memo : (node, t) Hashtbl.t;
-  add_memo : (t * t, t) Hashtbl.t;
-  mul_memo : (t * t, t) Hashtbl.t;
   mutable order : string list;  (* decomposition order, most significant first *)
   lock : Mutex.t;
 }
@@ -27,8 +25,6 @@ let create ?(order = []) () =
     nodes = Array.make 64 (Leaf Z.zero);
     len = 0;
     memo = Hashtbl.create 64;
-    add_memo = Hashtbl.create 64;
-    mul_memo = Hashtbl.create 64;
     order;
     lock = Mutex.create ();
   }
@@ -51,7 +47,6 @@ let intern m n =
     id
 
 let leaf m c = intern m (Leaf c)
-let zero m = leaf m Z.zero
 
 let mk_node m var const linear =
   match node_of m linear with
@@ -68,58 +63,6 @@ let var_rank m v =
     | v' :: rest -> if String.equal v v' then i else find (i + 1) rest
   in
   find 0 m.order
-
-(* rank of a node's top variable; leaves sort last *)
-let top_rank m i =
-  match node_of m i with
-  | Leaf _ -> max_int
-  | Node { var; _ } -> var_rank m var
-
-let rec add m a b =
-  if a > b then add m b a
-  else
-    match Hashtbl.find_opt m.add_memo (a, b) with
-    | Some r -> r
-    | None ->
-      let r =
-        match node_of m a, node_of m b with
-        | Leaf x, Leaf y -> leaf m (Z.add x y)
-        | Node na, Node nb when String.equal na.var nb.var ->
-          mk_node m na.var (add m na.const nb.const) (add m na.linear nb.linear)
-        | Node na, _ when top_rank m a <= top_rank m b ->
-          mk_node m na.var (add m na.const b) na.linear
-        | _, Node nb -> mk_node m nb.var (add m nb.const a) nb.linear
-        | Node _, Leaf _ -> assert false (* excluded by the rank guard *)
-      in
-      Hashtbl.replace m.add_memo (a, b) r;
-      r
-
-let rec mul m a b =
-  if a > b then mul m b a
-  else
-    match Hashtbl.find_opt m.mul_memo (a, b) with
-    | Some r -> r
-    | None ->
-      let r =
-        match node_of m a, node_of m b with
-        | Leaf x, Leaf y -> leaf m (Z.mul x y)
-        | Leaf x, _ when Z.is_zero x -> a
-        | _, Leaf y when Z.is_zero y -> b
-        | Node na, Node nb when String.equal na.var nb.var ->
-          (* (c_a + v l_a)(c_b + v l_b)
-             = c_a c_b + v (c_a l_b + l_a c_b + v l_a l_b) *)
-          let cc = mul m na.const nb.const in
-          let cross = add m (mul m na.const nb.linear) (mul m na.linear nb.const) in
-          let high = mk_node m na.var (zero m) (mul m na.linear nb.linear) in
-          mk_node m na.var cc (add m cross high)
-        | Node na, _ when top_rank m a <= top_rank m b ->
-          mk_node m na.var (mul m na.const b) (mul m na.linear b)
-        | _, Node nb ->
-          mk_node m nb.var (mul m nb.const a) (mul m nb.linear a)
-        | Node _, Leaf _ -> assert false (* excluded by the rank guard *)
-      in
-      Hashtbl.replace m.mul_memo (a, b) r;
-      r
 
 let of_poly m p =
   (* decompose along the manager's order, registering unseen variables
@@ -186,9 +129,6 @@ let decompose m root =
 
 let locked m f = Mutex.protect m.lock f
 let leaf m c = locked m (fun () -> leaf m c)
-let zero m = locked m (fun () -> zero m)
-let add m a b = locked m (fun () -> add m a b)
-let mul m a b = locked m (fun () -> mul m a b)
 let of_poly m p = locked m (fun () -> of_poly m p)
 let to_poly m i = locked m (fun () -> to_poly m i)
 let num_nodes m = locked m (fun () -> num_nodes m)

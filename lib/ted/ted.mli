@@ -25,13 +25,9 @@ val create : ?order:string list -> unit -> manager
     are appended in lexicographic order as they appear. *)
 
 val leaf : manager -> Z.t -> t
-val zero : manager -> t
 
 val of_poly : manager -> Poly.t -> t
 val to_poly : manager -> t -> Poly.t
-
-val add : manager -> t -> t -> t
-val mul : manager -> t -> t -> t
 
 val equal : t -> t -> bool
 (** Physical id equality; by canonicity this decides polynomial

@@ -1,10 +1,13 @@
 (* Alcotest printers shared by the test executables: the library prints its
-   values through [to_string] alone, and rationals not at all. *)
+   values through [to_string] alone, and rationals not at all.  And one
+   check of a program the engine did not return, which carries no
+   certificate of its own. *)
 
 module Z = Polysynth_zint.Zint
 module Q = Polysynth_rat.Qint
 module P = Polysynth_poly.Poly
 module Mono = Polysynth_poly.Monomial
+module Equiv = Polysynth_analysis.Equiv
 
 let testable to_string equal =
   Alcotest.testable (fun f x -> Format.pp_print_string f (to_string x)) equal
@@ -20,3 +23,8 @@ let q_to_string q =
   if Z.is_one d then Z.to_string n else Z.to_string n ^ "/" ^ Z.to_string d
 
 let q = testable q_to_string Q.equal
+
+(* Does [prog] compute [polys] (as bit-vector functions under [ctx])?  An
+   uncapped certification never answers [Unknown]. *)
+let verify ?ctx polys prog =
+  Equiv.certify ?ctx ~size_budget:max_int polys prog = Equiv.Verified

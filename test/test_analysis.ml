@@ -14,6 +14,7 @@ module Wellformed = Polysynth_analysis.Wellformed
 module Widths = Polysynth_analysis.Widths
 module Equiv = Polysynth_analysis.Equiv
 module Redundancy = Polysynth_analysis.Redundancy
+module Simplify = Polysynth_analysis.Simplify
 module Suite = Polysynth_analysis.Suite
 module Engine = Polysynth_core.Engine
 module B = Polysynth_workloads.Benchmarks
@@ -284,11 +285,15 @@ let test_lint_netlist () =
 
 (* ---- suite -------------------------------------------------------------- *)
 
+(* the suite over [prog], its netlist and a simplify run on that netlist *)
+let suite ?system ~width prog =
+  let n = Netlist.of_prog ~width prog in
+  Suite.analyze prog n (Simplify.run ?system n)
+
 let test_suite_clean_exit () =
   let p = poly "7*x^2 + 3*x + 2" in
   let prog = Prog.of_exprs [ Expr.of_poly p ] in
-  let cfg = { (Suite.default ~width:16) with Suite.system = Some [ p ] } in
-  let r = Suite.analyze cfg prog in
+  let r = suite ~system:[ ("P1", p) ] ~width:16 prog in
   Alcotest.(check int) "exit 0" 0 (Suite.exit_code r)
 
 let test_suite_error_exit () =
@@ -299,7 +304,7 @@ let test_suite_error_exit () =
       outputs = [ ("P1", Expr.var "a") ];
     }
   in
-  let r = Suite.analyze (Suite.default ~width:16) prog in
+  let r = suite ~width:16 prog in
   Alcotest.(check int) "exit 3" 3 (Suite.exit_code r);
   Alcotest.(check bool) "self-reference reported" true
     (has_code "wf.self-reference" r.Suite.wellformed);
@@ -343,7 +348,6 @@ let test_benchmarks_verify () =
 
 module Domains = Polysynth_analysis.Domains
 module Absint = Polysynth_analysis.Absint
-module Simplify = Polysynth_analysis.Simplify
 module Schedule = Polysynth_hw.Schedule
 module Bind = Polysynth_hw.Bind
 module Ex = Polysynth_workloads.Examples
@@ -741,7 +745,7 @@ let test_suite_binding_pass_and_exit_code () =
       outputs = [ ("P1", Expr.mul [ Expr.var "d1"; Expr.var "d1" ]) ];
     }
   in
-  let r = Suite.analyze (Suite.default ~width:8) prog in
+  let r = suite ~width:8 prog in
   Alcotest.(check (list string)) "no binding findings" [] (codes r.Suite.binding);
   (* ... and a bind.* error maps to exit code 4, taking precedence over
      the generic error exit *)

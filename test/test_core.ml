@@ -17,6 +17,7 @@ module Represent = Polysynth_core.Represent
 module Search = Polysynth_core.Search
 module Integrated = Polysynth_core.Integrated
 module Baselines = Polysynth_core.Baselines
+module Equiv = Polysynth_analysis.Equiv
 module Engine = Polysynth_core.Engine
 module Ex = Polysynth_workloads.Examples
 module Rand = Polysynth_workloads.Random_system
@@ -409,7 +410,7 @@ let test_search_table_14_1 () =
   Alcotest.(check bool) "exhaustive" true sel.Search.exhaustive;
   Alcotest.(check int) "8 mults" 8 sel.Search.counts.Dag.mults;
   Alcotest.(check int) "1 add" 1 sel.Search.counts.Dag.adds;
-  Alcotest.(check bool) "verifies" true (Engine.verify Ex.table_14_1 sel.Search.prog)
+  Alcotest.(check bool) "verifies" true (Show.verify Ex.table_14_1 sel.Search.prog)
 
 let test_search_beam_on_large () =
   (* force coordinate descent with a tiny exhaustive limit *)
@@ -419,7 +420,7 @@ let test_search_beam_on_large () =
   in
   let sel = Search.select options r in
   Alcotest.(check bool) "not exhaustive" false sel.Search.exhaustive;
-  Alcotest.(check bool) "verifies" true (Engine.verify Ex.table_14_2 sel.Search.prog);
+  Alcotest.(check bool) "verifies" true (Show.verify Ex.table_14_2 sel.Search.prog);
   (* descent still reaches a good decomposition *)
   Alcotest.(check bool) "better than direct" true
     (Dag.total_ops sel.Search.counts < tree_ops Ex.table_14_2)
@@ -639,7 +640,7 @@ let test_integrated_variants_exact () =
   List.iter
     (fun (label, build) ->
       Alcotest.(check bool) (label ^ " verifies") true
-        (Engine.verify Ex.table_14_2 (build Ex.table_14_2)))
+        (Show.verify Ex.table_14_2 (build Ex.table_14_2)))
     Integrated.variants
 
 let test_integrated_never_terrible () =
@@ -666,7 +667,7 @@ let test_pipeline_table_14_1 () =
       Alcotest.(check bool)
         (Engine.method_label r.Engine.method_name ^ " verifies")
         true
-        (Engine.verify Ex.table_14_1 r.Engine.prog))
+        (r.Engine.cert = Equiv.Verified))
     reports
 
 let test_pipeline_table_14_2 () =
@@ -675,7 +676,7 @@ let test_pipeline_table_14_2 () =
   Alcotest.(check int) "14 mults" 14 proposed.Engine.counts.Dag.mults;
   Alcotest.(check int) "12 adds" 12 proposed.Engine.counts.Dag.adds;
   Alcotest.(check bool) "verifies mod ring" true
-    (Engine.verify ~ctx Ex.table_14_2 proposed.Engine.prog)
+    (proposed.Engine.cert = Equiv.Verified)
 
 let test_pipeline_direct_tree_counts () =
   (* initial cost of the Table 14.2 system: 51 MULT / 21 ADD *)
@@ -710,7 +711,7 @@ let test_coeff_fold_helps () =
     true
     (ring.Engine.cost.Cost.area < plain.Engine.cost.Cost.area);
   Alcotest.(check bool) "function-equal" true
-    (Engine.verify ~ctx system ring.Engine.prog)
+    (ring.Engine.cert = Equiv.Verified)
 
 let prop_coeff_fold_sound =
   prop "ring-aware synthesis is function-equal" ~count:30
@@ -723,7 +724,7 @@ let prop_coeff_fold_sound =
       in
       let ctx = Ring.make_ctx ~out_width:8 () in
       let r = fst (Engine.run (seq ~ctx ~width:8 ()) Engine.Proposed system) in
-      Engine.verify ~ctx system r.Engine.prog)
+      r.Engine.cert = Equiv.Verified)
 
 (* objectives -------------------------------------------------------------------------------------- *)
 
@@ -745,7 +746,7 @@ let test_objectives () =
     (Dag.total_ops ops_r.Engine.counts <= Dag.total_ops area_r.Engine.counts);
   (* all of them remain exact *)
   List.iter
-    (fun r -> Alcotest.(check bool) "exact" true (Engine.verify system r.Engine.prog))
+    (fun r -> Alcotest.(check bool) "exact" true (r.Engine.cert = Equiv.Verified))
     [ area_r; delay_r; ops_r ]
 
 let test_objective_power_runs () =
@@ -755,7 +756,7 @@ let test_objective_power_runs () =
   in
   let r = fst (Engine.synthesize config system) in
   Alcotest.(check bool) "exact under power objective" true
-    (Engine.verify system r.Engine.prog)
+    (r.Engine.cert = Equiv.Verified)
 
 (* pretty-printed programs round-trip through the program parser ------------------ *)
 
@@ -784,7 +785,7 @@ let test_prog_pp_parse_roundtrip () =
 let test_degenerate_systems () =
   let check name system =
     let r = fst (Engine.run (seq ~width:16 ()) Engine.Proposed system) in
-    Alcotest.(check bool) (name ^ " exact") true (Engine.verify system r.Engine.prog)
+    Alcotest.(check bool) (name ^ " exact") true (r.Engine.cert = Equiv.Verified)
   in
   check "empty" [];
   check "constant" [ p "7" ];
@@ -796,7 +797,7 @@ let test_degenerate_systems () =
   let ctx1 = Ring.make_ctx ~out_width:1 () in
   let r = fst (Engine.run (seq ~ctx:ctx1 ~width:1 ()) Engine.Proposed [ p "x^2 + x" ]) in
   Alcotest.(check bool) "1-bit ring" true
-    (Engine.verify ~ctx:ctx1 [ p "x^2 + x" ] r.Engine.prog)
+    (r.Engine.cert = Equiv.Verified)
 
 (* properties -------------------------------------------------------------------------------------- *)
 
@@ -816,13 +817,13 @@ let prop_proposed_verifies =
   prop "proposed synthesis is exact" ~count:40 arb_seed (fun seed ->
       let system = random_system seed in
       let r = fst (Engine.run (seq ~width:16 ()) Engine.Proposed system) in
-      Engine.verify system r.Engine.prog)
+      r.Engine.cert = Equiv.Verified)
 
 let prop_all_methods_verify =
   prop "all methods are exact" ~count:30 arb_seed (fun seed ->
       let system = random_system seed in
       List.for_all
-        (fun r -> Engine.verify system r.Engine.prog)
+        (fun r -> r.Engine.cert = Equiv.Verified)
         (fst (Engine.compare_methods (seq ~width:16 ()) system)))
 
 let prop_proposed_never_worse_than_direct =
@@ -844,7 +845,7 @@ let prop_proposed_mod_ring_verifies =
       let system = random_system seed in
       let ctx = Ring.make_ctx ~out_width:8 () in
       let r = fst (Engine.run (seq ~ctx ~width:8 ()) Engine.Proposed system) in
-      Engine.verify ~ctx system r.Engine.prog)
+      r.Engine.cert = Equiv.Verified)
 
 let prop_scorer_matches_oracle =
   prop "select = per-program oracle" ~count:30 arb_seed (fun seed ->

@@ -4,7 +4,11 @@
 module Z = Polysynth_zint.Zint
 module Dag = Polysynth_expr.Dag
 module Prog = Polysynth_expr.Prog
+module Netlist = Polysynth_hw.Netlist
 module Cost = Polysynth_hw.Cost
+module Equiv = Polysynth_analysis.Equiv
+module Simplify = Polysynth_analysis.Simplify
+module Canonical = Polysynth_finite_ring.Canonical
 module Engine = Polysynth_core.Engine
 module Trace = Polysynth_core.Engine.Trace
 module B = Polysynth_workloads.Benchmarks
@@ -86,7 +90,7 @@ let test_parallel_matches_sequential () =
         (b.B.name ^ ": program") (printed seq) (printed par);
       Alcotest.(check bool)
         (b.B.name ^ ": parallel result is exact") true
-        (Engine.verify b.B.polys par.Engine.prog))
+        (par.Engine.cert = Equiv.Verified))
     (B.all ())
 
 (* ---- memoization ----------------------------------------------------- *)
@@ -191,7 +195,7 @@ let test_budget_exhaustion_graceful () =
   Alcotest.(check bool) "zero candidate budget reported" true
     trace.Trace.budget_exhausted;
   Alcotest.(check bool) "budgeted result is still exact" true
-    (Engine.verify polys r.Engine.prog);
+    (r.Engine.cert = Equiv.Verified);
   Alcotest.(check bool) "budgeted result can only be worse or equal" true
     (full.Engine.cost.Cost.area <= r.Engine.cost.Cost.area);
   let timed =
@@ -201,7 +205,50 @@ let test_budget_exhaustion_graceful () =
   Alcotest.(check bool) "zero time budget reported" true
     trace'.Trace.budget_exhausted;
   Alcotest.(check bool) "time-budgeted result is still exact" true
-    (Engine.verify polys r'.Engine.prog)
+    (r'.Engine.cert = Equiv.Verified)
+
+(* ---- the report's netlist -------------------------------------------- *)
+
+(* Every report carries the one netlist its program lowers to: the one its
+   cost was priced on and its simplify pass started from *)
+let test_report_netlist_is_the_lowering () =
+  let systems =
+    [ ("Table 14.1", Ex.table_14_1, 16); ("Table 14.2", Ex.table_14_2, 16) ]
+    @ List.map
+        (fun name ->
+          let b = Option.get (B.by_name name) in
+          (name, b.B.polys, b.B.width))
+        [ "Quad"; "Mibench"; "MVCS" ]
+  in
+  List.iter
+    (fun (name, polys, width) ->
+      List.iter
+        (fun ctx ->
+          let config =
+            { (config ~width ()) with Engine.Config.ctx; simplify = true }
+          in
+          List.iter
+            (fun (r : Engine.report) ->
+              let label =
+                Printf.sprintf "%s%s %s" name
+                  (if Option.is_some ctx then " ring" else "")
+                  (Engine.method_label r.Engine.method_name)
+              in
+              let n = r.Engine.netlist in
+              let lowered = Netlist.of_prog ~width r.Engine.prog in
+              Alcotest.(check bool) (label ^ ": cells") true
+                (n.Netlist.cells = lowered.Netlist.cells);
+              Alcotest.(check bool) (label ^ ": outputs and width") true
+                (n.Netlist.outputs = lowered.Netlist.outputs
+                && n.Netlist.width = lowered.Netlist.width);
+              Alcotest.(check bool) (label ^ ": cost of the netlist") true
+                (r.Engine.cost = Cost.of_netlist n);
+              let o = Option.get r.Engine.simplified in
+              Alcotest.(check int) (label ^ ": simplify starts from it")
+                (Netlist.num_cells n) o.Simplify.stats.Simplify.cells_before)
+            (fst (Engine.compare_methods config polys)))
+        [ None; Some (Canonical.make_ctx ~out_width:width ()) ])
+    systems
 
 (* ---- trace ------------------------------------------------------------ *)
 
@@ -264,6 +311,11 @@ let () =
         [
           Alcotest.test_case "exhaustion degrades gracefully" `Quick
             test_budget_exhaustion_graceful;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "netlist is the program's lowering" `Quick
+            test_report_netlist_is_the_lowering;
         ] );
       ( "trace",
         [ Alcotest.test_case "stages and json" `Quick test_trace_shape ] );

@@ -117,7 +117,8 @@ let test_fanout_penalty () =
 
 let test_verilog_structure () =
   let src =
-    V.emit_prog ~module_name:"dut" ~width:16 (prog_of_strings [ "3*x*y + 5" ])
+    V.emit ~module_name:"dut"
+      (N.of_prog ~width:16 (prog_of_strings [ "3*x*y + 5" ]))
   in
   let contains needle =
     let rec go i =
@@ -140,7 +141,7 @@ let test_verilog_legalize () =
 
 let test_verilog_no_negative_literal () =
   (* constants are emitted reduced into [0, 2^w): no "16'd-5" artifacts *)
-  let src = V.emit_prog ~width:8 (prog_of_strings [ "x*y - 5*z" ]) in
+  let src = V.emit (N.of_prog ~width:8 (prog_of_strings [ "x*y - 5*z" ])) in
   Alcotest.(check bool) "no 'd-" true
     (not
        (List.exists

@@ -224,8 +224,7 @@ let test_corpus_parses_and_synthesizes () =
             Polysynth_core.Engine.Proposed system
         in
         Alcotest.(check bool) (file ^ " synthesizes exactly") true
-          (Polysynth_core.Engine.verify system
-             r.Polysynth_core.Engine.prog))
+          (r.Polysynth_core.Engine.cert = Polysynth_analysis.Equiv.Verified))
       files
 
 (* random systems -------------------------------------------------------------------- *)
