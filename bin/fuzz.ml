@@ -40,7 +40,7 @@ module Suite = Polysynth_analysis.Suite
 module Simplify = Polysynth_analysis.Simplify
 module Absint = Polysynth_analysis.Absint
 module Domains = Polysynth_analysis.Domains
-module Canonical = Polysynth_finite_ring.Canonical
+module Prog = Polysynth_expr.Prog
 module Rng = Polysynth_zint.Xorshift
 
 let () =
@@ -95,8 +95,8 @@ let () =
     let opt = Mcm.optimize n in
     let spot label netlist =
       match
-        Equiv.spot_check_netlist ~seed:(seed lxor Rng.next rng 1024) ~samples:5
-          system netlist
+        Equiv.spot_check_netlist ~seed:(seed lxor Rng.next rng 1024) system
+          netlist
       with
       | Ok () -> ()
       | Error ce ->
@@ -105,10 +105,7 @@ let () =
     spot "netlist" n;
     spot "MCM" opt;
     (* the guarded simplify pass, checked by 5 and linted by 3 *)
-    let named =
-      List.mapi (fun k p -> (Printf.sprintf "P%d" (k + 1), p)) system
-    in
-    let o = Simplify.run ~system:named n in
+    let o = Simplify.run ~system:(Prog.name_outputs system) n in
     (* 3. no error-severity lint finding on the proposed decomposition *)
     let lint = Suite.analyze proposed.Engine.prog n o in
     List.iter
@@ -136,12 +133,7 @@ let () =
               (Netlist.eval n env))
        then fail "FSMD simulation differs from the netlist");
     (* 5. the guarded simplify pass preserves semantics *)
-    (match
-       Equiv.certify
-         ~ctx:(Canonical.make_ctx ~out_width:width ())
-         system
-         (Netlist.to_prog o.Simplify.netlist)
-     with
+    (match Equiv.certify_netlist system o.Simplify.netlist with
      | Equiv.Verified -> ()
      | c ->
        fail "simplified netlist not verified: %s" (Equiv.cert_to_string c));

@@ -4,6 +4,7 @@
      polysynth system.poly --method proposed --width 16 --ring \
                --verilog out.v --show-program *)
 
+module Poly = Polysynth_poly.Poly
 module Parse = Polysynth_poly.Parse
 module Ring = Polysynth_finite_ring.Canonical
 module Prog = Polysynth_expr.Prog
@@ -114,18 +115,12 @@ let is_verified = function Equiv.Verified -> true | _ -> false
 (* equivalence certification already ran inside the engine; the suite here
    checks the program, the netlist it was costed on and the simplify
    outcome -- the engine's when --simplify ran, otherwise one run here
-   against the source system's P1, P2, ... when there is one *)
-let lint_of ~ctx ?system ?simplified prog netlist =
+   against [system], the polynomial of each output by name *)
+let lint_of ~ctx ~system ?simplified prog netlist =
   let simplified =
     match simplified with
     | Some o -> o
-    | None ->
-      let system =
-        Option.map
-          (List.mapi (fun i p -> (Printf.sprintf "P%d" (i + 1), p)))
-          system
-      in
-      Simplify.run ?system netlist
+    | None -> Simplify.run ~system netlist
   in
   Suite.analyze ?ctx prog netlist simplified
 
@@ -158,11 +153,14 @@ let evaluate_program options text =
       counts.Dag.mults counts.Dag.adds cost.Cost.area cost.Cost.delay;
     let config = config_of options in
     let ctx = config.Engine.Config.ctx in
-    let lint = if options.lint then Some (lint_of ~ctx prog netlist) else None in
+    (* the expanded program: the reference of its lint, and the system
+       re-synthesized for comparison *)
+    let system = Prog.to_polys prog in
+    let lint =
+      if options.lint then Some (lint_of ~ctx ~system prog netlist) else None
+    in
     Option.iter print_lint lint;
-    (* re-synthesize the expanded system for comparison *)
-    let system = List.map snd (Prog.to_polys prog) in
-    let r, _trace = Engine.run config Engine.Proposed system in
+    let r, _trace = Engine.run config Engine.Proposed (List.map snd system) in
     Printf.printf "proposed flow:       MULT=%d ADD=%d area=%d delay=%.1f\n"
       r.Engine.counts.Dag.mults r.Engine.counts.Dag.adds
       r.Engine.cost.Cost.area r.Engine.cost.Cost.delay;
@@ -208,7 +206,8 @@ let run_benchmarks options name =
         let lint =
           if options.lint then
             Some
-              (lint_of ~ctx:config.Engine.Config.ctx ~system:b.Benchmarks.polys
+              (lint_of ~ctx:config.Engine.Config.ctx
+                 ~system:(Prog.name_outputs b.Benchmarks.polys)
                  ?simplified:r.Engine.simplified r.Engine.prog r.Engine.netlist)
           else None
         in
@@ -326,6 +325,17 @@ let run_synthesis options =
       Printf.eprintf "no polynomials in input\n";
       1
     | Ok polys ->
+      (* an input named like an output would be both a port and a wire of
+         the emitted code *)
+      let vars = List.concat_map Poly.vars polys in
+      match
+        List.find_opt (fun (o, _) -> List.mem o vars) (Prog.name_outputs polys)
+      with
+      | Some (o, _) ->
+        Printf.eprintf
+          "error: variable %s is named like an output of the system\n" o;
+        1
+      | None ->
       let config = config_of options in
       let reports, trace =
         if options.compare_all then Engine.compare_methods config polys
@@ -338,7 +348,8 @@ let run_synthesis options =
       let lint =
         if options.lint then
           Some
-            (lint_of ~ctx:config.Engine.Config.ctx ~system:polys
+            (lint_of ~ctx:config.Engine.Config.ctx
+               ~system:(Prog.name_outputs polys)
                ?simplified:main_report.Engine.simplified main_report.Engine.prog
                main_report.Engine.netlist)
         else None
@@ -369,15 +380,12 @@ let run_synthesis options =
          | Some o ->
            Printf.printf
              "simplify: %d -> %d cell(s), %d rewrite(s) applied, %d \
-              rejected, %d certificate(s)%s\n"
+              rejected, %d certificate(s)\n"
              o.Simplify.stats.Simplify.cells_before
              o.Simplify.stats.Simplify.cells_after
              o.Simplify.stats.Simplify.applied
              o.Simplify.stats.Simplify.rejected
-             o.Simplify.stats.Simplify.certificates
-             (match o.Simplify.skipped with
-              | Some why -> " (skipped: " ^ why ^ ")"
-              | None -> "");
+             o.Simplify.stats.Simplify.certificates;
            List.iter
              (fun rw ->
                Printf.printf "  c%d: %s\n" rw.Simplify.cell

@@ -54,12 +54,12 @@ let () =
       | _ -> Z.of_int zv
     in
     let produced = Prog.eval ring.Engine.prog env in
-    List.for_all2
-      (fun (i : int) q ->
+    List.for_all
+      (fun (name, q) ->
         Z.equal
           (Z.erem_pow2 (P.eval env q) width)
-          (Z.erem_pow2 (List.assoc (Printf.sprintf "P%d" i) produced) width))
-      [ 1; 2 ] bench.B.polys
+          (Z.erem_pow2 (List.assoc name produced) width))
+      (Prog.name_outputs bench.B.polys)
   in
   let ok = ref true in
   for xv = 0 to 255 do

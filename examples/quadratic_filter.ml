@@ -48,12 +48,11 @@ let () =
     (fun (xv, yv) ->
       let env v = if String.equal v "x" then Z.of_int xv else Z.of_int yv in
       let outputs = Netlist.eval netlist env in
-      List.iteri
-        (fun i q ->
+      List.iter
+        (fun (name, q) ->
           let expected = Z.erem_pow2 (P.eval env q) 16 in
-          let got = List.assoc (Printf.sprintf "P%d" (i + 1)) outputs in
-          assert (Z.equal expected got))
-        system;
+          assert (Z.equal expected (List.assoc name outputs)))
+        (Prog.name_outputs system);
       Format.printf "x=%-6d y=%-6d -> y1=%s y2=%s@." xv yv
         (Z.to_string (List.assoc "P1" outputs))
         (Z.to_string (List.assoc "P2" outputs)))

@@ -72,8 +72,6 @@ let rand_bits rng bits =
 
 (* ---- shared helpers --------------------------------------------------- *)
 
-let output_name i = Printf.sprintf "P%d" (i + 1)
-
 let system_vars polys prog =
   let bound = List.map fst prog.Prog.bindings in
   let prog_vars =
@@ -140,10 +138,9 @@ let prefilter ?ctx ~samples polys prog =
       let point = sample_point ?ctx rng vars in
       let env = env_of point in
       let produced = Prog.eval prog env in
-      let rec check i = function
+      let rec check = function
         | [] -> None
-        | p :: rest ->
-          let name = output_name i in
+        | (name, p) :: rest ->
           let expected =
             match ctx with
             | Some ctx -> Canonical.eval_mod ctx p env
@@ -153,10 +150,10 @@ let prefilter ?ctx ~samples polys prog =
            | None -> Some { output = name; point; expected; got = None }
            | Some got ->
              let got = reduce got in
-             if Z.equal got expected then check (i + 1) rest
+             if Z.equal got expected then check rest
              else Some { output = name; point; expected; got = Some got })
       in
-      match check 0 polys with
+      match check (Prog.name_outputs polys) with
       | Some ce -> Some ce
       | None -> round (s + 1)
     end
@@ -228,10 +225,9 @@ let certify ?ctx ?(samples = 8) ?(size_budget = 100_000) polys prog =
         List.assoc_opt name (Prog.eval prog (env_of point))
       in
       let rng = Rng.make 0x817 in
-      let rec check i = function
+      let rec check = function
         | [] -> Verified
-        | p :: rest ->
-          let name = output_name i in
+        | (name, p) :: rest ->
           (match List.assoc_opt name produced with
            | None ->
              let expected =
@@ -246,7 +242,7 @@ let certify ?ctx ?(samples = 8) ?(size_budget = 100_000) polys prog =
                | Some ctx -> Canonical.equal_functions ctx p q
                | None -> Poly.equal p q
              in
-             if equal then check (i + 1) rest
+             if equal then check rest
              else
                let witness =
                  match ctx with
@@ -280,13 +276,26 @@ let certify ?ctx ?(samples = 8) ?(size_budget = 100_000) polys prog =
                         constructed"
                        name)))
       in
-      check 0 polys
+      check (Prog.name_outputs polys)
     end
 
-(* ---- netlist spot checks ---------------------------------------------- *)
+(* ---- netlists --------------------------------------------------------- *)
 
-let spot_check_netlist ?(seed = 1) ?(samples = 5) polys (n : Netlist.t) =
-  let named = List.mapi (fun i p -> (output_name i, p)) polys in
+let certify_netlist ?samples polys (n : Netlist.t) =
+  let lifted = Netlist.to_prog n in
+  (* the netlist's outputs, in order, compute the system's polynomials *)
+  let prog =
+    {
+      lifted with
+      Prog.outputs = Prog.name_outputs (List.map snd lifted.Prog.outputs);
+    }
+  in
+  let ctx = Canonical.make_ctx ~out_width:n.Netlist.width () in
+  certify ~ctx ?samples polys prog
+
+let spot_check_netlist ?(seed = 1) polys (n : Netlist.t) =
+  let samples = 5 in
+  let named = Prog.name_outputs polys in
   let width = n.Netlist.width in
   let vars =
     List.sort_uniq String.compare

@@ -46,13 +46,6 @@ val cert_to_json : cert -> string
 (** [{"status":"verified"}], or with ["counterexample"] / ["reason"]
     fields. *)
 
-val expansion_estimate : Prog.t -> int
-(** Saturating estimate of the term count of the program's outputs after
-    inlining every binding (sharing-aware, never expands anything).  This
-    is the quantity {!certify} compares against [size_budget]; clients
-    like {!Simplify} use it to predict whether certification will return
-    [Unknown] before paying for a candidate rewrite. *)
-
 val certify :
   ?ctx:Canonical.ctx ->
   ?samples:int ->
@@ -60,21 +53,25 @@ val certify :
   Poly.t list ->
   Prog.t ->
   cert
-(** [certify ?ctx polys prog] checks that output [P{i+1}] of [prog]
-    computes [List.nth polys i] — exactly over [Z] when [ctx] is absent,
-    as bit-vector functions over the ring when present.  [samples]
-    (default 8) sets the random pre-filter effort; [size_budget]
-    (default 100_000 nodes, estimated before inlining) bounds the symbolic
-    expansion, beyond which [Unknown] is returned. *)
+(** [certify ?ctx polys prog] checks that the output of [prog] that
+    {!Prog.name_outputs} names for each polynomial of [polys] computes
+    that polynomial — exactly over [Z] when [ctx] is absent, as
+    bit-vector functions over the ring when present.  [samples] (default 8) sets the random
+    pre-filter effort; [size_budget] (default 100_000 terms, estimated
+    without expanding anything) bounds the symbolic expansion, beyond
+    which [Unknown] is returned. *)
+
+val certify_netlist : ?samples:int -> Poly.t list -> Netlist.t -> cert
+(** [certify_netlist polys n] is {!certify} of the program
+    {!Netlist.to_prog} lifts [n] to, under the ring of [n]'s width: the
+    [i]-th output of [n], whatever its name, must compute the [i]-th
+    polynomial of [polys] as a bit-vector function.  [samples] is passed
+    to {!certify}. *)
 
 val spot_check_netlist :
-  ?seed:int ->
-  ?samples:int ->
-  Poly.t list ->
-  Netlist.t ->
-  (unit, counterexample) result
+  ?seed:int -> Poly.t list -> Netlist.t -> (unit, counterexample) result
 (** Bit-accurate sampling oracle for lowered hardware: evaluates the
-    netlist on random input vectors and compares every output with the
+    netlist on 5 random input vectors and compares every output with the
     source polynomial reduced modulo [2^width].  A sampler, not a decision
-    procedure — [Ok ()] means no mismatch was found.  Output [P{i+1}] is
-    compared with [List.nth polys i]. *)
+    procedure — [Ok ()] means no mismatch was found.  Outputs are paired
+    with [polys] by name, through {!Prog.name_outputs}. *)

@@ -16,9 +16,6 @@
 
 module Z = Polysynth_zint.Zint
 module Netlist = Polysynth_hw.Netlist
-module Prog = Polysynth_expr.Prog
-module Poly = Polysynth_poly.Poly
-module Canonical = Polysynth_finite_ring.Canonical
 
 type action =
   | Fold of Z.t  (** replace the cell by a constant *)
@@ -175,26 +172,6 @@ let prune (n : Netlist.t) =
     outputs = List.map (fun (nm, i) -> (nm, id_map.(i))) n.Netlist.outputs;
   }
 
-(* ---- certification ------------------------------------------------------ *)
-
-(* the expansion budget of the reference recovery and of each certificate *)
-let size_budget = 100_000
-
-let certify_netlist ~samples ~polys (candidate : Netlist.t) =
-  let prog = Netlist.to_prog candidate in
-  (* Equiv matches output P{i+1} against the i-th polynomial *)
-  let prog =
-    {
-      prog with
-      Prog.outputs =
-        List.mapi
-          (fun i (_, e) -> (Printf.sprintf "P%d" (i + 1), e))
-          prog.Prog.outputs;
-    }
-  in
-  let ctx = Canonical.make_ctx ~out_width:candidate.Netlist.width () in
-  Equiv.certify ~ctx ~samples ~size_budget polys prog
-
 (* ---- the pass ----------------------------------------------------------- *)
 
 type stats = {
@@ -210,105 +187,80 @@ type outcome = {
   netlist : Netlist.t;
   applied : rewrite list;
   rejected : (rewrite * Equiv.cert) list;
-  skipped : string option;
-      (** set when the pass bailed out before certifying anything *)
   stats : stats;
 }
 
 let cells_eliminated o = o.stats.cells_before - o.stats.cells_after
 
-let run ?(samples = 4) ?system ?facts (n : Netlist.t) =
+let run ?facts ~system (n : Netlist.t) =
+  (* the reference polynomials in netlist-output order *)
+  let polys =
+    List.map
+      (fun (name, _) ->
+        match List.assoc_opt name system with
+        | Some p -> p
+        | None ->
+          invalid_arg
+            (Printf.sprintf "Simplify.run: the system does not name output %s"
+               name))
+      n.Netlist.outputs
+  in
   let facts =
     match facts with Some f -> f | None -> Absint.constants n
   in
   let rewrites = propose ~facts n in
   let cells_before = Netlist.num_cells n in
-  let mk_stats ?(applied = 0) ?(rejected = 0) ?(certs = 0) final =
-    {
-      proposed = List.length rewrites;
-      applied;
-      rejected;
-      certificates = certs;
-      cells_before;
-      cells_after = Netlist.num_cells final;
-    }
+  let certs = ref 0 in
+  (* the pruned netlist with [acc] applied, if it certifies *)
+  let attempt acc =
+    let cand = prune (apply n acc) in
+    incr certs;
+    match Equiv.certify_netlist ~samples:4 polys cand with
+    | Equiv.Verified -> Ok cand
+    | c -> Error c
   in
-  (* reference polynomials in netlist-output order: the caller's source
-     system when given, otherwise recovered from the netlist itself
-     (guarded by the expansion estimate so we never blow up) *)
-  let reference =
-    match system with
-    | Some sys -> (
-      match
-        List.map (fun (nm, _) -> List.assoc_opt nm sys) n.Netlist.outputs
-      with
-      | polys when List.for_all Option.is_some polys ->
-        Ok (List.map Option.get polys)
-      | _ -> Error "source system does not name every netlist output")
+  (* whole batch first; on failure, re-grow one rewrite at a time so an
+     unsound proposal is isolated while sound ones still land.  The
+     certified netlist is the last candidate that verified *)
+  let applied, rejected, certified =
+    if rewrites = [] then ([], [], None)
+    else
+      match attempt rewrites with
+      | Ok cand -> (rewrites, [], Some cand)
+      | Error _ ->
+        let acc, rejected, certified =
+          List.fold_left
+            (fun (acc, rejected, certified) rw ->
+              match attempt (acc @ [ rw ]) with
+              | Ok cand -> (acc @ [ rw ], rejected, Some cand)
+              | Error c -> (acc, (rw, c) :: rejected, certified))
+            ([], [], None) rewrites
+        in
+        (acc, List.rev rejected, certified)
+  in
+  let final =
+    match certified with
+    | Some cand -> cand
     | None ->
-      let prog = Netlist.to_prog n in
-      if Equiv.expansion_estimate prog > size_budget then
-        Error "netlist too large to recover a reference system"
-      else
-        let polys = Prog.to_polys prog in
-        Ok (List.map (fun (nm, _) -> List.assoc nm polys) n.Netlist.outputs)
+      (* no rewrite applied: certify the pruned netlist when pruning
+         removed dead cells; the identity needs no certificate *)
+      if Netlist.num_cells (prune (apply n [])) = cells_before then n
+      else Result.value (attempt []) ~default:n
   in
-  match reference with
-  | Error why ->
-    {
-      netlist = n;
-      applied = [];
-      rejected = List.map (fun rw -> (rw, Equiv.Unknown why)) rewrites;
-      skipped = Some why;
-      stats = mk_stats ~rejected:(List.length rewrites) n;
-    }
-  | Ok polys ->
-    let certs = ref 0 in
-    (* the pruned netlist with [acc] applied, if it certifies *)
-    let attempt acc =
-      let cand = prune (apply n acc) in
-      incr certs;
-      match certify_netlist ~samples ~polys cand with
-      | Equiv.Verified -> Ok cand
-      | c -> Error c
-    in
-    (* whole batch first; on failure, re-grow one rewrite at a time so an
-       unsound proposal is isolated while sound ones still land.  The
-       certified netlist is the last candidate that verified *)
-    let applied, rejected, certified =
-      if rewrites = [] then ([], [], None)
-      else
-        match attempt rewrites with
-        | Ok cand -> (rewrites, [], Some cand)
-        | Error _ ->
-          let acc, rejected, certified =
-            List.fold_left
-              (fun (acc, rejected, certified) rw ->
-                match attempt (acc @ [ rw ]) with
-                | Ok cand -> (acc @ [ rw ], rejected, Some cand)
-                | Error c -> (acc, (rw, c) :: rejected, certified))
-              ([], [], None) rewrites
-          in
-          (acc, List.rev rejected, certified)
-    in
-    let final =
-      match certified with
-      | Some cand -> cand
-      | None ->
-        (* no rewrite applied: certify the pruned netlist when pruning
-           removed dead cells; the identity needs no certificate *)
-        if Netlist.num_cells (prune (apply n [])) = cells_before then n
-        else Result.value (attempt []) ~default:n
-    in
-    {
-      netlist = final;
-      applied;
-      rejected;
-      skipped = None;
-      stats =
-        mk_stats ~applied:(List.length applied)
-          ~rejected:(List.length rejected) ~certs:!certs final;
-    }
+  {
+    netlist = final;
+    applied;
+    rejected;
+    stats =
+      {
+        proposed = List.length rewrites;
+        applied = List.length applied;
+        rejected = List.length rejected;
+        certificates = !certs;
+        cells_before;
+        cells_after = Netlist.num_cells final;
+      };
+  }
 
 (* ---- diagnostics -------------------------------------------------------- *)
 
@@ -347,10 +299,4 @@ let diags_of_outcome o =
       ]
     else []
   in
-  let skipped =
-    match o.skipped with
-    | Some why ->
-      [ Diag.info ~code:"simplify.skipped" Diag.Program why ]
-    | None -> []
-  in
-  skipped @ summary @ applied @ rejected
+  summary @ applied @ rejected

@@ -7,9 +7,10 @@
     dead-cell elimination.
 
     The guard is the point: {e every} candidate netlist is certified
-    against the reference polynomial system by {!Equiv} under the ring
-    context of the netlist's width before it is accepted, so the pass can
-    never change semantics.  A failing batch is retried one rewrite at a
+    against the reference polynomial system its caller hands it, by
+    {!Equiv.certify_netlist} under the ring context of the netlist's
+    width, before it is accepted, so the pass can never change
+    semantics.  A failing batch is retried one rewrite at a
     time, isolating an unsound proposal (caught as [Refuted] and surfaced
     as a ["simplify.unsound"] error diagnostic) while sound rewrites
     still land.  Because the certificate, not the analysis, vouches for
@@ -43,26 +44,24 @@ type outcome = {
                             the input *)
   applied : rewrite list;
   rejected : (rewrite * Equiv.cert) list;
-  skipped : string option;
-      (** set when the pass bailed out before certifying anything *)
   stats : stats;
 }
 
 val cells_eliminated : outcome -> int
 
 val run :
-  ?samples:int ->
-  ?system:(string * Poly.t) list ->
   ?facts:Domains.Const.t array ->
+  system:(string * Poly.t) list ->
   Netlist.t ->
   outcome
-(** The guarded pass.  [system] supplies the reference polynomials by
-    output name (recommended — exact and cheap); without it the reference
-    is recovered from the netlist itself, guarded by
-    {!Equiv.expansion_estimate}, and the pass degrades to a no-op when
-    the recovery would exceed an estimate of 100 000 (the same budget
-    bounds each certificate).  [facts] reuses an existing
-    {!Absint.constants} analysis. *)
+(** The guarded pass.  [system] is the reference: the polynomial each
+    output of the netlist must compute, by output name.  The reference
+    comes from the caller alone, and the pass never skips: every
+    candidate is certified against it, with 4 random samples before the
+    symbolic decision.  [facts] reuses an existing {!Absint.constants}
+    analysis.
+    @raise Invalid_argument when [system] does not name every output of
+    the netlist. *)
 
 val diags_of_outcome : outcome -> Diag.t list
 (** Findings for {!Suite}: ["simplify.summary"] / ["simplify.rewrite"] /

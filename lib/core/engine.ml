@@ -409,12 +409,9 @@ let simplify_report (config : Config.t) ~prefix stages polys r =
           in
           (facts, constants))
     in
-    let system =
-      List.mapi (fun i p -> (Printf.sprintf "P%d" (i + 1), p)) polys
-    in
     let outcome =
       stage stages (prefix ^ "simplify") (fun () ->
-          let o = Simplify.run ~system ~facts n in
+          let o = Simplify.run ~system:(Prog.name_outputs polys) ~facts n in
           (o, Simplify.cells_eliminated o))
     in
     { r with simplified = Some outcome }

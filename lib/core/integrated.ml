@@ -86,12 +86,10 @@ let decompose_cce_first polys =
       ([], piece_exprs) cce
   in
   assert (leftover = []);
-  let outputs =
-    List.mapi
-      (fun i e -> (Printf.sprintf "P%d" (i + 1), e))
-      (List.rev outputs)
-  in
-  { Prog.bindings = refined.Prog.bindings; outputs }
+  {
+    Prog.bindings = refined.Prog.bindings;
+    outputs = Prog.name_outputs (List.rev outputs);
+  }
 
 (* Variant 2 — cubes first: variable-only extraction across the original
    system, then algebraic refinement of every body. *)

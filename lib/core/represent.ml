@@ -12,10 +12,8 @@ type rep = { label : string; expr : Expr.t; semantics : semantics }
 
 type t = {
   table : Blocktab.t;
-  divisors : Poly.t list;
   polys : Poly.t array;
   reps : rep list array;
-  ctx : Canonical.ctx option;
 }
 
 let squarefree_rep session p =
@@ -163,10 +161,8 @@ let build ?ctx ?max_blocks polys =
   in
   {
     table;
-    divisors;
     polys = Array.of_list polys;
     reps = Array.of_list (List.map reps_of polys);
-    ctx;
   }
 
 let num_combinations t =

@@ -17,10 +17,8 @@ type rep = { label : string; expr : Expr.t; semantics : semantics }
 
 type t = {
   table : Blocktab.t;
-  divisors : Poly.t list;
   polys : Poly.t array;
   reps : rep list array;  (** non-empty for each polynomial *)
-  ctx : Canonical.ctx option;
 }
 
 val build :

@@ -13,7 +13,6 @@ type options = {
   model : Cost.model;
   objective : objective;
   exhaustive_limit : int;
-  sweeps : int;
   budget : (unit -> bool) option;
 }
 
@@ -23,7 +22,6 @@ let default_options ~width =
     model = Cost.default;
     objective = Min_area;
     exhaustive_limit = 4096;
-    sweeps = 4;
     budget = None;
   }
 
@@ -41,10 +39,8 @@ type selection = {
 
 let prog_of_choice (r : Represent.t) choice =
   let outputs =
-    List.mapi
-      (fun i (rep : Represent.rep) ->
-        (Printf.sprintf "P%d" (i + 1), rep.Represent.expr))
-      choice
+    Prog.name_outputs
+      (List.map (fun (rep : Represent.rep) -> rep.Represent.expr) choice)
   in
   let used =
     List.concat_map (fun (_, e) -> Expr.vars e) outputs
@@ -267,6 +263,9 @@ let scorer options (r : Represent.t) =
 
 exception Budget_exhausted
 
+(* the most coordinate-descent passes a large system gets *)
+let sweeps = 4
+
 let select options (r : Represent.t) =
   let reps = Array.map Array.of_list r.Represent.reps in
   let n = Array.length reps in
@@ -330,7 +329,7 @@ let select options (r : Represent.t) =
       let improved = ref true in
       let sweep = ref 0 in
       (try
-         while !improved && !sweep < options.sweeps do
+         while !improved && !sweep < sweeps do
            improved := false;
            incr sweep;
            for i = 0 to n - 1 do

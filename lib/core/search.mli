@@ -8,9 +8,9 @@
     combination's roots, with exactly the area, delay, operator counts and
     power estimate that lowering the combination's own program would
     give.  Small systems
-    are searched exhaustively; large ones by coordinate descent,
-    re-optimizing one polynomial at a time against the sharing created by
-    the others. *)
+    are searched exhaustively; large ones by coordinate descent (at most
+    4 passes), re-optimizing one polynomial at a time against the sharing
+    created by the others. *)
 
 module Prog := Polysynth_expr.Prog
 module Dag := Polysynth_expr.Dag
@@ -29,7 +29,6 @@ type options = {
   objective : objective;
   exhaustive_limit : int;
       (** combination count up to which the search is exhaustive *)
-  sweeps : int;  (** coordinate-descent passes for large systems *)
   budget : (unit -> bool) option;
       (** "may another combination be evaluated?"  When it returns [false]
           the search stops early and keeps the best candidate found so far

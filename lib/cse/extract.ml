@@ -326,9 +326,7 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
     | Vars_only -> polys
   in
   let outputs =
-    List.mapi
-      (fun i p -> { name = Printf.sprintf "P%d" (i + 1); body = p })
-      encoded
+    List.map (fun (name, body) -> { name; body }) (Prog.name_outputs encoded)
   in
   (* after block [cse_t<k>], the next block takes the least index above [k]
      whose name is not a variable of the system *)
@@ -443,11 +441,9 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
       (fun n -> (n, decode_expr (Expr.of_poly (find_item n).body)))
       block_names
   in
-  let out_items =
-    List.filter
-      (fun it -> String.length it.name > 0 && it.name.[0] = 'P')
-      items
-  in
+  (* the outputs are the first items: each round appends its block *)
+  let num_outputs = List.length outputs in
+  let out_items = List.filteri (fun i _ -> i < num_outputs) items in
   let out_exprs =
     List.map (fun it -> (it.name, decode_expr (Expr.of_poly it.body))) out_items
   in

@@ -6,11 +6,10 @@ type t = {
   outputs : (string * Expr.t) list;
 }
 
-let of_exprs exprs =
-  {
-    bindings = [];
-    outputs = List.mapi (fun i e -> (Printf.sprintf "P%d" (i + 1), e)) exprs;
-  }
+let name_outputs items =
+  List.mapi (fun i x -> (Printf.sprintf "P%d" (i + 1), x)) items
+
+let of_exprs exprs = { bindings = []; outputs = name_outputs exprs }
 
 (* the outputs with every binding substituted away *)
 let inline prog =

@@ -13,8 +13,14 @@ type t = {
   outputs : (string * Expr.t) list;
 }
 
+val name_outputs : 'a list -> (string * 'a) list
+(** The naming rule of a system's outputs, as in the paper's Table 14.1:
+    the [i]-th item (from 0) is output [P<i+1>].  Every module that names
+    an output, or pairs an output with the polynomial it must compute,
+    asks this function. *)
+
 val of_exprs : Expr.t list -> t
-(** No bindings; outputs named [P1, P2, ...]. *)
+(** No bindings; outputs named by {!name_outputs}. *)
 
 val to_polys : t -> (string * Poly.t) list
 (** Expand each output to its flat polynomial: the correctness contract is

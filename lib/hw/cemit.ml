@@ -6,7 +6,10 @@ let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
   let w = n.Netlist.width in
   if w > 64 then invalid_arg "Cemit.emit: width exceeds 64 bits";
   let fname = Verilog.legalize func_name in
-  let inputs = Netlist.inputs n in
+  let inputs = List.map Verilog.legalize (Netlist.inputs n) in
+  let outputs =
+    List.map (fun (name, _) -> Verilog.legalize name) n.Netlist.outputs
+  in
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "#include <stdint.h>\n";
@@ -17,13 +20,12 @@ let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
   add "/* %d-bit wrap-around datapath; every operation is reduced mod 2^%d */\n"
     w w;
   let params =
-    List.map (fun v -> Printf.sprintf "word %s" (Verilog.legalize v)) inputs
-    @ List.map
-        (fun (name, _) -> Printf.sprintf "word *%s" (Verilog.legalize name))
-        n.Netlist.outputs
+    List.map (Printf.sprintf "word %s") inputs
+    @ List.map (Printf.sprintf "word *%s") outputs
   in
   add "void %s(%s) {\n" fname (String.concat ", " params);
-  let wire i = Printf.sprintf "n%d" i in
+  let prefix = Netlist.fresh_prefix (inputs @ outputs) "n" in
+  let wire i = Printf.sprintf "%s%d" prefix i in
   let const_literal c =
     (* constants are emitted reduced into the word range *)
     "UINT64_C(" ^ Z.to_string (Z.erem_pow2 c 64) ^ ")"
@@ -53,34 +55,29 @@ let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
    | None -> ()
    | Some vectors ->
      let draw = Netlist.draw_inputs (Rng.make 1) n in
+     let errors = Netlist.fresh_prefix outputs "errors" in
      add "\nint main(void) {\n";
-     add "  int errors = 0;\n";
-     List.iter
-       (fun (name, _) -> add "  word %s;\n" (Verilog.legalize name))
-       n.Netlist.outputs;
+     add "  int %s = 0;\n" errors;
+     List.iter (add "  word %s;\n") outputs;
      for _ = 1 to vectors do
        let assignment = draw () in
        let expected = Netlist.eval n (fun v -> List.assoc v assignment) in
        let args =
          List.map (fun (_, value) -> "UINT64_C(" ^ Z.to_string value ^ ")")
            assignment
-         @ List.map
-             (fun (name, _) -> "&" ^ Verilog.legalize name)
-             n.Netlist.outputs
+         @ List.map (fun o -> "&" ^ o) outputs
        in
        add "  %s(%s);\n" fname (String.concat ", " args);
-       List.iter
-         (fun (name, _) ->
-           let value = List.assoc name expected in
+       List.iter2
+         (fun (name, _) o ->
+           let value = Z.to_string (List.assoc name expected) in
            add
-             "  if (%s != UINT64_C(%s)) { errors++; printf(\"FAIL %s: got \
+             "  if (%s != UINT64_C(%s)) { %s++; printf(\"FAIL %s: got \
               %%llu expected %s\\n\", (unsigned long long)%s); }\n"
-             (Verilog.legalize name) (Z.to_string value)
-             (Verilog.legalize name) (Z.to_string value)
-             (Verilog.legalize name))
-         n.Netlist.outputs
+             o value errors o value o)
+         n.Netlist.outputs outputs
      done;
-     add "  if (errors == 0) printf(\"PASS\\n\");\n";
-     add "  return errors == 0 ? 0 : 1;\n";
+     add "  if (%s == 0) printf(\"PASS\\n\");\n" errors;
+     add "  return %s == 0 ? 0 : 1;\n" errors;
      add "}\n");
   Buffer.contents buf

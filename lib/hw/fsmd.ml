@@ -74,9 +74,15 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let word c = Printf.sprintf "%d'd%s" w (Z.to_string (Z.erem_pow2 c w)) in
+  let ports =
+    List.map Verilog.legalize
+      (Netlist.inputs n @ List.map fst n.Netlist.outputs)
+  in
+  let state = Netlist.fresh_prefix ports "state"
+  and regs = Netlist.fresh_prefix ports "regs" in
   let operand =
     steer b
-      ~register:(Printf.sprintf "regs[%d]")
+      ~register:(Printf.sprintf "%s[%d]" regs)
       ~input:Verilog.legalize
       ~constant:word
       ~shift:(fun k s -> Printf.sprintf "(%s <<< %d)" s k)
@@ -98,14 +104,14 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
     let rec bits v acc = if v = 0 then Stdlib.max acc 1 else bits (v lsr 1) (acc + 1) in
     bits num_states 0
   in
-  add "  reg [%d:0] state;\n" (state_bits - 1);
-  add "  reg signed [%d:0] regs [0:%d];\n" (w - 1)
+  add "  reg [%d:0] %s;\n" (state_bits - 1) state;
+  add "  reg signed [%d:0] %s [0:%d];\n" (w - 1) regs
     (Stdlib.max 0 (b.Bind.num_registers - 1));
-  add "  assign done_o = (state == %d'd%d);\n" state_bits num_states;
+  add "  assign done_o = (%s == %d'd%d);\n" state state_bits num_states;
   add "  always @(posedge clk) begin\n";
-  add "    if (rst) state <= 0;\n";
+  add "    if (rst) %s <= 0;\n" state;
   add "    else if (!done_o) begin\n";
-  add "      case (state)\n";
+  add "      case (%s)\n" state;
   Array.iteri
     (fun st launched ->
       if launched <> [] then begin
@@ -121,7 +127,7 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
               | _ -> assert false
             in
             let cls, index = b.Bind.unit_of.(c.Netlist.id) in
-            add "          regs[%d] <= %s; // %s unit %d\n"
+            add "          %s[%d] <= %s; // %s unit %d\n" regs
               b.Bind.register_of.(c.Netlist.id) rhs
               (match cls with
                | Schedule.Mult_unit -> "mult"
@@ -133,7 +139,7 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
     states;
   add "        default: ;\n";
   add "      endcase\n";
-  add "      state <= state + 1;\n";
+  add "      %s <= %s + 1;\n" state state;
   add "    end\n";
   add "  end\n";
   List.iter

@@ -92,6 +92,11 @@ let inputs n =
          match c.op with Input v -> Some v | _ -> None)
   |> List.sort_uniq String.compare
 
+let rec fresh_prefix names p =
+  if List.exists (String.starts_with ~prefix:p) names then
+    fresh_prefix names (p ^ "_")
+  else p
+
 (* Wrap-around reduction mod 2^width is a ring homomorphism for +, - and
    *, so a program that skips the per-cell clamping still computes the
    same outputs once those are reduced mod 2^width.  That makes the
@@ -99,21 +104,8 @@ let inputs n =
    is what lets Equiv certify netlist rewrites. *)
 let to_prog n =
   let module Expr = Polysynth_expr.Expr in
-  let ins = inputs n in
   (* binding names must not collide with (or shadow) input variables *)
-  let prefix =
-    let rec grow p =
-      if
-        List.exists
-          (fun v ->
-            String.length v >= String.length p
-            && String.equal (String.sub v 0 (String.length p)) p)
-          ins
-      then grow (p ^ "_")
-      else p
-    in
-    grow "c"
-  in
+  let prefix = fresh_prefix (inputs n) "c" in
   let exprs = Array.make (Array.length n.cells) Expr.zero in
   let bindings = ref [] in
   Array.iter

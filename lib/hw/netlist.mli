@@ -46,6 +46,15 @@ val inputs : t -> string list
 
 val op_to_string : op -> string
 
+val fresh_prefix : string list -> string -> string
+(** [fresh_prefix names p] is [p] followed by the fewest underscores that
+    make it the prefix of no name in [names], so neither it nor any name
+    that starts with it (such as [p] followed by a cell id) is one of
+    [names].  This is the one rule by which generated names avoid given
+    ones: {!to_prog} names its bindings with it, and the emitters name
+    their internal wires, registers and counters with it, avoiding every
+    port. *)
+
 val to_prog : t -> Polysynth_expr.Prog.t
 (** Lift the netlist back into a straight-line program: one binding per
     operator cell (inputs and constants are inlined), outputs preserved

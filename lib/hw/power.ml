@@ -5,7 +5,6 @@ type report = {
   dynamic : float;
   leakage : float;
   total : float;
-  per_cell_activity : float array;
 }
 
 let rec popcount v = if v = 0 then 0 else 1 + popcount (v land (v - 1))
@@ -26,8 +25,8 @@ let hamming_distance a b w =
     in
     go a b 0 0
 
-let toggles ~samples ?(seed = 1) ~width inputs values =
-  let draw = Netlist.draw_words (Rng.make seed) ~width inputs in
+let toggles ~samples ~width inputs values =
+  let draw = Netlist.draw_words (Rng.make 1) ~width inputs in
   let sample () =
     let inputs = draw () in
     values (fun v -> List.assoc v inputs)
@@ -58,11 +57,11 @@ let leakage ~area = 0.01 *. float_of_int area
 let total ~samples ~switched ~area =
   dynamic ~samples ~switched +. leakage ~area
 
-let estimate ?(samples = 64) ?seed (n : Netlist.t) =
+let estimate ?(samples = 64) (n : Netlist.t) =
   if samples < 1 then invalid_arg "Power.estimate: samples < 1";
   let width = n.Netlist.width in
   let toggles =
-    toggles ~samples ?seed ~width (Netlist.inputs n) (Netlist.values n)
+    toggles ~samples ~width (Netlist.inputs n) (Netlist.values n)
   in
   let switched = ref 0 and area = ref 0 in
   Array.iter
@@ -76,8 +75,6 @@ let estimate ?(samples = 64) ?seed (n : Netlist.t) =
     dynamic = dynamic ~samples ~switched;
     leakage = leakage ~area;
     total = total ~samples ~switched ~area;
-    per_cell_activity =
-      Array.map (fun t -> float_of_int t /. float_of_int samples) toggles;
   }
 
 let pp_report fmt r =

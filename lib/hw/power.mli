@@ -6,7 +6,8 @@
     x (its area, as a capacitance proxy).  Activity is measured by
     bit-accurate simulation of the netlist on a deterministic stream of
     random input vectors: for consecutive vectors, the Hamming distance of
-    each cell's output value is accumulated.  Deterministic in the seed.
+    each cell's output value is accumulated.  Deterministic: the stream
+    always starts from the same seed.
 
     Over cells [i] with toggle counts [t_i] and areas [a_i] (under
     {!Cost.default}), the model is
@@ -22,21 +23,18 @@ type report = {
                         gate-equivalent toggle units *)
   leakage : float;  (** proportional to total area *)
   total : float;
-  per_cell_activity : float array;  (** average toggles per transition,
-                                        indexed by cell id *)
 }
 
-val estimate : ?samples:int -> ?seed:int -> Netlist.t -> report
-(** [samples] (default 64) is the number of input transitions simulated;
-    [seed] (default 1) drives the deterministic input generator.  The
-    toggles come from {!toggles} over {!Netlist.inputs} and
+val estimate : ?samples:int -> Netlist.t -> report
+(** [samples] (default 64) is the number of input transitions simulated.
+    The toggles come from {!toggles} over {!Netlist.inputs} and
     {!Netlist.values}. *)
 
 val toggles :
-  samples:int -> ?seed:int -> width:int -> string list ->
+  samples:int -> width:int -> string list ->
   ((string -> Z.t) -> Z.t array) -> int array
 (** [toggles ~samples ~width inputs values] simulates [samples + 1] input
-    vectors drawn by {!Netlist.draw_words} over [inputs] (seed default 1)
+    vectors drawn by {!Netlist.draw_words} over [inputs] (from seed 1)
     and returns, per index of the arrays [values] computes, the Hamming
     distances of consecutive values summed over the [samples]
     transitions.  [values env] must give values reduced into

@@ -5,7 +5,7 @@ type staging = {
   achieved_period : float;
 }
 
-let cut ?(model = Cost.default) ~target_period (n : Netlist.t) =
+let cut ~target_period (n : Netlist.t) =
   if target_period <= 0.0 then invalid_arg "Stage.cut: non-positive period";
   let cells = n.Netlist.cells in
   let num = Array.length cells in
@@ -15,7 +15,7 @@ let cut ?(model = Cost.default) ~target_period (n : Netlist.t) =
   Array.iter
     (fun cell ->
       let i = cell.Netlist.id in
-      let d = Cost.cell_delay model w cell.Netlist.op in
+      let d = Cost.cell_delay Cost.default w cell.Netlist.op in
       (* candidate stage: the latest fanin stage *)
       let s0 =
         List.fold_left

@@ -18,6 +18,6 @@ type staging = {
           single operator is slower than the target *)
 }
 
-val cut :
-  ?model:Cost.model -> target_period:float -> Netlist.t -> staging
-(** @raise Invalid_argument on a non-positive target. *)
+val cut : target_period:float -> Netlist.t -> staging
+(** Cell delays are those of {!Cost.default}.
+    @raise Invalid_argument on a non-positive target. *)

@@ -32,7 +32,10 @@ let emit ?(module_name = "polysynth") (n : Netlist.t) =
            (if i = List.length out_names - 1 then "" else ",")))
     out_names;
   Buffer.add_string buf ");\n";
-  let wire id = Printf.sprintf "n%d" id in
+  let prefix =
+    Netlist.fresh_prefix (List.map legalize inputs @ out_names) "n"
+  in
+  let wire id = Printf.sprintf "%s%d" prefix id in
   Array.iter
     (fun cell ->
       let arg k = wire (List.nth cell.fanin k) in

@@ -106,10 +106,9 @@ let fig_14_1_dump () =
     Search.select (Search.default_options ~width:16) representations
   in
   let buf = Buffer.create 1024 in
-  Array.iteri
-    (fun i reps ->
-      Buffer.add_string buf (Printf.sprintf "P%d:\n" (i + 1));
-      let chosen = List.nth selection.Search.labels i in
+  List.iter2
+    (fun (name, reps) chosen ->
+      Buffer.add_string buf (name ^ ":\n");
       List.iter
         (fun (rep : Represent.rep) ->
           Buffer.add_string buf
@@ -118,7 +117,8 @@ let fig_14_1_dump () =
                rep.Represent.label
                (Polysynth_expr.Expr.to_string rep.Represent.expr)))
         reps)
-    representations.Represent.reps;
+    (Prog.name_outputs (Array.to_list representations.Represent.reps))
+    selection.Search.labels;
   Buffer.add_string buf
     (Printf.sprintf "selected combination: [%s]\n"
        (String.concat "; " selection.Search.labels));

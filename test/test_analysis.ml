@@ -286,9 +286,9 @@ let test_lint_netlist () =
 (* ---- suite -------------------------------------------------------------- *)
 
 (* the suite over [prog], its netlist and a simplify run on that netlist *)
-let suite ?system ~width prog =
+let suite ~system ~width prog =
   let n = Netlist.of_prog ~width prog in
-  Suite.analyze prog n (Simplify.run ?system n)
+  Suite.analyze prog n (Simplify.run ~system n)
 
 let test_suite_clean_exit () =
   let p = poly "7*x^2 + 3*x + 2" in
@@ -304,7 +304,7 @@ let test_suite_error_exit () =
       outputs = [ ("P1", Expr.var "a") ];
     }
   in
-  let r = suite ~width:16 prog in
+  let r = suite ~system:[ ("P1", poly "a") ] ~width:16 prog in
   Alcotest.(check int) "exit 3" 3 (Suite.exit_code r);
   Alcotest.(check bool) "self-reference reported" true
     (has_code "wf.self-reference" r.Suite.wellformed);
@@ -502,13 +502,16 @@ let test_constant_rules () =
 
 (* ---- certificate-guarded simplification -------------------------------- *)
 
+(* the reference a netlist denotes: its outputs, lifted and expanded *)
+let recovered n = Prog.to_polys (Netlist.to_prog n)
+
 (* the guarded pass must preserve the bit-accurate semantics of every
    output, whatever it decides to do *)
 let prop_simplify_preserves =
   qprop "simplify preserves netlist semantics" ~count:60 arb_rand_netlist
     (fun (n, env) ->
       let width = n.Netlist.width in
-      let o = Simplify.run n in
+      let o = Simplify.run ~system:(recovered n) n in
       let envf = env_fn ~width env in
       let before = Netlist.eval n envf in
       let after = Netlist.eval o.Simplify.netlist envf in
@@ -529,7 +532,7 @@ let test_simplify_identity_and_prune () =
       outputs = [ ("P1", 4) ];
     }
   in
-  let o = Simplify.run n in
+  let o = Simplify.run ~system:(recovered n) n in
   Alcotest.(check int) "one rewrite applied" 1
     o.Simplify.stats.Simplify.applied;
   Alcotest.(check bool) "cells eliminated" true
@@ -561,6 +564,16 @@ let test_simplify_strength_reduction () =
        (fun (c : Netlist.cell) ->
          match c.Netlist.op with Netlist.Shl _ -> true | _ -> false)
        o.Simplify.netlist.Netlist.cells)
+
+let test_simplify_system_misses_output () =
+  (* a system that does not name every output is the caller's bug *)
+  let prog =
+    Prog.of_exprs [ Expr.var "x"; Expr.add [ Expr.var "x"; Expr.var "y" ] ]
+  in
+  let n = Netlist.of_prog ~width:8 prog in
+  Alcotest.check_raises "P2 unnamed"
+    (Invalid_argument "Simplify.run: the system does not name output P2")
+    (fun () -> ignore (Simplify.run ~system:[ ("P1", poly "x") ] n))
 
 let test_simplify_unsound_rewrite_refuted () =
   (* lie to the pass: hand-crafted facts claim x + y is the constant 0,
@@ -745,7 +758,7 @@ let test_suite_binding_pass_and_exit_code () =
       outputs = [ ("P1", Expr.mul [ Expr.var "d1"; Expr.var "d1" ]) ];
     }
   in
-  let r = suite ~width:8 prog in
+  let r = suite ~system:[ ("P1", poly "(x + y)^2") ] ~width:8 prog in
   Alcotest.(check (list string)) "no binding findings" [] (codes r.Suite.binding);
   (* ... and a bind.* error maps to exit code 4, taking precedence over
      the generic error exit *)
@@ -824,6 +837,8 @@ let () =
             test_simplify_strength_reduction;
           Alcotest.test_case "unsound rewrite refuted" `Quick
             test_simplify_unsound_rewrite_refuted;
+          Alcotest.test_case "system must name every output" `Quick
+            test_simplify_system_misses_output;
         ] );
       ( "bind",
         [

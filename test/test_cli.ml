@@ -89,6 +89,12 @@ let test_evaluate_self_reference () =
   Alcotest.(check int) "t = x + 1 is costed" 0
     (run ~input:"t = x + 1\nP1 = t*x" "--evaluate")
 
+(* a variable named like an output of its system would be both a port
+   and a wire of the emitted code; a name past the last output is free *)
+let test_variable_named_like_output () =
+  Alcotest.(check int) "P1*x + P2 is rejected" 1 (run ~input:"P1*x + P2" "");
+  Alcotest.(check int) "P2*x synthesizes" 0 (run ~input:"P2*x" "")
+
 let range_line bits growth =
   Printf.sprintf
     "range analysis: widest intermediate needs %d bits (growth %d over the \
@@ -230,6 +236,29 @@ let test_check_exit_code () =
     certs;
   Alcotest.(check int) "exit" 0 code
 
+(* the cheapest input found whose certificate the engine leaves unknown:
+   --check exits 2, and --lint keeps the 2.  Each run takes seconds, most
+   of it building the representations; the timeout stops a hang *)
+let test_unknown_exit_code () =
+  let file = Filename.temp_file "polysynth" ".poly" in
+  Out_channel.with_open_text file (fun oc -> output_string oc "(x+y)^17\n");
+  List.iter
+    (fun args ->
+      let code, certs =
+        output ~timeout:60 ~prefix:"certificate ("
+          (args ^ " " ^ Filename.quote file)
+      in
+      Alcotest.(check int) (args ^ " exit") 2 code;
+      Alcotest.(check bool) (args ^ " unknown") true
+        (List.exists
+           (String.starts_with
+              ~prefix:
+                "certificate (proposed): unknown: symbolic expansion \
+                 estimated at 131072 terms")
+           certs))
+    [ "--check"; "--check --lint" ];
+  Sys.remove file
+
 (* --analyze prints, per cell, the pre-wrap interval the width lint reads
    and the constant Simplify reads: a [Constant c] cell's interval is
    [c, c] and its constant c mod 2^16.  Table 14.1 has no constant cell,
@@ -337,6 +366,8 @@ let () =
           Alcotest.test_case "evaluate rejects self-reference" `Quick
             test_evaluate_self_reference;
           Alcotest.test_case "json prints one object" `Quick test_json_alone;
+          Alcotest.test_case "variable named like an output" `Quick
+            test_variable_named_like_output;
         ] );
       ( "range", [ Alcotest.test_case "figures" `Quick test_range_figures ] );
       ( "check",
@@ -344,6 +375,8 @@ let () =
           Alcotest.test_case "block names avoid the inputs" `Quick
             test_block_names;
           Alcotest.test_case "exit code" `Quick test_check_exit_code;
+          Alcotest.test_case "unknown certificate exits 2" `Quick
+            test_unknown_exit_code;
           Alcotest.test_case "large coefficients" `Quick
             test_large_coefficients;
           Alcotest.test_case "power objective at 200 bits" `Quick

@@ -442,7 +442,8 @@ type oracle = {
    combination's key is also compared with [Search.scorer]'s, so an
    exhaustive run checks every combination.  [keys] holds the
    [Search.score] of each combination already lowered, for runs whose
-   options differ only in budget and search limits. *)
+   options differ only in budget and search limits.  Coordinate descent
+   makes at most 4 passes, as the search does. *)
 let oracle_select ~keys (options : Search.options) (r : Represent.t) =
   let reps = Array.map Array.of_list r.Represent.reps in
   let n = Array.length reps in
@@ -499,7 +500,7 @@ let oracle_select ~keys (options : Search.options) (r : Represent.t) =
     else begin
       let improved = ref true and sweep = ref 0 in
       try
-        while !improved && !sweep < options.Search.sweeps do
+        while !improved && !sweep < 4 do
           improved := false;
           incr sweep;
           for i = 0 to n - 1 do

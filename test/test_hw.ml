@@ -157,8 +157,9 @@ module TB = Polysynth_hw.Testbench
 
 let test_power_deterministic () =
   let n = N.of_prog ~width:8 (prog_of_strings [ "x*y + 3*z" ]) in
-  let a = Power.estimate ~seed:7 n and b = Power.estimate ~seed:7 n in
-  Alcotest.(check (float 0.0)) "same seed same power" a.Power.total b.Power.total;
+  let a = Power.estimate n and b = Power.estimate n in
+  Alcotest.(check (float 0.0)) "same netlist same power" a.Power.total
+    b.Power.total;
   Alcotest.(check bool) "positive" true (a.Power.total > 0.0)
 
 let test_power_scales_with_circuit () =
@@ -319,39 +320,38 @@ let test_cemit_width_limit () =
     (Invalid_argument "Cemit.emit: width exceeds 64 bits") (fun () ->
       ignore (Cemit.emit n))
 
-let test_cemit_compiles_and_passes () =
-  (* the strongest end-to-end check in the suite: generate C with baked-in
-     expected values, compile it with the system compiler, run it *)
+(* the strongest end-to-end check in the suite: generate C with baked-in
+   expected values, compile it with the system compiler, run it *)
+let check_c_self_check label n =
   match Sys.command "which gcc > /dev/null 2>&1" with
   | 0 ->
-    let prog =
-      prog_of_strings
-        [ "13*x^2 + 26*x*y + 13*y^2 + 7*x - 7*y + 11"; "4*x*y^2 + 12*y^3" ]
+    let src = Cemit.emit ~self_check:16 n in
+    let dir = Filename.temp_file "polysynth" "" in
+    Sys.remove dir;
+    Unix.mkdir dir 0o755;
+    let c_file = Filename.concat dir "t.c" in
+    let exe = Filename.concat dir "t" in
+    Out_channel.with_open_text c_file (fun oc ->
+        Out_channel.output_string oc src);
+    let compile =
+      Sys.command (Printf.sprintf "gcc -O1 -Wall -Werror -o %s %s" exe c_file)
     in
-    List.iter
-      (fun width ->
-        let n = N.of_prog ~width prog in
-        let src = Cemit.emit ~self_check:16 n in
-        let dir = Filename.temp_file "polysynth" "" in
-        Sys.remove dir;
-        Unix.mkdir dir 0o755;
-        let c_file = Filename.concat dir "t.c" in
-        let exe = Filename.concat dir "t" in
-        Out_channel.with_open_text c_file (fun oc ->
-            Out_channel.output_string oc src);
-        let compile =
-          Sys.command
-            (Printf.sprintf "gcc -O1 -Wall -Werror -o %s %s" exe c_file)
-        in
-        Alcotest.(check int)
-          (Printf.sprintf "gcc accepts the %d-bit output" width)
-          0 compile;
-        let run = Sys.command (exe ^ " > /dev/null") in
-        Alcotest.(check int)
-          (Printf.sprintf "%d-bit self-check passes" width)
-          0 run)
-      [ 8; 16; 31; 64 ]
+    Alcotest.(check int) ("gcc accepts the " ^ label) 0 compile;
+    let run = Sys.command (exe ^ " > /dev/null") in
+    Alcotest.(check int) (label ^ " self-check passes") 0 run
   | _ -> () (* no compiler available: skip silently *)
+
+let test_cemit_compiles_and_passes () =
+  let prog =
+    prog_of_strings
+      [ "13*x^2 + 26*x*y + 13*y^2 + 7*x - 7*y + 11"; "4*x*y^2 + 12*y^3" ]
+  in
+  List.iter
+    (fun width ->
+      check_c_self_check
+        (Printf.sprintf "%d-bit output" width)
+        (N.of_prog ~width prog))
+    [ 8; 16; 31; 64 ]
 
 (* mcm --------------------------------------------------------------------------- *)
 
@@ -900,6 +900,54 @@ let prop_fsmd_equivalent =
           Z.equal (List.assoc name reference) (List.assoc name sequential))
         netlist.N.outputs)
 
+(* emitted names ----------------------------------------------------------------- *)
+
+(* the identifiers a Verilog text declares: the name after each
+   input/output/wire/reg/integer keyword, its type and range skipped *)
+let verilog_declarations text =
+  List.filter_map
+    (fun line ->
+      match String.split_on_char ' ' (String.trim line) with
+      | ("input" | "output" | "wire" | "reg" | "integer") :: rest -> (
+        let rest =
+          List.filter
+            (fun t ->
+              t <> "" && t <> "signed" && t <> "wire"
+              && not (String.starts_with ~prefix:"[" t))
+            rest
+        in
+        match rest with
+        | name :: _ ->
+          Some
+            (String.concat ""
+               (String.split_on_char ','
+                  (List.hd (String.split_on_char ';' name))))
+        | [] -> None)
+      | _ -> None)
+    (String.split_on_char '\n' text)
+
+(* inputs named like the emitters' own wires, registers, state and error
+   counter: each emitted text still declares every identifier once, and
+   the C compiles and checks itself *)
+let test_names_avoid_ports () =
+  let n =
+    N.of_prog ~width:16
+      (prog_of_strings [ "n1*x + regs*state + errors + 3" ])
+  in
+  check_c_self_check "inputs n1, regs, state and errors" n;
+  List.iter
+    (fun (label, text) ->
+      let declared = verilog_declarations text in
+      Alcotest.(check (list string))
+        (label ^ " declares each identifier once")
+        (List.sort_uniq String.compare declared)
+        (List.sort String.compare declared))
+    [
+      ("verilog", V.emit n);
+      ("fsmd", Fsmd.to_verilog (bound { Schedule.multipliers = 1; adders = 1 } n));
+      ("testbench", TB.emit n);
+    ]
+
 (* properties -------------------------------------------------------------------- *)
 
 let gen_poly_strings =
@@ -1047,6 +1095,8 @@ let () =
           Alcotest.test_case "verilog structure" `Quick
             test_fsmd_verilog_structure;
           prop_fsmd_equivalent;
+          Alcotest.test_case "emitted names avoid the ports" `Quick
+            test_names_avoid_ports;
         ] );
       ( "bind",
         [
