@@ -375,12 +375,12 @@ let () =
           Alcotest.test_case "block names avoid the inputs" `Quick
             test_block_names;
           Alcotest.test_case "exit code" `Quick test_check_exit_code;
-          Alcotest.test_case "unknown certificate exits 2" `Quick
-            test_unknown_exit_code;
           Alcotest.test_case "large coefficients" `Quick
             test_large_coefficients;
           Alcotest.test_case "power objective at 200 bits" `Quick
             test_wide_power;
+          Alcotest.test_case "unknown certificate exits 2" `Quick
+            test_unknown_exit_code;
         ] );
       ( "implementation",
         [
