@@ -11,9 +11,10 @@
 #                code (test/check_exports.py, exceptions in
 #                test/check_exports.allow); check that only
 #                lib/expr/prog.ml (Prog.name_outputs) knows how outputs are
-#                named: no "P%d" format and no test for a leading 'P'
-#                elsewhere in lib/, bin/ or examples/ (perfbench keeps its
-#                own copy until its replay is updated); then verify + lint +
+#                named: no "P%d" format, no literal output name such as
+#                "P1" and no test for a leading 'P' elsewhere in lib/, bin/
+#                or examples/ (perfbench keeps its own copy until its
+#                replay is updated); then verify + lint +
 #                certificate-guarded simplify over every benchmark system,
 #                and over every example and test data system both exact
 #                and with --ring (exit 2 on a refuted/unknown certificate,
@@ -74,7 +75,7 @@ POWER_RUN = for f in examples/data/*.poly test/data/*.poly; do \
 lint:
 	python3 test/check_exports.py
 	@if grep -rnE --include='*.ml' --include='*.mli' \
-	  '"P%d|"P" \^|'"'"'P'"'"'' lib bin examples \
+	  '"P%d|"P[0-9]|"P" \^|'"'"'P'"'"'' lib bin examples \
 	  | grep -v '^lib/expr/prog.ml:'; then \
 	  echo "output names belong to Prog.name_outputs"; exit 1; \
 	fi

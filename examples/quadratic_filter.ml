@@ -48,13 +48,16 @@ let () =
     (fun (xv, yv) ->
       let env v = if String.equal v "x" then Z.of_int xv else Z.of_int yv in
       let outputs = Netlist.eval netlist env in
-      List.iter
-        (fun (name, q) ->
-          let expected = Z.erem_pow2 (P.eval env q) 16 in
-          assert (Z.equal expected (List.assoc name outputs)))
-        (Prog.name_outputs system);
-      Format.printf "x=%-6d y=%-6d -> y1=%s y2=%s@." xv yv
-        (Z.to_string (List.assoc "P1" outputs))
-        (Z.to_string (List.assoc "P2" outputs)))
+      let values =
+        List.map
+          (fun (name, q) ->
+            let v = List.assoc name outputs in
+            assert (Z.equal (Z.erem_pow2 (P.eval env q) 16) v);
+            Z.to_string v)
+          (Prog.name_outputs system)
+      in
+      Format.printf "x=%-6d y=%-6d ->" xv yv;
+      List.iteri (fun i v -> Format.printf " y%d=%s" (i + 1) v) values;
+      Format.printf "@.")
     samples;
   Format.printf "netlist simulation matches polynomial evaluation@."

@@ -281,7 +281,7 @@ let certify ?ctx ?(samples = 8) ?(size_budget = 100_000) polys prog =
 
 (* ---- netlists --------------------------------------------------------- *)
 
-let certify_netlist ?samples polys (n : Netlist.t) =
+let certify_netlist polys (n : Netlist.t) =
   let lifted = Netlist.to_prog n in
   (* the netlist's outputs, in order, compute the system's polynomials *)
   let prog =
@@ -291,7 +291,7 @@ let certify_netlist ?samples polys (n : Netlist.t) =
     }
   in
   let ctx = Canonical.make_ctx ~out_width:n.Netlist.width () in
-  certify ~ctx ?samples polys prog
+  certify ~ctx ~samples:4 polys prog
 
 let spot_check_netlist ?(seed = 1) polys (n : Netlist.t) =
   let samples = 5 in

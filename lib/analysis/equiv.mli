@@ -61,12 +61,12 @@ val certify :
     without expanding anything) bounds the symbolic expansion, beyond
     which [Unknown] is returned. *)
 
-val certify_netlist : ?samples:int -> Poly.t list -> Netlist.t -> cert
+val certify_netlist : Poly.t list -> Netlist.t -> cert
 (** [certify_netlist polys n] is {!certify} of the program
     {!Netlist.to_prog} lifts [n] to, under the ring of [n]'s width: the
     [i]-th output of [n], whatever its name, must compute the [i]-th
-    polynomial of [polys] as a bit-vector function.  [samples] is passed
-    to {!certify}. *)
+    polynomial of [polys] as a bit-vector function.  The random
+    pre-filter takes 4 samples. *)
 
 val spot_check_netlist :
   ?seed:int -> Poly.t list -> Netlist.t -> (unit, counterexample) result

@@ -215,7 +215,7 @@ let run ?facts ~system (n : Netlist.t) =
   let attempt acc =
     let cand = prune (apply n acc) in
     incr certs;
-    match Equiv.certify_netlist ~samples:4 polys cand with
+    match Equiv.certify_netlist polys cand with
     | Equiv.Verified -> Ok cand
     | c -> Error c
   in

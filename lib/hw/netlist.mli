@@ -53,7 +53,10 @@ val fresh_prefix : string list -> string -> string
     [names].  This is the one rule by which generated names avoid given
     ones: {!to_prog} names its bindings with it, and the emitters name
     their internal wires, registers and counters with it, avoiding every
-    port. *)
+    port.  The test is on prefixes, not on the names a caller goes on to
+    generate, so [p] gains an underscore whenever some name merely starts
+    with it (an input [nx] turns wires [n<k>] into [n_<k>]); names are
+    unchanged only when no name in [names] starts with [p]. *)
 
 val to_prog : t -> Polysynth_expr.Prog.t
 (** Lift the netlist back into a straight-line program: one binding per
