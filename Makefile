@@ -31,8 +31,13 @@
 #                compare of every example and test data system (exact and
 #                --ring), of --evaluate --check --lint on every test data
 #                program (exact and --ring) and the --fsmd Verilog and
-#                summary line of every example data system against the
-#                recorded files in test/golden/
+#                summary line of every example data system, and of the whole
+#                hand-off chain (lint, simplify, MCM, analysis, power,
+#                range, pipelining, FSMD and every emitter) of every
+#                example data system (exact and --ring), against the
+#                recorded files in test/golden/; test/golden/handoff.txt
+#                was recorded before scheduling and binding moved behind
+#                Bind.bind and passes unedited after that change
 #   make size    print the non-test line count: every .ml and .mli line
 #                under lib/, bin/ and examples/ (not part of make ci)
 
@@ -72,6 +77,25 @@ POWER_RUN = for f in examples/data/*.poly test/data/*.poly; do \
 	  done; \
 	done
 
+# every hand-off step of the CLI at once, that make golden diffs against
+# test/golden/handoff.txt: the stdout without the "wrote" lines (they name
+# temporary files), then a checksum of each written file
+HANDOFF_RUN = dir=$$(mktemp -d) || exit 1; \
+	for f in examples/data/*.poly; do \
+	  for ring in "" --ring; do \
+	    echo "== $$f $$ring"; \
+	    _build/default/bin/polysynth.exe "$$f" $$ring --lint --simplify \
+	      --mcm --analyze --power --range --pipeline 20 \
+	      --fsmd "$$dir/fsmd.v" --verilog "$$dir/comb.v" \
+	      --testbench "$$dir/tb.v" --emit-c "$$dir/dut.c" \
+	      --dot "$$dir/dut.dot" > "$$dir/out" \
+	      || { rm -rf "$$dir"; exit 1; }; \
+	    grep -v '^wrote ' "$$dir/out"; \
+	    (cd "$$dir" && md5sum fsmd.v comb.v tb.v dut.c dut.dot); \
+	  done; \
+	done; \
+	rm -rf "$$dir"
+
 lint:
 	python3 test/check_exports.py
 	@if grep -rnE --include='*.ml' --include='*.mli' \
@@ -106,6 +130,8 @@ golden:
 	@echo "== power"; { $(POWER_RUN); } | diff -u test/golden/power.txt -
 	@echo "== evaluate"; { $(EVALUATE_RUN); } \
 	  | diff -u test/golden/evaluate.txt -
+	@echo "== handoff"; { $(HANDOFF_RUN); } \
+	  | diff -u test/golden/handoff.txt -
 	@tmp=$$(mktemp) || exit 1; \
 	for f in examples/data/*.poly; do \
 	  name=$$(basename "$$f" .poly); \
