@@ -34,7 +34,7 @@ module Benchmarks = Polysynth_workloads.Benchmarks
 
 open Cmdliner
 
-(* ---- one record instead of seventeen positional parameters ------------ *)
+(* ---- every flag in one record ----------------------------------------- *)
 
 type options = {
   input : string;
@@ -112,17 +112,32 @@ let print_json ~options ~verified ?lint reports trace =
 
 let is_verified = function Equiv.Verified -> true | _ -> false
 
+(* the netlist every emitter and report after the engine reads: the
+   simplified netlist when --simplify ran (it is certified equivalent),
+   then its constant-multiplier lowering under --mcm *)
+let handoff options (r : Engine.report) =
+  let n =
+    match r.Engine.simplified with
+    | Some o -> o.Simplify.netlist
+    | None -> r.Engine.netlist
+  in
+  if options.use_mcm then Mcm.optimize n else n
+
+(* the one binding of a netlist, on the FSMD's budget of one multiplier
+   and one adder: --fsmd emits it and the lint re-checks it *)
+let bind_fsmd n = Bind.bind { Schedule.multipliers = 1; adders = 1 } n
+
 (* equivalence certification already ran inside the engine; the suite here
-   checks the program, the netlist it was costed on and the simplify
-   outcome -- the engine's when --simplify ran, otherwise one run here
-   against [system], the polynomial of each output by name *)
-let lint_of ~ctx ~system ?simplified prog netlist =
+   checks the program, the netlist it was costed on, the simplify outcome
+   -- the engine's when --simplify ran, otherwise one run here against
+   [system], the polynomial of each output by name -- and [binding] *)
+let lint_of ~ctx ~system ?simplified prog netlist binding =
   let simplified =
     match simplified with
     | Some o -> o
     | None -> Simplify.run ~system netlist
   in
-  Suite.analyze ?ctx prog netlist simplified
+  Suite.analyze ?ctx prog netlist simplified binding
 
 let print_lint l =
   let ds = Suite.diags l in
@@ -157,7 +172,9 @@ let evaluate_program options text =
        re-synthesized for comparison *)
     let system = Prog.to_polys prog in
     let lint =
-      if options.lint then Some (lint_of ~ctx ~system prog netlist) else None
+      if options.lint then
+        Some (lint_of ~ctx ~system prog netlist (bind_fsmd netlist))
+      else None
     in
     Option.iter print_lint lint;
     let r, _trace = Engine.run config Engine.Proposed (List.map snd system) in
@@ -208,7 +225,8 @@ let run_benchmarks options name =
             Some
               (lint_of ~ctx:config.Engine.Config.ctx
                  ~system:(Prog.name_outputs b.Benchmarks.polys)
-                 ?simplified:r.Engine.simplified r.Engine.prog r.Engine.netlist)
+                 ?simplified:r.Engine.simplified r.Engine.prog r.Engine.netlist
+                 (bind_fsmd (handoff options r)))
           else None
         in
         let code = exit_code ~cert:(Some r.Engine.cert) ~lint in
@@ -345,14 +363,21 @@ let run_synthesis options =
       in
       let main_report = List.nth reports (List.length reports - 1) in
       let verified = is_verified main_report.Engine.cert in
+      let netlist = handoff options main_report in
+      let binding =
+        if options.lint || Option.is_some options.fsmd_out then
+          Some (bind_fsmd netlist)
+        else None
+      in
       let lint =
-        if options.lint then
+        match binding with
+        | Some b when options.lint ->
           Some
             (lint_of ~ctx:config.Engine.Config.ctx
                ~system:(Prog.name_outputs polys)
                ?simplified:main_report.Engine.simplified main_report.Engine.prog
-               main_report.Engine.netlist)
-        else None
+               main_report.Engine.netlist b)
+        | _ -> None
       in
       let print_report r =
         Printf.printf "%-12s MULT=%d ADD=%d area=%d delay=%.1f%s\n"
@@ -396,50 +421,36 @@ let run_synthesis options =
       end;
       if options.show_program then
         Format.printf "@.program:@.%a@." Prog.pp main_report.Engine.prog;
-      let netlist =
-        lazy
-          (let n =
-             (* the simplified netlist is certified equivalent, so every
-                downstream consumer (emission, power, pipelining) works
-                from it when --simplify ran *)
-             match main_report.Engine.simplified with
-             | Some o -> o.Simplify.netlist
-             | None -> main_report.Engine.netlist
-           in
-           if options.use_mcm then Mcm.optimize n else n)
-      in
       if options.analyze then begin
-        let n = Lazy.force netlist in
         Printf.printf "analysis (pre-wrap interval | constant mod 2^%d):\n"
-          n.Netlist.width;
+          netlist.Netlist.width;
         List.iter
           (fun line -> Printf.printf "  %s\n" line)
-          (Absint.to_strings n)
+          (Absint.to_strings netlist)
       end;
       if options.use_mcm && not options.json then begin
-        let r = Cost.of_netlist (Lazy.force netlist) in
+        let r = Cost.of_netlist netlist in
         Printf.printf "after MCM: area=%d delay=%.1f\n" r.Cost.area r.Cost.delay
       end;
       if options.show_power then begin
-        let p = Power.estimate (Lazy.force netlist) in
+        let p = Power.estimate netlist in
         Format.printf "%a@." Power.pp_report p
       end;
       (match options.pipeline_period with
        | None -> ()
        | Some period ->
-         let st = Stage.cut ~target_period:period (Lazy.force netlist) in
+         let st = Stage.cut ~target_period:period netlist in
          Printf.printf
            "pipelining at period %.1f: %d stage(s), %d pipeline register(s), \
             achieved period %.1f\n"
            period st.Stage.num_stages st.Stage.pipeline_registers
            st.Stage.achieved_period);
-      if options.show_range then begin
-        let n = Lazy.force netlist in
+      if options.show_range then
         Printf.printf
           "range analysis: widest intermediate needs %d bits (growth %d over \
            the %d-bit datapath)\n"
-          (Widths.max_required_width n) (Widths.growth n) options.width
-      end;
+          (Widths.max_required_width netlist)
+          (Widths.growth netlist) options.width;
       (* under --json, stdout holds the JSON object alone *)
       let notes = if options.json then stderr else stdout in
       let write path contents =
@@ -450,38 +461,28 @@ let run_synthesis options =
       (match options.verilog_out with
        | None -> ()
        | Some path ->
-         write path
-           (Verilog.emit ~module_name:"polysynth_dut" (Lazy.force netlist)));
+         write path (Verilog.emit ~module_name:"polysynth_dut" netlist));
       (match options.dot_out with
        | None -> ()
-       | Some path -> write path (Dot.of_netlist (Lazy.force netlist)));
-      (match options.fsmd_out with
-       | None -> ()
-       | Some path ->
-         let n = Lazy.force netlist in
-         let b =
-           Bind.bind n
-             (Schedule.list_schedule_exn
-                { Schedule.multipliers = 1; adders = 1 }
-                n)
-         in
+       | Some path -> write path (Dot.of_netlist netlist));
+      (match (options.fsmd_out, binding) with
+       | Some path, Some b ->
          let states = Fsmd.states b in
          Printf.fprintf notes
            "fsmd: %d states, %d registers, %d micro-ops (1 multiplier, 1 adder)\n"
            (Array.length states) b.Bind.num_registers
            (Array.fold_left (fun acc ops -> acc + List.length ops) 0 states);
-         write path (Fsmd.to_verilog ~module_name:"polysynth_fsmd" b));
+         write path (Fsmd.to_verilog ~module_name:"polysynth_fsmd" b)
+       | _ -> ());
       (match options.testbench_out with
        | None -> ()
        | Some path ->
-         write path
-           (Testbench.emit ~module_name:"polysynth_dut" (Lazy.force netlist)));
+         write path (Testbench.emit ~module_name:"polysynth_dut" netlist));
       (match options.c_out with
        | None -> ()
        | Some path ->
          write path
-           (Cemit.emit ~func_name:"polysynth_dut" ~self_check:16
-              (Lazy.force netlist)));
+           (Cemit.emit ~func_name:"polysynth_dut" ~self_check:16 netlist));
       (* --check prints every report's certificate, and the worst decides *)
       let certs =
         if options.check then List.map (fun r -> r.Engine.cert) reports

@@ -38,21 +38,15 @@ let () =
   Format.printf "scheduling (2-cycle multipliers, 1-cycle adders):@.";
   List.iter
     (fun (m, a) ->
-      match
+      let s =
         Schedule.list_schedule { Schedule.multipliers = m; adders = a } netlist
-      with
-      | Ok s ->
-        Format.printf "  %d multiplier(s), %d adder(s): %d steps@." m a
-          s.Schedule.latency
-      | Error (`No_progress d) ->
-        Format.printf "  %d multiplier(s), %d adder(s): stuck (%s)@." m a
-          d.Schedule.message)
+      in
+      Format.printf "  %d multiplier(s), %d adder(s): %d steps@." m a
+        s.Schedule.latency)
     [ (4, 4); (2, 2); (1, 2); (1, 1) ];
 
-  (* bind the 1-multiplier schedule onto units and registers *)
-  let res = { Schedule.multipliers = 1; adders = 1 } in
-  let s = Schedule.list_schedule_exn res netlist in
-  let b = Bind.bind netlist s in
+  (* schedule and bind at 1 multiplier / 1 adder onto units and registers *)
+  let b = Bind.bind { Schedule.multipliers = 1; adders = 1 } netlist in
   Format.printf
     "@.binding at 1 multiplier / 1 adder: %d multiplier(s), %d adder(s), %d \
      register(s), %d mux input(s)@."

@@ -12,39 +12,25 @@ type report = {
 let empty_report wf =
   { wellformed = wf; widths = []; redundancy = []; binding = []; simplify = [] }
 
-(* Schedule on a deliberately tight resource budget (maximal unit
-   sharing), bind, and re-check both results with the independent
-   checkers: any violation is a scheduler/binder bug, not a property of
-   the input, hence Error severity and its own exit code. *)
-let binding_check n =
-  let resources = { Schedule.multipliers = 1; adders = 1 } in
-  match Schedule.list_schedule resources n with
-  | Error (`No_progress np) ->
-    [
-      Diag.error ~code:"bind.schedule-stuck" Diag.Program
-        np.Schedule.message;
-    ]
-  | Ok sched ->
-    let schedule_ok = Schedule.is_valid resources n sched in
-    let b = Bind.bind n sched in
-    let binding_ok = Bind.is_consistent b in
-    (if schedule_ok then []
-     else
-       [
-         Diag.error ~code:"bind.invalid-schedule" Diag.Program
-           "list scheduler produced a schedule violating dependences or \
-            resource bounds";
-       ])
-    @
-    if binding_ok then []
-    else
-      [
-        Diag.error ~code:"bind.inconsistent" Diag.Program
-          "resource binding violates binder invariants (unit conflict, \
-           missing register, or lifetime overlap)";
-      ]
+(* re-check the caller's binding with the independent checkers: any
+   violation is a scheduler/binder bug, not a property of the input, hence
+   Error severity and its own exit code *)
+let binding_check (b : Bind.binding) =
+  let error code msg = [ Diag.error ~code Diag.Program msg ] in
+  (if Schedule.is_valid b.Bind.resources b.Bind.netlist b.Bind.schedule then
+     []
+   else
+     error "bind.invalid-schedule"
+       "list scheduler produced a schedule violating dependences or \
+        resource bounds")
+  @
+  if Bind.is_consistent b then []
+  else
+    error "bind.inconsistent"
+      "resource binding violates binder invariants (unit conflict, missing \
+       register, or lifetime overlap)"
 
-let analyze ?ctx prog n simplified =
+let analyze ?ctx prog n simplified b =
   let wf_prog = Wellformed.check_prog prog in
   if Diag.has_errors wf_prog then
     (* the netlist of a broken program is not worth checking *)
@@ -65,7 +51,7 @@ let analyze ?ctx prog n simplified =
         List.sort Diag.compare
           (Redundancy.lint_prog prog @ Redundancy.lint_netlist n)
       in
-      let binding = binding_check n in
+      let binding = binding_check b in
       let simplify = Simplify.diags_of_outcome simplified in
       { wellformed; widths; redundancy; binding; simplify }
 

@@ -1,7 +1,8 @@
 (** The analysis suite: one entry point checking the artifacts of one
-    decomposition — its program, the netlist it lowers to and the outcome
-    of the simplify pass on that netlist — in order.  The suite builds
-    none of them: the caller hands over the ones it costed and emitted.
+    decomposition — its program, the netlist it lowers to, the outcome
+    of the simplify pass on that netlist and the binding of the netlist
+    it hands on — in order.  The suite builds none of them: the caller
+    hands over the ones it costed and emitted.
 
     Pass ordering is load-bearing.  Well-formedness runs first and gates
     everything else: width propagation, the redundancy lint, the
@@ -12,13 +13,14 @@
 
     The suite does not certify the program against its source system:
     the engine certifies every report it returns.  The scheduler/binder
-    cross-check schedules and binds on a one-multiplier, one-adder budget
-    and re-checks both results with {!Polysynth_hw.Schedule.is_valid} and
+    cross-check re-checks the given binding's schedule against its own
+    budget with {!Polysynth_hw.Schedule.is_valid} and the binding with
     {!Polysynth_hw.Bind.is_consistent}. *)
 
 module Prog := Polysynth_expr.Prog
 module Netlist := Polysynth_hw.Netlist
 module Canonical := Polysynth_finite_ring.Canonical
+module Bind := Polysynth_hw.Bind
 
 type report = {
   wellformed : Diag.t list;
@@ -31,10 +33,18 @@ type report = {
 }
 
 val analyze :
-  ?ctx:Canonical.ctx -> Prog.t -> Netlist.t -> Simplify.outcome -> report
-(** [analyze ?ctx prog netlist simplified] checks [prog], the [netlist] it
-    lowers to and the [simplified] outcome of {!Simplify.run} on that
-    netlist.  A ring context selects the [Ring] width mode. *)
+  ?ctx:Canonical.ctx ->
+  Prog.t ->
+  Netlist.t ->
+  Simplify.outcome ->
+  Bind.binding ->
+  report
+(** [analyze ?ctx prog netlist simplified binding] checks [prog], the
+    [netlist] it lowers to, the [simplified] outcome of {!Simplify.run}
+    on that netlist and [binding], the {!Bind.bind} of the netlist the
+    caller emits (after simplification and constant-multiplier
+    lowering, when it runs them).  A ring context selects the [Ring]
+    width mode. *)
 
 val diags : report -> Diag.t list
 (** All findings of all passes, sorted by severity. *)

@@ -6,9 +6,7 @@ module Canonical = Polysynth_finite_ring.Canonical
 module Squarefree = Polysynth_factor.Squarefree
 module Ted = Polysynth_ted.Ted
 
-type semantics = Exact | ModRing
-
-type rep = { label : string; expr : Expr.t; semantics : semantics }
+type rep = { label : string; expr : Expr.t }
 
 type t = {
   table : Blocktab.t;
@@ -122,30 +120,29 @@ let build ?ctx ?max_blocks polys =
      the fixed order keeps the memo deterministic *)
   let session = Algdiv.make_session table ~divisors in
   let reps_of p =
-    let exact label expr = Some { label; expr; semantics = Exact } in
-    let mod_ring label expr = Some { label; expr; semantics = ModRing } in
+    let rep label expr = Some { label; expr } in
     let with_ctx f = match ctx with Some ctx -> f ctx | None -> None in
     let builders =
       [
-        (fun () -> exact "direct" (Expr.of_poly p));
-        (fun () -> exact "horner" (Horner.rep p));
-        (fun () -> Option.bind (squarefree_rep session p) (exact "sqfree"));
+        (fun () -> rep "direct" (Expr.of_poly p));
+        (fun () -> rep "horner" (Horner.rep p));
+        (fun () -> Option.bind (squarefree_rep session p) (rep "sqfree"));
         (fun () ->
           with_ctx (fun ctx ->
-              mod_ring "canonical" (Canonical_rep.rep ctx table p)));
+              rep "canonical" (Canonical_rep.rep ctx table p)));
         (fun () ->
           with_ctx (fun ctx ->
               Option.bind
                 (canonical_split_rep ctx table session p)
-                (mod_ring "canonical_split")));
+                (rep "canonical_split")));
         (fun () ->
           with_ctx (fun ctx ->
               Option.bind (coeff_fold_rep ctx session p)
-                (mod_ring "coeff_fold")));
-        (fun () -> Option.bind (cce_rep session p) (exact "cce"));
-        (fun () -> exact "algdiv" (Algdiv.decompose session p));
+                (rep "coeff_fold")));
+        (fun () -> Option.bind (cce_rep session p) (rep "cce"));
+        (fun () -> rep "algdiv" (Algdiv.decompose session p));
         (fun () ->
-          exact "ted" (Ted.decompose ted_manager (Ted.of_poly ted_manager p)));
+          rep "ted" (Ted.decompose ted_manager (Ted.of_poly ted_manager p)));
       ]
     in
     (* the builders run last to first ([fold_right] calls [build] only

@@ -2,18 +2,16 @@
     system, a list of candidate representations produced by the different
     transformations, sharing one table of named building blocks.
 
-    Representations labelled [ModRing] equal the original polynomial only
-    as a bit-vector function over the given ring (canonical forms);
-    [Exact] representations expand back to the original polynomial over the
+    The canonical-form representations equal the original polynomial only
+    as a bit-vector function over the given ring; every other
+    representation expands back to the original polynomial over the
     integers. *)
 
 module Poly := Polysynth_poly.Poly
 module Expr := Polysynth_expr.Expr
 module Canonical := Polysynth_finite_ring.Canonical
 
-type semantics = Exact | ModRing
-
-type rep = { label : string; expr : Expr.t; semantics : semantics }
+type rep = { label : string; expr : Expr.t }
 
 type t = {
   table : Blocktab.t;
@@ -29,7 +27,7 @@ val build :
 (** Representation lists contain, where applicable and distinct, in this
     order: ["direct"], ["horner"], ["sqfree"] (square-free factored form),
     ["canonical"], ["canonical_split"] and ["coeff_fold"] (the three
-    [ModRing] forms, only when [ctx] is given), ["cce"] (common
+    canonical forms, only when [ctx] is given), ["cce"] (common
     coefficient extraction), ["algdiv"] (the best algebraic-division
     decomposition) and ["ted"] (Taylor-expansion-diagram decomposition).
     The order is behaviour: when two builders produce equal expressions

@@ -33,8 +33,6 @@ type selection = {
   cost : Cost.report;
   counts : Dag.counts;
   combinations_evaluated : int;
-  exhaustive : bool;
-  budget_exhausted : bool;
 }
 
 let prog_of_choice (r : Represent.t) choice =
@@ -271,7 +269,6 @@ let select options (r : Represent.t) =
   let n = Array.length reps in
   let key_of = scorer options r in
   let evaluated = ref 0 in
-  let exhausted = ref false in
   (* the very first candidate is always evaluated, so budget exhaustion
      still leaves a complete (if unoptimized) selection to return *)
   let may_continue () =
@@ -294,9 +291,8 @@ let select options (r : Represent.t) =
     better
   in
   let total = Represent.num_combinations r in
-  let exhaustive = total <= options.exhaustive_limit in
   if n > 0 then begin
-    if exhaustive then begin
+    if total <= options.exhaustive_limit then begin
       (* odometer over all combinations *)
       let rec advance pos =
         if pos < n then begin
@@ -313,10 +309,7 @@ let select options (r : Represent.t) =
       in
       let keep_going = ref (advance 0) in
       while !keep_going do
-        if not (may_continue ()) then begin
-          exhausted := true;
-          keep_going := false
-        end
+        if not (may_continue ()) then keep_going := false
         else begin
           ignore (try_current ());
           keep_going := advance 0
@@ -350,7 +343,7 @@ let select options (r : Represent.t) =
              idx.(i) <- !best_k
            done
          done
-       with Budget_exhausted -> exhausted := true)
+       with Budget_exhausted -> ())
     end
   end;
   let choice = choice_of reps !best_idx in
@@ -364,6 +357,4 @@ let select options (r : Represent.t) =
     cost;
     counts;
     combinations_evaluated = !evaluated;
-    exhaustive;
-    budget_exhausted = !exhausted;
   }

@@ -68,9 +68,6 @@ type selection = {
   cost : Cost.report;
   counts : Dag.counts;
   combinations_evaluated : int;
-  exhaustive : bool;
-  budget_exhausted : bool;
-      (** the budget callback stopped the search before it finished *)
 }
 
 val prog_of_choice : Represent.t -> Represent.rep list -> Prog.t

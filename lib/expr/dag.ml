@@ -143,26 +143,19 @@ let live dag ~roots =
   done;
   !out
 
-type counts = { mults : int; const_mults : int; adds : int }
+type counts = { mults : int; adds : int }
 
-let zero_counts = { mults = 0; const_mults = 0; adds = 0 }
+let zero_counts = { mults = 0; adds = 0 }
 
 let total_ops c = c.mults + c.adds
 
 let counts dag ~roots =
-  let is_const i = match dag.nodes.(i) with Nconst _ -> true | _ -> false in
   List.fold_left
     (fun acc i ->
       match dag.nodes.(i) with
       | Nconst _ | Nvar _ | Nneg _ -> acc
       | Nadd _ | Nsub _ -> { acc with adds = acc.adds + 1 }
-      | Nmul (a, b) ->
-        {
-          acc with
-          mults = acc.mults + 1;
-          const_mults =
-            (acc.const_mults + if is_const a || is_const b then 1 else 0);
-        })
+      | Nmul _ -> { acc with mults = acc.mults + 1 })
     zero_counts (live dag ~roots)
 
 let tree_counts expr =
@@ -175,18 +168,7 @@ let tree_counts expr =
       { acc with mults = acc.mults + (k - 1) }
     | Expr.Mul factors ->
       let acc = List.fold_left go acc factors in
-      let n = List.length factors in
-      let const_ops =
-        List.length
-          (List.filter
-             (fun f -> match (f : Expr.t) with Expr.Const _ -> true | _ -> false)
-             factors)
-      in
-      {
-        acc with
-        mults = acc.mults + (n - 1);
-        const_mults = acc.const_mults + const_ops;
-      }
+      { acc with mults = acc.mults + (List.length factors - 1) }
     | Expr.Add operands ->
       let acc = List.fold_left go acc operands in
       { acc with adds = acc.adds + (List.length operands - 1) }

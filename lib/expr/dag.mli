@@ -42,7 +42,6 @@ val live : t -> roots:id list -> id list
 
 type counts = {
   mults : int;  (** all multiplications *)
-  const_mults : int;  (** of which one operand is a constant *)
   adds : int;  (** additions plus subtractions *)
 }
 

@@ -53,12 +53,7 @@ let tree_counts prog =
   List.fold_left
     (fun acc (_, e) ->
       let c = Dag.tree_counts e in
-      Dag.
-        {
-          mults = acc.mults + c.mults;
-          const_mults = acc.const_mults + c.const_mults;
-          adds = acc.adds + c.adds;
-        })
+      Dag.{ mults = acc.mults + c.mults; adds = acc.adds + c.adds })
     Dag.zero_counts (inline prog)
 
 let pp fmt prog =

@@ -1,4 +1,5 @@
 type binding = {
+  resources : Schedule.resources;
   netlist : Netlist.t;
   schedule : Schedule.schedule;
   unit_of : (Schedule.unit_class * int) array;
@@ -60,11 +61,10 @@ let left_edge num intervals =
   in
   (index, List.length ends)
 
-let bind (n : Netlist.t) (s : Schedule.schedule) =
+let bind resources (n : Netlist.t) =
+  let s = Schedule.list_schedule resources n in
   let cells = n.Netlist.cells in
   let num = Array.length cells in
-  if Array.length s.Schedule.start_step <> num then
-    invalid_arg "Bind.bind: schedule does not match the netlist";
   let spans = busy_spans n s in
   let units cls =
     left_edge num
@@ -104,6 +104,7 @@ let bind (n : Netlist.t) (s : Schedule.schedule) =
     cells;
   let mux_inputs = Hashtbl.fold (fun _ srcs acc -> acc + List.length srcs) tbl 0 in
   {
+    resources;
     netlist = n;
     schedule = s;
     unit_of;

@@ -1,23 +1,25 @@
-(** Resource binding: map a scheduled netlist onto concrete functional
-    units and registers.
+(** Resource binding: schedule a netlist on a resource budget and map it
+    onto concrete functional units and registers.
 
-    After {!Schedule} assigns start steps, binding decides which physical
-    multiplier/adder executes each operation and which register holds
-    each result.  One left-edge allocator does both: a unit is busy over
-    the closed interval from its launch step to the step before it
-    finishes, and a multiplier or adder result holds its register from
-    the state after its launch (the write lands at the end of the launch
-    state) to its last read ({!Schedule.last_read}), and at least for
-    that one state.  The binding carries its netlist and schedule, so
-    it is all {!Fsmd} needs to run and emit the sequential datapath:
-    callers schedule and bind once and pass the binding on.  The report
-    quantifies the resource side of a decomposition: fewer operations
-    generally mean fewer units, but heavy sharing lengthens lifetimes and
-    can cost registers and multiplexing. *)
+    {!bind} first assigns start steps ({!Schedule.list_schedule}), then
+    decides which physical multiplier/adder executes each operation and
+    which register holds each result.  One left-edge allocator does
+    both: a unit is busy over the closed interval from its launch step to
+    the step before it finishes, and a multiplier or adder result holds
+    its register from the state after its launch (the write lands at the
+    end of the launch state) to its last read ({!Schedule.last_read}),
+    and at least for that one state.  The binding carries its budget,
+    netlist and schedule, so it is all {!Fsmd} needs to run and emit the
+    sequential datapath and all a checker needs to re-check it: callers
+    bind once and pass the binding on.  The report quantifies the
+    resource side of a decomposition: fewer operations generally mean
+    fewer units, but heavy sharing lengthens lifetimes and can cost
+    registers and multiplexing. *)
 
 type binding = {
+  resources : Schedule.resources;  (** the budget it was scheduled on *)
   netlist : Netlist.t;  (** the netlist that was bound *)
-  schedule : Schedule.schedule;  (** its schedule, as given to {!bind} *)
+  schedule : Schedule.schedule;  (** its schedule on [resources] *)
   unit_of : (Schedule.unit_class * int) array;
       (** per cell id: its unit class and the index of the unit of that
           class running it; [(Free, 0)] for wiring *)
@@ -32,9 +34,9 @@ type binding = {
           steering-logic cost *)
 }
 
-val bind : Netlist.t -> Schedule.schedule -> binding
-(** @raise Invalid_argument if the schedule does not belong to the
-    netlist (array sizes differ). *)
+val bind : Schedule.resources -> Netlist.t -> binding
+(** [bind resources n] schedules [n] on [resources] and binds the result.
+    @raise Invalid_argument as {!Schedule.list_schedule} does. *)
 
 val is_consistent : binding -> bool
 (** Checker: no two operations share a unit in overlapping steps, every

@@ -78,8 +78,9 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
     List.map Verilog.legalize
       (Netlist.inputs n @ List.map fst n.Netlist.outputs)
   in
-  let state = Netlist.fresh_prefix ports "state"
-  and regs = Netlist.fresh_prefix ports "regs" in
+  let fresh = Netlist.fresh_prefix ports in
+  let clk = fresh "clk" and rst = fresh "rst" and done_o = fresh "done_o" in
+  let state = fresh "state" and regs = fresh "regs" in
   let operand =
     steer b
       ~register:(Printf.sprintf "%s[%d]" regs)
@@ -89,8 +90,8 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
       ~negate:(Printf.sprintf "(-%s)")
   in
   add "module %s (\n" (Verilog.legalize module_name);
-  add "  input  wire clk,\n";
-  add "  input  wire rst,\n";
+  add "  input  wire %s,\n" clk;
+  add "  input  wire %s,\n" rst;
   List.iter
     (fun v -> add "  input  signed [%d:0] %s,\n" (w - 1) (Verilog.legalize v))
     (Netlist.inputs n);
@@ -98,7 +99,7 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
     (fun (name, _) ->
       add "  output signed [%d:0] %s,\n" (w - 1) (Verilog.legalize name))
     n.Netlist.outputs;
-  add "  output wire done_o\n";
+  add "  output wire %s\n" done_o;
   add ");\n";
   let state_bits =
     let rec bits v acc = if v = 0 then Stdlib.max acc 1 else bits (v lsr 1) (acc + 1) in
@@ -107,10 +108,10 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
   add "  reg [%d:0] %s;\n" (state_bits - 1) state;
   add "  reg signed [%d:0] %s [0:%d];\n" (w - 1) regs
     (Stdlib.max 0 (b.Bind.num_registers - 1));
-  add "  assign done_o = (%s == %d'd%d);\n" state state_bits num_states;
-  add "  always @(posedge clk) begin\n";
-  add "    if (rst) %s <= 0;\n" state;
-  add "    else if (!done_o) begin\n";
+  add "  assign %s = (%s == %d'd%d);\n" done_o state state_bits num_states;
+  add "  always @(posedge %s) begin\n" clk;
+  add "    if (%s) %s <= 0;\n" rst state;
+  add "    else if (!%s) begin\n" done_o;
   add "      case (%s)\n" state;
   Array.iteri
     (fun st launched ->

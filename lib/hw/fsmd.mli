@@ -9,6 +9,8 @@
     (shifts, negations), and a state counter sequences the steps.  It
     keeps no structure of its own: the cells, steps, units and registers
     are read straight from the binding, so its counts are the binding's.
+    Callers bind once ({!Bind.bind}) and hand that one binding to every
+    function here and to any checker of it.
 
     The module carries its own cycle-accurate interpreter
     ({!simulate}), so the construction is checked against the
@@ -29,4 +31,6 @@ val simulate : Bind.binding -> (string -> Z.t) -> (string * Z.t) list
 val to_verilog : ?module_name:string -> Bind.binding -> string
 (** Sequential Verilog: [clk]/[rst] inputs, the netlist's
     {!Netlist.inputs} as data ports, a state counter, one always block;
-    [done_o] rises when the outputs are valid. *)
+    [done_o] rises when the outputs are valid.  These names, the state
+    counter's and the register file's gain underscores
+    ({!Netlist.fresh_prefix}) when a port starts with them. *)

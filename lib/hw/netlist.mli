@@ -52,7 +52,8 @@ val fresh_prefix : string list -> string -> string
     that starts with it (such as [p] followed by a cell id) is one of
     [names].  This is the one rule by which generated names avoid given
     ones: {!to_prog} names its bindings with it, and the emitters name
-    their internal wires, registers and counters with it, avoiding every
+    their internal wires, registers, counters, clock, reset and done
+    signals, instance, word type and mask with it, avoiding every
     port.  The test is on prefixes, not on the names a caller goes on to
     generate, so [p] gains an underscore whenever some name merely starts
     with it (an input [nx] turns wires [n<k>] into [n_<k>]); names are

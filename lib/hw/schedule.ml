@@ -65,15 +65,7 @@ let alap (n : Netlist.t) deadline =
   done;
   late
 
-type no_progress = {
-  step : int;
-  unscheduled : int list;
-  message : string;
-}
-
-exception Stuck of no_progress
-
-let list_schedule_result resources (n : Netlist.t) =
+let list_schedule resources (n : Netlist.t) =
   if resources.multipliers < 1 || resources.adders < 1 then
     invalid_arg "Schedule.list_schedule: need at least one unit per class";
   let cells = n.Netlist.cells in
@@ -148,32 +140,16 @@ let list_schedule_result resources (n : Netlist.t) =
     unscheduled := leftover @ rest;
     incr step;
     if !step > 4 * (num + 1) * (mult_cycles + add_cycles) then begin
-      let stuck = List.map (fun c -> c.Netlist.id) !unscheduled in
-      raise
-        (Stuck
-           {
-             step = !step;
-             unscheduled = stuck;
-             message =
-               Printf.sprintf
-                 "no progress after %d steps: %d cell%s still unscheduled \
-                  (the netlist is not topologically ordered)"
-                 !step (List.length stuck)
-                 (if List.length stuck = 1 then "" else "s");
-           })
+      let stuck = List.length !unscheduled in
+      invalid_arg
+        (Printf.sprintf
+           "Schedule.list_schedule: no progress after %d steps: %d cell%s \
+            still unscheduled (the netlist is not topologically ordered)"
+           !step stuck
+           (if stuck = 1 then "" else "s"))
     end
   done;
   { start_step = start; latency = finish_time n start }
-
-let list_schedule resources n =
-  match list_schedule_result resources n with
-  | s -> Ok s
-  | exception Stuck d -> Error (`No_progress d)
-
-let list_schedule_exn resources n =
-  match list_schedule_result resources n with
-  | s -> s
-  | exception Stuck d -> failwith ("Schedule.list_schedule: " ^ d.message)
 
 (* free cells (shifts, negations) are folded into the consumer's operand
    steering, so a read through them happens at the consumer's start step:

@@ -35,25 +35,12 @@ type schedule = {
 val critical_path_latency : Netlist.t -> int
 (** Latency with unlimited resources. *)
 
-type no_progress = {
-  step : int;  (** the step at which the scheduler gave up *)
-  unscheduled : int list;  (** cell ids that never became ready *)
-  message : string;  (** human-readable diagnosis *)
-}
-(** Diagnostic for a scheduling run that stopped making progress — only
-    possible on a malformed netlist (cyclic or not topologically
-    ordered); well-formed inputs always schedule. *)
-
-val list_schedule :
-  resources -> Netlist.t -> (schedule, [ `No_progress of no_progress ]) result
+val list_schedule : resources -> Netlist.t -> schedule
 (** Priority list scheduling; ties broken deterministically by cell id.
     @raise Invalid_argument when a resource class has fewer than one
-    unit. *)
-
-val list_schedule_exn : resources -> Netlist.t -> schedule
-(** {!list_schedule}, raising [Failure] with the diagnostic message on
-    [`No_progress] — the historical behaviour, for callers that treat a
-    stuck schedule as a fatal invariant violation. *)
+    unit, or when scheduling stops making progress, which only a cyclic
+    netlist can cause ({!Netlist.of_dag}, {!Netlist.of_prog} and the
+    passes that rewrite a netlist build acyclic ones). *)
 
 val last_read : Netlist.t -> schedule -> int array
 (** Per cell id, the last step at which its value is read: the latest

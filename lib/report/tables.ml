@@ -226,9 +226,7 @@ let schedule_rows ?(names = [ "SG 3x2"; "Quad"; "MVCS" ]) () =
                  else Printf.sprintf "%dmul/%dadd" m a
                in
                let s =
-                 Schedule.list_schedule_exn
-                   { Schedule.multipliers = m; adders = a }
-                   n
+                 Schedule.list_schedule { Schedule.multipliers = m; adders = a } n
                in
                (label, s.Schedule.latency))
              budgets

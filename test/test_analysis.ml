@@ -8,6 +8,8 @@ module Parse = Polysynth_poly.Parse
 module Expr = Polysynth_expr.Expr
 module Prog = Polysynth_expr.Prog
 module Netlist = Polysynth_hw.Netlist
+module Schedule = Polysynth_hw.Schedule
+module Bind = Polysynth_hw.Bind
 module Canonical = Polysynth_finite_ring.Canonical
 module Diag = Polysynth_analysis.Diag
 module Wellformed = Polysynth_analysis.Wellformed
@@ -285,10 +287,12 @@ let test_lint_netlist () =
 
 (* ---- suite -------------------------------------------------------------- *)
 
-(* the suite over [prog], its netlist and a simplify run on that netlist *)
+(* the suite over [prog], its netlist, a simplify run on that netlist and
+   its binding on one multiplier and one adder *)
 let suite ~system ~width prog =
   let n = Netlist.of_prog ~width prog in
   Suite.analyze prog n (Simplify.run ~system n)
+    (Bind.bind { Schedule.multipliers = 1; adders = 1 } n)
 
 let test_suite_clean_exit () =
   let p = poly "7*x^2 + 3*x + 2" in
@@ -348,8 +352,6 @@ let test_benchmarks_verify () =
 
 module Domains = Polysynth_analysis.Domains
 module Absint = Polysynth_analysis.Absint
-module Schedule = Polysynth_hw.Schedule
-module Bind = Polysynth_hw.Bind
 module Ex = Polysynth_workloads.Examples
 
 let qprop name ?(count = 1000) arb f =
@@ -626,15 +628,11 @@ let test_bind_consistent_on_examples () =
       let r, _ = Engine.synthesize config polys in
       let n = Netlist.of_prog ~width r.Engine.prog in
       let res = { Schedule.multipliers = 1; adders = 1 } in
-      match Schedule.list_schedule res n with
-      | Error (`No_progress np) ->
-        Alcotest.fail (name ^ ": scheduler stuck: " ^ np.Schedule.message)
-      | Ok s ->
-        Alcotest.(check bool) (name ^ ": schedule valid") true
-          (Schedule.is_valid res n s);
-        let b = Bind.bind n s in
-        Alcotest.(check bool) (name ^ ": binding consistent") true
-          (Bind.is_consistent b))
+      let b = Bind.bind res n in
+      Alcotest.(check bool) (name ^ ": schedule valid") true
+        (Schedule.is_valid res n b.Bind.schedule);
+      Alcotest.(check bool) (name ^ ": binding consistent") true
+        (Bind.is_consistent b))
     example_systems
 
 (* Fsmd runs a binding as it is: on the Proposed netlists of four Table
@@ -661,8 +659,7 @@ let test_fsmd_runs_table_bindings () =
       let env v = List.assoc v inputs in
       List.iter
         (fun (m, a) ->
-          let res = { Schedule.multipliers = m; adders = a } in
-          let b = Bind.bind n (Schedule.list_schedule_exn res n) in
+          let b = Bind.bind { Schedule.multipliers = m; adders = a } n in
           let label = Printf.sprintf "%s at %d/%d" name m a in
           Alcotest.(check (list (pair string string)))
             (label ^ ": simulate = eval")
@@ -771,6 +768,33 @@ let test_suite_binding_pass_and_exit_code () =
   in
   Alcotest.(check int) "bind error exits 4" 4 (Suite.exit_code broken)
 
+let test_suite_checks_given_binding () =
+  (* on one multiplier the two products of x*y + z*w are both live when
+     the adder reads them: a binding that puts them in one register must
+     fail the suite's cross-check *)
+  let p = poly "x*y + z*w" in
+  let prog = Prog.of_exprs [ Expr.of_poly p ] in
+  let n = Netlist.of_prog ~width:8 prog in
+  let b = Bind.bind { Schedule.multipliers = 1; adders = 1 } n in
+  let products =
+    List.filter
+      (fun c -> match c.Netlist.op with Netlist.Mult2 -> true | _ -> false)
+      (Array.to_list n.Netlist.cells)
+  in
+  match products with
+  | [ a; c ] ->
+    let register_of = Array.copy b.Bind.register_of in
+    register_of.(c.Netlist.id) <- register_of.(a.Netlist.id);
+    let r =
+      Suite.analyze prog n
+        (Simplify.run ~system:[ ("P1", p) ] n)
+        { b with Bind.register_of }
+    in
+    Alcotest.(check (list string)) "bind.inconsistent" [ "bind.inconsistent" ]
+      (codes r.Suite.binding);
+    Alcotest.(check int) "exits 4" 4 (Suite.exit_code r)
+  | _ -> Alcotest.fail "expected two products"
+
 let () =
   Alcotest.run "analysis"
     [
@@ -846,6 +870,8 @@ let () =
             test_bind_consistent_on_examples;
           Alcotest.test_case "suite cross-check and exit code" `Quick
             test_suite_binding_pass_and_exit_code;
+          Alcotest.test_case "suite checks the binding it is handed" `Quick
+            test_suite_checks_given_binding;
           Alcotest.test_case "fsmd runs the Table 14.3 bindings" `Slow
             test_fsmd_runs_table_bindings;
         ] );

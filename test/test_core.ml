@@ -392,22 +392,21 @@ let test_represent_exact_reps_expand () =
       let original = r.Represent.polys.(i) in
       List.iter
         (fun rep ->
-          if rep.Represent.semantics = Represent.Exact then begin
-            let lookup v =
-              List.assoc_opt v (Blocktab.bindings r.Represent.table)
-            in
-            check_p
-              (Printf.sprintf "rep %s of P%d" rep.Represent.label (i + 1))
-              original
-              (E.to_poly (E.subst lookup rep.Represent.expr))
-          end)
+          let lookup v =
+            List.assoc_opt v (Blocktab.bindings r.Represent.table)
+          in
+          check_p
+            (Printf.sprintf "rep %s of P%d" rep.Represent.label (i + 1))
+            original
+            (E.to_poly (E.subst lookup rep.Represent.expr)))
         reps)
     r.Represent.reps
 
 let test_search_table_14_1 () =
   let r = Represent.build Ex.table_14_1 in
   let sel = Search.select (Search.default_options ~width:16) r in
-  Alcotest.(check bool) "exhaustive" true sel.Search.exhaustive;
+  Alcotest.(check int) "exhaustive" (Represent.num_combinations r)
+    sel.Search.combinations_evaluated;
   Alcotest.(check int) "8 mults" 8 sel.Search.counts.Dag.mults;
   Alcotest.(check int) "1 add" 1 sel.Search.counts.Dag.adds;
   Alcotest.(check bool) "verifies" true (Show.verify Ex.table_14_1 sel.Search.prog)
@@ -419,7 +418,8 @@ let test_search_beam_on_large () =
     { (Search.default_options ~width:16) with Search.exhaustive_limit = 1 }
   in
   let sel = Search.select options r in
-  Alcotest.(check bool) "not exhaustive" false sel.Search.exhaustive;
+  Alcotest.(check bool) "not exhaustive" true
+    (sel.Search.combinations_evaluated < Represent.num_combinations r);
   Alcotest.(check bool) "verifies" true (Show.verify Ex.table_14_2 sel.Search.prog);
   (* descent still reaches a good decomposition *)
   Alcotest.(check bool) "better than direct" true
@@ -432,7 +432,6 @@ type oracle = {
   o_cost : Cost.report;
   o_counts : Dag.counts;
   o_evaluated : int;
-  o_exhausted : bool;
   key_mismatches : int;  (* visited combinations where the scorers differ *)
 }
 
@@ -449,7 +448,7 @@ let oracle_select ~keys (options : Search.options) (r : Represent.t) =
   let n = Array.length reps in
   let shared = Search.scorer options r in
   let choice idx = List.init n (fun i -> reps.(i).(idx.(i))) in
-  let evaluated = ref 0 and exhausted = ref false and mismatches = ref 0 in
+  let evaluated = ref 0 and mismatches = ref 0 in
   let may_continue () =
     match options.Search.budget with None -> true | Some ok -> ok ()
   in
@@ -486,10 +485,7 @@ let oracle_select ~keys (options : Search.options) (r : Represent.t) =
       in
       let keep_going = ref (advance 0) in
       while !keep_going do
-        if not (may_continue ()) then begin
-          exhausted := true;
-          keep_going := false
-        end
+        if not (may_continue ()) then keep_going := false
         else begin
           let trial = eval idx in
           if better trial !best then best := trial;
@@ -520,7 +516,7 @@ let oracle_select ~keys (options : Search.options) (r : Represent.t) =
             idx.(i) <- !best_k
           done
         done
-      with Exit -> exhausted := true
+      with Exit -> ()
     end
   end;
   let choice = choice (snd !best) in
@@ -531,7 +527,6 @@ let oracle_select ~keys (options : Search.options) (r : Represent.t) =
       Cost.of_prog ~model:options.Search.model ~width:options.Search.width prog;
     o_counts = Prog.counts prog;
     o_evaluated = !evaluated;
-    o_exhausted = !exhausted;
     key_mismatches = !mismatches;
   }
 
@@ -591,7 +586,6 @@ let oracle_mismatches ~width (r : Represent.t) =
               ("counts", o.o_counts = s.Search.counts);
               ("combinations_evaluated",
                o.o_evaluated = s.Search.combinations_evaluated);
-              ("budget_exhausted", o.o_exhausted = s.Search.budget_exhausted);
             ])
         runs)
     [ Search.Min_area; Search.Min_delay; Search.Min_power; Search.Min_ops ]

@@ -127,9 +127,7 @@ let test_tree_counts_table_14_1 () =
     List.fold_left
       (fun acc e ->
         let c = Dag.tree_counts e in
-        Dag.{ mults = acc.mults + c.mults;
-              const_mults = acc.const_mults + c.const_mults;
-              adds = acc.adds + c.adds })
+        Dag.{ mults = acc.mults + c.mults; adds = acc.adds + c.adds })
       Dag.zero_counts table_14_1_direct
   in
   Alcotest.(check int) "17 MULT" 17 total.Dag.mults;
@@ -185,8 +183,7 @@ let test_dag_sharing () =
   let b = Dag.add_expr dag (E.mul [ E.var "x"; E.var "y"; E.int 5 ]) in
   let c = Dag.counts dag ~roots:[ a; b ] in
   (* x*y shared; two constant mults on top *)
-  Alcotest.(check int) "3 mults" 3 c.Dag.mults;
-  Alcotest.(check int) "2 const mults" 2 c.Dag.const_mults
+  Alcotest.(check int) "3 mults" 3 c.Dag.mults
 
 let test_power_prefix_sharing () =
   let dag = Dag.create () in
@@ -344,7 +341,7 @@ let prop_vars_sound =
 let prop_tree_counts_nonnegative =
   prop "tree counts are non-negative" arb_expr (fun e ->
       let c = Dag.tree_counts e in
-      c.Dag.mults >= 0 && c.Dag.adds >= 0 && c.Dag.const_mults <= c.Dag.mults)
+      c.Dag.mults >= 0 && c.Dag.adds >= 0)
 
 let prop_tree_ops =
   prop "tree_ops is total_ops of tree_counts"

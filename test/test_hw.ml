@@ -470,7 +470,7 @@ let unlimited = { Schedule.multipliers = max_int; adders = max_int }
 
 let test_schedule_unlimited_matches_critical_path () =
   let n = N.of_prog ~width:16 (prog_of_strings [ "x*y + z*w + 3*q" ]) in
-  let s = Schedule.list_schedule_exn unlimited n in
+  let s = Schedule.list_schedule unlimited n in
   Alcotest.(check int) "latency = critical path"
     (Schedule.critical_path_latency n) s.Schedule.latency;
   Alcotest.(check bool) "valid" true (Schedule.is_valid unlimited n s)
@@ -479,8 +479,8 @@ let test_schedule_resource_constrained () =
   (* three independent multiplications on one multiplier serialize *)
   let n = N.of_prog ~width:16 (prog_of_strings [ "x*y"; "z*w"; "q*r" ]) in
   let one = { Schedule.multipliers = 1; adders = 1 } in
-  let s1 = Schedule.list_schedule_exn one n in
-  let s3 = Schedule.list_schedule_exn { one with Schedule.multipliers = 3 } n in
+  let s1 = Schedule.list_schedule one n in
+  let s3 = Schedule.list_schedule { one with Schedule.multipliers = 3 } n in
   Alcotest.(check bool) "valid constrained" true (Schedule.is_valid one n s1);
   Alcotest.(check int) "serialized: 3 mults x 2 cycles" 6 s1.Schedule.latency;
   Alcotest.(check int) "parallel: 2 cycles" 2 s3.Schedule.latency
@@ -488,27 +488,41 @@ let test_schedule_resource_constrained () =
 let test_schedule_dependences () =
   (* x*y*z: second multiply waits for the first *)
   let n = N.of_prog ~width:16 (prog_of_strings [ "x*y*z" ]) in
-  let s = Schedule.list_schedule_exn unlimited n in
+  let s = Schedule.list_schedule unlimited n in
   Alcotest.(check int) "two dependent mults" 4 s.Schedule.latency
 
-let test_schedule_result_ok () =
-  (* the typed interface returns [Ok] on every well-formed netlist and
-     agrees with the [_exn] shim *)
-  let n = N.of_prog ~width:16 (prog_of_strings [ "x*y + z" ]) in
+let test_schedule_cyclic_raises () =
+  (* two adders reading each other never become ready: the scheduler's
+     no-progress guard, and so the binder, give up instead of looping *)
+  let cell id op fanin = { N.id; op; fanin } in
+  let n =
+    {
+      N.cells = [| cell 0 N.Add2 [ 1; 1 ]; cell 1 N.Add2 [ 0; 0 ] |];
+      outputs = [ ("o", 1) ];
+      width = 8;
+    }
+  in
   let res = { Schedule.multipliers = 1; adders = 1 } in
-  match Schedule.list_schedule res n with
-  | Error (`No_progress d) -> Alcotest.failf "unexpected: %s" d.Schedule.message
-  | Ok s ->
-    let s' = Schedule.list_schedule_exn res n in
-    Alcotest.(check int) "same latency" s'.Schedule.latency s.Schedule.latency;
-    Alcotest.(check bool) "valid" true (Schedule.is_valid res n s)
+  let t0 = Unix.gettimeofday () in
+  let raises f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument msg ->
+      String.starts_with ~prefix:"Schedule.list_schedule: no progress" msg
+  in
+  Alcotest.(check bool) "list_schedule raises" true
+    (raises (fun () -> ignore (Schedule.list_schedule res n)));
+  Alcotest.(check bool) "bind raises" true
+    (raises (fun () -> ignore (Polysynth_hw.Bind.bind res n)));
+  Alcotest.(check bool) "well under a second" true
+    (Unix.gettimeofday () -. t0 < 0.1)
 
 let test_schedule_invalid_resources () =
   let n = N.of_prog ~width:8 (prog_of_strings [ "x" ]) in
   Alcotest.check_raises "zero multipliers"
     (Invalid_argument "Schedule.list_schedule: need at least one unit per class")
     (fun () ->
-      ignore (Schedule.list_schedule_exn { Schedule.multipliers = 0; adders = 1 } n))
+      ignore (Schedule.list_schedule { Schedule.multipliers = 0; adders = 1 } n))
 
 let test_schedule_monotone_in_resources () =
   let n =
@@ -516,7 +530,7 @@ let test_schedule_monotone_in_resources () =
       (prog_of_strings [ "x*y + y*z + z*w + w*q"; "x*z*w + 5*q*y" ])
   in
   let lat m =
-    (Schedule.list_schedule_exn { Schedule.multipliers = m; adders = 2 } n)
+    (Schedule.list_schedule { Schedule.multipliers = m; adders = 2 } n)
       .Schedule.latency
   in
   Alcotest.(check bool) "more units never slower" true
@@ -607,8 +621,7 @@ let test_bind_unit_counts () =
   (* 3 independent multiplies scheduled on 2 multipliers need exactly 2 *)
   let n = N.of_prog ~width:16 (prog_of_strings [ "x*y"; "z*w"; "q*r" ]) in
   let res = { Schedule.multipliers = 2; adders = 2 } in
-  let s = Schedule.list_schedule_exn res n in
-  let b = Bind.bind n s in
+  let b = Bind.bind res n in
   Alcotest.(check bool) "at most 2 multipliers" true (b.Bind.num_multipliers <= 2);
   Alcotest.(check bool) "consistent" true (Bind.is_consistent b)
 
@@ -617,8 +630,7 @@ let test_bind_registers_on_serialization () =
      registers are needed *)
   let n = N.of_prog ~width:16 (prog_of_strings [ "x*y + z*w + q*r" ]) in
   let res = { Schedule.multipliers = 1; adders = 1 } in
-  let s = Schedule.list_schedule_exn res n in
-  let b = Bind.bind n s in
+  let b = Bind.bind res n in
   Alcotest.(check bool) "some registers" true (b.Bind.num_registers >= 1);
   Alcotest.(check bool) "consistent" true (Bind.is_consistent b)
 
@@ -628,10 +640,7 @@ let test_bind_mux_inputs_grow_with_sharing () =
     N.of_prog ~width:16 (prog_of_strings [ "x*y + z*w + q*r + a*b" ])
   in
   let res = { Schedule.multipliers = 1; adders = 1 } in
-  let sb netlist =
-    let s = Schedule.list_schedule_exn res netlist in
-    Bind.bind netlist s
-  in
+  let sb = Bind.bind res in
   Alcotest.(check bool) "more ops on one unit, more mux inputs" true
     ((sb wide).Bind.mux_inputs > (sb narrow).Bind.mux_inputs)
 
@@ -651,8 +660,7 @@ let prop_bind_consistent =
     (fun (specs, m, a) ->
       let n = N.of_prog ~width:16 (prog_of_strings specs) in
       let res = { Schedule.multipliers = m; adders = a } in
-      let s = Schedule.list_schedule_exn res n in
-      let b = Bind.bind n s in
+      let b = Bind.bind res n in
       Bind.is_consistent b
       && b.Bind.num_multipliers <= m
       && b.Bind.num_adders <= a)
@@ -680,8 +688,7 @@ let shift_read_netlist () =
 (* the binding of the netlist on 1 multiplier and 1 adder *)
 let shift_read_binding () =
   let n = shift_read_netlist () in
-  Bind.bind n
-    (Schedule.list_schedule_exn { Schedule.multipliers = 1; adders = 1 } n)
+  Bind.bind { Schedule.multipliers = 1; adders = 1 } n
 
 let test_bind_read_through_shift () =
   let b = shift_read_binding () in
@@ -764,10 +771,8 @@ let prop_bind_registers_cover_reads =
       let n = netlist_of_spec spec in
       let cells = n.N.cells in
       let num = Array.length cells in
-      let s =
-        Schedule.list_schedule_exn { Schedule.multipliers = m; adders = a } n
-      in
-      let b = Bind.bind n s in
+      let b = Bind.bind { Schedule.multipliers = m; adders = a } n in
+      let s = b.Bind.schedule in
       let is_unit i =
         match cells.(i).N.op with
         | N.Mult2 | N.Add2 | N.Sub2 | N.Cmult _ -> true
@@ -824,12 +829,8 @@ let prop_bind_registers_cover_reads =
 
 (* fsmd -------------------------------------------------------------------------- *)
 
-(* the binding of [netlist] on [res] *)
-let bound res netlist =
-  Bind.bind netlist (Schedule.list_schedule_exn res netlist)
-
 let fsmd_matches netlist res =
-  let b = bound res netlist in
+  let b = Bind.bind res netlist in
   let checks =
     [ (0, 0); (1, 2); (17, 200); (255, 255); (123, 45) ]
   in
@@ -860,7 +861,7 @@ let test_fsmd_matches_reference () =
 
 let test_fsmd_register_sharing () =
   let netlist = N.of_prog ~width:16 (prog_of_strings [ "x*y + x + y" ]) in
-  let b = bound { Schedule.multipliers = 1; adders = 1 } netlist in
+  let b = Bind.bind { Schedule.multipliers = 1; adders = 1 } netlist in
   let ops = Array.fold_left (fun acc l -> acc + List.length l) 0 (Fsmd.states b) in
   Alcotest.(check bool) "registers allocated" true (b.Bind.num_registers >= 1);
   Alcotest.(check bool) "fewer registers than ops" true
@@ -868,7 +869,7 @@ let test_fsmd_register_sharing () =
 
 let test_fsmd_verilog_structure () =
   let netlist = N.of_prog ~width:8 (prog_of_strings [ "3*x*y + 5" ]) in
-  let b = bound { Schedule.multipliers = 1; adders = 1 } netlist in
+  let b = Bind.bind { Schedule.multipliers = 1; adders = 1 } netlist in
   let v = Fsmd.to_verilog ~module_name:"seq" b in
   List.iter
     (fun needle ->
@@ -891,7 +892,7 @@ let prop_fsmd_equivalent =
        ~print:(fun (specs, _, _) -> String.concat ";" specs))
     (fun (specs, (m, a), (xv, yv)) ->
       let netlist = N.of_prog ~width:12 (prog_of_strings specs) in
-      let b = bound { Schedule.multipliers = m; adders = a } netlist in
+      let b = Bind.bind { Schedule.multipliers = m; adders = a } netlist in
       let env v = if String.equal v "x" then Z.of_int xv else Z.of_int yv in
       let reference = N.eval netlist env in
       let sequential = Fsmd.simulate b env in
@@ -903,7 +904,9 @@ let prop_fsmd_equivalent =
 (* emitted names ----------------------------------------------------------------- *)
 
 (* the identifiers a Verilog text declares: the name after each
-   input/output/wire/reg/integer keyword, its type and range skipped *)
+   input/output/wire/reg/integer keyword, its type and range skipped, and
+   the name of each module instance (the token before its "(." port
+   list) *)
 let verilog_declarations text =
   List.filter_map
     (fun line ->
@@ -923,18 +926,26 @@ let verilog_declarations text =
                (String.split_on_char ','
                   (List.hd (String.split_on_char ';' name))))
         | [] -> None)
+      | _ :: instance :: ports :: _ when String.starts_with ~prefix:"(." ports
+        ->
+        Some instance
       | _ -> None)
     (String.split_on_char '\n' text)
 
 (* inputs named like the emitters' own wires, registers, state and error
-   counter: each emitted text still declares every identifier once, and
-   the C compiles and checks itself *)
+   counter, clock, reset, done signal, instance, word type and mask: each
+   emitted text still declares every identifier once, and the C compiles
+   and checks itself *)
 let test_names_avoid_ports () =
   let n =
     N.of_prog ~width:16
-      (prog_of_strings [ "n1*x + regs*state + errors + 3" ])
+      (prog_of_strings
+         [
+           "n1*x + regs*state + errors + 3";
+           "clk*x + rst*done_o + word*dut + POLYSYNTH_MASK";
+         ])
   in
-  check_c_self_check "inputs n1, regs, state and errors" n;
+  check_c_self_check "inputs named like every generated name" n;
   List.iter
     (fun (label, text) ->
       let declared = verilog_declarations text in
@@ -944,7 +955,7 @@ let test_names_avoid_ports () =
         (List.sort String.compare declared))
     [
       ("verilog", V.emit n);
-      ("fsmd", Fsmd.to_verilog (bound { Schedule.multipliers = 1; adders = 1 } n));
+      ("fsmd", Fsmd.to_verilog (Bind.bind { Schedule.multipliers = 1; adders = 1 } n));
       ("testbench", TB.emit n);
     ]
 
@@ -988,7 +999,7 @@ let prop_schedule_valid =
       let prog = Prog.of_exprs (List.map (fun s -> E.of_poly (Parse.poly_exn s)) specs) in
       let n = N.of_prog ~width:16 prog in
       let res = { Schedule.multipliers = m; adders = a } in
-      let s = Schedule.list_schedule_exn res n in
+      let s = Schedule.list_schedule res n in
       Schedule.is_valid res n s
       && s.Schedule.latency >= Schedule.critical_path_latency n)
 
@@ -1069,7 +1080,8 @@ let () =
           Alcotest.test_case "resource constrained" `Quick
             test_schedule_resource_constrained;
           Alcotest.test_case "dependences" `Quick test_schedule_dependences;
-          Alcotest.test_case "result interface" `Quick test_schedule_result_ok;
+          Alcotest.test_case "cyclic netlist raises" `Quick
+            test_schedule_cyclic_raises;
           Alcotest.test_case "invalid resources" `Quick
             test_schedule_invalid_resources;
           Alcotest.test_case "monotone in resources" `Quick
