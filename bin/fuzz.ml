@@ -3,7 +3,7 @@
    1. certificates: the engine's own equivalence certifier must return
       Verified for every method (a Refuted certificate prints its
       counterexample input; Unknown is also a failure here, since these
-      systems are far below the expansion budget);
+      systems are far below the point budget);
    2. bit-accurate: the operator netlist and its MCM lowering agree with
       direct polynomial evaluation mod 2^width on random input vectors
       (Equiv.spot_check_netlist);

@@ -654,8 +654,10 @@ let trace_arg =
 let check_arg =
   let doc =
     "Print the equivalence certificate of every report: 'verified' is a \
-     proof (canonical forms over Z_2^m under --ring, exact identity \
-     otherwise), 'refuted' comes with a concrete counterexample input.  \
+     proof (equal values on a point set that fixes the function, over \
+     Z_2^m under --ring and over the integers otherwise), 'refuted' \
+     comes with a concrete counterexample input, 'unknown' means the \
+     point set was too large.  \
      The exit code is 2 unless every requested certificate is 'verified'."
   in
   Arg.(value & flag & info [ "check" ] ~doc)

@@ -11,6 +11,7 @@ module Z = Polysynth_zint.Zint
 module P = Polysynth_poly.Poly
 module Parse = Polysynth_poly.Parse
 module Ring = Polysynth_finite_ring.Canonical
+module Expr = Polysynth_expr.Expr
 module Prog = Polysynth_expr.Prog
 module Dag = Polysynth_expr.Dag
 module Cost = Polysynth_hw.Cost
@@ -27,7 +28,8 @@ let () =
      8-bit function (x^2 = x mod 2 and 128 kills the rest) *)
   let a = Parse.poly_exn "128*x^2" and b = Parse.poly_exn "128*x" in
   Format.printf "128*x^2 == 128*x over Z_2^8?  %b@.@."
-    (Ring.equal_functions ctx a b);
+    (Equiv.certify ~ctx [ a ] (Prog.of_exprs [ Expr.of_poly b ])
+     = Equiv.Verified);
 
   (* 2. synthesize the benchmark with and without ring knowledge *)
   let config = Engine.Config.default ~width in

@@ -57,9 +57,8 @@ val run :
 (** The guarded pass.  [system] is the reference: the polynomial each
     output of the netlist must compute, by output name.  The reference
     comes from the caller alone, and the pass never skips: every
-    candidate is certified against it, with 4 random samples before the
-    symbolic decision.  [facts] reuses an existing {!Absint.constants}
-    analysis.
+    candidate is certified against it.  [facts] reuses an existing
+    {!Absint.constants} analysis.
     @raise Invalid_argument when [system] does not name every output of
     the netlist. *)
 

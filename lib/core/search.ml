@@ -196,6 +196,7 @@ let scorer options (r : Represent.t) =
           live_nodes
         |> List.sort compare |> Array.of_list
       in
+      let reduce z = Z.erem_pow2 z m in
       let simulate inputs =
         Power.toggles ~samples:power_samples ~width:m inputs (fun env ->
             let env v = if List.mem v inputs then env v else Z.zero in
@@ -204,7 +205,7 @@ let scorer options (r : Represent.t) =
               (fun (id : Dag.id) ->
                 let i = (id :> int) in
                 value.(i) <-
-                  Netlist.cell_value ~width:m cell_op.(i) env (fun k ->
+                  Netlist.cell_value ~reduce cell_op.(i) env (fun k ->
                       value.(fanin.((2 * i) + k))))
               live_nodes;
             value)

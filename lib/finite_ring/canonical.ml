@@ -95,7 +95,3 @@ let canonicalize ctx p =
       (falling_terms (to_falling p))
   in
   Poly.of_terms reduced
-
-let equal_functions ctx p q = Poly.equal (canonicalize ctx p) (canonicalize ctx q)
-
-let eval_mod ctx p env = Z.erem_pow2 (Poly.eval env p) ctx.out_width

@@ -58,10 +58,3 @@ val term_modulus : ctx -> Monomial.t -> Z.t
 val canonicalize : ctx -> Poly.t -> falling
 (** The unique reduced falling form of the function computed by the
     polynomial. *)
-
-val equal_functions : ctx -> Poly.t -> Poly.t -> bool
-(** Decision procedure: do the two polynomials compute the same bit-vector
-    function on the ring? *)
-
-val eval_mod : ctx -> Poly.t -> (string -> Z.t) -> Z.t
-(** Evaluate and reduce into [[0, 2^m)]. *)

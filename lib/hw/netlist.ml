@@ -97,66 +97,29 @@ let rec fresh_prefix names p =
     fresh_prefix names (p ^ "_")
   else p
 
-(* Wrap-around reduction mod 2^width is a ring homomorphism for +, - and
-   *, so a program that skips the per-cell clamping still computes the
-   same outputs once those are reduced mod 2^width.  That makes the
-   program below a faithful (ring-semantics) model of the netlist, which
-   is what lets Equiv certify netlist rewrites. *)
-let to_prog n =
-  let module Expr = Polysynth_expr.Expr in
-  (* binding names must not collide with (or shadow) input variables *)
-  let prefix = fresh_prefix (inputs n) "c" in
-  let exprs = Array.make (Array.length n.cells) Expr.zero in
-  let bindings = ref [] in
+let cell_value ~reduce op env arg =
+  reduce
+    (match op with
+     | Input v -> env v
+     | Constant c -> c
+     | Negate -> Z.neg (arg 0)
+     | Add2 -> Z.add (arg 0) (arg 1)
+     | Sub2 -> Z.sub (arg 0) (arg 1)
+     | Mult2 -> Z.mul (arg 0) (arg 1)
+     | Cmult c -> Z.mul c (arg 0)
+     | Shl k -> Z.mul (Z.pow2 k) (arg 0))
+
+let interpret n init f =
+  let out = Array.make (Array.length n.cells) init in
   Array.iter
     (fun cell ->
-      let arg k = exprs.(List.nth cell.fanin k) in
-      let name = prefix ^ string_of_int cell.id in
-      let bind e =
-        bindings := (name, e) :: !bindings;
-        Expr.var name
-      in
-      let e =
-        match cell.op with
-        | Input v -> Expr.var v
-        | Constant c -> Expr.const c
-        | Negate -> bind (Expr.neg (arg 0))
-        | Add2 -> bind (Expr.add [ arg 0; arg 1 ])
-        | Sub2 -> bind (Expr.sub (arg 0) (arg 1))
-        | Mult2 -> bind (Expr.mul [ arg 0; arg 1 ])
-        | Cmult c -> bind (Expr.mul [ Expr.const c; arg 0 ])
-        | Shl k -> bind (Expr.mul [ Expr.const (Z.pow2 k); arg 0 ])
-      in
-      exprs.(cell.id) <- e)
+      out.(cell.id) <- f cell.op (fun k -> out.(List.nth cell.fanin k)))
     n.cells;
-  {
-    Prog.bindings = List.rev !bindings;
-    outputs = List.map (fun (nm, id) -> (nm, exprs.(id))) n.outputs;
-  }
-
-let cell_value ~width op env arg =
-  let v =
-    match op with
-    | Input v -> env v
-    | Constant c -> c
-    | Negate -> Z.neg (arg 0)
-    | Add2 -> Z.add (arg 0) (arg 1)
-    | Sub2 -> Z.sub (arg 0) (arg 1)
-    | Mult2 -> Z.mul (arg 0) (arg 1)
-    | Cmult c -> Z.mul c (arg 0)
-    | Shl k -> Z.mul (Z.pow2 k) (arg 0)
-  in
-  Z.erem_pow2 v width
+  out
 
 let values n env =
-  let values = Array.make (Array.length n.cells) Z.zero in
-  Array.iter
-    (fun cell ->
-      values.(cell.id) <-
-        cell_value ~width:n.width cell.op env (fun k ->
-            values.(List.nth cell.fanin k)))
-    n.cells;
-  values
+  let reduce z = Z.erem_pow2 z n.width in
+  interpret n Z.zero (fun op arg -> cell_value ~reduce op env arg)
 
 let eval n env =
   let values = values n env in

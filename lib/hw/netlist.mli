@@ -51,30 +51,31 @@ val fresh_prefix : string list -> string -> string
     make it the prefix of no name in [names], so neither it nor any name
     that starts with it (such as [p] followed by a cell id) is one of
     [names].  This is the one rule by which generated names avoid given
-    ones: {!to_prog} names its bindings with it, and the emitters name
-    their internal wires, registers, counters, clock, reset and done
-    signals, instance, word type and mask with it, avoiding every
-    port.  The test is on prefixes, not on the names a caller goes on to
-    generate, so [p] gains an underscore whenever some name merely starts
-    with it (an input [nx] turns wires [n<k>] into [n_<k>]); names are
-    unchanged only when no name in [names] starts with [p]. *)
-
-val to_prog : t -> Polysynth_expr.Prog.t
-(** Lift the netlist back into a straight-line program: one binding per
-    operator cell (inputs and constants are inlined), outputs preserved
-    by name and order.  Binding names are chosen so they cannot shadow an
-    input variable.  Because reduction mod [2^width] is a ring
-    homomorphism for [+], [-] and [*], the program denotes the same
-    outputs as {!eval} once results are reduced mod [2^width] — this is
-    what lets {!Polysynth_analysis.Equiv} certify netlist rewrites. *)
+    ones: the emitters name their internal wires, registers, counters,
+    clock, reset and done signals, instance, word type and mask with it,
+    avoiding every port.  The test is on prefixes, not on the names a
+    caller goes on to generate, so [p] gains an underscore whenever some
+    name merely starts with it (an input [nx] turns wires [n<k>] into
+    [n_<k>]); names are unchanged only when no name in [names] starts
+    with [p]. *)
 
 val cell_value :
-  width:int -> op -> (string -> Z.t) -> (int -> Z.t) -> Z.t
-(** [cell_value ~width op env arg] is the value of a cell [op] whose
-    [k]-th operand has value [arg k], with an [Input v] reading [env v],
-    reduced into [[0, 2^width)] (wrap-around bit-vector arithmetic).  This
-    is the one evaluation rule: {!values} applies it cell by cell, and the
-    combination search applies it to the nodes of its shared DAG. *)
+  reduce:(Z.t -> Z.t) -> op -> (string -> Z.t) -> (int -> Z.t) -> Z.t
+(** [cell_value ~reduce op env arg] is [reduce] of the value of a cell
+    [op] whose [k]-th operand has value [arg k], with an [Input v] reading
+    [env v].  With [reduce] the residue modulo [2^width] it is wrap-around
+    bit-vector arithmetic; any ring homomorphism of [Z] serves, since
+    [+], [-] and [*] commute with it.  This is the one evaluation rule:
+    {!values} applies it cell by cell, the combination search applies it
+    to the nodes of its shared DAG, and the equivalence certifier applies
+    it modulo [2^m] or a prime. *)
+
+val interpret : t -> 'a -> (op -> (int -> 'a) -> 'a) -> 'a array
+(** [interpret n init f] is every cell's [f op arg], indexed by cell id
+    and computed in array order, where [arg k] is the result of the
+    cell's [k]-th operand ([init] only fills the array first).
+    {!values} and the equivalence certifier's degree bounds, coefficient
+    bounds and point values are such interpretations. *)
 
 val values : t -> (string -> Z.t) -> Z.t array
 (** Bit-accurate evaluation: every cell's value by {!cell_value},

@@ -256,7 +256,7 @@ let test_canonical_rep_function_equal () =
   let lookup v = List.assoc_opt v (Blocktab.bindings table) in
   let expanded = E.to_poly (E.subst lookup e) in
   Alcotest.(check bool) "same bit-vector function" true
-    (Ring.equal_functions ctx q expanded)
+    (Show.equal_functions ctx q expanded)
 
 (* represent / search ------------------------------------------------------------------------ *)
 

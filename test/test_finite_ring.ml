@@ -135,7 +135,7 @@ let test_chen_example () =
       Alcotest.(check int)
         (Printf.sprintf "f(%d,%d)" x y)
         expect
-        (Z.to_int_exn (C.eval_mod ctx f env)))
+        (Z.to_int_exn (Show.eval_mod ctx f env)))
     table
 
 let test_mu_lambda () =
@@ -154,7 +154,7 @@ let test_vanishing () =
   Alcotest.(check bool) "x^2+x vanishes mod 2" true
     (C.falling_terms (C.canonicalize ctx f) = []);
   Alcotest.(check bool) "equal to zero function" true
-    (C.equal_functions ctx f P.zero)
+    (Show.equal_functions ctx f P.zero)
 
 let test_vanishing_16bit () =
   (* Y_18(x) * 2^0 vanishes over 16-bit arithmetic since 2^16 | 18! *)
@@ -178,7 +178,8 @@ let test_coefficient_reduction () =
      Y_2(x) is always even, so 2^15*Y_2(x) = 0 mod 2^16 *)
   let ctx = ctx16 in
   let f = P.mul_scalar (Z.pow2 15) (p "x^2 - x") in
-  Alcotest.(check bool) "2^15*Y2 is zero" true (C.equal_functions ctx f P.zero)
+  Alcotest.(check bool) "2^15*Y2 is zero" true
+    (Show.equal_functions ctx f P.zero)
 
 (* property: the canonical form computes the same function ------------------- *)
 
@@ -202,8 +203,8 @@ let prop_canonical_preserves_function =
   prop "canonical form preserves the function" ~count:300 arb_poly_points
     (fun (p0, a, b) ->
       let env v = if String.equal v "x" then Z.of_int a else Z.of_int b in
-      let before = C.eval_mod ctx p0 env in
-      let after = C.eval_mod ctx (canonical_poly ctx p0) env in
+      let before = Show.eval_mod ctx p0 env in
+      let after = Show.eval_mod ctx (canonical_poly ctx p0) env in
       Z.equal before after)
 
 let prop_falling_roundtrip =
@@ -232,11 +233,11 @@ let prop_equal_functions_exhaustive =
             List.for_all
               (fun y ->
                 let env v = if String.equal v "x" then Z.of_int x else Z.of_int y in
-                Z.equal (C.eval_mod ctx a env) (C.eval_mod ctx b env))
+                Z.equal (Show.eval_mod ctx a env) (Show.eval_mod ctx b env))
               [ 0; 1; 2; 3 ])
           [ 0; 1; 2; 3 ]
       in
-      C.equal_functions ctx a b = brute)
+      Show.equal_functions ctx a b = brute)
 
 let prop_to_falling_linear =
   prop "to_falling is linear" ~count:200
@@ -263,7 +264,7 @@ let prop_mixed_widths_function_preserved =
           List.for_all
             (fun y ->
               let env v = if String.equal v "x" then Z.of_int x else Z.of_int y in
-              Z.equal (C.eval_mod ctx p0 env) (C.eval_mod ctx c env))
+              Z.equal (Show.eval_mod ctx p0 env) (Show.eval_mod ctx c env))
             [ 0; 1; 2; 3 ])
         (List.init 16 Fun.id))
 

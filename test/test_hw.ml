@@ -331,14 +331,22 @@ let check_c_self_check label n =
     Unix.mkdir dir 0o755;
     let c_file = Filename.concat dir "t.c" in
     let exe = Filename.concat dir "t" in
-    Out_channel.with_open_text c_file (fun oc ->
-        Out_channel.output_string oc src);
-    let compile =
-      Sys.command (Printf.sprintf "gcc -O1 -Wall -Werror -o %s %s" exe c_file)
-    in
-    Alcotest.(check int) ("gcc accepts the " ^ label) 0 compile;
-    let run = Sys.command (exe ^ " > /dev/null") in
-    Alcotest.(check int) (label ^ " self-check passes") 0 run
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter
+          (fun f -> if Sys.file_exists f then Sys.remove f)
+          [ c_file; exe ];
+        Sys.rmdir dir)
+      (fun () ->
+        Out_channel.with_open_text c_file (fun oc ->
+            Out_channel.output_string oc src);
+        let compile =
+          Sys.command
+            (Printf.sprintf "gcc -O1 -Wall -Werror -o %s %s" exe c_file)
+        in
+        Alcotest.(check int) ("gcc accepts the " ^ label) 0 compile;
+        let run = Sys.command (exe ^ " > /dev/null") in
+        Alcotest.(check int) (label ^ " self-check passes") 0 run)
   | _ -> () (* no compiler available: skip silently *)
 
 let test_cemit_compiles_and_passes () =
