@@ -20,9 +20,10 @@
       proposer itself is unsound, not just imprecise);
    6. abstract interpretation: on the netlist and its MCM lowering, every
       cell's concrete value (Netlist.values) lies in its constant fact
-      (Absint.constants) on random input vectors.  The vectors come from a
-      generator of their own, so this level leaves the draws of the other
-      levels unchanged.
+      (Absint.constants), and its value before wrap-around in its
+      interval (Absint.intervals), on random input vectors.  The vectors
+      come from a generator of their own, so this level leaves the draws
+      of the other levels unchanged.
 
    Usage:  fuzz [ITERATIONS] [SEED]      (defaults: 200, 1)
    Exit code 0 = all checks passed. *)
@@ -145,19 +146,33 @@ let () =
             (Simplify.describe rw)
         | _ -> ())
       o.Simplify.rejected;
-    (* 6. every concrete cell value lies in its constant fact *)
+    (* 6. every concrete cell value lies in its constant fact, and its
+       value before wrap-around in its interval *)
     let vectors = Rng.make seed in
     let contains label netlist =
-      let facts = Absint.constants netlist in
+      let consts = Absint.constants netlist in
+      let ranges = Absint.intervals netlist in
       let draw = Netlist.draw_inputs vectors netlist in
       for _ = 1 to 5 do
         let inputs = draw () in
+        let env v = List.assoc v inputs in
+        let exact =
+          Netlist.interpret netlist Z.zero (fun op arg ->
+              Netlist.cell_value ~reduce:Fun.id op env arg)
+        in
         Array.iteri
           (fun i v ->
-            if not (Domains.Const.contains ~width facts.(i) v) then
-              fail "%s: cell %d = %s outside %s" label i (Z.to_string v)
-                (Domains.Const.to_string facts.(i)))
-          (Netlist.values netlist (fun v -> List.assoc v inputs))
+            (match Domains.Const.as_const consts.(i) with
+             | Some c when not (Z.equal c v) ->
+               fail "%s: cell %d = %s outside %s" label i (Z.to_string v)
+                 (Z.to_string c)
+             | _ -> ());
+            let lo, hi = ranges.(i) in
+            let x = exact.(i) in
+            if Z.compare x lo < 0 || Z.compare hi x < 0 then
+              fail "%s: cell %d = %s before wrap-around, outside [%s, %s]"
+                label i (Z.to_string x) (Z.to_string lo) (Z.to_string hi))
+          (Netlist.values netlist env)
       done
     in
     contains "absint netlist" n;

@@ -319,6 +319,56 @@ let usage_error options =
       Some (Printf.sprintf "--json prints one JSON object: drop %s" flag)
     | _ -> None
 
+(* The reserved words of C11 and of Verilog-2005 (IEEE 1364-2005, Annex
+   B): an input so named is no identifier of the emitted C or Verilog. *)
+let reserved_words =
+  [
+    (* C11 *)
+    "auto"; "break"; "case"; "char"; "const"; "continue"; "default"; "do";
+    "double"; "else"; "enum"; "extern"; "float"; "for"; "goto"; "if";
+    "inline"; "int"; "long"; "register"; "restrict"; "return"; "short";
+    "signed"; "sizeof"; "static"; "struct"; "switch"; "typedef"; "union";
+    "unsigned"; "void"; "volatile"; "while"; "_Alignas"; "_Alignof";
+    "_Atomic"; "_Bool"; "_Complex"; "_Generic"; "_Imaginary"; "_Noreturn";
+    "_Static_assert"; "_Thread_local";
+    (* Verilog-2005 *)
+    "always"; "and"; "assign"; "automatic"; "begin"; "buf"; "bufif0";
+    "bufif1"; "case"; "casex"; "casez"; "cell"; "cmos"; "config";
+    "deassign"; "default"; "defparam"; "design"; "disable"; "edge"; "else";
+    "end"; "endcase"; "endconfig"; "endfunction"; "endgenerate";
+    "endmodule"; "endprimitive"; "endspecify"; "endtable"; "endtask";
+    "event"; "for"; "force"; "forever"; "fork"; "function"; "generate";
+    "genvar"; "highz0"; "highz1"; "if"; "ifnone"; "incdir"; "include";
+    "initial"; "inout"; "input"; "instance"; "integer"; "join"; "large";
+    "liblist"; "library"; "localparam"; "macromodule"; "medium"; "module";
+    "nand"; "negedge"; "nmos"; "nor"; "noshowcancelled"; "not"; "notif0";
+    "notif1"; "or"; "output"; "parameter"; "pmos"; "posedge"; "primitive";
+    "pull0"; "pull1"; "pulldown"; "pullup"; "pulsestyle_ondetect";
+    "pulsestyle_onevent"; "rcmos"; "real"; "realtime"; "reg"; "release";
+    "repeat"; "rnmos"; "rpmos"; "rtran"; "rtranif0"; "rtranif1";
+    "scalared"; "showcancelled"; "signed"; "small"; "specify"; "specparam";
+    "strong0"; "strong1"; "supply0"; "supply1"; "table"; "task"; "time";
+    "tran"; "tranif0"; "tranif1"; "tri"; "tri0"; "tri1"; "triand"; "trior";
+    "trireg"; "unsigned"; "use"; "uwire"; "vectored"; "wait"; "wand";
+    "weak0"; "weak1"; "while"; "wire"; "wor"; "xnor"; "xor";
+  ]
+
+(* A variable the emitted code cannot name as a port: one named like an
+   output would be both a port and a wire, and a reserved word is no
+   identifier at all. *)
+let variable_error polys =
+  let vars = List.concat_map Poly.vars polys in
+  match
+    List.find_opt (fun (o, _) -> List.mem o vars) (Prog.name_outputs polys)
+  with
+  | Some (o, _) ->
+    Some (Printf.sprintf "variable %s is named like an output of the system" o)
+  | None ->
+    List.find_opt (fun v -> List.mem v reserved_words) vars
+    |> Option.map
+         (Printf.sprintf
+            "variable %s is named like a reserved word of C or Verilog")
+
 let run_synthesis options =
   match usage_error options with
   | Some msg ->
@@ -343,15 +393,9 @@ let run_synthesis options =
       Printf.eprintf "no polynomials in input\n";
       1
     | Ok polys ->
-      (* an input named like an output would be both a port and a wire of
-         the emitted code *)
-      let vars = List.concat_map Poly.vars polys in
-      match
-        List.find_opt (fun (o, _) -> List.mem o vars) (Prog.name_outputs polys)
-      with
-      | Some (o, _) ->
-        Printf.eprintf
-          "error: variable %s is named like an output of the system\n" o;
+      match variable_error polys with
+      | Some msg ->
+        Printf.eprintf "error: %s\n" msg;
         1
       | None ->
       let config = config_of options in

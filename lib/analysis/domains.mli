@@ -1,72 +1,53 @@
-(** Abstract domains over [Z_2^m] for the netlist dataflow framework.
+(** The two per-cell facts of the netlist analysis, each a transfer
+    function that {!Absint} runs through {!Polysynth_hw.Netlist.interpret}.
 
-    Every domain implements the same signature: [bottom], [top] and the
-    order [leq], one transfer function per netlist operator and a few
-    queries.  [Absint.Make] turns any such domain into a forward one-pass
-    analysis over the {!Polysynth_hw.Netlist.t} DAG, which needs no join:
-    each cell's fact is computed once from final fanin facts.
+    [transfer ~width op arg] is the fact of a cell [op] whose [k]-th
+    operand has fact [arg k].  The netlist's [cells] array is
+    topologically ordered, so every operand fact is final when its user
+    is reached: one pass, no join.
 
-    Two domains ship, one per client: {!Int_interval} backs the width
-    lint and {!Const} backs {!Simplify}.  Every rewrite [Simplify] makes
-    is certified by {!Equiv} in the ring, so the pass needs only the
-    facts it acts on: which cells are constants.
+    {!Int_interval} backs the width lint and {!Const} backs {!Simplify}.
+    Every rewrite [Simplify] makes is certified by {!Equiv} in the ring,
+    so the pass needs only the facts it acts on: which cells are
+    constants.
 
-    Soundness contract: if a cell concretely evaluates (under
-    {!Polysynth_hw.Netlist.eval}, i.e. clamped to [width] bits) to [v],
-    then [contains ~width fact v] holds for the fact the analysis infers
-    for that cell.  The exception is {!Int_interval}, which tracks the
-    {e pre-wrap} integer value of each cell and is sound with respect to
-    exact integer evaluation instead. *)
+    Soundness: if a cell evaluates under {!Polysynth_hw.Netlist.values}
+    (wrapped to [width] bits) to [v], its {!Const} fact is top or the
+    constant [v].  Its {!Int_interval} fact holds the cell's value before
+    wrap-around, the value under exact integer evaluation. *)
 
-module Z = Polysynth_zint.Zint
+module Z := Polysynth_zint.Zint
+module Netlist := Polysynth_hw.Netlist
 
-module type DOMAIN = sig
+(** Exact integer intervals [(lo, hi)], ignoring datapath wrap-around:
+    inputs range over [[0, 2^width - 1]]. *)
+module Int_interval : sig
+  type t = Z.t * Z.t
+
+  val transfer : width:int -> Netlist.op -> (int -> t) -> t
+end
+
+(** Constants mod [2^width]: one constant in [[0, 2^width)], or top.
+    Besides folding constant operands it knows that a product with a zero
+    factor, a [Cmult] by a multiple of [2^width] and a [Shl] by at least
+    [width] are zero. *)
+module Const : sig
   type t
 
-  val bottom : t
-  val is_bottom : t -> bool
-  val top : width:int -> t
-  val leq : t -> t -> bool
+  val transfer : width:int -> Netlist.op -> (int -> t) -> t
 
-  (** transfer functions, one per netlist operator *)
+  val as_const : t -> Z.t option
+  (** The constant, [None] on top. *)
 
-  val const : width:int -> Z.t -> t
-  val input : width:int -> string -> t
-  val neg : width:int -> t -> t
-  val add : width:int -> t -> t -> t
-  val sub : width:int -> t -> t -> t
-  val mul : width:int -> t -> t -> t
-  val cmul : width:int -> Z.t -> t -> t
-  val shl : width:int -> int -> t -> t
-
-  (** queries *)
-
-  val as_const : width:int -> t -> Z.t option
-  val contains : width:int -> t -> Z.t -> bool
   val to_string : t -> string
+
+  val top : width:int -> t
+  (** The fact of a cell whose value is not known. *)
+
+  (* perfbench's replay is the only user of [leq]; the benchmark change
+     that updates the replay (ROADMAP items 1 and 2) deletes it *)
+  val leq : t -> t -> bool
 end
-
-(** [clamp ~width v] is [v] reduced into [[0, 2^width)]. *)
-val clamp : width:int -> Z.t -> Z.t
-
-(** [is_pow2 c] is [Some k] iff [c = 2^k] with [c > 0]. *)
-val is_pow2 : Z.t -> int option
-
-(** Exact integer intervals, ignoring datapath wrap-around — the domain
-    behind {!Widths}.  Sound w.r.t. exact integer evaluation of the DAG,
-    not w.r.t. [Netlist.eval]'s clamped semantics. *)
-module Int_interval : sig
-  include DOMAIN
-
-  (** [range t] is the (pre-wrap) interval, [None] on bottom. *)
-  val range : t -> (Z.t * Z.t) option
-end
-
-(** Constants mod [2^width]: bottom, one constant in [[0, 2^width)], or
-    top.  Besides folding constant operands it knows that a product with
-    a zero factor, a [Cmult] by a multiple of [2^width] and a [Shl] by at
-    least [width] are zero. *)
-module Const : DOMAIN
 
 (* perfbench's replay is the only user of this alias; the benchmark change
    that updates the replay (ROADMAP items 1 and 2) deletes it *)

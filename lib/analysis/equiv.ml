@@ -4,6 +4,7 @@ module Expr = Polysynth_expr.Expr
 module Prog = Polysynth_expr.Prog
 module Netlist = Polysynth_hw.Netlist
 module Canonical = Polysynth_finite_ring.Canonical
+module Smarandache = Polysynth_finite_ring.Smarandache
 
 type counterexample = {
   output : string;
@@ -103,8 +104,6 @@ let coefficient_bits op arg =
 let budget = 4_000_000
 let ceiling = 1_000_000
 
-let rec v2_factorial k = if k < 2 then 0 else (k / 2) + v2_factorial (k / 2)
-
 (* [f] on every point [k] with [k_v <= top] for each [(v, top)] of [axes],
    [sum k_v <= degree] and [sum v2 (k_v!) <= v2], in lexicographic order *)
 let iter_points ~degree ~v2 axes f =
@@ -112,7 +111,7 @@ let iter_points ~degree ~v2 axes f =
     | [] -> f (List.rev point)
     | (v, top) :: rest ->
       let rec each k =
-        let v2k = v2_factorial k in
+        let v2k = Smarandache.val2_factorial k in
         if k <= min top degree && v2k <= v2 then begin
           go ((v, Z.of_int k) :: point) (degree - k) (v2 - v2k) rest;
           each (k + 1)

@@ -67,33 +67,17 @@ let lint_prog (prog : Prog.t) =
 
 (* ---- netlists --------------------------------------------------------- *)
 
-let op_key (op : Netlist.op) =
-  match op with
-  | Netlist.Input v -> "in:" ^ v
-  | Netlist.Constant c -> "const:" ^ Z.to_string c
-  | Netlist.Negate -> "neg"
-  | Netlist.Add2 -> "add"
-  | Netlist.Sub2 -> "sub"
-  | Netlist.Mult2 -> "mult"
-  | Netlist.Cmult c -> "cmult:" ^ Z.to_string c
-  | Netlist.Shl k -> "shl:" ^ string_of_int k
-
 let lint_netlist (n : Netlist.t) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let num = Array.length n.Netlist.cells in
   (* duplicates up to representatives, as for programs *)
-  let repr = Array.init num (fun i -> i) in
+  let repr = Array.init (Netlist.num_cells n) (fun i -> i) in
   let seen = Hashtbl.create 16 in
   Array.iteri
     (fun i (cell : Netlist.cell) ->
       let key =
-        op_key cell.Netlist.op
-        :: List.map
-             (fun src ->
-               string_of_int
-                 (if src >= 0 && src < num then repr.(src) else src))
-             cell.Netlist.fanin
+        Netlist.op_to_string cell.Netlist.op
+        :: List.map (fun src -> string_of_int repr.(src)) cell.Netlist.fanin
         |> String.concat ","
       in
       match Hashtbl.find_opt seen key with
@@ -105,14 +89,7 @@ let lint_netlist (n : Netlist.t) =
       | None -> Hashtbl.add seen key i)
     n.Netlist.cells;
   (* dead cells: not reachable backward from any output *)
-  let live = Array.make num false in
-  let rec mark id =
-    if id >= 0 && id < num && not live.(id) then begin
-      live.(id) <- true;
-      List.iter mark n.Netlist.cells.(id).Netlist.fanin
-    end
-  in
-  List.iter (fun (_, id) -> mark id) n.Netlist.outputs;
+  let live = Netlist.live n in
   Array.iteri
     (fun i (cell : Netlist.cell) ->
       if not live.(i) then

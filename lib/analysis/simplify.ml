@@ -35,11 +35,18 @@ let describe rw =
 
 (* ---- proposing rewrites from facts -------------------------------------- *)
 
+(* [Some k] iff [c = 2^k] with [c > 0] *)
+let is_pow2 c =
+  if Z.sign c <= 0 then None
+  else
+    let k = Z.val2 c in
+    if Z.equal c (Z.pow2 k) then Some k else None
+
 (* rewrites justified by the given per-cell facts; proposals only, nothing
    here is certified *)
 let propose ~facts (n : Netlist.t) =
   let width = n.Netlist.width in
-  let cst i = Domains.Const.as_const ~width facts.(i) in
+  let cst i = Domains.Const.as_const facts.(i) in
   let is_zero i = match cst i with Some c -> Z.is_zero c | None -> false in
   let rewrites = ref [] in
   let push cell action reason =
@@ -52,7 +59,7 @@ let propose ~facts (n : Netlist.t) =
     else if Z.equal c (Z.neg Z.one) then
       push cell (Reop (Netlist.Negate, [ operand ])) "x * -1 = -x"
     else
-      match Domains.is_pow2 (Domains.clamp ~width c) with
+      match is_pow2 (Z.erem_pow2 c width) with
       | Some k when k > 0 && k < width ->
         push cell
           (Reop (Netlist.Shl k, [ operand ]))
@@ -123,7 +130,7 @@ let apply (n : Netlist.t) rewrites =
         | Some (Fold v) ->
           {
             c with
-            Netlist.op = Netlist.Constant (Domains.clamp ~width:n.Netlist.width v);
+            Netlist.op = Netlist.Constant (Z.erem_pow2 v n.Netlist.width);
             fanin = [];
           }
         | Some (Reop (op, fanin)) ->
@@ -140,16 +147,8 @@ let apply (n : Netlist.t) rewrites =
 
 (* drop cells unreachable from the outputs and renumber *)
 let prune (n : Netlist.t) =
-  let num = Array.length n.Netlist.cells in
-  let live = Array.make num false in
-  let rec mark i =
-    if i >= 0 && i < num && not live.(i) then begin
-      live.(i) <- true;
-      List.iter mark n.Netlist.cells.(i).fanin
-    end
-  in
-  List.iter (fun (_, i) -> mark i) n.Netlist.outputs;
-  let id_map = Array.make num (-1) in
+  let live = Netlist.live n in
+  let id_map = Array.make (Array.length live) (-1) in
   let cells = ref [] in
   let next = ref 0 in
   Array.iter

@@ -1,9 +1,8 @@
 (* The width lint and the bit-growth figures, both read off the exact
-   pre-wrap intervals that [Absint.Make (Int_interval)] infers. *)
+   pre-wrap intervals of [Absint.intervals]. *)
 
 module Z = Polysynth_zint.Zint
 module Netlist = Polysynth_hw.Netlist
-module A = Absint.Make (Domains.Int_interval)
 
 let required_width ~lo ~hi =
   (* two's complement: need hi <= 2^(w-1) - 1 and lo >= -2^(w-1) *)
@@ -15,19 +14,11 @@ let required_width ~lo ~hi =
   in
   search 1
 
-(* the width each cell needs, [None] for an unreachable cell *)
-let needs (n : Netlist.t) =
-  Array.map
-    (fun f ->
-      Option.map
-        (fun (lo, hi) -> required_width ~lo ~hi)
-        (Domains.Int_interval.range f))
-    (A.analyze n)
+(* the width each cell needs *)
+let needs n =
+  Array.map (fun (lo, hi) -> required_width ~lo ~hi) (Absint.intervals n)
 
-let max_required_width n =
-  Array.fold_left
-    (fun acc need -> match need with Some w -> max acc w | None -> acc)
-    1 (needs n)
+let max_required_width n = Array.fold_left max 1 (needs n)
 
 let growth (n : Netlist.t) = max 0 (max_required_width n - n.Netlist.width)
 
@@ -57,9 +48,8 @@ let check_netlist ~mode (n : Netlist.t) =
                 complement, a representation it never takes) *)
              None
            | _ ->
-             (match needs.(cell.Netlist.id) with
-              | Some need when need > width -> Some (cell, need)
-              | _ -> None))
+             let need = needs.(cell.Netlist.id) in
+             if need > width then Some (cell, need) else None)
   in
   let total = List.length findings in
   let shown = Stdlib.min total 20 in

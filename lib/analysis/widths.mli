@@ -1,8 +1,8 @@
 (** Width soundness: does every intermediate fit the declared datapath?
 
-    Interval (value-range) propagation over the netlist ({!Absint.Make}
-    over {!Domains.Int_interval}, inputs unsigned full-scale
-    [[0, 2^width - 1]]) proves, for every cell, the exact reachable
+    Interval (value-range) propagation over the netlist
+    ({!Absint.intervals}, inputs unsigned full-scale [[0, 2^width - 1]])
+    proves, for every cell, the exact reachable
     interval before wrap-around and the two's-complement width that would
     hold it.  That answers the practical RTL question the paper's
     fixed-width model raises: how much precision do the intermediates of

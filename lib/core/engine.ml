@@ -394,20 +394,14 @@ let certify_report (config : Config.t) ~prefix stages certs polys r =
 let simplify_report (config : Config.t) ~prefix stages polys r =
   if not config.Config.simplify then r
   else begin
-    let width = config.Config.width in
     let n = r.netlist in
     let facts =
       stage stages (prefix ^ "analyze") (fun () ->
           let facts = Absint.constants n in
-          let constants =
-            Array.fold_left
-              (fun acc f ->
-                if Option.is_some (Domains.Const.as_const ~width f) then
-                  acc + 1
-                else acc)
-              0 facts
+          let count acc f =
+            if Option.is_some (Domains.Const.as_const f) then acc + 1 else acc
           in
-          (facts, constants))
+          (facts, Array.fold_left count 0 facts))
     in
     let outcome =
       stage stages (prefix ^ "simplify") (fun () ->

@@ -5,11 +5,8 @@ module Rng = Polysynth_zint.Xorshift
 let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
   let w = n.Netlist.width in
   if w > 64 then invalid_arg "Cemit.emit: width exceeds 64 bits";
-  let fname = Verilog.legalize func_name in
-  let inputs = List.map Verilog.legalize (Netlist.inputs n) in
-  let outputs =
-    List.map (fun (name, _) -> Verilog.legalize name) n.Netlist.outputs
-  in
+  let inputs = Netlist.inputs n in
+  let outputs = List.map fst n.Netlist.outputs in
   let fresh = Netlist.fresh_prefix (inputs @ outputs) in
   let word = fresh "word" and mask = fresh "POLYSYNTH_MASK" in
   let buf = Buffer.create 4096 in
@@ -25,7 +22,7 @@ let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
     List.map (Printf.sprintf "%s %s" word) inputs
     @ List.map (Printf.sprintf "%s *%s" word) outputs
   in
-  add "void %s(%s) {\n" fname (String.concat ", " params);
+  add "void %s(%s) {\n" func_name (String.concat ", " params);
   let prefix = fresh "n" in
   let wire i = Printf.sprintf "%s%d" prefix i in
   let const_literal c =
@@ -38,7 +35,7 @@ let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
       let arg k = wire (List.nth cell.fanin k) in
       let rhs =
         match cell.op with
-        | Input v -> Verilog.legalize v
+        | Input v -> v
         | Constant c -> const_literal c
         | Negate -> Printf.sprintf "(%s)(-%s)" word (arg 0)
         | Add2 -> Printf.sprintf "%s + %s" (arg 0) (arg 1)
@@ -50,7 +47,7 @@ let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
       add "  %s %s = (%s) & %s;\n" word (wire cell.id) rhs mask)
     n.Netlist.cells;
   List.iter
-    (fun (name, id) -> add "  *%s = %s;\n" (Verilog.legalize name) (wire id))
+    (fun (name, id) -> add "  *%s = %s;\n" name (wire id))
     n.Netlist.outputs;
   add "}\n";
   (match self_check with
@@ -69,7 +66,7 @@ let emit ?(func_name = "polysynth") ?self_check (n : Netlist.t) =
            assignment
          @ List.map (fun o -> "&" ^ o) outputs
        in
-       add "  %s(%s);\n" fname (String.concat ", " args);
+       add "  %s(%s);\n" func_name (String.concat ", " args);
        List.iter2
          (fun (name, _) o ->
            let value = Z.to_string (List.assoc name expected) in

@@ -74,30 +74,27 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let word c = Printf.sprintf "%d'd%s" w (Z.to_string (Z.erem_pow2 c w)) in
-  let ports =
-    List.map Verilog.legalize
-      (Netlist.inputs n @ List.map fst n.Netlist.outputs)
+  let fresh =
+    Netlist.fresh_prefix (Netlist.inputs n @ List.map fst n.Netlist.outputs)
   in
-  let fresh = Netlist.fresh_prefix ports in
   let clk = fresh "clk" and rst = fresh "rst" and done_o = fresh "done_o" in
   let state = fresh "state" and regs = fresh "regs" in
   let operand =
     steer b
       ~register:(Printf.sprintf "%s[%d]" regs)
-      ~input:Verilog.legalize
+      ~input:Fun.id
       ~constant:word
       ~shift:(fun k s -> Printf.sprintf "(%s <<< %d)" s k)
       ~negate:(Printf.sprintf "(-%s)")
   in
-  add "module %s (\n" (Verilog.legalize module_name);
+  add "module %s (\n" module_name;
   add "  input  wire %s,\n" clk;
   add "  input  wire %s,\n" rst;
   List.iter
-    (fun v -> add "  input  signed [%d:0] %s,\n" (w - 1) (Verilog.legalize v))
+    (fun v -> add "  input  signed [%d:0] %s,\n" (w - 1) v)
     (Netlist.inputs n);
   List.iter
-    (fun (name, _) ->
-      add "  output signed [%d:0] %s,\n" (w - 1) (Verilog.legalize name))
+    (fun (name, _) -> add "  output signed [%d:0] %s,\n" (w - 1) name)
     n.Netlist.outputs;
   add "  output wire %s\n" done_o;
   add ");\n";
@@ -144,8 +141,7 @@ let to_verilog ?(module_name = "polysynth_fsmd") (b : Bind.binding) =
   add "    end\n";
   add "  end\n";
   List.iter
-    (fun (name, i) ->
-      add "  assign %s = %s;\n" (Verilog.legalize name) (operand i))
+    (fun (name, i) -> add "  assign %s = %s;\n" name (operand i))
     n.Netlist.outputs;
   add "endmodule\n";
   Buffer.contents buf

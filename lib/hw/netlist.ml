@@ -117,6 +117,17 @@ let interpret n init f =
     n.cells;
   out
 
+let live n =
+  let live = Array.make (Array.length n.cells) false in
+  let mark i = live.(i) <- true in
+  List.iter (fun (_, i) -> mark i) n.outputs;
+  (* users follow their fanin, so one backward pass sees every user of a
+     cell before the cell *)
+  for i = Array.length n.cells - 1 downto 0 do
+    if live.(i) then List.iter mark n.cells.(i).fanin
+  done;
+  live
+
 let values n env =
   let reduce z = Z.erem_pow2 z n.width in
   interpret n Z.zero (fun op arg -> cell_value ~reduce op env arg)

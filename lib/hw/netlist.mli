@@ -74,8 +74,14 @@ val interpret : t -> 'a -> (op -> (int -> 'a) -> 'a) -> 'a array
 (** [interpret n init f] is every cell's [f op arg], indexed by cell id
     and computed in array order, where [arg k] is the result of the
     cell's [k]-th operand ([init] only fills the array first).
-    {!values} and the equivalence certifier's degree bounds, coefficient
-    bounds and point values are such interpretations. *)
+    {!values}, the equivalence certifier's degree bounds, coefficient
+    bounds and point values, and [Absint]'s two facts (the pre-wrap
+    interval the width lint reads, the constant [Simplify] reads) are
+    such interpretations. *)
+
+val live : t -> bool array
+(** [live n] marks, by cell id, the cells some output reads, directly or
+    through other cells. *)
 
 val values : t -> (string -> Z.t) -> Z.t array
 (** Bit-accurate evaluation: every cell's value by {!cell_value},

@@ -6,7 +6,3 @@
     cell.  The module is self-contained synthesizable Verilog-2001. *)
 
 val emit : ?module_name:string -> Netlist.t -> string
-
-val legalize : string -> string
-(** Make an arbitrary signal name a legal Verilog identifier (used for
-    inputs/outputs whose names contain characters like [~]). *)

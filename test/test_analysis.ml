@@ -107,14 +107,10 @@ let test_widths_no_input_findings () =
 (* ---- pre-wrap ranges and bit growth ------------------------------------- *)
 
 (* the exact interval of each cell, inputs unsigned full-scale *)
-module Int_interval = Polysynth_analysis.Domains.Int_interval
-module Int_intervals = Polysynth_analysis.Absint.Make (Int_interval)
-
 let netlist8 s = Netlist.of_prog ~width:8 (Prog.of_exprs [ Expr.of_poly (poly s) ])
 
 let output_range n =
-  let facts = Int_intervals.analyze n in
-  Option.get (Int_interval.range facts.(List.assoc "P1" n.Netlist.outputs))
+  (Polysynth_analysis.Absint.intervals n).(List.assoc "P1" n.Netlist.outputs)
 
 let test_range_simple () =
   let n = netlist8 "x + y" in
@@ -409,7 +405,7 @@ let qprop name ?(count = 1000) arb f =
 (* Random well-formed netlists: three input cells followed by operator
    cells whose fanin only points backwards, the last cell the sole
    output.  Inputs are drawn inside [0, 2^width) so the pre-wrap
-   Int_interval domain sees in-range inputs too. *)
+   interval analysis sees in-range inputs too. *)
 let build_netlist width specs =
   let base =
     [
@@ -468,43 +464,33 @@ let env_fn ~width (x, y, z) v =
   let w n = Z.erem_pow2 (Z.of_int n) width in
   match v with "x" -> w x | "y" -> w y | _ -> w z
 
-(* per-cell concrete values; [clamp = false] is the exact pre-wrap
-   evaluation Int_interval abstracts *)
-let eval_cells ~clamp (n : Netlist.t) envf =
-  let vals = Array.make (Array.length n.Netlist.cells) Z.zero in
-  Array.iter
-    (fun (c : Netlist.cell) ->
-      let arg k = vals.(List.nth c.Netlist.fanin k) in
-      let v =
-        match c.Netlist.op with
-        | Netlist.Input v -> envf v
-        | Netlist.Constant k -> k
-        | Netlist.Negate -> Z.neg (arg 0)
-        | Netlist.Add2 -> Z.add (arg 0) (arg 1)
-        | Netlist.Sub2 -> Z.sub (arg 0) (arg 1)
-        | Netlist.Mult2 -> Z.mul (arg 0) (arg 1)
-        | Netlist.Cmult k -> Z.mul k (arg 0)
-        | Netlist.Shl s -> Z.mul (Z.pow2 s) (arg 0)
-      in
-      vals.(c.Netlist.id) <-
-        (if clamp then Z.erem_pow2 v n.Netlist.width else v))
-    n.Netlist.cells;
-  vals
-
-(* soundness: whatever a cell concretely evaluates to is inside the fact
-   the analysis infers for it *)
-let prop_domain_sound name dom ~clamp =
+(* soundness: whatever a cell concretely evaluates to, under [reduce] of
+   the netlist's width, satisfies [contains] with the fact [analysis]
+   infers for it *)
+let prop_sound name analysis ~reduce contains =
   qprop ("soundness: " ^ name) arb_rand_netlist (fun (n, env) ->
-      let module D = (val dom : Domains.DOMAIN) in
-      let module A = Absint.Make (D) in
       let width = n.Netlist.width in
-      let facts = A.analyze n in
-      let vals = eval_cells ~clamp n (env_fn ~width env) in
-      let ok = ref true in
-      Array.iteri
-        (fun i v -> if not (D.contains ~width facts.(i) v) then ok := false)
-        vals;
-      !ok)
+      let envf = env_fn ~width env in
+      let vals =
+        Netlist.interpret n Z.zero (fun op arg ->
+            Netlist.cell_value ~reduce:(reduce ~width) op envf arg)
+      in
+      Array.for_all2 contains (analysis n) vals)
+
+(* the interval holds the exact value, before wrap-around *)
+let prop_intervals_sound =
+  prop_sound "int-interval (pre-wrap)" Absint.intervals
+    ~reduce:(fun ~width:_ v -> v)
+    (fun (lo, hi) v -> Z.compare lo v <= 0 && Z.compare v hi <= 0)
+
+(* a constant fact is the wrapped value *)
+let prop_constants_sound =
+  prop_sound "constants" Absint.constants
+    ~reduce:(fun ~width v -> Z.erem_pow2 v width)
+    (fun fact v ->
+      match Domains.Const.as_const fact with
+      | Some c -> Z.equal c v
+      | None -> true)
 
 (* each rule that makes a constant of a cell, at width 8: a zero factor
    on either side, a constant multiplier that vanishes mod 2^8, a shift by
@@ -539,7 +525,7 @@ let test_constant_rules () =
       Alcotest.(check (option string))
         (Printf.sprintf "c%d: %s" i what)
         expected
-        (Option.map Z.to_string (Domains.Const.as_const ~width:8 facts.(i))))
+        (Option.map Z.to_string (Domains.Const.as_const facts.(i))))
     [
       (2, "x * 0", Some "0");
       (3, "0 * x", Some "0");
@@ -764,7 +750,9 @@ let test_simplify_unsound_rewrite_refuted () =
   let n = Netlist.of_prog ~width prog in
   let facts = Array.map (fun _ -> Domains.Const.top ~width) n.Netlist.cells in
   let out_id = List.assoc "P1" n.Netlist.outputs in
-  facts.(out_id) <- Domains.Const.const ~width Z.zero;
+  facts.(out_id) <-
+    Domains.Const.transfer ~width (Netlist.Constant Z.zero) (fun _ ->
+        assert false);
   let o = Simplify.run ~system:[ ("P1", poly "x + y") ] ~facts n in
   Alcotest.(check int) "nothing applied" 0 o.Simplify.stats.Simplify.applied;
   Alcotest.(check bool) "the lie was refuted" true
@@ -1022,12 +1010,8 @@ let () =
         ] );
       ( "absint",
         [
-          prop_domain_sound "int-interval (pre-wrap)"
-            (module Domains.Int_interval : Domains.DOMAIN)
-            ~clamp:false;
-          prop_domain_sound "constants"
-            (module Domains.Const : Domains.DOMAIN)
-            ~clamp:true;
+          prop_intervals_sound;
+          prop_constants_sound;
           Alcotest.test_case "constant rules" `Quick test_constant_rules;
         ] );
       ( "simplify",

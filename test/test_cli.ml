@@ -95,6 +95,63 @@ let test_variable_named_like_output () =
   Alcotest.(check int) "P1*x + P2 is rejected" 1 (run ~input:"P1*x + P2" "");
   Alcotest.(check int) "P2*x synthesizes" 0 (run ~input:"P2*x" "")
 
+(* every reserved word of C11 and of Verilog-2005 (IEEE 1364-2005, Annex
+   B) is a usage error as a variable, since the emitted C or Verilog
+   could not name the input *)
+let reserved_words =
+  [
+    (* C11 *)
+    "auto"; "break"; "case"; "char"; "const"; "continue"; "default"; "do";
+    "double"; "else"; "enum"; "extern"; "float"; "for"; "goto"; "if";
+    "inline"; "int"; "long"; "register"; "restrict"; "return"; "short";
+    "signed"; "sizeof"; "static"; "struct"; "switch"; "typedef"; "union";
+    "unsigned"; "void"; "volatile"; "while"; "_Alignas"; "_Alignof";
+    "_Atomic"; "_Bool"; "_Complex"; "_Generic"; "_Imaginary"; "_Noreturn";
+    "_Static_assert"; "_Thread_local";
+    (* Verilog-2005 *)
+    "always"; "and"; "assign"; "automatic"; "begin"; "buf"; "bufif0";
+    "bufif1"; "case"; "casex"; "casez"; "cell"; "cmos"; "config";
+    "deassign"; "default"; "defparam"; "design"; "disable"; "edge"; "else";
+    "end"; "endcase"; "endconfig"; "endfunction"; "endgenerate";
+    "endmodule"; "endprimitive"; "endspecify"; "endtable"; "endtask";
+    "event"; "for"; "force"; "forever"; "fork"; "function"; "generate";
+    "genvar"; "highz0"; "highz1"; "if"; "ifnone"; "incdir"; "include";
+    "initial"; "inout"; "input"; "instance"; "integer"; "join"; "large";
+    "liblist"; "library"; "localparam"; "macromodule"; "medium"; "module";
+    "nand"; "negedge"; "nmos"; "nor"; "noshowcancelled"; "not"; "notif0";
+    "notif1"; "or"; "output"; "parameter"; "pmos"; "posedge"; "primitive";
+    "pull0"; "pull1"; "pulldown"; "pullup"; "pulsestyle_ondetect";
+    "pulsestyle_onevent"; "rcmos"; "real"; "realtime"; "reg"; "release";
+    "repeat"; "rnmos"; "rpmos"; "rtran"; "rtranif0"; "rtranif1";
+    "scalared"; "showcancelled"; "signed"; "small"; "specify"; "specparam";
+    "strong0"; "strong1"; "supply0"; "supply1"; "table"; "task"; "time";
+    "tran"; "tranif0"; "tranif1"; "tri"; "tri0"; "tri1"; "triand"; "trior";
+    "trireg"; "unsigned"; "use"; "uwire"; "vectored"; "wait"; "wand";
+    "weak0"; "weak1"; "while"; "wire"; "wor"; "xnor"; "xor";
+  ]
+
+let test_reserved_word_variable () =
+  let err = Filename.temp_file "polysynth" ".err" in
+  List.iter
+    (fun word ->
+      let code =
+        Sys.command
+          (Printf.sprintf "printf '%%s*x + 1\\n' %s | %s - >/dev/null 2>%s"
+             (Filename.quote word) (Filename.quote polysynth)
+             (Filename.quote err))
+      in
+      let msg = In_channel.with_open_text err In_channel.input_all in
+      Alcotest.(check (pair int string))
+        (word ^ " is a usage error")
+        ( 1,
+          Printf.sprintf
+            "error: variable %s is named like a reserved word of C or \
+             Verilog\n"
+            word )
+        (code, msg))
+    reserved_words;
+  Sys.remove err
+
 let range_line bits growth =
   Printf.sprintf
     "range analysis: widest intermediate needs %d bits (growth %d over the \
@@ -372,6 +429,8 @@ let () =
           Alcotest.test_case "json prints one object" `Quick test_json_alone;
           Alcotest.test_case "variable named like an output" `Quick
             test_variable_named_like_output;
+          Alcotest.test_case "reserved word as a variable" `Quick
+            test_reserved_word_variable;
         ] );
       ( "range", [ Alcotest.test_case "figures" `Quick test_range_figures ] );
       ( "check",

@@ -133,12 +133,6 @@ let test_verilog_structure () =
   Alcotest.(check bool) "endmodule" true (contains "endmodule");
   Alcotest.(check bool) "constant mult" true (contains "16'd3 *")
 
-let test_verilog_legalize () =
-  Alcotest.(check string) "tilde" "_5" (V.legalize "~5");
-  Alcotest.(check string) "leading digit" "_5x" (V.legalize "5x");
-  Alcotest.(check string) "pass through" "cse_t1" (V.legalize "cse_t1");
-  Alcotest.(check string) "empty" "_" (V.legalize "")
-
 let test_verilog_no_negative_literal () =
   (* constants are emitted reduced into [0, 2^w): no "16'd-5" artifacts *)
   let src = V.emit (N.of_prog ~width:8 (prog_of_strings [ "x*y - 5*z" ])) in
@@ -1043,7 +1037,6 @@ let () =
       ( "verilog",
         [
           Alcotest.test_case "structure" `Quick test_verilog_structure;
-          Alcotest.test_case "legalize" `Quick test_verilog_legalize;
           Alcotest.test_case "negative constant" `Quick
             test_verilog_no_negative_literal;
         ] );
