@@ -48,3 +48,81 @@ let verify ?ctx polys prog =
       | Some q, Some ctx -> equal_functions ctx p q
       | Some q, None -> P.equal p q)
     (Prog.name_outputs polys)
+
+(* The prime rectangles of the kernel-cube matrix of [polys] as
+   [Polysynth_cse.Kcm.prime_rectangles] computes them, with each row's
+   columns held in a [Set.Make (Int)]: the reference that the matrix's
+   own row representation is checked against.  Returns the number of
+   columns (distinct signed cubes) and the rectangles as (rows, body,
+   value), best value first, at most 64. *)
+module IntSet = Set.Make (Int)
+
+let kcm_prime_rectangles polys =
+  let rows =
+    Array.of_list (List.concat_map Polysynth_cse.Kernel.kernels polys)
+  in
+  let index = Hashtbl.create 64 and cols = ref [] in
+  let index_of (c, m) =
+    let key = (Z.to_string c, Mono.to_string m) in
+    match Hashtbl.find_opt index key with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length index in
+      Hashtbl.add index key i;
+      cols := (c, m) :: !cols;
+      i
+  in
+  let row_cols =
+    Array.map
+      (fun (_, k) ->
+        List.fold_left
+          (fun acc t -> IntSet.add (index_of t) acc)
+          IntSet.empty (P.terms k))
+      rows
+  in
+  let cols = Array.of_list (List.rev !cols) in
+  let rows_of_cols cs =
+    List.filter
+      (fun i -> IntSet.subset cs row_cols.(i))
+      (List.init (Array.length rows) Fun.id)
+  in
+  let cols_of_rows = function
+    | [] -> IntSet.empty
+    | first :: rest ->
+      List.fold_left
+        (fun acc i -> IntSet.inter acc row_cols.(i))
+        row_cols.(first) rest
+  in
+  let seen = Hashtbl.create 64 and out = ref [] in
+  let consider cs =
+    if IntSet.cardinal cs >= 2 then begin
+      let rs = rows_of_cols cs in
+      let cs = cols_of_rows rs in
+      if List.length rs >= 2 && IntSet.cardinal cs >= 2 then begin
+        let key = (rs, IntSet.elements cs) in
+        if not (Hashtbl.mem seen key) then begin
+          Hashtbl.add seen key ();
+          let body =
+            P.of_terms (List.map (fun i -> cols.(i)) (IntSet.elements cs))
+          in
+          let value =
+            (List.length rs - 1) * Polysynth_expr.Dag.poly_ops body
+          in
+          out := (rs, body, value) :: !out
+        end
+      end
+    end
+  in
+  let n = Array.length rows in
+  for i = 0 to n - 1 do
+    consider row_cols.(i)
+  done;
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      consider (IntSet.inter row_cols.(i) row_cols.(j))
+    done
+  done;
+  let ranked =
+    List.stable_sort (fun (_, _, a) (_, _, b) -> Stdlib.compare b a) !out
+  in
+  (Array.length cols, List.filteri (fun i _ -> i < 64) ranked)
