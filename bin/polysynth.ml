@@ -353,9 +353,36 @@ let reserved_words =
     "weak0"; "weak1"; "while"; "wire"; "wor"; "xnor"; "xor";
   ]
 
+(* The object-like and function-like macros that C11 defines in the two
+   headers the emitted C includes: <stdint.h> (7.20.2 to 7.20.4) and
+   <stdio.h> (7.21.1).  A parameter so named is rewritten by the
+   preprocessor before the compiler sees it. *)
+let c_header_macros =
+  let sized n =
+    [ Printf.sprintf "INT%d_MIN" n; Printf.sprintf "INT%d_MAX" n;
+      Printf.sprintf "UINT%d_MAX" n; Printf.sprintf "INT_LEAST%d_MIN" n;
+      Printf.sprintf "INT_LEAST%d_MAX" n; Printf.sprintf "UINT_LEAST%d_MAX" n;
+      Printf.sprintf "INT_FAST%d_MIN" n; Printf.sprintf "INT_FAST%d_MAX" n;
+      Printf.sprintf "UINT_FAST%d_MAX" n; Printf.sprintf "INT%d_C" n;
+      Printf.sprintf "UINT%d_C" n ]
+  in
+  List.concat_map sized [ 8; 16; 32; 64 ]
+  @ [
+      (* <stdint.h> *)
+      "INTPTR_MIN"; "INTPTR_MAX"; "UINTPTR_MAX"; "INTMAX_MIN"; "INTMAX_MAX";
+      "UINTMAX_MAX"; "PTRDIFF_MIN"; "PTRDIFF_MAX"; "SIG_ATOMIC_MIN";
+      "SIG_ATOMIC_MAX"; "SIZE_MAX"; "WCHAR_MIN"; "WCHAR_MAX"; "WINT_MIN";
+      "WINT_MAX"; "INTMAX_C"; "UINTMAX_C";
+      (* <stdio.h> *)
+      "NULL"; "_IOFBF"; "_IOLBF"; "_IONBF"; "BUFSIZ"; "EOF"; "FOPEN_MAX";
+      "FILENAME_MAX"; "L_tmpnam"; "SEEK_CUR"; "SEEK_END"; "SEEK_SET";
+      "TMP_MAX"; "stderr"; "stdin"; "stdout";
+    ]
+
 (* A variable the emitted code cannot name as a port: one named like an
-   output would be both a port and a wire, and a reserved word is no
-   identifier at all. *)
+   output would be both a port and a wire, a reserved word is no
+   identifier at all, and a macro of the included C headers is expanded
+   away. *)
 let variable_error polys =
   let vars = List.concat_map Poly.vars polys in
   match
@@ -364,10 +391,16 @@ let variable_error polys =
   | Some (o, _) ->
     Some (Printf.sprintf "variable %s is named like an output of the system" o)
   | None ->
-    List.find_opt (fun v -> List.mem v reserved_words) vars
-    |> Option.map
-         (Printf.sprintf
-            "variable %s is named like a reserved word of C or Verilog")
+    match List.find_opt (fun v -> List.mem v reserved_words) vars with
+    | Some v ->
+      Some
+        (Printf.sprintf
+           "variable %s is named like a reserved word of C or Verilog" v)
+    | None ->
+      List.find_opt (fun v -> List.mem v c_header_macros) vars
+      |> Option.map
+           (Printf.sprintf
+              "variable %s is named like a macro of <stdint.h> or <stdio.h>")
 
 let run_synthesis options =
   match usage_error options with

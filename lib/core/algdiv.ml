@@ -19,11 +19,16 @@ module Memo = Hashtbl.Make (Key)
 (* a divisor and its block name, registered in the table on first use *)
 type divisor = { div : Poly.t; mutable name : string option }
 
-(* a memo entry is a decomposition and its operator count *)
+(* A memo entry is a decomposition's operator count and the
+   decomposition, built on first use: most entries are never read by a
+   winner or a built candidate.  The lazy values stay inside the session,
+   which one domain fills; [decompose] returns a forced expression. *)
+type entry = { cost : int; expr : Expr.t Lazy.t }
+
 type session = {
   table : Blocktab.t;
   divs : divisor list;
-  memo : (Expr.t * int) Memo.t;
+  memo : entry Memo.t;
 }
 
 let make_session table ~divisors =
@@ -39,27 +44,21 @@ let divisor_name s d =
     d.name <- Some name;
     name
 
-(* The best candidate so far.  A division [d * Q + R] stays unbuilt until
-   it has won. *)
-type winner = Built of Expr.t | Division of string * Expr.t * Expr.t
-
-let build = function
-  | Built e -> e
-  | Division (dv, eq, er) -> Expr.add [ Expr.mul [ Expr.var dv; eq ]; er ]
-
-(* What [Dag.tree_ops] gives the built division: the smart constructors
-   fold [dv * (+-1)] to [+-dv] and [m + 0] to [m], and otherwise add one
-   product and one sum to their operands' counts.  The product may merge
-   [dv] with a [dv] factor of [eq] into a power, which costs the same;
-   no decomposition holds a product with a repeated factor that is not a
-   power of a variable, whose merging would cost less. *)
-let division_price (eq, cq) (er, cr) =
+(* What [Dag.tree_ops] gives the division candidate built from the
+   decompositions of [q] and [r]: the smart constructors fold
+   [dv * (+-1)] to [+-dv] and [m + 0] to [m], and otherwise add one
+   product and one sum to their operands' counts.  Only the constant +-1
+   decomposes to +-1, and only 0 to 0.  The product may merge [dv] with a
+   [dv] factor of the quotient's decomposition into a power, which costs
+   the same; no decomposition holds a product with a repeated factor that
+   is not a power of a variable, whose merging would cost less. *)
+let division_price (q, cq) (r, cr) =
   let unit_q =
-    match eq with
-    | Expr.Const c | Expr.Neg (Expr.Const c) -> Z.is_one c
-    | Expr.Var _ | Expr.Neg _ | Expr.Add _ | Expr.Mul _ | Expr.Pow _ -> false
+    match Poly.to_const_opt q with
+    | Some c -> Z.is_one (Z.abs c)
+    | None -> false
   in
-  cq + cr + (if unit_q then 0 else 1) + if Expr.equal er Expr.zero then 0 else 1
+  cq + cr + (if unit_q then 0 else 1) + if Poly.is_zero r then 0 else 1
 
 (* [p = c * primitive_part p]: the content with the sign of the leading
    coefficient *)
@@ -100,17 +99,32 @@ let could_be_perfect_power p =
        (fun k -> Squarefree.integer_root lc k <> None)
        [ 2; 3; 5; 7 ]
 
+(* the co-kernel with the largest cube: the first of the highest score
+   [num_terms k * degree ck] among the kernels with a co-kernel other than
+   1 *)
+let top_kernel p =
+  List.fold_left
+    (fun best (ck, k) ->
+      if Monomial.is_one ck then best
+      else
+        let score = Poly.num_terms k * Monomial.degree ck in
+        match best with
+        | Some (_, best_score) when best_score >= score -> best
+        | Some _ | None -> Some ((ck, k), score))
+    None (Kernel.kernels p)
+  |> Option.map fst
+
 let rec decompose_at depth s p =
   let key = { Key.poly = p; hash = Poly.hash p } in
   match Memo.find_opt s.memo key with
   | Some entry -> entry
   | None ->
     (* break potential cycles defensively: memoize the direct form first,
-       then overwrite with the winner *)
-    let direct = Expr.of_poly p in
-    let entry = (direct, Dag.tree_ops direct) in
-    Memo.replace s.memo key entry;
-    let result = choose depth s p entry in
+       then overwrite with the winner.  The direct form is priced from the
+       terms ([Dag.poly_ops] is [tree_ops] of [Expr.of_poly]). *)
+    let direct = { cost = Dag.poly_ops p; expr = lazy (Expr.of_poly p) } in
+    Memo.replace s.memo key direct;
+    let result = choose depth s p direct in
     Memo.replace s.memo key result;
     result
 
@@ -118,18 +132,16 @@ let rec decompose_at depth s p =
    it is strictly cheaper.  The memo keeps the first call to reach a
    polynomial, so the order of the [deeper] calls (and of the divisor
    naming) fixes the result and must not change. *)
-and choose depth s p (direct, direct_cost) =
-  if Poly.is_zero p || Poly.is_const p then (direct, direct_cost)
+and choose depth s p direct =
+  if Poly.is_zero p || Poly.is_const p then direct
   else begin
-    let deeper p = fst (decompose_at (depth + 1) s p) in
-    let best = ref (Built direct) and best_cost = ref direct_cost in
-    let consider winner c =
-      if c < !best_cost then begin
-        best := winner;
-        best_cost := c
-      end
+    let deeper p = Lazy.force (decompose_at (depth + 1) s p).expr in
+    let best = ref direct in
+    let beats cost = cost < !best.cost in
+    let consider_built e =
+      let cost = Dag.tree_ops e in
+      if beats cost then best := { cost; expr = Lazy.from_val e }
     in
-    let consider_built e = consider (Built e) (Dag.tree_ops e) in
     (* content *)
     (let c = content_factor p in
      if (not (Z.is_one (Z.abs c))) && Poly.num_terms p >= 2 then
@@ -143,46 +155,50 @@ and choose depth s p (direct, direct_cost) =
        | Some _ | None -> ());
     if depth < max_depth then begin
       (* division by each divisor, priced from the memo entries of the
-         remainder and the quotient, in that order *)
+         remainder and the quotient, in that order, and built only if it
+         is read *)
       List.iter
         (fun d ->
           let q, r = Poly.div_rem p d.div in
           if not (Poly.is_zero q) then begin
             let dv = divisor_name s d in
-            let ((er, _) as r_entry) = decompose_at (depth + 1) s r in
-            let ((eq, _) as q_entry) = decompose_at (depth + 1) s q in
-            consider (Division (dv, eq, er)) (division_price q_entry r_entry)
+            let er = decompose_at (depth + 1) s r in
+            let eq = decompose_at (depth + 1) s q in
+            let cost = division_price (q, eq.cost) (r, er.cost) in
+            if beats cost then
+              best :=
+                {
+                  cost;
+                  expr =
+                    lazy
+                      (Expr.add
+                         [ Expr.mul [ Expr.var dv; Lazy.force eq.expr ];
+                           Lazy.force er.expr ]);
+                }
           end)
         s.divs;
-      (* common coefficients *)
+      (* common coefficients: the residual is decomposed before the
+         groups *)
       (let r = Cce.extract p in
        match r.Cce.groups with
        | [] -> ()
        | groups ->
-         consider_built
-           (Expr.add
-              (List.map
-                 (fun (g, b) -> Expr.mul [ Expr.const g; deeper b ])
-                 groups
-              @ [ deeper r.Cce.residual ])));
-      (* the co-kernel with the largest cube *)
-      let ks =
-        Kernel.kernels p
-        |> List.filter (fun (ck, _) -> not (Monomial.is_one ck))
-        |> List.stable_sort (fun (ck1, k1) (ck2, k2) ->
-               let score (ck, k) = Poly.num_terms k * Monomial.degree ck in
-               Stdlib.compare (score (ck2, k2)) (score (ck1, k1)))
-      in
-      match ks with
-      | [] -> ()
-      | (ck, k) :: _ ->
-        let rest = Poly.sub p (Poly.mul_term Z.one ck k) in
+         let residual = deeper r.Cce.residual in
+         let parts =
+           List.map (fun (g, b) -> Expr.mul [ Expr.const g; deeper b ]) groups
+         in
+         consider_built (Expr.add (parts @ [ residual ])));
+      (* the co-kernel with the largest cube: [rest] is decomposed before
+         the kernel *)
+      match top_kernel p with
+      | None -> ()
+      | Some (ck, k) ->
+        let rest = deeper (Poly.sub p (Poly.mul_term Z.one ck k)) in
+        let k = deeper k in
         consider_built
-          (Expr.add
-             [ Expr.mul (Expr.of_poly (Poly.monomial ck) :: [ deeper k ]);
-               deeper rest ])
+          (Expr.add [ Expr.mul [ Expr.of_poly (Poly.monomial ck); k ]; rest ])
     end;
-    (build !best, !best_cost)
+    !best
   end
 
-let decompose s p = fst (decompose_at 0 s p)
+let decompose s p = Lazy.force (decompose_at 0 s p).expr

@@ -24,11 +24,13 @@ type session
     shares one session across polynomials fixes the order of its calls:
     {!Represent.build} fills one session per system, polynomial by
     polynomial.  A memo key carries its polynomial's {!Poly.hash}, so a
-    miss hashes the polynomial once, and a miss builds the direct form
-    once: it is both the entry that guards against cycles and the first
-    candidate.  An entry keeps its expression's operator count
-    ({!Polysynth_expr.Dag.tree_ops}) next to the expression, so a caller
-    one level up prices a candidate built on it without walking it. *)
+    miss hashes the polynomial once.  An entry keeps its decomposition's
+    operator count ({!Polysynth_expr.Dag.tree_ops}), so a caller one level
+    up prices a candidate built on it without walking it, and builds the
+    decomposition itself only when a winner or a built candidate reads
+    it: a miss first enters the direct form, priced from the terms
+    ({!Polysynth_expr.Dag.poly_ops}) with no expression built, as both the
+    entry that guards against cycles and the first candidate. *)
 
 val make_session : Blocktab.t -> divisors:Poly.t list -> session
 (** A divisor is named on first use: the first candidate that divides by
@@ -42,16 +44,16 @@ val decompose : session -> Poly.t -> Expr.t
     stop 4 recursion levels below the call.  Candidates are compared by
     operator count, the earliest winning a tie.  A division candidate
     [d * Q + R] is priced by {!division_price} from the memo entries of
-    [R] and [Q] (decomposed in that order) and built only if it wins;
-    the content, perfect-power, common-coefficient and co-kernel
+    [R] and [Q] (decomposed in that order) and built only if it wins and
+    is read; the content, perfect-power, common-coefficient and co-kernel
     candidates are built and their trees counted. *)
 
-val division_price : Expr.t * int -> Expr.t * int -> int
-(** [division_price (eq, cq) (er, cr)] is the operator count
+val division_price : Poly.t * int -> Poly.t * int -> int
+(** [division_price (q, cq) (r, cr)] is the operator count
     ({!Polysynth_expr.Dag.tree_ops}) of the division candidate
     [Expr.add [Expr.mul [Expr.var dv; eq]; er]], where [eq] and [er] are
-    decompositions of a non-zero quotient and of a remainder, [cq] and
-    [cr] their counts and [dv] the divisor's block name: [cq + cr], plus a
-    multiplication unless [eq] is +-1 and an addition unless [er] is 0.
-    This is how {!decompose} prices a division candidate without building
-    it. *)
+    the decompositions of a non-zero quotient [q] and of a remainder [r],
+    [cq] and [cr] their counts and [dv] the divisor's block name:
+    [cq + cr], plus a multiplication unless [q] is +-1 and an addition
+    unless [r] is 0.  This is how {!decompose} prices a division candidate
+    without building it, or the decompositions of [q] and [r]. *)

@@ -46,13 +46,21 @@ let extract p =
       in
       if List.length covered >= 2 then begin
         let block =
-          Poly.of_terms (List.map (fun (c, m) -> (Z.divexact c g, m)) covered)
+          Poly.of_sorted_terms
+            (List.map (fun (c, m) -> (Z.divexact c g, m)) covered)
         in
         extract_loop uncovered ((g, block) :: groups) rest
       end
       else extract_loop remaining groups rest
   in
+  (* [covered], [left] and [const_terms] keep the order of [p]'s terms, and
+     an exact division by [g] leaves no coefficient zero, so no term list
+     needs sorting *)
   let groups, left = extract_loop mult_terms [] gcds in
-  { groups; residual = Poly.add (Poly.of_terms left) (Poly.of_terms const_terms) }
+  {
+    groups;
+    residual =
+      Poly.add (Poly.of_sorted_terms left) (Poly.of_sorted_terms const_terms);
+  }
 
 let blocks r = List.map snd r.groups

@@ -55,11 +55,14 @@ type report = {
           variant label when an integrated decomposition won; empty for
           the baselines) *)
   cert : Equiv.cert;
-      (** equivalence certificate for [prog] against the source system:
-          [Verified] is a proof (canonical forms over [Z_2^m] under a ring
-          context, exact identity otherwise), [Refuted] carries a concrete
-          counterexample input.  [Unknown "not certified"] when the run
-          had [certify = false]. *)
+      (** equivalence certificate for [prog] against the source system,
+          from {!Polysynth_analysis.Equiv}'s one decision procedure (both
+          sides evaluated on a point set that proves equality, modulo
+          [2^m] under a ring context and modulo large primes otherwise):
+          [Verified] is a proof, [Refuted] carries the first point where
+          the sides differ, and [Unknown] says the point set passed the
+          evaluation budget.  [Unknown "not certified"] when the run had
+          [certify = false]. *)
   simplified : Polysynth_analysis.Simplify.outcome option;
       (** outcome of the certificate-guarded netlist simplification pass;
           present only when the run had [Config.simplify = true].  The

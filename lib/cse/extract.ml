@@ -57,7 +57,11 @@ let decode_expr e =
 
 (* ---- work items ------------------------------------------------------------ *)
 
-type item = { name : string; body : Poly.t }
+(* an item keeps the flat operator count of its body, counted once when
+   the item is made *)
+type item = { name : string; body : Poly.t; ops : int }
+
+let item name body = { name; body; ops = Dag.poly_ops body }
 
 (* perfbench's replay is the only caller of this no-op; the benchmark
    change that updates the replay (ROADMAP item 1) deletes it *)
@@ -71,6 +75,7 @@ type candidate = Block of Poly.t | Cube of Monomial.t
 
 module PolyMap = Map.Make (Poly)
 module MonoSet = Set.Make (Monomial)
+module MonoTbl = Hashtbl.Make (Monomial)
 
 (* The term-list merges below walk two polynomials' descending term lists
    once.  [same ~neg c c'] says whether [c'] is [c], or [-c] when [neg]. *)
@@ -118,50 +123,91 @@ let normalize_sign p =
   else if Z.is_negative (fst (Poly.leading p)) then Poly.neg p
   else p
 
-let kernel_instances items =
-  List.concat_map
-    (fun it ->
-      List.map (fun (ck, k) -> (it, ck, k)) (Kernel.kernels it.body))
-    items
+(* A round's kernel instances (each item with each of its kernels, in
+   item order), and the index from a monomial to the instances whose
+   kernel has a term on it, in instance order.  A kernel holding +-d has
+   a term on every monomial of d, so only the instances indexed under one
+   of d's monomials can hold it. *)
+type instances = {
+  inst : (item * Poly.t) array;
+  index : int list MonoTbl.t;
+}
 
-let candidate_blocks ~signs instances =
-  let norm k = if signs then normalize_sign k else k in
-  let grouped =
-    List.fold_left
-      (fun acc (_, _, k) ->
-        PolyMap.update (norm k)
-          (function None -> Some 1 | Some n -> Some (n + 1))
-          acc)
-      PolyMap.empty instances
+let kernel_instances items =
+  let inst =
+    Array.of_list
+      (List.concat_map
+         (fun it -> List.map (fun (_, k) -> (it, k)) (Kernel.kernels it.body))
+         items)
   in
-  let kernels = List.map fst (PolyMap.bindings grouped) in
+  let index = MonoTbl.create 64 in
+  for i = Array.length inst - 1 downto 0 do
+    List.iter
+      (fun (_, m) ->
+        MonoTbl.replace index m
+          (i :: Option.value ~default:[] (MonoTbl.find_opt index m)))
+      (Poly.terms (snd inst.(i)))
+  done;
+  { inst; index }
+
+let indexed t m = Option.value ~default:[] (MonoTbl.find_opt t.index m)
+
+let candidate_blocks ~signs t =
+  let norm k = if signs then normalize_sign k else k in
+  (* the distinct kernels in increasing order, and each instance's rank
+     among them *)
+  let normed = Array.map (fun (_, k) -> norm k) t.inst in
+  let kernels =
+    Array.of_list (List.sort_uniq Poly.compare (Array.to_list normed))
+  in
+  let ranks =
+    PolyMap.of_seq (Seq.mapi (fun i k -> (k, i)) (Array.to_seq kernels))
+  in
+  let rank = Array.map (fun k -> PolyMap.find k ranks) normed in
   (* pairwise term intersections of distinct kernels (up to sign) expose
-     shared sub-expressions that are not whole kernels *)
-  let intersect ~neg k k' =
+     shared sub-expressions that are not whole kernels; two common terms
+     need two common monomials, so only the pairs that the index shows
+     sharing two monomials are intersected *)
+  let intersect ~neg k k' acc =
     match common_terms ~neg (Poly.terms k) (Poly.terms k') with
     | _ :: _ :: _ as common ->
       let inter = Poly.of_sorted_terms common in
       if not (Poly.equal inter k) && not (Poly.equal inter k') then
-        [ norm inter ]
-      else []
-    | [] | [ _ ] -> []
+        norm inter :: acc
+      else acc
+    | [] | [ _ ] -> acc
   in
-  let rec intersections acc = function
-    | [] -> acc
-    | k :: rest ->
-      let acc =
-        List.fold_left
-          (fun acc k' ->
-            intersect ~neg:false k k'
-            @ (if signs then intersect ~neg:true k k' else [])
-            @ acc)
-          acc rest
-      in
-      intersections acc rest
-  in
-  let inters = intersections [] kernels in
-  List.map (fun k -> Block k) kernels
-  @ List.map (fun k -> Block k) (List.sort_uniq Poly.compare inters)
+  let n = Array.length kernels in
+  let shared = Array.make n 0 and stamp = Array.make n (-1) in
+  let inters = ref [] in
+  Array.iteri
+    (fun a k ->
+      let touched = ref [] in
+      List.iteri
+        (fun j (_, m) ->
+          List.iter
+            (fun i ->
+              let b = rank.(i) in
+              if b > a && stamp.(b) <> j then begin
+                stamp.(b) <- j;
+                if shared.(b) = 0 then touched := b :: !touched;
+                shared.(b) <- shared.(b) + 1;
+                if shared.(b) = 2 then begin
+                  let k' = kernels.(b) in
+                  inters := intersect ~neg:false k k' !inters;
+                  if signs then inters := intersect ~neg:true k k' !inters
+                end
+              end)
+            (indexed t m))
+        (Poly.terms k);
+      List.iter
+        (fun b ->
+          shared.(b) <- 0;
+          stamp.(b) <- -1)
+        !touched)
+    kernels;
+  List.map (fun k -> Block k) (Array.to_list kernels)
+  @ List.map (fun k -> Block k) (List.sort_uniq Poly.compare !inters)
 
 (* Every cube of degree >= 2 that is the gcd of two term monomials.  A
    monomial that occurs twice is its own gcd, so the distinct monomials
@@ -265,54 +311,56 @@ let dependency_closure bodies body =
   List.iter visit (Poly.vars body);
   Hashtbl.mem seen
 
-(* the items after the move, in order, then the new block.  Only the
-   [holders] (a sublist of [items], in order) can change: every other item
-   comes back as it is, exactly as the rewrite would return it. *)
-let apply_candidate ~signs bodies fresh_name cand holders items =
+(* A trial of a move: the new block's body and the rewritten holders
+   (in order, each with its new version).  Only the [holders] can change:
+   every other item would come back as it is.  A holder the block body
+   depends on is frozen, which needs a dependency walk only when a
+   variable of the body names an item. *)
+let trial ~signs bodies fresh_name cand holders =
   let block_body =
     match cand with
     | Block d -> d
     | Cube c -> Poly.monomial c
   in
-  let frozen = dependency_closure bodies block_body in
+  let frozen =
+    if List.exists (Hashtbl.mem bodies) (Poly.vars block_body) then
+      dependency_closure bodies block_body
+    else fun _ -> false
+  in
   let rewrite =
     match cand with
     | Block d -> rewrite_with_block ~signs fresh_name d
     | Cube c -> rewrite_with_cube fresh_name c
   in
-  let rec go items holders =
-    match items, holders with
-    | it :: items, h :: holders' when it == h ->
-      (if frozen it.name then it else { it with body = rewrite it.body })
-      :: go items holders'
-    | it :: items, holders -> it :: go items holders
-    | [], _ -> [ { name = fresh_name; body = block_body } ]
-  in
-  go items holders
+  ( item fresh_name block_body,
+    List.filter_map
+      (fun h ->
+        if frozen h.name then None else Some (h, item h.name (rewrite h.body)))
+      holders )
 
-(* flat cost of a trial: [costs] are the round's per-item counts, reused
-   for every body the move left physically unchanged.  Block variables
-   and coefficient literals count as plain operands. *)
-let trial_cost costs items trial =
-  let rec go acc costs items trial =
-    match costs, items, trial with
-    | n :: costs, it :: items, it' :: trial ->
-      go (acc + if it'.body == it.body then n else Dag.poly_ops it'.body)
-        costs items trial
-    | [], [], trial ->
-      List.fold_left (fun acc it -> acc + Dag.poly_ops it.body) acc trial
-    | _ -> invalid_arg "Extract.trial_cost"
-  in
-  go 0 costs items trial
+(* the flat cost after a trial, from the round's [current] cost: only the
+   rewritten holders and the new block change it *)
+let trial_cost current (block, rewritten) =
+  List.fold_left
+    (fun acc (h, h') -> acc + h'.ops - h.ops)
+    (current + block.ops) rewritten
 
-(* count how many items actually changed; a candidate that rewrites nothing
-   is useless even if the cost metric ties *)
-let num_rewritten before after =
-  let n = List.length before in
-  List.fold_left2
-    (fun acc b a -> if Poly.equal b.body a.body then acc else acc + 1)
-    0 before
-    (List.filteri (fun i _ -> i < n) after)
+(* a candidate that rewrites nothing is useless even if the cost metric
+   ties *)
+let num_rewritten (_, rewritten) =
+  List.length
+    (List.filter (fun (h, h') -> not (Poly.equal h.body h'.body)) rewritten)
+
+(* the items after the move, in order, then the new block *)
+let apply items (block, rewritten) =
+  let rec go items rewritten =
+    match items, rewritten with
+    | it :: items, (h, h') :: rewritten' when it == h ->
+      h' :: go items rewritten'
+    | it :: items, rewritten -> it :: go items rewritten
+    | [], _ -> [ block ]
+  in
+  go items rewritten
 
 (* ---- main loop -------------------------------------------------------------------- *)
 
@@ -326,7 +374,7 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
     | Vars_only -> polys
   in
   let outputs =
-    List.map (fun (name, body) -> { name; body }) (Prog.name_outputs encoded)
+    List.map (fun (name, body) -> item name body) (Prog.name_outputs encoded)
   in
   (* after block [cse_t<k>], the next block takes the least index above [k]
      whose name is not a variable of the system *)
@@ -339,42 +387,42 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
      polynomial even on 25-polynomial systems.  The scan also yields the
      holders, the items (in order) a trial can rewrite: for a block, those
      with a kernel holding it (the same memoized kernels the rewrite
-     reads), for a cube, those with a term it divides. *)
+     reads), found through the instance index under its leading monomial;
+     for a cube, those with a term it divides. *)
   let keep it holders =
     match holders with h :: _ when h == it -> holders | _ -> it :: holders
   in
   let estimate instances items cand =
     match cand with
     | Block d ->
-      let ops_d = Dag.poly_ops d in
-      let occ, holders =
-        List.fold_left
-          (fun ((occ, holders) as acc) (it, _, k) ->
-            match subset_terms_signed ~signs d k with
-            | None -> acc
-            | Some _ -> (occ + 1, keep it holders))
-          (0, []) instances
+      let rec scan occ holders = function
+        | [] -> ((if occ = 0 then 0 else occ * Dag.poly_ops d), List.rev holders)
+        | i :: rest ->
+          let it, k = instances.inst.(i) in
+          if Option.is_none (subset_terms_signed ~signs d k) then
+            scan occ holders rest
+          else scan (occ + 1) (keep it holders) rest
       in
-      (occ * ops_d, List.rev holders)
+      scan 0 [] (indexed instances (snd (Poly.leading d)))
     | Cube c ->
-      let uses, holders =
-        List.fold_left
-          (fun acc it ->
+      let rec scan uses holders = function
+        | [] -> ((uses - 1) * (Monomial.degree c - 1), List.rev holders)
+        | it :: rest ->
+          let n =
             List.fold_left
-              (fun ((uses, holders) as acc) (_, m) ->
-                if Monomial.divides c m then (uses + 1, keep it holders)
-                else acc)
-              acc (Poly.terms it.body))
-          (0, []) items
+              (fun n (_, m) -> if Monomial.divides c m then n + 1 else n)
+              0 (Poly.terms it.body)
+          in
+          if n = 0 then scan uses holders rest
+          else scan (uses + n) (it :: holders) rest
       in
-      ((uses - 1) * (Monomial.degree c - 1), List.rev holders)
+      scan 0 [] items
   in
   let trials_per_round = 40 in
   let rec loop iters last items block_order =
     if iters >= max_iters then (items, block_order)
     else begin
-      let costs = List.map (fun it -> Dag.poly_ops it.body) items in
-      let current_cost = List.fold_left ( + ) 0 costs in
+      let current_cost = List.fold_left (fun acc it -> acc + it.ops) 0 items in
       let bodies = Hashtbl.create 64 in
       List.iter (fun it -> Hashtbl.replace bodies it.name it.body) items;
       let instances = kernel_instances items in
@@ -400,22 +448,24 @@ let run ?(mode = Coeff_literals) ?(strategy = Greedy) ?(signs = true) polys =
         List.filteri (fun i _ -> i < trials_per_round) ranked
       in
       let index, name = name_after last in
+      (* each trial is priced from its rewritten holders alone; the item
+         list is rebuilt once, for the winner *)
       let best =
         List.fold_left
           (fun best (_, (cand, holders)) ->
-            let trial = apply_candidate ~signs bodies name cand holders items in
-            let cost = trial_cost costs items trial in
-            if cost < current_cost && num_rewritten items trial >= 1 then
+            let t = trial ~signs bodies name cand holders in
+            let cost = trial_cost current_cost t in
+            if cost < current_cost && num_rewritten t >= 1 then
               match best with
-              | Some (_, best_cost, _) when best_cost <= cost -> best
-              | Some _ | None -> Some (cand, cost, trial)
+              | Some (best_cost, _) when best_cost <= cost -> best
+              | Some _ | None -> Some (cost, t)
             else best)
           None shortlisted
       in
       match best with
       | None -> (items, block_order)
-      | Some (_, _, trial) ->
-        loop (iters + 1) index trial (block_order @ [ name ])
+      | Some (_, t) ->
+        loop (iters + 1) index (apply items t) (block_order @ [ name ])
     end
   in
   let items, block_names = loop 0 0 outputs [] in

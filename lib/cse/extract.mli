@@ -18,15 +18,27 @@
     extraction.
 
     The greedy loop scores its trial rewrites by the flat operator count
-    of each body.  The ranking scan that shortlists a candidate also
-    records the items that hold it: for a block, the items with a kernel
-    holding it (up to sign when [signs] is on), for a cube, the items
-    with a term it divides.  A trial rewrites only those items and returns
-    every other item as it is, which is what the rewrite would return:
-    both read the same memoized kernels.  Each round counts every body
-    once; a trial reuses that count for every body it leaves unchanged and
-    counts only the bodies it rewrites and its new block, from the terms
-    ({!Polysynth_expr.Dag.poly_ops}), with no expression built. *)
+    of each body ({!Polysynth_expr.Dag.poly_ops}, counted from the terms
+    once per body, with no expression built).  Each round indexes its
+    kernel instances (every item with each of its memoized kernels) by the
+    monomials of the kernel's terms, in instance order.  A kernel holding
+    a block has a term on the block's leading monomial, so the ranking
+    scan of a block reads only the instances under that monomial; two
+    kernels with two common terms share two monomials, so only the pairs
+    the index shows sharing two are intersected for block candidates.
+
+    The scan also records the items that hold the candidate (the
+    {e holders}): for a block, the items with a kernel holding it (up to
+    sign when [signs] is on), for a cube, the items with a term it
+    divides.  Only a holder can change under the rewrite: every other
+    item comes back as it is, since both read the same memoized kernels.
+    A trial therefore rewrites the holders alone and is priced as the
+    round's cost plus the new block plus each rewritten holder's change;
+    it counts as rewriting something only when a holder's body changes.
+    A holder is frozen (left as it is) when the candidate depends on it,
+    which needs a dependency walk only when a variable of the candidate
+    names an item.  The item list is rebuilt once a round, for the
+    winner. *)
 
 module Poly := Polysynth_poly.Poly
 module Prog := Polysynth_expr.Prog

@@ -3,8 +3,6 @@ module Poly = Polysynth_poly.Poly
 module Monomial = Polysynth_poly.Monomial
 module Dag = Polysynth_expr.Dag
 
-module IntSet = Set.Make (Int)
-
 type cube = Z.t * Monomial.t
 
 let cube_compare (c1, m1) (c2, m2) =
@@ -17,9 +15,51 @@ module CubeMap = Map.Make (struct
   let compare = cube_compare
 end)
 
+(* A set of columns is a bitset: column [i] is bit [i mod Sys.int_size] of
+   word [i / Sys.int_size], and every set of one matrix has the same
+   number of words. *)
+module Bits = struct
+  let w = Sys.int_size
+
+  let of_list ~words cols =
+    let b = Array.make words 0 in
+    List.iter (fun i -> b.(i / w) <- b.(i / w) lor (1 lsl (i mod w))) cols;
+    b
+
+  let inter = Array.map2 ( land )
+
+  let subset a b =
+    let rec go i = i < 0 || (a.(i) land lnot b.(i) = 0 && go (i - 1)) in
+    go (Array.length a - 1)
+
+  let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
+
+  let cardinal b = Array.fold_left (fun acc x -> acc + popcount x) 0 b
+
+  (* whether [a] and [b] share at least two columns, with no set built *)
+  let meet_twice a b =
+    let rec go i seen =
+      i < Array.length a
+      &&
+      let x = a.(i) land b.(i) in
+      if x = 0 then go (i + 1) seen
+      else if seen || x land (x - 1) <> 0 then true
+      else go (i + 1) true
+    in
+    go 0 false
+
+  (* the columns in increasing order *)
+  let elements b =
+    let out = ref [] in
+    for i = (Array.length b * w) - 1 downto 0 do
+      if b.(i / w) land (1 lsl (i mod w)) <> 0 then out := i :: !out
+    done;
+    !out
+end
+
 type t = {
   rows : (Monomial.t * Poly.t) array;  (** co-kernel, kernel *)
-  row_cols : IntSet.t array;  (** column indices present in each row *)
+  row_cols : int array array;  (** the columns present in each row *)
   cols : cube array;
 }
 
@@ -40,14 +80,13 @@ let build polys =
       col_index := CubeMap.add cube i !col_index;
       i
   in
-  let row_cols =
+  let row_lists =
     Array.map
-      (fun (_, kernel) ->
-        List.fold_left
-          (fun acc (c, m) -> IntSet.add (index_of (c, m)) acc)
-          IntSet.empty (Poly.terms kernel))
+      (fun (_, kernel) -> List.map index_of (Poly.terms kernel))
       rows
   in
+  let words = (!next + Bits.w - 1) / Bits.w in
+  let row_cols = Array.map (Bits.of_list ~words) row_lists in
   let cols = Array.make !next (Z.zero, Monomial.one) in
   CubeMap.iter (fun cube i -> cols.(i) <- cube) !col_index;
   { rows; row_cols; cols }
@@ -55,22 +94,22 @@ let build polys =
 type rectangle = { rows : int list; body : Poly.t; value : int }
 
 let body_of_cols t cols =
-  Poly.of_terms (List.map (fun i -> t.cols.(i)) (IntSet.elements cols))
+  Poly.of_terms (List.map (fun i -> t.cols.(i)) (Bits.elements cols))
 
 let rows_of_cols t cols =
   (* all rows whose column set contains [cols] *)
   let out = ref [] in
   Array.iteri
-    (fun i rc -> if IntSet.subset cols rc then out := i :: !out)
+    (fun i rc -> if Bits.subset cols rc then out := i :: !out)
     t.row_cols;
   List.rev !out
 
 let cols_of_rows t rows =
   match rows with
-  | [] -> IntSet.empty
+  | [] -> Array.make (Array.length t.row_cols.(0)) 0
   | first :: rest ->
     List.fold_left
-      (fun acc i -> IntSet.inter acc t.row_cols.(i))
+      (fun acc i -> Bits.inter acc t.row_cols.(i))
       t.row_cols.(first) rest
 
 let rectangle_of_cols t cols =
@@ -83,10 +122,10 @@ let prime_rectangles t =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   let consider cols =
-    if IntSet.cardinal cols >= 2 then begin
+    if Bits.cardinal cols >= 2 then begin
       let rows, cols = rectangle_of_cols t cols in
-      if List.length rows >= 2 && IntSet.cardinal cols >= 2 then begin
-        let key = (rows, IntSet.elements cols) in
+      if List.length rows >= 2 && Bits.cardinal cols >= 2 then begin
+        let key = (rows, cols) in
         if not (Hashtbl.mem seen key) then begin
           Hashtbl.add seen key ();
           let body = body_of_cols t cols in
@@ -102,7 +141,8 @@ let prime_rectangles t =
   done;
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      consider (IntSet.inter t.row_cols.(i) t.row_cols.(j))
+      if Bits.meet_twice t.row_cols.(i) t.row_cols.(j) then
+        consider (Bits.inter t.row_cols.(i) t.row_cols.(j))
     done
   done;
   let ranked =

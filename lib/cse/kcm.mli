@@ -8,7 +8,13 @@
     multi-term sub-expression (the column cubes) occurring once per row;
     extracting a {e prime} rectangle (one that cannot be enlarged) with a
     good value function is the exact counterpart of the greedy
-    intersection heuristic in {!Extract}. *)
+    intersection heuristic in {!Extract}.
+
+    Each row keeps its columns as a bitset of machine words
+    ([Sys.int_size] columns a word), so the closure intersects two rows
+    and tests one for containing another word by word, and a pair of rows
+    sharing fewer than two columns is skipped without building their
+    intersection. *)
 
 module Z := Polysynth_zint.Zint
 module Poly := Polysynth_poly.Poly

@@ -216,7 +216,7 @@ let prop_division_price =
       let dv = Blocktab.divisor_var table d in
       let eq = Algdiv.decompose session q and er = Algdiv.decompose session r in
       let built = E.add [ E.mul [ E.var dv; eq ]; er ] in
-      Algdiv.division_price (eq, Dag.tree_ops eq) (er, Dag.tree_ops er)
+      Algdiv.division_price (q, Dag.tree_ops eq) (r, Dag.tree_ops er)
       = Dag.total_ops (Dag.tree_counts built))
 
 (* generated names skip the ones the table must avoid, and each other *)
