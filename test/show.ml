@@ -126,3 +126,19 @@ let kcm_prime_rectangles polys =
     List.stable_sort (fun (_, _, a) (_, _, b) -> Stdlib.compare b a) !out
   in
   (Array.length cols, List.filteri (fun i _ -> i < 64) ranked)
+
+(* The co-kernel with the largest cube as algebraic division first chose
+   it: the first pair of [Kernel.kernels] with a co-kernel other than 1
+   among those of the highest score [num_terms k * degree ck].  The
+   reference that the single-walk [Kernel.top_kernel] is checked against. *)
+let top_kernel p =
+  List.fold_left
+    (fun best (ck, k) ->
+      if Mono.is_one ck then best
+      else
+        let score = P.num_terms k * Mono.degree ck in
+        match best with
+        | Some (_, best_score) when best_score >= score -> best
+        | Some _ | None -> Some ((ck, k), score))
+    None (Polysynth_cse.Kernel.kernels p)
+  |> Option.map fst

@@ -425,6 +425,24 @@ let prop_hash_limb_formula =
       let za = Z.of_int a in
       Z.hash za = limb_hash za && Z.hash big = limb_hash big)
 
+(* [divides d a] decides a zero remainder, on immediates (0, +-1 and the
+   extreme immediates among them) and bignums alike; half the dividends are
+   drawn as multiples of the divisor, so both answers occur *)
+let prop_divides_rem =
+  let value =
+    QCheck.Gen.(oneof [ map Z.of_int boundary_int_gen; QCheck.gen arb_big ])
+  in
+  prop "divides d a = is_zero (rem a d)" ~count:2000
+    (QCheck.make
+       ~print:(fun (d, a, k) ->
+         Printf.sprintf "d=%s a=%s k=%s" (Z.to_string d) (Z.to_string a)
+           (Option.fold ~none:"-" ~some:string_of_int k))
+       QCheck.Gen.(triple value value (opt small_int_gen)))
+    (fun (d, a, k) ->
+      QCheck.assume (not (Z.is_zero d));
+      let a = match k with Some k -> Z.mul (Z.of_int k) d | None -> a in
+      Z.divides d a = Z.is_zero (Z.rem a d))
+
 (* sums, differences and products of word-sized operands that overflow a
    native int: the result leaves the immediate range and must take the
    same layout as the limb code's and the parser's *)
@@ -501,6 +519,7 @@ let () =
           prop_mixed_divmod;
           prop_hash_limb_formula;
           prop_crossing_canonical;
+          prop_divides_rem;
         ] );
       ( "properties",
         [
