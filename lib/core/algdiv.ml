@@ -19,11 +19,12 @@ module Memo = Hashtbl.Make (Key)
 (* a divisor and its block name, registered in the table on first use *)
 type divisor = { div : Poly.t; mutable name : string option }
 
-(* A memo entry is a decomposition's operator count and the
-   decomposition, built on first use: most entries are never read by a
-   winner or a built candidate.  The lazy values stay inside the session,
-   which one domain fills; [decompose] returns a forced expression. *)
-type entry = { cost : int; expr : Expr.t Lazy.t }
+(* A memo entry is a decomposition's operator count, whether it is
+   scaled (see the prices below), and the decomposition, built on first
+   use: most entries are never read by a winner.  A lazy value only forces
+   other lazy values and stays inside the session, which one domain fills;
+   [decompose] returns a forced expression. *)
+type entry = { cost : int; scaled : bool; expr : Expr.t Lazy.t }
 
 type session = {
   table : Blocktab.t;
@@ -44,21 +45,33 @@ let divisor_name s d =
     d.name <- Some name;
     name
 
-(* What [Dag.tree_ops] gives the division candidate built from the
-   decompositions of [q] and [r]: the smart constructors fold
-   [dv * (+-1)] to [+-dv] and [m + 0] to [m], and otherwise add one
-   product and one sum to their operands' counts.  Only the constant +-1
-   decomposes to +-1, and only 0 to 0.  The product may merge [dv] with a
-   [dv] factor of the quotient's decomposition into a power, which costs
-   the same; no decomposition holds a product with a repeated factor that
-   is not a power of a variable, whose merging would cost less. *)
+(* Each price is the [Dag.tree_ops] count of a candidate as the smart
+   constructors build it, and whether it is scaled: under any negation, a
+   product with a constant factor, into which [Expr.mul] merges a constant
+   [|c| > 1] with no multiplication added.  Otherwise a product adds one
+   multiplication, but [dv * (+-1)] folds to [+-dv]; only the constant
+   +-1 decomposes to +-1, and only 0 to 0.  [Expr.mul] may group equal
+   factors, here only variables and powers of variables, and [k] copies of
+   [x^a] cost [k*a - 1] either way.  [Expr.add]'s flattening keeps the
+   count, and only its last operand can be a constant: a 0 is dropped. *)
+let content_price (ce, se) = ((if se then ce else ce + 1), true)
+
+(* [Expr.add (products @ [er])], over non-constant products *)
+let sum_price products (r, cr) =
+  let zero = Poly.is_zero r in
+  let base = if zero then cr - 1 else cr in
+  ( List.fold_left (fun acc (c, _) -> acc + c + 1) base products,
+    zero && match products with [ (_, s) ] -> s | _ -> false )
+
+let is_unit q =
+  match Poly.to_const_opt q with Some c -> Z.is_one (Z.abs c) | None -> false
+
+(* [Expr.add [Expr.mul [Expr.var dv; eq]; er]] *)
 let division_price (q, cq) (r, cr) =
-  let unit_q =
-    match Poly.to_const_opt q with
-    | Some c -> Z.is_one (Z.abs c)
-    | None -> false
-  in
-  cq + cr + (if unit_q then 0 else 1) + if Poly.is_zero r then 0 else 1
+  cq + cr + (if is_unit q then 0 else 1) + if Poly.is_zero r then 0 else 1
+
+let cce_price groups r = sum_price (List.map content_price groups) r
+let cokernel_price ck (kc, sk) r = sum_price [ (Monomial.degree ck + kc, sk) ] r
 
 (* [p = c * primitive_part p]: the content with the sign of the leading
    coefficient *)
@@ -99,21 +112,6 @@ let could_be_perfect_power p =
        (fun k -> Squarefree.integer_root lc k <> None)
        [ 2; 3; 5; 7 ]
 
-(* the co-kernel with the largest cube: the first of the highest score
-   [num_terms k * degree ck] among the kernels with a co-kernel other than
-   1 *)
-let top_kernel p =
-  List.fold_left
-    (fun best (ck, k) ->
-      if Monomial.is_one ck then best
-      else
-        let score = Poly.num_terms k * Monomial.degree ck in
-        match best with
-        | Some (_, best_score) when best_score >= score -> best
-        | Some _ | None -> Some ((ck, k), score))
-    None (Kernel.kernels p)
-  |> Option.map fst
-
 let rec decompose_at depth s p =
   let key = { Key.poly = p; hash = Poly.hash p } in
   match Memo.find_opt s.memo key with
@@ -122,59 +120,69 @@ let rec decompose_at depth s p =
     (* break potential cycles defensively: memoize the direct form first,
        then overwrite with the winner.  The direct form is priced from the
        terms ([Dag.poly_ops] is [tree_ops] of [Expr.of_poly]). *)
-    let direct = { cost = Dag.poly_ops p; expr = lazy (Expr.of_poly p) } in
+    let scaled =
+      match Poly.terms p with
+      | [ (c, m) ] -> not (Monomial.is_one m || Z.is_one (Z.abs c))
+      | _ -> false
+    in
+    let direct =
+      { cost = Dag.poly_ops p; scaled; expr = lazy (Expr.of_poly p) }
+    in
     Memo.replace s.memo key direct;
     let result = choose depth s p direct in
     Memo.replace s.memo key result;
     result
 
 (* The candidates are tried in a fixed order and a later one wins only if
-   it is strictly cheaper.  The memo keeps the first call to reach a
-   polynomial, so the order of the [deeper] calls (and of the divisor
-   naming) fixes the result and must not change. *)
+   it is strictly cheaper.  Each is priced from the memo entries of its
+   parts and built only if it wins and is read.  The memo keeps the first
+   call to reach a polynomial, so the order of the [deeper] calls (and of
+   the divisor naming) fixes the result and must not change. *)
 and choose depth s p direct =
   if Poly.is_zero p || Poly.is_const p then direct
   else begin
-    let deeper p = Lazy.force (decompose_at (depth + 1) s p).expr in
+    let deeper p = decompose_at (depth + 1) s p in
+    let force e = Lazy.force e.expr in
     let best = ref direct in
     let beats cost = cost < !best.cost in
-    let consider_built e =
-      let cost = Dag.tree_ops e in
-      if beats cost then best := { cost; expr = Lazy.from_val e }
-    in
     (* content *)
     (let c = content_factor p in
      if (not (Z.is_one (Z.abs c))) && Poly.num_terms p >= 2 then
-       consider_built
-         (Expr.mul [ Expr.const c; deeper (Poly.div_scalar_exact p c) ]));
-    (* perfect power *)
+       let e = deeper (Poly.div_scalar_exact p c) in
+       let cost, scaled = content_price (e.cost, e.scaled) in
+       if beats cost then
+         let expr = lazy (Expr.mul [ Expr.const c; force e ]) in
+         best := { cost; scaled; expr });
+    (* perfect power, built here as [root_expr] names its divisor: a power
+       is never a product, so it is not scaled *)
     (if could_be_perfect_power p then
        match Squarefree.perfect_power_root p with
        | Some (root, k) when not (Poly.is_const root) ->
-         consider_built (Expr.pow (root_expr s root) k)
+         let e = Expr.pow (root_expr s root) k in
+         let cost = Dag.tree_ops e in
+         if beats cost then
+           best := { cost; scaled = false; expr = Lazy.from_val e }
        | Some _ | None -> ());
     if depth < max_depth then begin
-      (* division by each divisor, priced from the memo entries of the
-         remainder and the quotient, in that order, and built only if it
-         is read *)
+      (* division by each divisor: the remainder is decomposed before the
+         quotient *)
       List.iter
         (fun d ->
           let q, r = Poly.div_rem p d.div in
           if not (Poly.is_zero q) then begin
             let dv = divisor_name s d in
-            let er = decompose_at (depth + 1) s r in
-            let eq = decompose_at (depth + 1) s q in
+            let er = deeper r in
+            let eq = deeper q in
             let cost = division_price (q, eq.cost) (r, er.cost) in
             if beats cost then
-              best :=
-                {
-                  cost;
-                  expr =
-                    lazy
-                      (Expr.add
-                         [ Expr.mul [ Expr.var dv; Lazy.force eq.expr ];
-                           Lazy.force er.expr ]);
-                }
+              let scaled =
+                Poly.is_zero r && (not (is_unit q))
+                && (eq.scaled || Poly.is_const q)
+              in
+              let expr =
+                lazy (Expr.add [ Expr.mul [ Expr.var dv; force eq ]; force er ])
+              in
+              best := { cost; scaled; expr }
           end)
         s.divs;
       (* common coefficients: the residual is decomposed before the
@@ -183,20 +191,31 @@ and choose depth s p direct =
        match r.Cce.groups with
        | [] -> ()
        | groups ->
-         let residual = deeper r.Cce.residual in
-         let parts =
-           List.map (fun (g, b) -> Expr.mul [ Expr.const g; deeper b ]) groups
-         in
-         consider_built (Expr.add (parts @ [ residual ])));
+         let er = deeper r.Cce.residual in
+         let parts = List.map (fun (g, b) -> (g, deeper b)) groups in
+         let prices = List.map (fun (_, e) -> (e.cost, e.scaled)) parts in
+         let cost, scaled = cce_price prices (r.Cce.residual, er.cost) in
+         if beats cost then
+           let part (g, e) = Expr.mul [ Expr.const g; force e ] in
+           let expr = lazy (Expr.add (List.map part parts @ [ force er ])) in
+           best := { cost; scaled; expr });
       (* the co-kernel with the largest cube: [rest] is decomposed before
          the kernel *)
-      match top_kernel p with
+      match Kernel.top_kernel p with
       | None -> ()
       | Some (ck, k) ->
-        let rest = deeper (Poly.sub p (Poly.mul_term Z.one ck k)) in
-        let k = deeper k in
-        consider_built
-          (Expr.add [ Expr.mul [ Expr.of_poly (Poly.monomial ck); k ]; rest ])
+        let rest = Poly.sub p (Poly.mul_term Z.one ck k) in
+        let erest = deeper rest in
+        let ek = deeper k in
+        let cost, scaled =
+          cokernel_price ck (ek.cost, ek.scaled) (rest, erest.cost)
+        in
+        if beats cost then
+          let ck = Expr.of_poly (Poly.monomial ck) in
+          let expr =
+            lazy (Expr.add [ Expr.mul [ ck; force ek ]; force erest ])
+          in
+          best := { cost; scaled; expr }
     end;
     !best
   end

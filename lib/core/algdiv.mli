@@ -25,10 +25,11 @@ type session
     {!Represent.build} fills one session per system, polynomial by
     polynomial.  A memo key carries its polynomial's {!Poly.hash}, so a
     miss hashes the polynomial once.  An entry keeps its decomposition's
-    operator count ({!Polysynth_expr.Dag.tree_ops}), so a caller one level
-    up prices a candidate built on it without walking it, and builds the
-    decomposition itself only when a winner or a built candidate reads
-    it: a miss first enters the direct form, priced from the terms
+    operator count ({!Polysynth_expr.Dag.tree_ops}) and whether it is
+    scaled (under any negation, a product with a constant factor), so a
+    caller one level up prices a candidate built on it without walking
+    it, and builds the decomposition itself only when a winner reads it:
+    a miss first enters the direct form, priced from the terms
     ({!Polysynth_expr.Dag.poly_ops}) with no expression built, as both the
     entry that guards against cycles and the first candidate. *)
 
@@ -42,18 +43,27 @@ val decompose : session -> Poly.t -> Expr.t
 (** Best decomposition found; expands back to the input polynomial (with
     block variables replaced by their definitions).  Structural rewrites
     stop 4 recursion levels below the call.  Candidates are compared by
-    operator count, the earliest winning a tie.  A division candidate
-    [d * Q + R] is priced by {!division_price} from the memo entries of
-    [R] and [Q] (decomposed in that order) and built only if it wins and
-    is read; the content, perfect-power, common-coefficient and co-kernel
-    candidates are built and their trees counted. *)
+    operator count, the earliest winning a tie.  Every candidate but the
+    rare perfect power is priced from the memo entries of its parts
+    (decomposed in a fixed order: [R] before [Q], the residual before the
+    groups, [rest] before the kernel) and built only if it wins and is
+    read. *)
 
 val division_price : Poly.t * int -> Poly.t * int -> int
 (** [division_price (q, cq) (r, cr)] is the operator count
-    ({!Polysynth_expr.Dag.tree_ops}) of the division candidate
-    [Expr.add [Expr.mul [Expr.var dv; eq]; er]], where [eq] and [er] are
-    the decompositions of a non-zero quotient [q] and of a remainder [r],
-    [cq] and [cr] their counts and [dv] the divisor's block name:
-    [cq + cr], plus a multiplication unless [q] is +-1 and an addition
-    unless [r] is 0.  This is how {!decompose} prices a division candidate
-    without building it, or the decompositions of [q] and [r]. *)
+    ({!Polysynth_expr.Dag.tree_ops}) of [Expr.add [Expr.mul [Expr.var dv;
+    eq]; er]], where [eq] and [er] decompose a non-zero quotient [q] and a
+    remainder [r], with counts [cq] and [cr]: [cq + cr], plus a
+    multiplication unless [q] is +-1 and an addition unless [r] is 0. *)
+
+val content_price : int * bool -> int * bool
+val cce_price : (int * bool) list -> Poly.t * int -> int * bool
+
+val cokernel_price :
+  Polysynth_poly.Monomial.t -> int * bool -> Poly.t * int -> int * bool
+(** From the [(count, scaled)] of non-constant parts [e] and [ebs] and the
+    count of [er], which decomposes [r]: the count and scaledness of the
+    content candidate [Expr.mul [Expr.const c; e]] ([|c| > 1]), the
+    common-coefficient candidate [Expr.add (List.map (fun eb -> Expr.mul
+    [Expr.const g; eb]) ebs @ [er])] ([g > 1]) and the co-kernel candidate
+    [Expr.add [Expr.mul [Expr.of_poly (Poly.monomial ck); e]; er]]. *)

@@ -130,7 +130,8 @@ module Trace : sig
     cache_tables : (string * int * int) list;
         (** per-table [(name, hits, misses)] split of the totals above:
             ["representation"] (the engine store) and ["kernel"] (the
-            kernelling memo).  The counts repeat exactly only at
+            kernelling memo, which the extraction loops read and algebraic
+            division does not).  The counts repeat exactly only at
             parallelism 1: two domains can miss the same polynomial in
             the shared kernel table, so a parallel run's split can vary
             from run to run. *)

@@ -56,27 +56,25 @@ module PolySet = Set.Make (struct
     if c <> 0 then c else Poly.compare k1 k2
 end)
 
-(* Recursive kernelling.  [vars] is the indexed literal order; at level
-   [j] only literals of index >= j are divided out, and a candidate whose
-   extracted cube re-introduces an earlier literal is skipped because the
-   same kernel was already produced along that literal's branch. *)
+(* Recursive kernelling, folded over every (co-kernel, kernel) pair it
+   reaches (a pair may be reached twice).  [vars] is the indexed literal
+   order; at level [j] only literals of index >= j are divided out, and a
+   candidate whose extracted cube re-introduces an earlier literal is
+   skipped because the same kernel was already produced along that
+   literal's branch. *)
 module Symtab = Polysynth_poly.Symtab
 
-let kernels_raw p =
-  if Poly.is_zero p then []
+let fold visit init p =
+  if Poly.is_zero p then init
   else begin
     (* the indexed literal order, as pre-interned ids: the recursion only
        touches integers from here on *)
     let vars = Array.of_list (List.map Symtab.intern (Poly.vars p)) in
     let index = Array.make (Symtab.size ()) max_int in
     Array.iteri (fun i id -> index.(id) <- i) vars;
-    let acc = ref PolySet.empty in
-    let consider cokernel kernel =
-      if Poly.num_terms kernel >= 2 then
-        acc := PolySet.add (cokernel, kernel) !acc
-    in
+    let acc = ref init in
     let rec explore j cokernel pol =
-      consider cokernel pol;
+      if Poly.num_terms pol >= 2 then acc := visit !acc cokernel pol;
       Array.iteri
         (fun k id ->
           if k >= j then begin
@@ -104,15 +102,34 @@ let kernels_raw p =
         vars
     in
     let c0 = largest_cube p in
-    let p0 = divide_cube p c0 in
-    explore 0 c0 p0;
-    PolySet.elements !acc
+    explore 0 c0 (divide_cube p c0);
+    !acc
   end
+
+(* Folded directly, past the memo.  A co-kernel determines its kernel
+   (the terms it divides, divided by it), so among the highest scores the
+   smallest co-kernel is the first pair of them in [kernels]. *)
+let top_kernel p =
+  fold
+    (fun best ck k ->
+      if Monomial.is_one ck then best
+      else
+        let score = Poly.num_terms k * Monomial.degree ck in
+        match best with
+        | Some (bck, _, bs)
+          when bs > score || (bs = score && Monomial.compare bck ck <= 0) ->
+          best
+        | Some _ | None -> Some (ck, k, score))
+    None p
+  |> Option.map (fun (ck, k, _) -> (ck, k))
 
 let kernels p =
   match Memo.find kernel_memo p with
   | Some ks -> ks
   | None ->
-    let ks = kernels_raw p in
+    let ks =
+      PolySet.elements
+        (fold (fun s ck k -> PolySet.add (ck, k) s) PolySet.empty p)
+    in
     Memo.add kernel_memo p ks;
     ks

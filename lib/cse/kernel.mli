@@ -37,3 +37,10 @@ val kernels : Poly.t -> (Monomial.t * Poly.t) list
     pair [(c, divide_cube p c)] with [c = largest_cube p] when that
     cube-free part has at least two terms.  Pairs are distinct and
     deterministically ordered. *)
+
+val top_kernel : Poly.t -> (Monomial.t * Poly.t) option
+(** The pair with the largest cube: among the pairs of {!kernels} with a
+    co-kernel other than 1, the first of those with the highest score
+    [num_terms k * degree ck].  Found in one walk of the kernel recursion,
+    past the memo table: algebraic division's calls count in no hits or
+    misses of it. *)

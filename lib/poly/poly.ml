@@ -172,12 +172,14 @@ let sub_scaled r cq mq b =
 
 (* The division's loops are top-level functions, so a division allocates
    no closure.  [first_reducible cb mb r] is the suffix of [r] from its
-   first term reducible by [cb*mb]. *)
+   first term reducible by [cb*mb].  The order is graded, so the search
+   stops at the first term of lower degree than [mb]. *)
 let rec first_reducible cb mb r =
   match r with
   | [] -> []
   | (c, m) :: rest ->
-    if Monomial.divides mb m && (Z.is_one cb || Z.divides cb c) then r
+    if Monomial.degree m < Monomial.degree mb then []
+    else if Monomial.divides mb m && (Z.is_one cb || Z.divides cb c) then r
     else first_reducible cb mb rest
 
 (* [r]'s terms before the suffix [from], pushed onto [acc] *)

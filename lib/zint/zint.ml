@@ -330,8 +330,11 @@ let divexact a b =
   if not (is_zero r) then invalid_arg "Zint.divexact: inexact division";
   q
 
+(* two immediates are decided natively, without the [divmod] tuple *)
 let divides d a =
-  if is_zero d then is_zero a else is_zero (rem a d)
+  if is_zero d then is_zero a
+  else if is_small d && is_small a then to_small a mod to_small d = 0
+  else is_zero (rem a d)
 
 (* Euclid on limbs until both values fit a word, then natively *)
 let gcd a b =

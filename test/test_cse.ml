@@ -426,6 +426,27 @@ let prop_extract_never_worse =
       let result = X.run system in
       Dag.total_ops (Prog.counts result.X.prog) <= direct)
 
+(* the single-walk top kernel is the first pair of [kernels] among those of
+   the highest score, as algebraic division first chose it (Show) *)
+let prop_top_kernel =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ [ "a"; "b"; "c" ]; [ "a"; "b"; "c"; "d" ] ] >>= fun vars ->
+    let mono = list_size (int_range 0 4) (pair (oneofl vars) (int_range 1 3)) in
+    list_size (int_range 1 8) (pair (int_range (-4) 4) mono)
+    >|= fun terms ->
+    P.of_terms (List.map (fun (c, m) -> (Z.of_int c, Mono.of_list m)) terms)
+  in
+  let same a b =
+    match a, b with
+    | Some (c, k), Some (c', k') -> Mono.equal c c' && P.equal k k'
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  prop "top kernel is the first of the highest score" ~count:500
+    (QCheck.make ~print:P.to_string gen)
+    (fun q -> same (K.top_kernel q) (Show.top_kernel q))
+
 let () =
   Alcotest.run "cse"
     [
@@ -441,6 +462,7 @@ let () =
             test_kernels_are_kernels;
           Alcotest.test_case "power co-kernels" `Quick
             test_kernels_univariate_powers;
+          prop_top_kernel;
         ] );
       ( "extract",
         [
