@@ -20,13 +20,24 @@ let one = of_int 1
 let var ?exp name = term Z.one (Monomial.var ?exp name)
 let monomial m = term Z.one m
 
-(* Combine duplicates through a hashtable on the monomials' precomputed
-   hashes (O(n) expected) and sort the surviving terms once, instead of
-   the O(n log n) comparison-heavy [Map.Make(Monomial)] churn. *)
+(* is [list] already a polynomial: strictly descending, no zero
+   coefficient? *)
+let rec canonical = function
+  | [] -> true
+  | [ (c, _) ] -> not (Z.is_zero c)
+  | (c, m1) :: ((_, m2) :: _ as rest) ->
+    (not (Z.is_zero c)) && Monomial.compare m1 m2 > 0 && canonical rest
+
+(* A list that is already a polynomial is returned after one pass.  The
+   rest combine duplicates through a hashtable on the monomials'
+   precomputed hashes (O(n) expected) and sort the surviving terms once,
+   instead of the O(n log n) comparison-heavy [Map.Make(Monomial)]
+   churn. *)
 let of_terms list =
   match list with
   | [] -> zero
   | [ (c, m) ] -> term c m
+  | list when canonical list -> list
   | list ->
     let tbl = Mtbl.create 32 in
     List.iter

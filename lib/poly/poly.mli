@@ -18,7 +18,9 @@ val of_int : int -> t
 val var : ?exp:int -> string -> t
 val term : Z.t -> Monomial.t -> t
 val of_terms : (Z.t * Monomial.t) list -> t
-(** Combines duplicate monomials and drops zero coefficients. *)
+(** Combines duplicate monomials and drops zero coefficients.  A list
+    already in strictly descending graded-lex order with non-zero
+    coefficients is returned as it is, after one pass. *)
 
 val monomial : Monomial.t -> t
 
