@@ -88,8 +88,8 @@ val scorer : options -> Represent.t -> int array -> float array
     {!Polysynth_hw.Power.cell_area}, and the first combination with a
     given input list (the sorted names of the inputs a combination reads,
     which a ring-canonical representation can shrink) simulates every
-    node's toggle counts under it by one {!Polysynth_hw.Power.toggles}
-    call.  A combination's power is {!Polysynth_hw.Power.total} of the
+    node's toggle counts under it, by {!Polysynth_hw.Power.toggles} of one
+    netlist of the live nodes, readied for simulation once per scorer.  A combination's power is {!Polysynth_hw.Power.total} of the
     integer sums of toggles x area and of area over the nodes it visits.
     Integer sums have no order, so this equals the estimate on the
     combination's own netlist, whose cells come in another order.  The

@@ -27,18 +27,18 @@ type report = {
 
 val estimate : ?samples:int -> Netlist.t -> report
 (** [samples] (default 64) is the number of input transitions simulated.
-    The toggles come from {!toggles} over {!Netlist.inputs} and
-    {!Netlist.values}. *)
+    The toggles come from {!toggles} over {!Netlist.inputs}. *)
 
-val toggles :
-  samples:int -> width:int -> string list ->
-  ((string -> Z.t) -> Z.t array) -> int array
-(** [toggles ~samples ~width inputs values] simulates [samples + 1] input
-    vectors drawn by {!Netlist.draw_words} over [inputs] (from seed 1)
-    and returns, per index of the arrays [values] computes, the Hamming
-    distances of consecutive values summed over the [samples]
-    transitions.  [values env] must give values reduced into
-    [[0, 2^width)], with every input read through [env]. *)
+val toggles : samples:int -> Netlist.t -> string list -> int array
+(** [toggles ~samples n] readies [n] for simulation once; applied to a
+    sorted input list [inputs], it simulates [samples + 1] input vectors
+    drawn as {!Netlist.draw_words} over [inputs] draws them (from seed 1),
+    with every input of [n] outside [inputs] reading zero, and returns,
+    per cell id, the Hamming distances of consecutive cell values summed
+    over the [samples] transitions.  Values are reduced into
+    [[0, 2^width)].  Up to 62 bits the netlist runs in machine words
+    ({!Netlist.compile}) and a distance is the popcount of an exclusive
+    or; wider netlists run through {!Netlist.values}. *)
 
 val cell_area : width:int -> Netlist.op -> int
 (** A cell's capacitance proxy: its area under {!Cost.default}, whatever
@@ -51,6 +51,7 @@ val total : samples:int -> switched:int -> area:int -> float
 val hamming_distance : Z.t -> Z.t -> int -> int
 (** [hamming_distance a b w]: the number of bit positions in which [a] and
     [b], both in [[0, 2^w)], differ.  Native ints compare in one xor;
-    wider values are compared 30 bits at a time. *)
+    wider values are compared 30 bits at a time.  {!toggles} calls it
+    above 62 bits only. *)
 
 val pp_report : Format.formatter -> report -> unit

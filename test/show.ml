@@ -142,3 +142,151 @@ let top_kernel p =
         | Some _ | None -> Some ((ck, k), score))
     None (Polysynth_cse.Kernel.kernels p)
   |> Option.map fst
+
+(* The point-set decision procedure as [Polysynth_analysis.Equiv] ran it
+   before netlists were evaluated in machine words: every point, modulo
+   [2^m] or each prime, through [Netlist.cell_value] in [Zint]s, one
+   [(string * Z.t) list] per point.  The reference that the word-form
+   certifier's verdicts and counterexamples are checked against. *)
+module Equiv = Polysynth_analysis.Equiv
+module Netlist = Polysynth_hw.Netlist
+module Smarandache = Polysynth_finite_ring.Smarandache
+
+let decide_reference ?ctx polys (side : Netlist.t) =
+  let sat_add a b = if a > max_int - b then max_int else a + b in
+  let largest n f =
+    let v = Netlist.interpret n 0 f in
+    List.fold_left (fun acc (_, id) -> max acc v.(id)) 0 n.Netlist.outputs
+  in
+  let degree weight op arg =
+    match (op : Netlist.op) with
+    | Input v -> weight v
+    | Constant _ -> 0
+    | Negate | Cmult _ | Shl _ -> arg 0
+    | Add2 | Sub2 -> max (arg 0) (arg 1)
+    | Mult2 -> sat_add (arg 0) (arg 1)
+  in
+  let coefficient_bits op arg =
+    let log2 c = Z.num_bits (Z.sub (Z.abs c) Z.one) in
+    match (op : Netlist.op) with
+    | Input _ -> 0
+    | Constant c -> log2 c
+    | Negate -> arg 0
+    | Add2 | Sub2 -> sat_add 1 (max (arg 0) (arg 1))
+    | Mult2 -> sat_add (arg 0) (arg 1)
+    | Cmult c -> sat_add (log2 c) (arg 0)
+    | Shl k -> sat_add k (arg 0)
+  in
+  let budget = 4_000_000 and ceiling = 1_000_000 in
+  let iter_points ~degree ~v2 axes f =
+    let rec go point degree v2 = function
+      | [] -> f (List.rev point)
+      | (v, top) :: rest ->
+        let rec each k =
+          let v2k = Smarandache.val2_factorial k in
+          if k <= min top degree && v2k <= v2 then begin
+            go ((v, Z.of_int k) :: point) (degree - k) (v2 - v2k) rest;
+            each (k + 1)
+          end
+        in
+        each 0
+    in
+    go [] degree v2 axes
+  in
+  let primes =
+    let is_prime n =
+      let rec go d = d * d > n || (n mod d <> 0 && go (d + 2)) in
+      go 3
+    in
+    let top = (1 lsl 30) - 35 in
+    Seq.cons top (Seq.iterate (fun n -> n - 2) (top - 2) |> Seq.filter is_prime)
+  in
+  let env_of point v =
+    match List.assoc_opt v point with Some x -> x | None -> Z.zero
+  in
+  let source =
+    Netlist.of_prog ~width:0
+      (Prog.of_exprs (List.map Polysynth_expr.Expr.of_poly polys))
+  in
+  let both f = max (largest source f) (largest side f) in
+  let vars =
+    List.sort_uniq String.compare (Netlist.inputs source @ Netlist.inputs side)
+  in
+  let d v = both (degree (fun w -> Bool.to_int (String.equal v w))) in
+  let degree_cap = both (degree (Fun.const 1)) in
+  let axes, v2, moduli, exact =
+    match ctx with
+    | Some ctx ->
+      let m = Canonical.out_width ctx in
+      let top v =
+        let n = Canonical.var_width ctx v in
+        if n < 62 then min (d v) ((1 lsl n) - 1) else d v
+      in
+      (List.map (fun v -> (v, top v)) vars, m - 1, 1, fun z -> Z.erem_pow2 z m)
+    | None ->
+      let bits = sat_add 1 (both coefficient_bits) in
+      (List.map (fun v -> (v, d v)) vars, max_int, 1 + (bits / 29), Fun.id)
+  in
+  let cells = Netlist.num_cells source + Netlist.num_cells side in
+  let room = budget / max 1 (moduli * cells) in
+  let stop = max room ceiling in
+  let points = ref 0 in
+  (try
+     iter_points ~degree:degree_cap ~v2 axes (fun _ ->
+         incr points;
+         if !points > stop then raise Exit)
+   with Exit -> ());
+  if !points > room then
+    let more = if !points > stop then "more than " else "" in
+    let points = min !points stop in
+    Equiv.Unknown
+      (Printf.sprintf
+         "the point set needs %s%d cell evaluations (%s%d points x %d %s x \
+          %d cells), past the budget of %d"
+         more (points * moduli * cells) more points moduli
+         (if moduli = 1 then "modulus" else "moduli")
+         cells budget)
+  else begin
+    let reducers =
+      match ctx with
+      | Some _ -> [ exact ]
+      | None ->
+        List.of_seq
+          (Seq.map
+             (fun p z -> snd (Z.ediv_rem z (Z.of_int p)))
+             (Seq.take moduli primes))
+    in
+    let pairs =
+      List.map
+        (fun (name, id) -> (name, id, List.assoc_opt name side.outputs))
+        source.outputs
+    in
+    let differ reduce point =
+      let env = env_of point in
+      let values n =
+        Netlist.interpret n Z.zero (fun op arg ->
+            Netlist.cell_value ~reduce op env arg)
+      in
+      let want = values source and have = values side in
+      List.find_map
+        (fun (output, i, j) ->
+          match j with
+          | Some j when Z.equal have.(j) want.(i) -> None
+          | j ->
+            Some
+              {
+                Equiv.output;
+                point;
+                expected = want.(i);
+                got = Option.map (Array.get have) j;
+              })
+        pairs
+    in
+    let exception Differ of Equiv.counterexample in
+    try
+      iter_points ~degree:degree_cap ~v2 axes (fun point ->
+          if List.exists (fun r -> differ r point <> None) reducers then
+            raise (Differ (Option.get (differ exact point))));
+      Equiv.Verified
+    with Differ ce -> Equiv.Refuted ce
+  end

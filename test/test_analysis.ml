@@ -631,6 +631,85 @@ let prop_certify_agrees_with_symbolic =
         && Option.equal Z.equal got ce.Equiv.got
         && not (Option.equal Z.equal got (Some ce.Equiv.expected)))
 
+(* Random systems with injected faults, as above, with coefficients past
+   2^62 now and then (so exact certificates take several primes), the
+   fault 2^e times an odd number for e up to 70, one output sometimes
+   missing, exact or in a ring of width 8, 16, 62, 63 or 64 (the last two
+   evaluated in Zints, the rest in machine words).  The certificate,
+   verdict, counterexample and reason, must be the one the Zint decision
+   procedure gives. *)
+let gen_reference_case =
+  let open QCheck.Gen in
+  int_range 1 3 >>= fun nv ->
+  let vars = List.filteri (fun i _ -> i < nv) [ "x"; "y"; "z" ] in
+  let coefficient =
+    frequency
+      [
+        (4, map Z.of_int (int_range (-20) 20));
+        (1, map (fun c -> Z.add (Z.pow2 70) (Z.of_int c)) (int_range (-20) 20));
+      ]
+  in
+  let gen_poly =
+    list_size (int_range 1 4)
+      (pair coefficient (list_repeat nv (int_range 0 3)))
+    >|= fun terms ->
+    P.of_terms
+      (List.map (fun (c, es) -> (c, Mono.of_list (List.combine vars es))) terms)
+  in
+  let gen_ctx =
+    oneofl [ None; Some 8; Some 16; Some 62; Some 63; Some 64 ] >>= function
+    | None -> return None
+    | Some m ->
+      list_repeat nv (oneof [ int_range 1 16; return m ]) >|= fun widths ->
+      Some
+        (Canonical.make_ctx ~out_width:m
+           ~var_widths:(List.combine vars widths) ())
+  in
+  gen_ctx >>= fun ctx ->
+  list_size (int_range 1 2) gen_poly >>= fun polys ->
+  list_repeat nv (int_range 0 5) >>= fun k ->
+  frequency [ (1, return 0); (1, int_range 0 70) ] >>= fun e ->
+  int_range (-4) 4 >>= fun odd ->
+  int_range 0 (List.length polys) >>= fun faulty ->
+  frequency [ (5, return false); (1, return true) ] >|= fun drop ->
+  let fault =
+    Expr.mul
+      (Expr.const (Z.mul (Z.of_int ((2 * odd) + 1)) (Z.pow2 e))
+      :: List.concat
+           (List.map2
+              (fun v k ->
+                List.init k (fun j -> Expr.sub (Expr.var v) (Expr.int j)))
+              vars k))
+  in
+  let outputs =
+    List.mapi
+      (fun i p ->
+        if i = faulty then Expr.add [ Expr.of_poly p; fault ]
+        else Expr.of_poly p)
+      polys
+  in
+  let outputs =
+    if drop && List.length outputs > 1 then [ List.hd outputs ] else outputs
+  in
+  (ctx, polys, Prog.of_exprs outputs)
+
+let prop_certify_matches_zint_reference =
+  qprop "certify = the Zint decision procedure" ~count:300
+    (QCheck.make gen_reference_case ~print:(fun (ctx, polys, prog) ->
+         Printf.sprintf "%s\n%s\n%s"
+           (match ctx with
+            | None -> "exact"
+            | Some ctx -> Printf.sprintf "m=%d" (Canonical.out_width ctx))
+           (String.concat "; " (List.map P.to_string polys))
+           (Format.asprintf "%a" Prog.pp prog)))
+    (fun (ctx, polys, prog) ->
+      let reference =
+        Show.decide_reference ?ctx polys (Netlist.of_prog ~width:0 prog)
+      in
+      String.equal
+        (Equiv.cert_to_json (Equiv.certify ?ctx polys prog))
+        (Equiv.cert_to_json reference))
+
 (* ---- certificate-guarded simplification -------------------------------- *)
 
 (* The reference a netlist denotes: its outputs, lifted to a program with
@@ -996,6 +1075,7 @@ let () =
           Alcotest.test_case "many variables verified" `Quick
             test_certify_many_variables;
           prop_certify_agrees_with_symbolic;
+          prop_certify_matches_zint_reference;
           Alcotest.test_case "netlist spot check" `Quick test_spot_check_netlist;
         ] );
       ( "redundancy",
