@@ -319,19 +319,11 @@ let usage_error options =
       Some (Printf.sprintf "--json prints one JSON object: drop %s" flag)
     | _ -> None
 
-(* The reserved words of C11 and of Verilog-2005 (IEEE 1364-2005, Annex
-   B): an input so named is no identifier of the emitted C or Verilog. *)
+(* The reserved words of Verilog-2005 (IEEE 1364-2005, Annex B): an
+   input so named is no identifier of the emitted Verilog.  The emitted C
+   names no input, so it needs no such list. *)
 let reserved_words =
   [
-    (* C11 *)
-    "auto"; "break"; "case"; "char"; "const"; "continue"; "default"; "do";
-    "double"; "else"; "enum"; "extern"; "float"; "for"; "goto"; "if";
-    "inline"; "int"; "long"; "register"; "restrict"; "return"; "short";
-    "signed"; "sizeof"; "static"; "struct"; "switch"; "typedef"; "union";
-    "unsigned"; "void"; "volatile"; "while"; "_Alignas"; "_Alignof";
-    "_Atomic"; "_Bool"; "_Complex"; "_Generic"; "_Imaginary"; "_Noreturn";
-    "_Static_assert"; "_Thread_local";
-    (* Verilog-2005 *)
     "always"; "and"; "assign"; "automatic"; "begin"; "buf"; "bufif0";
     "bufif1"; "case"; "casex"; "casez"; "cell"; "cmos"; "config";
     "deassign"; "default"; "defparam"; "design"; "disable"; "edge"; "else";
@@ -353,36 +345,9 @@ let reserved_words =
     "weak0"; "weak1"; "while"; "wire"; "wor"; "xnor"; "xor";
   ]
 
-(* The object-like and function-like macros that C11 defines in the two
-   headers the emitted C includes: <stdint.h> (7.20.2 to 7.20.4) and
-   <stdio.h> (7.21.1).  A parameter so named is rewritten by the
-   preprocessor before the compiler sees it. *)
-let c_header_macros =
-  let sized n =
-    [ Printf.sprintf "INT%d_MIN" n; Printf.sprintf "INT%d_MAX" n;
-      Printf.sprintf "UINT%d_MAX" n; Printf.sprintf "INT_LEAST%d_MIN" n;
-      Printf.sprintf "INT_LEAST%d_MAX" n; Printf.sprintf "UINT_LEAST%d_MAX" n;
-      Printf.sprintf "INT_FAST%d_MIN" n; Printf.sprintf "INT_FAST%d_MAX" n;
-      Printf.sprintf "UINT_FAST%d_MAX" n; Printf.sprintf "INT%d_C" n;
-      Printf.sprintf "UINT%d_C" n ]
-  in
-  List.concat_map sized [ 8; 16; 32; 64 ]
-  @ [
-      (* <stdint.h> *)
-      "INTPTR_MIN"; "INTPTR_MAX"; "UINTPTR_MAX"; "INTMAX_MIN"; "INTMAX_MAX";
-      "UINTMAX_MAX"; "PTRDIFF_MIN"; "PTRDIFF_MAX"; "SIG_ATOMIC_MIN";
-      "SIG_ATOMIC_MAX"; "SIZE_MAX"; "WCHAR_MIN"; "WCHAR_MAX"; "WINT_MIN";
-      "WINT_MAX"; "INTMAX_C"; "UINTMAX_C";
-      (* <stdio.h> *)
-      "NULL"; "_IOFBF"; "_IOLBF"; "_IONBF"; "BUFSIZ"; "EOF"; "FOPEN_MAX";
-      "FILENAME_MAX"; "L_tmpnam"; "SEEK_CUR"; "SEEK_END"; "SEEK_SET";
-      "TMP_MAX"; "stderr"; "stdin"; "stdout";
-    ]
-
-(* A variable the emitted code cannot name as a port: one named like an
-   output would be both a port and a wire, a reserved word is no
-   identifier at all, and a macro of the included C headers is expanded
-   away. *)
+(* A variable the emitted Verilog cannot name as a port: one named like
+   an output would be both a port and a wire, and a reserved word is no
+   identifier at all. *)
 let variable_error polys =
   let vars = List.concat_map Poly.vars polys in
   match
@@ -391,16 +356,9 @@ let variable_error polys =
   | Some (o, _) ->
     Some (Printf.sprintf "variable %s is named like an output of the system" o)
   | None ->
-    match List.find_opt (fun v -> List.mem v reserved_words) vars with
-    | Some v ->
-      Some
-        (Printf.sprintf
-           "variable %s is named like a reserved word of C or Verilog" v)
-    | None ->
-      List.find_opt (fun v -> List.mem v c_header_macros) vars
-      |> Option.map
-           (Printf.sprintf
-              "variable %s is named like a macro of <stdint.h> or <stdio.h>")
+    List.find_opt (fun v -> List.mem v reserved_words) vars
+    |> Option.map
+         (Printf.sprintf "variable %s is named like a reserved word of Verilog")
 
 let run_synthesis options =
   match usage_error options with

@@ -12,7 +12,14 @@
     semantic check of the decomposition. *)
 
 val emit : ?func_name:string -> ?self_check:int -> Netlist.t -> string
-(** [func_name] defaults to "polysynth"; [self_check] (a vector count)
-    adds the self-checking [main], its vectors drawn from a generator
-    seeded with 1.  @raise Invalid_argument when the width exceeds 64
-    bits. *)
+(** The function takes the i-th input of {!Netlist.inputs} (sorted by
+    name) as parameter [in<i>], then a pointer [out<i>] for the i-th
+    output of the netlist, each followed by a comment that holds its
+    name.  No name from the netlist appears in the C text outside a
+    comment or a string literal, so an input may be named like a C
+    keyword, a macro of [<stdint.h>] or [<stdio.h>], or one of the file's
+    own identifiers ([word], [POLYSYNTH_MASK], the wires [n<id>],
+    [errors]).  [func_name] defaults to "polysynth"; [self_check] (a
+    vector count) adds the self-checking [main], its vectors drawn from a
+    generator seeded with 1, which names a failing output in its message.
+    @raise Invalid_argument when the width exceeds 64 bits. *)

@@ -150,36 +150,29 @@ let emit_digit_sum b term_ids digits =
      | None, None -> assert false)
 
 let optimize (n : Netlist.t) =
-  (* group Cmult cells by operand *)
-  let groups = Hashtbl.create 8 in
+  (* group the constants of the Cmult cells by operand, and note each
+     cell's operand and position in its group *)
+  let groups = Hashtbl.create 8 and member_of = Hashtbl.create 8 in
   Array.iter
     (fun cell ->
       match cell.Netlist.op with
       | Netlist.Cmult c when Z.sign c > 0 && not (Z.is_one c) ->
         let operand = List.hd cell.Netlist.fanin in
-        let prev =
-          match Hashtbl.find_opt groups operand with
-          | Some l -> l
-          | None -> []
-        in
-        Hashtbl.replace groups operand (prev @ [ (cell.Netlist.id, c) ])
+        let prev = Option.value ~default:[] (Hashtbl.find_opt groups operand) in
+        Hashtbl.replace member_of cell.Netlist.id (operand, List.length prev);
+        Hashtbl.replace groups operand (prev @ [ c ])
       | _ -> ())
     n.Netlist.cells;
   (* plan sharing per group *)
   let plans = Hashtbl.create 8 in
   Hashtbl.iter
-    (fun operand members ->
-      let digit_lists =
-        List.map (fun (_, c) -> csd_digits c)
-          (List.map (fun (id, c) -> (id, c)) members)
-      in
-      let digit_lists =
+    (fun operand constants ->
+      let digit c =
         List.map
-          (List.map (fun (s, k) -> { sign = s; shift = k; term = 0 }))
-          digit_lists
+          (fun (s, k) -> { sign = s; shift = k; term = 0 })
+          (csd_digits c)
       in
-      let partials, final = share_group digit_lists in
-      Hashtbl.replace plans operand (members, partials, final))
+      Hashtbl.replace plans operand (share_group (List.map digit constants)))
     groups;
   let b = { cells = []; next = 0 } in
   let id_map = Hashtbl.create 64 in
@@ -188,19 +181,9 @@ let optimize (n : Netlist.t) =
   Array.iter
     (fun cell ->
       let open Netlist in
-      (* if this cell's id belongs to a planned group, expand *)
-      let in_group =
-        match cell.op with
-        | Cmult c when Z.sign c > 0 && not (Z.is_one c) ->
-          Hashtbl.fold
-            (fun operand (members, _, _) acc ->
-              if List.mem_assoc cell.id members then Some operand else acc)
-            plans None
-        | _ -> None
-      in
-      match in_group with
-      | Some operand ->
-        let members, partials, finals = Hashtbl.find plans operand in
+      match Hashtbl.find_opt member_of cell.id with
+      | Some (operand, index) ->
+        let partials, finals = Hashtbl.find plans operand in
         (* materialize the shared partial terms once per group *)
         let term_ids =
           match Hashtbl.find_opt emitted_groups operand with
@@ -221,20 +204,11 @@ let optimize (n : Netlist.t) =
             Hashtbl.replace emitted_groups operand term_ids;
             term_ids
         in
-        let index =
-          let rec find i = function
-            | [] -> assert false
-            | (id, _) :: rest -> if id = cell.id then i else find (i + 1) rest
-          in
-          find 0 members
-        in
         let digits = List.nth finals index in
         Hashtbl.replace id_map cell.id (emit_digit_sum b term_ids digits)
       | None ->
-        let new_id =
-          emit b cell.op (List.map resolve cell.fanin)
-        in
-        Hashtbl.replace id_map cell.id new_id)
+        Hashtbl.replace id_map cell.id
+          (emit b cell.op (List.map resolve cell.fanin)))
     n.Netlist.cells;
   {
     Netlist.cells = Array.of_list (List.rev b.cells);

@@ -927,7 +927,7 @@ let test_fsmd_runs_table_bindings () =
 let pinned_artifacts =
   [
     ("testbench", "3421818b796b40a1c16875afe5231847");
-    ("c self-check", "8f2b3fa238695df4f83b5e461e4a39b3");
+    ("c self-check", "add21dd0c6e16d505de27c6e8538623b");
     ("interval and constant analysis", "0fa04af4fb056edb10d3d006bd19d744");
     ("width lint", "24997f828586e1b8267587174cf850e1");
     ("pipeline cut", "1dd1bce6517c5f42a37b1bfc5092acd4");

@@ -2,7 +2,9 @@
    usage error (exit 1), never a result or an uncaught exception; the
    figures of the --range report and of the implementation summary; and
    adversarial systems (input names that shadow generated blocks, large
-   coefficients) synthesize with every certificate verified. *)
+   coefficients) synthesize with every certificate verified; and the
+   emitted C of hostile input names and of every example compiles and
+   passes its self-check. *)
 
 (* the test runs in the build directory of [test/] *)
 let polysynth = "../bin/polysynth.exe"
@@ -95,20 +97,11 @@ let test_variable_named_like_output () =
   Alcotest.(check int) "P1*x + P2 is rejected" 1 (run ~input:"P1*x + P2" "");
   Alcotest.(check int) "P2*x synthesizes" 0 (run ~input:"P2*x" "")
 
-(* every reserved word of C11 and of Verilog-2005 (IEEE 1364-2005, Annex
-   B) is a usage error as a variable, since the emitted C or Verilog
-   could not name the input *)
+(* every reserved word of Verilog-2005 (IEEE 1364-2005, Annex B) is a
+   usage error as a variable, since the emitted Verilog could not name the
+   input *)
 let reserved_words =
   [
-    (* C11 *)
-    "auto"; "break"; "case"; "char"; "const"; "continue"; "default"; "do";
-    "double"; "else"; "enum"; "extern"; "float"; "for"; "goto"; "if";
-    "inline"; "int"; "long"; "register"; "restrict"; "return"; "short";
-    "signed"; "sizeof"; "static"; "struct"; "switch"; "typedef"; "union";
-    "unsigned"; "void"; "volatile"; "while"; "_Alignas"; "_Alignof";
-    "_Atomic"; "_Bool"; "_Complex"; "_Generic"; "_Imaginary"; "_Noreturn";
-    "_Static_assert"; "_Thread_local";
-    (* Verilog-2005 *)
     "always"; "and"; "assign"; "automatic"; "begin"; "buf"; "bufif0";
     "bufif1"; "case"; "casex"; "casez"; "cell"; "cmos"; "config";
     "deassign"; "default"; "defparam"; "design"; "disable"; "edge"; "else";
@@ -150,27 +143,81 @@ let test_reserved_word_variable () =
         (word ^ " is a usage error")
         ( 1,
           Printf.sprintf
-            "error: variable %s is named like a reserved word of C or \
-             Verilog\n"
+            "error: variable %s is named like a reserved word of Verilog\n"
             word )
         (exit_and_stderr (word ^ "*x + 1")))
     reserved_words
 
-(* a variable named like a macro of <stdint.h> or <stdio.h>, which the
-   emitted C includes, is a usage error: gcc rejects the C that names a
-   parameter EOF, NULL or INT8_MAX *)
-let test_c_macro_variable () =
-  List.iter
-    (fun (input, name) ->
-      Alcotest.(check (pair int string))
-        (input ^ " is a usage error")
-        ( 1,
-          Printf.sprintf
-            "error: variable %s is named like a macro of <stdint.h> or \
-             <stdio.h>\n"
-            name )
-        (exit_and_stderr input))
-    [ ("EOF*x + 1", "EOF"); ("NULL*x", "NULL"); ("INT8_MAX + x", "INT8_MAX") ]
+let have_gcc = Sys.command "which gcc > /dev/null 2>&1" = 0
+
+(* [polysynth args --emit-c FILE], reading [input] on stdin when given,
+   exits 0; gcc compiles FILE with -Wall -Werror in its default mode and
+   under -std=c11 -pedantic-errors, and each program prints PASS *)
+let check_emitted_c ?input label args =
+  let dir = Filename.temp_dir "polysynth" "" in
+  let c_file = Filename.concat dir "t.c" in
+  let exe = Filename.concat dir "t" and out = Filename.concat dir "out" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ c_file; exe; out ];
+      Sys.rmdir dir)
+    (fun () ->
+      let args = args ^ " --emit-c " ^ Filename.quote c_file in
+      let code =
+        match input with
+        | Some input -> run ~input args
+        | None ->
+          Sys.command
+            (Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote polysynth)
+               args)
+      in
+      Alcotest.(check int) (label ^ " exits 0") 0 code;
+      List.iter
+        (fun flags ->
+          Alcotest.(check int)
+            (Printf.sprintf "gcc%s accepts the C of %s" flags label)
+            0
+            (Sys.command
+               (Printf.sprintf "gcc%s -O1 -Wall -Werror -o %s %s" flags
+                  (Filename.quote exe) (Filename.quote c_file)));
+          Alcotest.(check (pair int (list string)))
+            (Printf.sprintf "the C of %s under gcc%s passes" label flags)
+            (0, [ "PASS" ])
+            (let code =
+               Sys.command (Filename.quote exe ^ " > " ^ Filename.quote out)
+             in
+             (code, In_channel.with_open_text out In_channel.input_lines)))
+        [ ""; " -std=c11 -pedantic-errors" ])
+
+(* the emitted C names each input and output by position, so a variable
+   named like a C keyword or GNU extension, a macro of <stdint.h> or
+   <stdio.h>, or an identifier of the emitted C itself synthesizes, and
+   its C compiles and passes its self-check; skipped without gcc *)
+let test_hostile_c_names () =
+  if have_gcc then
+    List.iter
+      (fun name -> check_emitted_c ~input:(name ^ "*x + 1") name "")
+      [
+        "typeof"; "asm"; "__attribute__"; "__int128"; "_Float32"; "int";
+        "EOF"; "NULL"; "INT8_MAX"; "UINT64_C"; "main"; "polysynth_dut";
+        "word"; "POLYSYNTH_MASK"; "n0"; "in0"; "out0"; "errors";
+      ]
+
+(* the emitted C of every example system, exact and --ring, compiles and
+   passes its self-check; skipped without gcc *)
+let test_example_c () =
+  if have_gcc then
+    Array.iter
+      (fun file ->
+        if Filename.check_suffix file ".poly" then
+          List.iter
+            (fun ring ->
+              let path = Filename.concat "../examples/data" file in
+              check_emitted_c (file ^ ring) (Filename.quote path ^ ring))
+            [ ""; " --ring" ])
+      (Sys.readdir "../examples/data")
 
 let range_line bits growth =
   Printf.sprintf
@@ -451,8 +498,8 @@ let () =
             test_variable_named_like_output;
           Alcotest.test_case "reserved word as a variable" `Quick
             test_reserved_word_variable;
-          Alcotest.test_case "C header macro as a variable" `Quick
-            test_c_macro_variable;
+          Alcotest.test_case "hostile names in the emitted C" `Quick
+            test_hostile_c_names;
         ] );
       ( "range", [ Alcotest.test_case "figures" `Quick test_range_figures ] );
       ( "check",
@@ -473,5 +520,7 @@ let () =
             test_implementation_summary;
           Alcotest.test_case "analyze prints interval and constant" `Quick
             test_analyze_printout;
+          Alcotest.test_case "emitted C of every example passes" `Quick
+            test_example_c;
         ] );
     ]

@@ -427,7 +427,10 @@ module Cemit = Polysynth_hw.Cemit
 let test_cemit_structure () =
   let n = N.of_prog ~width:16 (prog_of_strings [ "3*x*y + 5*z" ]) in
   let src = Cemit.emit ~func_name:"dut" n in
-  Alcotest.(check bool) "function" true (contains src "void dut(word x, word y, word z, word *P1)");
+  Alcotest.(check bool) "function" true
+    (contains src
+       "void dut(word in0 /* x */, word in1 /* y */, word in2 /* z */, word \
+        *out0 /* P1 */)");
   Alcotest.(check bool) "mask" true (contains src "& POLYSYNTH_MASK");
   Alcotest.(check bool) "no main without self_check" false (contains src "int main")
 
@@ -1058,9 +1061,11 @@ let verilog_declarations text =
     (String.split_on_char '\n' text)
 
 (* inputs named like the emitters' own wires, registers, state and error
-   counter, clock, reset, done signal, instance, word type and mask: each
-   emitted text still declares every identifier once, and the C compiles
-   and checks itself *)
+   counter, clock, reset, done signal, instance, word type, mask and
+   module names: each emitted text still declares every identifier once,
+   and the C compiles and checks itself.  A module name may equal a port
+   name, since Verilog-2005 keeps module definitions in a name space of
+   their own (IEEE 1364-2005, 4.11); no simulator checks that here. *)
 let test_names_avoid_ports () =
   let n =
     N.of_prog ~width:16
@@ -1068,6 +1073,7 @@ let test_names_avoid_ports () =
          [
            "n1*x + regs*state + errors + 3";
            "clk*x + rst*done_o + word*dut + POLYSYNTH_MASK";
+           "polysynth*x + polysynth_dut*polysynth_tb";
          ])
   in
   check_c_self_check "inputs named like every generated name" n;
