@@ -4,15 +4,11 @@
 module Z = Polysynth_zint.Zint
 module Netlist = Polysynth_hw.Netlist
 
+(* two's complement: the least w with hi < 2^(w-1) and -lo - 1 < 2^(w-1);
+   [bits] counts the bits of a positive value, and 0 for the rest *)
 let required_width ~lo ~hi =
-  (* two's complement: need hi <= 2^(w-1) - 1 and lo >= -2^(w-1) *)
-  let rec search w =
-    let top = Z.sub (Z.pow2 (w - 1)) Z.one in
-    let bottom = Z.neg (Z.pow2 (w - 1)) in
-    if Z.compare hi top <= 0 && Z.compare lo bottom >= 0 then w
-    else search (w + 1)
-  in
-  search 1
+  let bits v = if Z.sign v > 0 then Z.num_bits v else 0 in
+  1 + max (bits hi) (bits (Z.sub (Z.neg lo) Z.one))
 
 (* the width each cell needs *)
 let needs n =

@@ -11,34 +11,21 @@ let trial_bound = 65_536
    the remaining cofactor; [None] when a cofactor with no prime factor up to
    [trial_bound] is too large to be known prime *)
 let factorization n =
-  let rec small n d acc =
-    (* native ints: [n] fits, and [d <= trial_bound + 1] keeps [d * d] exact *)
-    if n = 1 then Some acc
-    else if d * d > n then Some ((Z.of_int n, 1) :: acc)
+  let rec go n d acc =
+    let dz = Z.of_int d in
+    if Z.is_one n then Some acc
+    else if Z.compare (Z.mul dz dz) n > 0 then Some ((n, 1) :: acc)
     else if d > trial_bound then None
-    else if n mod d = 0 then begin
-      let rec strip n e = if n mod d = 0 then strip (n / d) (e + 1) else (n, e) in
+    else if Z.divides dz n then begin
+      let rec strip n e =
+        if Z.divides dz n then strip (Z.divexact n dz) (e + 1) else (n, e)
+      in
       let n, e = strip n 0 in
-      small n (d + 1) ((Z.of_int d, e) :: acc)
+      go n (d + 1) ((dz, e) :: acc)
     end
-    else small n (d + 1) acc
+    else go n (d + 1) acc
   in
-  let rec big n d acc =
-    match Z.to_int_opt n with
-    | Some n -> small n d acc
-    | None when d > trial_bound -> None
-    | None ->
-      let dz = Z.of_int d in
-      if Z.divides dz n then begin
-        let rec strip n e =
-          if Z.divides dz n then strip (Z.divexact n dz) (e + 1) else (n, e)
-        in
-        let n, e = strip n 0 in
-        big n (d + 1) ((dz, e) :: acc)
-      end
-      else big n (d + 1) acc
-  in
-  big n 2 []
+  go n 2 []
 
 (* more (numerator, denominator) divisor pairs than this give no candidates:
    a highly composite coefficient would otherwise take quadratic time *)

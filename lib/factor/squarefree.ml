@@ -76,49 +76,22 @@ let squarefree u =
 let is_trivial { unit_part; factors } =
   Z.is_one unit_part && match factors with [ (_, 1) ] -> true | _ -> false
 
-(* [r^k] compared with [n] (both non-negative), stopping once the partial
-   power passes [n], so it never overflows *)
-let compare_native_pow r k n =
-  let rec go acc i =
-    if i = 0 then Int.compare acc n
-    else if r <> 0 && acc > n / r then 1
-    else go (acc * r) (i - 1)
-  in
-  go 1 k
-
-(* Binary search for r >= 0 with r^k = n (k >= 2).  A root of a [bits]-bit
-   value has between [(bits - 1) / k + 1] and [ceil (bits / k)] bits, so the
-   search spans about [bits / k] steps; it runs in native ints whenever [n]
-   fits one. *)
+(* Newton's iteration for r >= 0 with r^k = n (k >= 2), from 2^ceil(bits/k),
+   above the root.  While x^k > n, the step x' = ((k-1) x + n / x^(k-1)) / k
+   falls and stays at or above floor(n^(1/k)), so the first x with x^k <= n
+   is that floor, reached without dividing by its own power (for a large k
+   the costliest division).  A value below 2^k has root 0, 1 or none. *)
 let integer_root_abs n k =
-  let bits = Z.num_bits n in
-  if bits = 0 then Some Z.zero
-  else begin
-    let lo_bits = (bits - 1) / k and hi_bits = (bits + k - 1) / k in
-    match Z.to_int_opt n with
-    | Some n ->
-      let rec search lo hi =
-        if lo > hi then None
-        else
-          let mid = lo + ((hi - lo) / 2) in
-          let c = compare_native_pow mid k n in
-          if c = 0 then Some (Z.of_int mid)
-          else if c < 0 then search (mid + 1) hi
-          else search lo (mid - 1)
-      in
-      search (1 lsl lo_bits) ((1 lsl hi_bits) - 1)
-    | None ->
-      let rec search lo hi =
-        if Z.compare lo hi > 0 then None
-        else
-          let mid = Z.div (Z.add lo hi) Z.two in
-          let c = Z.compare (Z.pow mid k) n in
-          if c = 0 then Some mid
-          else if c < 0 then search (Z.add mid Z.one) hi
-          else search lo (Z.sub mid Z.one)
-      in
-      search (Z.pow2 lo_bits) (Z.sub (Z.pow2 hi_bits) Z.one)
-  end
+  let rec fall x =
+    let p = Z.pow x (k - 1) in
+    let c = Z.compare (Z.mul x p) n in
+    if c > 0 then
+      fall (Z.div (Z.add (Z.mul_int x (k - 1)) (Z.div n p)) (Z.of_int k))
+    else if c = 0 then Some x
+    else None
+  in
+  if Z.num_bits n <= k then if Z.compare n Z.one <= 0 then Some n else None
+  else fall (Z.pow2 ((Z.num_bits n + k - 1) / k))
 
 let integer_root n k =
   if k < 1 then invalid_arg "Squarefree.integer_root: k < 1";

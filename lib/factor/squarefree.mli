@@ -42,7 +42,10 @@ val perfect_power_root : Poly.t -> (Poly.t * int) option
 
 val integer_root : Z.t -> int -> Z.t option
 (** [integer_root n k] is the exact [k]-th root of [n] when it exists
-    ([k >= 1]; negative [n] allowed for odd [k]).  The cost is bounded by
-    bit length: a root of a [b]-bit value has about [b / k] bits, so a
-    binary search over that range takes about [b / k] steps, in native
-    ints when [n] fits one. *)
+    ([k >= 1]; negative [n] allowed for odd [k]).  A value below [2^k] is
+    answered without a power; otherwise Newton's iteration falls from
+    [2^ceil(b / k)] (at most twice the root of a [b]-bit value) to the
+    floor of the root, with one power [x^(k-1)] per step and one division
+    of [n] per step above the floor: at most about [min(k, root)] steps far
+    above the root, where a step lowers [x] by about [x / k] and at least
+    1, then a few more as the error squares. *)

@@ -268,23 +268,37 @@ let bit_at mag i =
   let limb = i / base_bits and off = i mod base_bits in
   if limb >= Array.length mag then 0 else (mag.(limb) lsr off) land 1
 
-(* Magnitude division by binary long division of the limbs [a] by the
-   positive value [b]: simple and adequate for the moderate operand sizes
-   arising in polynomial synthesis. *)
+(* Magnitude division of the limbs [a] by the positive value [b].  A
+   one-limb divisor (b < 2^30: trial division, [to_string]'s 10^9) takes
+   one pass over the limbs from the top in native ints, each step dividing
+   [r * 2^30 + limb] < 2^60.  A divisor of two or more limbs has only
+   binary long division: one bignum add, compare and subtract per bit of
+   [a]. *)
 let divmod_mag a b =
   let q = Array.make (Array.length a) 0 in
-  let r = ref zero in
-  for i = num_bits_mag a - 1 downto 0 do
-    (* r := 2r + bit i of a *)
-    let doubled = add !r !r in
-    let with_bit = if bit_at a i = 1 then add doubled one else doubled in
-    if compare with_bit b >= 0 then begin
-      r := sub with_bit b;
-      q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
-    end
-    else r := with_bit
-  done;
-  (normalize 1 q, !r)
+  if is_small b && to_small b < base then begin
+    let d = to_small b and r = ref 0 in
+    for i = Array.length a - 1 downto 0 do
+      let cur = (!r lsl base_bits) lor a.(i) in
+      q.(i) <- cur / d;
+      r := cur mod d
+    done;
+    (normalize 1 q, of_small !r)
+  end
+  else begin
+    let r = ref zero in
+    for i = num_bits_mag a - 1 downto 0 do
+      (* r := 2r + bit i of a *)
+      let doubled = add !r !r in
+      let with_bit = if bit_at a i = 1 then add doubled one else doubled in
+      if compare with_bit b >= 0 then begin
+        r := sub with_bit b;
+        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
+      end
+      else r := with_bit
+    done;
+    (normalize 1 q, !r)
+  end
 
 (* Native [/] and [mod] truncate exactly as documented.  An immediate
    dividend over a block divisor is the whole remainder: |a| < 2^62 <= |b|. *)

@@ -131,6 +131,37 @@ let test_range_negative () =
   let lo, _ = output_range n in
   Alcotest.(check int) "min -255" (-255) (Z.to_int_exn lo)
 
+(* [required_width] is the least w with -2^(w-1) <= lo <= hi < 2^(w-1),
+   over intervals whose ends are 0, small values or values near +-2^j up to
+   300 bits, so all-negative, all-positive and straddling intervals occur,
+   some with a bignum end *)
+let prop_required_width =
+  let bound =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, pure Z.zero);
+          (2, map Z.of_int (int_range (-1000) 1000));
+          ( 4,
+            map3
+              (fun s j d -> Z.mul_int (Z.add (Z.pow2 j) (Z.of_int d)) s)
+              (oneofl [ 1; -1 ]) (int_range 0 300) (int_range (-2) 2) );
+        ])
+  in
+  let fits w lo hi =
+    Z.compare (Z.neg (Z.pow2 (w - 1))) lo <= 0
+    && Z.compare hi (Z.pow2 (w - 1)) < 0
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:2000 ~name:"required width is the least fit"
+       (QCheck.make
+          ~print:(fun (a, b) -> Z.to_string a ^ ", " ^ Z.to_string b)
+          (QCheck.Gen.pair bound bound))
+       (fun (a, b) ->
+         let lo = Z.min a b and hi = Z.max a b in
+         let w = Widths.required_width ~lo ~hi in
+         w >= 1 && fits w lo hi && (w = 1 || not (fits (w - 1) lo hi))))
+
 (* ---- equivalence certification ----------------------------------------- *)
 
 let test_certify_verified () =
@@ -1057,6 +1088,7 @@ let () =
           Alcotest.test_case "multiplication growth" `Quick
             test_range_mult_growth;
           Alcotest.test_case "negative" `Quick test_range_negative;
+          prop_required_width;
         ] );
       ( "equiv",
         [

@@ -302,6 +302,36 @@ let test_large_coefficients () =
       "large_coeff_primorial.poly";
     ]
 
+(* Adversarial inputs, read from a temp file, that once ran far past their
+   budgets (seconds on a 2-core Xeon host): a 2000-digit coefficient under
+   --ring, whose trial division divided the bignum bit by bit (38 s); the
+   --range and --lint of x^800 + x, whose width search built two powers of
+   two per candidate width (14 s and 8 s); and x^5000, whose perfect-power
+   test searched for integer roots (2.3 s against a 0.5 s budget).  Each
+   exits 0, or 2 for x^5000's unknown certificate, and never 124 (the
+   timeout). *)
+let test_adversarial_inputs () =
+  let c = "1" ^ String.make 1998 '0' ^ "7" in
+  List.iter
+    (fun (input, args, expect) ->
+      let file = Filename.temp_file "polysynth" ".poly" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Out_channel.with_open_text file (fun oc ->
+              output_string oc (input ^ "\n"));
+          let code, _ =
+            output ~timeout:20 ~prefix:"" (args ^ " " ^ Filename.quote file)
+          in
+          let name = if String.length input > 20 then "c*x" else input in
+          Alcotest.(check int) (name ^ " " ^ args) expect code))
+    [
+      (c ^ "*x", "--ring --time-budget 1", 0);
+      ("x^800 + x", "-m direct --range", 0);
+      ("x^800 + x", "-m direct --lint", 0);
+      ("x^5000", "--time-budget 0.5", 2);
+    ]
+
 (* The power objective at 200 bits: each toggle count compares values
    wider than a native int, 30 bits at a time (bit by bit, this run took
    minutes).  The timeout turns such a regression into a failure. *)
@@ -513,6 +543,8 @@ let () =
             test_wide_power;
           Alcotest.test_case "unknown certificate exits 2" `Quick
             test_unknown_exit_code;
+          Alcotest.test_case "adversarial inputs finish in time" `Quick
+            test_adversarial_inputs;
         ] );
       ( "implementation",
         [

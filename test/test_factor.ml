@@ -210,20 +210,36 @@ let test_integer_root_reference () =
         Z.pow (Z.of_int 3037000499) 2; Z.pow2 30; Z.pow2 60; Z.pow2 120 ]
   in
   let values = (Z.zero :: powers) @ boundaries in
+  let check ks values =
+    List.iter
+      (fun n ->
+        List.iter
+          (fun n ->
+            List.iter
+              (fun k ->
+                let show = function None -> "none" | Some r -> Z.to_string r in
+                Alcotest.(check string)
+                  (Printf.sprintf "root %d of %s" k (Z.to_string n))
+                  (show (reference_integer_root n k))
+                  (show (S.integer_root n k)))
+              ks)
+          [ n; Z.neg n ])
+      values
+  in
+  check [ 1; 2; 3; 4; 5; 6; 7 ] values;
+  (* k up to 40 around 2^k (the values below 2^k are answered without a
+     power), 3^k and 4^k *)
   List.iter
-    (fun n ->
-      List.iter
-        (fun n ->
-          List.iter
-            (fun k ->
-              let show = function None -> "none" | Some r -> Z.to_string r in
-              Alcotest.(check string)
-                (Printf.sprintf "root %d of %s" k (Z.to_string n))
-                (show (reference_integer_root n k))
-                (show (S.integer_root n k)))
-            [ 1; 2; 3; 4; 5; 6; 7 ])
-        [ n; Z.neg n ])
-    values
+    (fun k ->
+      check [ k ]
+        (List.concat_map
+           (fun r -> near (Z.pow (Z.of_int r) k))
+           [ 2; 3; 4 ]))
+    (List.init 39 (fun i -> i + 2));
+  (* powers of about 2000 bits *)
+  check [ 2; 3 ]
+    (near (Z.pow (Z.pow (Z.of_int 3) 630) 2)
+    @ near (Z.pow (Z.pow (Z.of_int 7) 237) 3))
 
 (* linear factors --------------------------------------------------------------- *)
 
@@ -272,6 +288,41 @@ let test_roots_large_coefficients () =
     (roots "2305843009213693951*x - 2305843009213693951");
   Alcotest.check pair "47# * (x - 1): 2^30 divisor pairs, no candidates" []
     (roots "614889782588491410*x - 614889782588491410")
+
+(* planted roots b/a of (a*x - b) * (x + 1) * c, with [c] a product of four
+   primes between 60 000 and 65 536, past 2^62: both end coefficients are
+   bignums that trial division factors completely, with at most
+   8 * 16 * 16 divisor pairs.  Every listed root b/a is a root: a*x - b
+   divides the polynomial. *)
+let prop_roots_bignum_coefficients =
+  let is_prime n =
+    let rec go d = d * d > n || (n mod d <> 0 && go (d + 1)) in
+    go 2
+  in
+  let primes = List.filter is_prime (List.init 5536 (fun i -> 60_000 + i)) in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let x = P.var "x" in
+  let linear (b, a) = P.sub (P.mul_scalar a x) (P.const b) in
+  prop "roots of bignum coefficients" ~count:30
+    (QCheck.make
+       ~print:(fun (a, b, ps) ->
+         Printf.sprintf "a=%d b=%d c=%s" a b
+           (String.concat "*" (List.map string_of_int ps)))
+       QCheck.Gen.(
+         triple (int_range 1 10)
+           (map2 ( * ) (oneofl [ 1; -1 ]) (oneofl [ 1; 2; 3; 5; 7; 11; 13 ]))
+           (list_repeat 4 (oneofl primes))))
+    (fun (a, b, ps) ->
+      QCheck.assume (gcd a (abs b) = 1);
+      let c = List.fold_left Z.mul_int Z.one ps in
+      let u =
+        P.mul_scalar c
+          (P.mul (linear (Z.of_int b, Z.of_int a)) (P.add x P.one))
+      in
+      let rs = LF.roots "x" u in
+      List.mem (Z.of_int b, Z.of_int a) rs
+      && List.mem (Z.minus_one, Z.one) rs
+      && List.for_all (fun r -> divides (linear r) u) rs)
 
 let test_roots_invalid () =
   Alcotest.check_raises "multivariate"
@@ -619,6 +670,7 @@ let () =
           Alcotest.test_case "no roots" `Quick test_roots_none;
           Alcotest.test_case "large coefficients" `Quick
             test_roots_large_coefficients;
+          prop_roots_bignum_coefficients;
           Alcotest.test_case "invalid input" `Quick test_roots_invalid;
           Alcotest.test_case "reconstruct" `Quick test_linear_factors_reconstruct;
           Alcotest.test_case "multiplicity" `Quick test_linear_factors_multiplicity;

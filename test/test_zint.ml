@@ -405,6 +405,45 @@ let prop_mixed_divmod =
          && canonical (Z.gcd big za)
          && Z.divides (Z.gcd big za) za))
 
+(* divisors at the one-limb boundary (|b| < 2^30 takes the limb-by-limb
+   pass, 2^30 and 2^30 + 1 the bit-serial loop) against dividends of up to
+   17 limbs (510 bits) of either sign, half of them multiples of the
+   divisor so [divides] answers both ways *)
+let prop_one_limb_divisors =
+  let open QCheck.Gen in
+  let divisor =
+    map2 Z.mul_int
+      (oneofl (List.map Z.of_int [ 1; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 30) + 1 ]))
+      (oneofl [ 1; -1 ])
+  in
+  let dividend =
+    map2
+      (fun neg limbs ->
+        let v =
+          List.fold_left
+            (fun acc l -> Z.add (Z.mul acc (Z.pow2 30)) (Z.of_int l))
+            Z.zero limbs
+        in
+        if neg then Z.neg v else v)
+      bool
+      (list_size (int_range 1 17) (int_bound ((1 lsl 30) - 1)))
+  in
+  prop "one-limb divisors: a = q*b + r, sign rules" ~count:2000
+    (QCheck.make
+       ~print:(fun (b, a, m) ->
+         Printf.sprintf "b=%s a=%s multiple=%b" (Z.to_string b) (Z.to_string a) m)
+       (triple divisor dividend bool))
+    (fun (b, a, multiple) ->
+      let a = if multiple then Z.mul a b else a in
+      let q, r = Z.divmod a b and eq, er = Z.ediv_rem a b in
+      truncated_ok a b q r
+      && Z.equal a (Z.add (Z.mul eq b) er)
+      && Z.sign er >= 0
+      && Z.compare er (Z.abs b) < 0
+      && Z.divides b a = Z.is_zero er
+      && Z.is_zero r = Z.is_zero er
+      && ((not multiple) || Z.is_zero r))
+
 (* [sign + 2] folded over the base-2^30 limbs of |v|, least significant
    first: the hash of the sign-magnitude layout, which hashed tables of
    polynomials and DAG nodes have always used *)
@@ -520,6 +559,7 @@ let () =
           prop_hash_limb_formula;
           prop_crossing_canonical;
           prop_divides_rem;
+          prop_one_limb_divisors;
         ] );
       ( "properties",
         [
