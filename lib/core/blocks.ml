@@ -28,20 +28,17 @@ let candidates_of_poly acc p =
         (fun acc (_, k) -> add_candidate acc k)
         acc (Kernel.kernels p)
     in
-    (* square-free structure of the polynomial and of the CCE blocks:
-       linear factors and linear perfect-power roots *)
+    (* linear square-free factors of the polynomial and of the CCE blocks
+       (a linear perfect-power root is one: [c * v^k] has the one factor
+       [v]) *)
     let squarefree_sources = p :: Cce.blocks cce in
     let acc =
       List.fold_left
         (fun acc q ->
           if Poly.is_zero q || Poly.is_const q then acc
-          else begin
+          else
             let { Squarefree.factors; _ } = Squarefree.squarefree q in
-            let acc = List.fold_left (fun acc (s, _) -> add_candidate acc s) acc factors in
-            match Squarefree.perfect_power_root q with
-            | Some (root, _) -> add_candidate acc root
-            | None -> acc
-          end)
+            List.fold_left (fun acc (s, _) -> add_candidate acc s) acc factors)
         acc squarefree_sources
     in
     (* rational-root linear factors of univariate polynomials: blocks like

@@ -7,8 +7,9 @@
     hardware.  Candidates come from:
     - the quotient blocks of common coefficient extraction;
     - the (primitive parts of) kernels found by cube extraction;
-    - linear square-free factors and perfect-power roots
-      ([x^2 + 2xy + y^2] contributes [x + y]).
+    - linear square-free factors, which include every linear
+      perfect-power root ([x^2 + 2xy + y^2] contributes [x + y]);
+    - rational-root linear factors of univariate polynomials.
 
     All candidates are normalized (primitive, positive leading coefficient)
     and deduplicated, then ranked by how many polynomials of the system they

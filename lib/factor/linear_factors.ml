@@ -76,8 +76,9 @@ let roots v u =
   check_univariate v u;
   let coeffs = Poly.coeffs_in v u in
   (* strip the root at zero first: trailing coefficient of the v-free part *)
-  let min_deg = List.fold_left (fun acc (k, _) -> Stdlib.min acc k) max_int
-      (List.map (fun (k, c) -> (k, c)) coeffs) in
+  let min_deg =
+    List.fold_left (fun acc (k, _) -> Stdlib.min acc k) max_int coeffs
+  in
   let zero_root = min_deg > 0 in
   let shifted =
     List.filter_map
@@ -96,18 +97,21 @@ let roots v u =
     | None -> Z.one
   in
   let candidates =
-    match (factorization (Z.abs trailing), factorization (Z.abs leading)) with
-    | Some fb, Some fa
-      when num_divisors fb * num_divisors fa <= max_candidate_pairs ->
-      let dens = divisors fa in
-      List.concat_map
-        (fun b ->
-          List.concat_map
-            (fun a ->
-              if Z.is_one (Z.gcd a b) then [ (b, a); (Z.neg b, a) ] else [])
-            dens)
-        (divisors fb)
-    | _ -> []
+    match shifted with
+    | [ _ ] -> [] (* a non-zero constant: no root to search for *)
+    | _ -> (
+      match (factorization (Z.abs trailing), factorization (Z.abs leading)) with
+      | Some fb, Some fa
+        when num_divisors fb * num_divisors fa <= max_candidate_pairs ->
+        let dens = divisors fa in
+        List.concat_map
+          (fun b ->
+            List.concat_map
+              (fun a ->
+                if Z.is_one (Z.gcd a b) then [ (b, a); (Z.neg b, a) ] else [])
+              dens)
+          (divisors fb)
+      | _ -> [])
   in
   let found =
     List.filter (fun (b, a) -> Z.is_zero (eval_at v b a u)) candidates

@@ -264,41 +264,62 @@ let num_bits x =
   if is_small x then bit_length (Stdlib.abs (to_small x))
   else num_bits_mag (to_big x).mag
 
-let bit_at mag i =
-  let limb = i / base_bits and off = i mod base_bits in
-  if limb >= Array.length mag then 0 else (mag.(limb) lsr off) land 1
-
-(* Magnitude division of the limbs [a] by the positive value [b].  A
-   one-limb divisor (b < 2^30: trial division, [to_string]'s 10^9) takes
-   one pass over the limbs from the top in native ints, each step dividing
-   [r * 2^30 + limb] < 2^60.  A divisor of two or more limbs has only
-   binary long division: one bignum add, compare and subtract per bit of
-   [a]. *)
-let divmod_mag a b =
-  let q = Array.make (Array.length a) 0 in
-  if is_small b && to_small b < base then begin
-    let d = to_small b and r = ref 0 in
-    for i = Array.length a - 1 downto 0 do
-      let cur = (!r lsl base_bits) lor a.(i) in
-      q.(i) <- cur / d;
-      r := cur mod d
+(* Magnitude division of the limbs [u] by the limbs [v] (u >= v > 0):
+   Knuth's algorithm D (TAOCP vol. 2, 4.3.1) in base 2^30.  Both are
+   shifted left until the divisor's top limb has bit 29 set.  Each quotient
+   limb is estimated from the remainder's top two limbs over that limb and
+   lowered while it is at least 2^30 or [qhat * v[n-2] > rhat * 2^30 +
+   u[j+n-2]], which leaves it at most one too large: then the
+   multiply-and-subtract goes negative and one add-back corrects it.  A
+   one-limb divisor takes the same loop, its estimates exact.  Every
+   product is below 2^61, so all of it is native ints. *)
+let divmod_mag u v =
+  let n = Array.length v and m = Array.length u - Array.length v in
+  let s = base_bits - bit_length v.(n - 1) in
+  let limb x i = if i >= 0 && i < Array.length x then x.(i) else 0 in
+  let shift x len =
+    Array.init len (fun i ->
+        ((limb x i lsl s) land base_mask) lor (limb x (i - 1) lsr (base_bits - s)))
+  in
+  let vn = shift v n and un = shift u (m + n + 1) in
+  let top = vn.(n - 1) and next = limb vn (n - 2) in
+  (* u[j..j+n] -= k * v with a signed borrow, for k < 2^30 or k = -1 (the
+     add-back, whose carry out of the top is dropped); returns the top
+     limb's difference, negative when the result is *)
+  let sub_mul j k =
+    let c = ref 0 in
+    for i = 0 to n - 1 do
+      let p = k * vn.(i) in
+      let t = un.(i + j) - (p land base_mask) + !c in
+      un.(i + j) <- t land base_mask;
+      c := (t asr base_bits) - (p asr base_bits)
     done;
-    (normalize 1 q, of_small !r)
-  end
-  else begin
-    let r = ref zero in
-    for i = num_bits_mag a - 1 downto 0 do
-      (* r := 2r + bit i of a *)
-      let doubled = add !r !r in
-      let with_bit = if bit_at a i = 1 then add doubled one else doubled in
-      if compare with_bit b >= 0 then begin
-        r := sub with_bit b;
-        q.(i / base_bits) <- q.(i / base_bits) lor (1 lsl (i mod base_bits))
-      end
-      else r := with_bit
-    done;
-    (normalize 1 q, !r)
-  end
+    let t = un.(j + n) + !c in
+    un.(j + n) <- t land base_mask;
+    t
+  in
+  let q = Array.make (m + 1) 0 in
+  for j = m downto 0 do
+    let num = (un.(j + n) lsl base_bits) lor un.(j + n - 1) in
+    let rec lower qhat rhat =
+      if rhat < base
+         && (qhat >= base
+            || qhat * next > (rhat lsl base_bits) lor limb un (j + n - 2))
+      then lower (qhat - 1) (rhat + top)
+      else qhat
+    in
+    let qhat = lower (num / top) (num mod top) in
+    if sub_mul j qhat >= 0 then q.(j) <- qhat
+    else begin
+      ignore (sub_mul j (-1) : int);
+      q.(j) <- qhat - 1
+    end
+  done;
+  let r =
+    Array.init n (fun i ->
+        (un.(i) lsr s) lor ((un.(i + 1) lsl (base_bits - s)) land base_mask))
+  in
+  (normalize 1 q, normalize 1 r)
 
 (* Native [/] and [mod] truncate exactly as documented.  An immediate
    dividend over a block divisor is the whole remainder: |a| < 2^62 <= |b|. *)
@@ -314,7 +335,7 @@ let divmod a b =
     let la = to_big a and lb = limbs b in
     if compare_mag la.mag lb.mag < 0 then (zero, a)
     else begin
-      let q, r = divmod_mag la.mag (abs b) in
+      let q, r = divmod_mag la.mag lb.mag in
       let q = if la.sign * lb.sign < 0 then neg q else q in
       let r = if la.sign < 0 then neg r else r in
       (q, r)

@@ -304,12 +304,14 @@ let test_large_coefficients () =
 
 (* Adversarial inputs, read from a temp file, that once ran far past their
    budgets (seconds on a 2-core Xeon host): a 2000-digit coefficient under
-   --ring, whose trial division divided the bignum bit by bit (38 s); the
+   --ring, whose trial division divided the bignum bit by bit (38 s; c*x no
+   longer trial-divides, c*x + 1 still does, by one-limb divisors); the
    --range and --lint of x^800 + x, whose width search built two powers of
-   two per candidate width (14 s and 8 s); and x^5000, whose perfect-power
-   test searched for integer roots (2.3 s against a 0.5 s budget).  Each
-   exits 0, or 2 for x^5000's unknown certificate, and never 124 (the
-   timeout). *)
+   two per candidate width (14 s and 8 s); x^5000, whose perfect-power
+   test searched for integer roots (2.3 s against a 0.5 s budget); and
+   x^20000, whose Newton root divided by a multi-limb power bit by bit
+   (17 s against a 1 s budget).  Each exits 0, or 2 for the unknown
+   certificates of the powers, and never 124 (the timeout). *)
 let test_adversarial_inputs () =
   let c = "1" ^ String.make 1998 '0' ^ "7" in
   List.iter
@@ -323,13 +325,20 @@ let test_adversarial_inputs () =
           let code, _ =
             output ~timeout:20 ~prefix:"" (args ^ " " ^ Filename.quote file)
           in
-          let name = if String.length input > 20 then "c*x" else input in
+          let name =
+            if String.starts_with ~prefix:c input then
+              "c" ^ String.sub input (String.length c)
+                      (String.length input - String.length c)
+            else input
+          in
           Alcotest.(check int) (name ^ " " ^ args) expect code))
     [
       (c ^ "*x", "--ring --time-budget 1", 0);
+      (c ^ "*x + 1", "--ring --time-budget 1", 0);
       ("x^800 + x", "-m direct --range", 0);
       ("x^800 + x", "-m direct --lint", 0);
       ("x^5000", "--time-budget 0.5", 2);
+      ("x^20000", "--time-budget 1", 2);
     ]
 
 (* The power objective at 200 bits: each toggle count compares values

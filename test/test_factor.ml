@@ -239,7 +239,21 @@ let test_integer_root_reference () =
   (* powers of about 2000 bits *)
   check [ 2; 3 ]
     (near (Z.pow (Z.pow (Z.of_int 3) 630) 2)
-    @ near (Z.pow (Z.pow (Z.of_int 7) 237) 3))
+    @ near (Z.pow (Z.pow (Z.of_int 7) 237) 3));
+  (* a large k with a root of a few bits: Newton falls by about 1 a step
+     and divides the 19 930-bit value by a multi-limb power at each.  The
+     reference cannot answer these (its first probe is a power of about
+     40 million bits), so the roots are given. *)
+  let n = Z.pow (Z.of_int 1003) 1999 in
+  List.iter
+    (fun (name, n, root) ->
+      List.iter
+        (fun (name, n, root) ->
+          Alcotest.(check (option string))
+            ("root 1999 of " ^ name) (Option.map string_of_int root)
+            (Option.map Z.to_string (S.integer_root n 1999)))
+        [ (name, n, root); ("-(" ^ name ^ ")", Z.neg n, Option.map Int.neg root) ])
+    [ ("1003^1999", n, Some 1003); ("1003^1999 + 1", Z.add n Z.one, None) ]
 
 (* linear factors --------------------------------------------------------------- *)
 

@@ -179,6 +179,35 @@ let test_gcd_lcm () =
   check_z "lcm 4 6" (Z.of_int 12) (Z.lcm (Z.of_int 4) (Z.of_int 6));
   check_z "lcm 0 6" Z.zero (Z.lcm Z.zero (Z.of_int 6))
 
+(* quotients whose first estimate of a limb passes the [qhat * v[n-2]]
+   test and is still one too large, so the multiply-and-subtract goes
+   negative and the divisor is added back *)
+let test_divmod_add_back () =
+  List.iter
+    (fun (a, b, q, r) ->
+      let a = Z.of_string a and b = Z.of_string b in
+      let q = Z.of_string q and r = Z.of_string r in
+      List.iter
+        (fun (a, q, r) ->
+          let q', r' = Z.divmod a b in
+          check_z (Z.to_string a ^ " / b") q q';
+          check_z (Z.to_string a ^ " mod b") r r')
+        [ (a, q, r); (Z.neg a, Z.neg q, Z.neg r) ])
+    [
+      ( "1645504555788710502716328017569577356783170591375003920434724866",
+        "1329227994546975835924269793521172482",
+        "1237940039285380273825382400",
+        "664613997892457938757746540427608066" );
+      ( "766247771146568276196767454228148429266443724323291136",
+        "618970019066229386756751359",
+        "1237940041591223284112818175",
+        "374482859081734911072141311" );
+      ( "664613998511427954941672165472318838",
+        "1237940038132458770829148160",
+        "536870912",
+        "1237940037844228396629996918" );
+    ]
+
 let test_divexact () =
   check_z "84/7" (Z.of_int 12) (Z.divexact (Z.of_int 84) (Z.of_int 7));
   Alcotest.check_raises "inexact"
@@ -405,8 +434,8 @@ let prop_mixed_divmod =
          && canonical (Z.gcd big za)
          && Z.divides (Z.gcd big za) za))
 
-(* divisors at the one-limb boundary (|b| < 2^30 takes the limb-by-limb
-   pass, 2^30 and 2^30 + 1 the bit-serial loop) against dividends of up to
+(* divisors at the one-limb boundary (|b| < 2^30 is one limb, 2^30 and
+   2^30 + 1 are two) against dividends of up to
    17 limbs (510 bits) of either sign, half of them multiples of the
    divisor so [divides] answers both ways *)
 let prop_one_limb_divisors =
@@ -443,6 +472,47 @@ let prop_one_limb_divisors =
       && Z.divides b a = Z.is_zero er
       && Z.is_zero r = Z.is_zero er
       && ((not multiple) || Z.is_zero r))
+
+(* Long division by divisors of 2 to 6 limbs, dividends of up to 12 (so
+   also shorter than the divisor), of either sign.  Limbs cluster where a
+   quotient-limb estimate is corrected: 0, 1, around 2^29 (the divisor's
+   top limb after normalization) and the top of a limb; the top limb is
+   never zero.  Half the dividends are multiples of the divisor. *)
+let prop_multi_limb_divisors =
+  let open QCheck.Gen in
+  let limb =
+    frequency
+      [ (7, oneofl [ 0; 1; (1 lsl 29) - 1; 1 lsl 29; (1 lsl 29) + 1;
+                     (1 lsl 30) - 2; (1 lsl 30) - 1 ]);
+        (1, int_bound ((1 lsl 30) - 1)) ]
+  in
+  let value min_limbs max_limbs =
+    map3
+      (fun neg top rest ->
+        let v =
+          List.fold_left
+            (fun acc l -> Z.add (Z.mul acc (Z.pow2 30)) (Z.of_int l))
+            (Z.of_int (Stdlib.max 1 top)) rest
+        in
+        if neg then Z.neg v else v)
+      bool limb
+      (list_size (int_range (min_limbs - 1) (max_limbs - 1)) limb)
+  in
+  prop "multi-limb divisors: a = q*b + r, sign rules" ~count:3000
+    (QCheck.make
+       ~print:(fun (b, a, m) ->
+         Printf.sprintf "b=%s a=%s multiple=%b" (Z.to_string b) (Z.to_string a) m)
+       (triple (value 2 6) (value 1 12) bool))
+    (fun (b, a, multiple) ->
+      let a = if multiple then Z.mul a b else a in
+      let q, r = Z.divmod a b and eq, er = Z.ediv_rem a b in
+      truncated_ok a b q r
+      && Z.equal a (Z.add (Z.mul eq b) er)
+      && Z.sign er >= 0
+      && Z.compare er (Z.abs b) < 0
+      && Z.divides b a = Z.is_zero r
+      && ((not multiple) || Z.is_zero r)
+      && Z.equal a (Z.of_string (Z.to_string a)))
 
 (* [sign + 2] folded over the base-2^30 limbs of |v|, least significant
    first: the hash of the sign-magnitude layout, which hashed tables of
@@ -540,6 +610,7 @@ let () =
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "val2" `Quick test_val2;
           Alcotest.test_case "divmod signs" `Quick test_divmod_signs;
+          Alcotest.test_case "divmod add-back" `Quick test_divmod_add_back;
           Alcotest.test_case "ediv_rem" `Quick test_ediv_rem;
           Alcotest.test_case "erem_pow2" `Quick test_erem_pow2;
           Alcotest.test_case "gcd lcm" `Quick test_gcd_lcm;
@@ -560,6 +631,7 @@ let () =
           prop_crossing_canonical;
           prop_divides_rem;
           prop_one_limb_divisors;
+          prop_multi_limb_divisors;
         ] );
       ( "properties",
         [
