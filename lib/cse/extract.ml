@@ -93,18 +93,16 @@ let rec subset_terms ~neg small big =
     else cmp < 0 && subset_terms ~neg small big'
 
 (* the terms of [k] that [k'] has too, with its coefficient negated when
-   [neg], in [k]'s order *)
-let common_terms ~neg k k' =
-  let rec go acc k k' =
-    match k, k' with
-    | [], _ | _, [] -> List.rev acc
-    | ((c, m) as t) :: kr, (c', m') :: kr' ->
-      let cmp = Monomial.compare m m' in
-      if cmp = 0 then go (if same ~neg c c' then t :: acc else acc) kr kr'
-      else if cmp > 0 then go acc kr k'
-      else go acc k kr'
-  in
-  go [] k k'
+   [neg], in [k]'s order after the reversed terms [acc] *)
+let rec common_terms ~neg acc k k' =
+  match k, k' with
+  | [], _ | _, [] -> List.rev acc
+  | ((c, m) as t) :: kr, (c', m') :: kr' ->
+    let cmp = Monomial.compare m m' in
+    if cmp = 0 then
+      common_terms ~neg (if same ~neg c c' then t :: acc else acc) kr kr'
+    else if cmp > 0 then common_terms ~neg acc kr k'
+    else common_terms ~neg acc k kr'
 
 (* sign-aware containment: [Some 1] when d appears verbatim, [Some (-1)]
    when its negation does (systems with mirror symmetry share
@@ -169,7 +167,7 @@ let candidate_blocks ~signs t =
      need two common monomials, so only the pairs that the index shows
      sharing two monomials are intersected *)
   let intersect ~neg k k' acc =
-    match common_terms ~neg (Poly.terms k) (Poly.terms k') with
+    match common_terms ~neg [] (Poly.terms k) (Poly.terms k') with
     | _ :: _ :: _ as common ->
       let inter = Poly.of_sorted_terms common in
       if not (Poly.equal inter k) && not (Poly.equal inter k') then

@@ -28,25 +28,26 @@ module Bits = struct
 
   let inter = Array.map2 ( land )
 
-  let subset a b =
-    let rec go i = i < 0 || (a.(i) land lnot b.(i) = 0 && go (i - 1)) in
-    go (Array.length a - 1)
+  (* the loops are top-level functions, so a test allocates no closure *)
+  let rec subset_from (a : int array) (b : int array) i =
+    i < 0 || (a.(i) land lnot b.(i) = 0 && subset_from a b (i - 1))
+
+  let subset a b = subset_from a b (Array.length a - 1)
 
   let rec popcount x = if x = 0 then 0 else 1 + popcount (x land (x - 1))
 
   let cardinal b = Array.fold_left (fun acc x -> acc + popcount x) 0 b
 
   (* whether [a] and [b] share at least two columns, with no set built *)
-  let meet_twice a b =
-    let rec go i seen =
-      i < Array.length a
-      &&
-      let x = a.(i) land b.(i) in
-      if x = 0 then go (i + 1) seen
-      else if seen || x land (x - 1) <> 0 then true
-      else go (i + 1) true
-    in
-    go 0 false
+  let rec meet_from (a : int array) (b : int array) i seen =
+    i < Array.length a
+    &&
+    let x = a.(i) land b.(i) in
+    if x = 0 then meet_from a b (i + 1) seen
+    else if seen || x land (x - 1) <> 0 then true
+    else meet_from a b (i + 1) true
+
+  let meet_twice a b = meet_from a b 0 false
 
   (* the columns in increasing order *)
   let elements b =

@@ -37,16 +37,16 @@ let largest_cube p =
    monomial map (the graded-lex order is compatible with multiplication),
    so the quotient term list below is already sorted and duplicate-free:
    [Poly.of_sorted_terms] skips the hashtable-and-sort of [Poly.of_terms]. *)
+let rec divide_terms c acc = function
+  | [] -> List.rev acc
+  | (k, m) :: rest -> (
+    match Monomial.div m c with
+    | Some m' -> divide_terms c ((k, m') :: acc) rest
+    | None -> divide_terms c acc rest)
+
 let divide_cube p c =
   if Monomial.is_one c then p
-  else
-    Poly.of_sorted_terms
-      (List.filter_map
-         (fun (k, m) ->
-           match Monomial.div m c with
-           | Some m' -> Some (k, m')
-           | None -> None)
-         (Poly.terms p))
+  else Poly.of_sorted_terms (divide_terms c [] (Poly.terms p))
 
 module PolySet = Set.Make (struct
   type t = Monomial.t * Poly.t
@@ -64,6 +64,16 @@ end)
    literal's branch. *)
 module Symtab = Polysynth_poly.Symtab
 
+(* the number of terms that mention the variable [id], from [n] *)
+let rec count_mentions id n = function
+  | [] -> n
+  | (_, m) :: rest ->
+    count_mentions id (if Monomial.mentions_id id m then n + 1 else n) rest
+
+(* whether a variable of [ids] from [i] has an index below [k] *)
+let rec any_earlier (index : int array) k (ids : int array) i =
+  i < Array.length ids && (index.(ids.(i)) < k || any_earlier index k ids (i + 1))
+
 let fold visit init p =
   if Poly.is_zero p then init
   else begin
@@ -72,38 +82,32 @@ let fold visit init p =
     let vars = Array.of_list (List.map Symtab.intern (Poly.vars p)) in
     let index = Array.make (Symtab.size ()) max_int in
     Array.iteri (fun i id -> index.(id) <- i) vars;
-    let acc = ref init in
-    let rec explore j cokernel pol =
-      if Poly.num_terms pol >= 2 then acc := visit !acc cokernel pol;
-      Array.iteri
-        (fun k id ->
-          if k >= j then begin
-            let in_terms =
-              List.fold_left
-                (fun n (_, m) -> if Monomial.mentions_id id m then n + 1 else n)
-                0 (Poly.terms pol)
-            in
-            if in_terms >= 2 then begin
-              let f = divide_cube pol (Monomial.var_of_id id) in
-              if Poly.num_terms f >= 2 then begin
-                let c = largest_cube f in
-                let f1 = divide_cube f c in
-                let earlier_literal =
-                  Array.exists (fun id' -> index.(id') < k) (Monomial.var_ids c)
-                in
-                if not earlier_literal then
-                  explore k
-                    (Monomial.mul cokernel
-                       (Monomial.mul (Monomial.var_of_id id) c))
-                    f1
-              end
-            end
-          end)
-        vars
+    (* one closure for the whole fold: [explore_from] walks the literals
+       of index >= [k] itself, with no per-node closure *)
+    let rec explore acc j cokernel pol =
+      let acc = if Poly.num_terms pol >= 2 then visit acc cokernel pol else acc in
+      explore_from acc cokernel pol j
+    and explore_from acc cokernel pol k =
+      if k >= Array.length vars then acc
+      else
+        let id = vars.(k) in
+        let acc =
+          if count_mentions id 0 (Poly.terms pol) < 2 then acc
+          else
+            let f = divide_cube pol (Monomial.var_of_id id) in
+            if Poly.num_terms f < 2 then acc
+            else
+              let c = largest_cube f in
+              if any_earlier index k (Monomial.var_ids c) 0 then acc
+              else
+                explore acc k
+                  (Monomial.mul cokernel (Monomial.mul (Monomial.var_of_id id) c))
+                  (divide_cube f c)
+        in
+        explore_from acc cokernel pol (k + 1)
     in
     let c0 = largest_cube p in
-    explore 0 c0 (divide_cube p c0);
-    !acc
+    explore init 0 c0 (divide_cube p c0)
   end
 
 (* Folded directly, past the memo.  A co-kernel determines its kernel

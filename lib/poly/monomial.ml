@@ -33,16 +33,19 @@ let degree m = m.degree
 let hash m = m.hash
 let is_one m = Array.length m.pairs = 0
 
+(* The merge loops are top-level functions over [int array]s: without
+   flambda a local [let rec] capturing its operands allocates a closure on
+   every call, and an unannotated array parameter would make every [<] on
+   its elements the polymorphic compare. *)
+let rec equal_from (pa : int array) (pb : int array) i n =
+  i >= n || (pa.(i) = pb.(i) && equal_from pa pb (i + 1) n)
+
 let structural_equal a b =
   a == b
   || (a.hash = b.hash && a.degree = b.degree
       &&
-      let pa = a.pairs and pb = b.pairs in
-      let n = Array.length pa in
-      n = Array.length pb
-      &&
-      let rec go i = i >= n || (pa.(i) = pb.(i) && go (i + 1)) in
-      go 0)
+      let n = Array.length a.pairs in
+      n = Array.length b.pairs && equal_from a.pairs b.pairs 0 n)
 
 let equal = structural_equal
 
@@ -158,12 +161,10 @@ let fold f acc m =
   in
   go acc 0
 
-let find_id m id =
-  let n = Array.length m.pairs in
-  let rec go i =
-    if i >= n then 0 else if m.pairs.(i) = id then m.pairs.(i + 1) else go (i + 2)
-  in
-  go 0
+let rec find_from (p : int array) id i n =
+  if i >= n then 0 else if p.(i) = id then p.(i + 1) else find_from p id (i + 2) n
+
+let find_id m id = find_from m.pairs id 0 (Array.length m.pairs)
 
 let degree_of v m =
   match Symtab.find v with None -> 0 | Some id -> find_id m id
@@ -195,175 +196,152 @@ let vars m =
    comparisons go through the rank snapshot: the relative order of two
    interned variables is append-stable, so results never change as more
    variables are interned. *)
+let rec lex (rk : int array) (pa : int array) (pb : int array) i j na nb =
+  if i >= na then (if j >= nb then 0 else -1)
+  else if j >= nb then 1
+  else
+    let ra = rk.(pa.(i)) and rb = rk.(pb.(j)) in
+    if ra < rb then 1
+    else if ra > rb then -1
+    else
+      let ea = pa.(i + 1) and eb = pb.(j + 1) in
+      if ea <> eb then Int.compare ea eb else lex rk pa pb (i + 2) (j + 2) na nb
+
 let compare a b =
   if a == b then 0
   else
     let c = Int.compare a.degree b.degree in
     if c <> 0 then c
-    else begin
-      let rk = Symtab.ranks () in
-      let pa = a.pairs and pb = b.pairs in
-      let na = Array.length pa and nb = Array.length pb in
-      let rec lex i j =
-        if i >= na then (if j >= nb then 0 else -1)
-        else if j >= nb then 1
-        else
-          let ra = rk.(pa.(i)) and rb = rk.(pb.(j)) in
-          if ra < rb then 1
-          else if ra > rb then -1
-          else
-            let ea = pa.(i + 1) and eb = pb.(j + 1) in
-            if ea <> eb then Int.compare ea eb else lex (i + 2) (j + 2)
-      in
-      lex 0 0
-    end
+    else
+      lex (Symtab.ranks ()) a.pairs b.pairs 0 0 (Array.length a.pairs)
+        (Array.length b.pairs)
+
+(* [out] trimmed to its first [k] entries *)
+let trim (out : int array) k =
+  if k = Array.length out then out else Array.sub out 0 k
+
+(* [pa] and [pb] merged into [out] from [k]; returns the length written.
+   A variable in both gets the sum of its exponents ([mul]) or, when
+   [take_max], the larger one ([lcm]). *)
+let rec merge (rk : int array) (pa : int array) (pb : int array)
+    (out : int array) take_max i j k na nb =
+  if i >= na && j >= nb then k
+  else if j >= nb || (i < na && rk.(pa.(i)) < rk.(pb.(j))) then begin
+    out.(k) <- pa.(i);
+    out.(k + 1) <- pa.(i + 1);
+    merge rk pa pb out take_max (i + 2) j (k + 2) na nb
+  end
+  else if i >= na || rk.(pb.(j)) < rk.(pa.(i)) then begin
+    out.(k) <- pb.(j);
+    out.(k + 1) <- pb.(j + 1);
+    merge rk pa pb out take_max i (j + 2) (k + 2) na nb
+  end
+  else begin
+    let ea = pa.(i + 1) and eb = pb.(j + 1) in
+    out.(k) <- pa.(i);
+    out.(k + 1) <- (if take_max then Int.max ea eb else ea + eb);
+    merge rk pa pb out take_max (i + 2) (j + 2) (k + 2) na nb
+  end
+
+let merge_with take_max a b =
+  let pa = a.pairs and pb = b.pairs in
+  let na = Array.length pa and nb = Array.length pb in
+  let out = Array.make (na + nb) 0 in
+  mk (trim out (merge (Symtab.ranks ()) pa pb out take_max 0 0 0 na nb))
 
 let mul a b =
-  if is_one a then b
-  else if is_one b then a
-  else begin
-    let rk = Symtab.ranks () in
-    let pa = a.pairs and pb = b.pairs in
-    let na = Array.length pa and nb = Array.length pb in
-    let out = Array.make (na + nb) 0 in
-    let rec go i j k =
-      if i >= na && j >= nb then k
-      else if j >= nb || (i < na && rk.(pa.(i)) < rk.(pb.(j))) then begin
-        out.(k) <- pa.(i);
-        out.(k + 1) <- pa.(i + 1);
-        go (i + 2) j (k + 2)
-      end
-      else if i >= na || rk.(pb.(j)) < rk.(pa.(i)) then begin
-        out.(k) <- pb.(j);
-        out.(k + 1) <- pb.(j + 1);
-        go i (j + 2) (k + 2)
-      end
-      else begin
-        out.(k) <- pa.(i);
-        out.(k + 1) <- pa.(i + 1) + pb.(j + 1);
-        go (i + 2) (j + 2) (k + 2)
-      end
-    in
-    let k = go 0 0 0 in
-    mk (if k = na + nb then out else Array.sub out 0 k)
-  end
+  if is_one a then b else if is_one b then a else merge_with false a b
+
+let rec divides_from (rk : int array) (pd : int array) (pm : int array) i j nd
+    nm =
+  if i >= nd then true
+  else if j >= nm then false
+  else
+    let rd = rk.(pd.(i)) and rm = rk.(pm.(j)) in
+    if rd < rm then false
+    else if rd > rm then divides_from rk pd pm i (j + 2) nd nm
+    else pd.(i + 1) <= pm.(j + 1) && divides_from rk pd pm (i + 2) (j + 2) nd nm
 
 let divides d m =
   d.degree <= m.degree
-  &&
-  let rk = Symtab.ranks () in
-  let pd = d.pairs and pm = m.pairs in
-  let nd = Array.length pd and nm = Array.length pm in
-  let rec go i j =
-    if i >= nd then true
-    else if j >= nm then false
+  && divides_from (Symtab.ranks ()) d.pairs m.pairs 0 0 (Array.length d.pairs)
+       (Array.length m.pairs)
+
+(* the pairs of [src] from [i] copied into [out] from [k]; returns the
+   length written *)
+let rec copy_pairs (src : int array) (out : int array) i k n =
+  if i >= n then k
+  else begin
+    out.(k) <- src.(i);
+    out.(k + 1) <- src.(i + 1);
+    copy_pairs src out (i + 2) (k + 2) n
+  end
+
+(* [pm] over [pd] written into [out] from [k]: the length written, or -1
+   when [pd] does not divide [pm] *)
+let rec div_into (rk : int array) (pm : int array) (pd : int array)
+    (out : int array) i j k nm nd =
+  if j >= nd then copy_pairs pm out i k nm
+  else if i >= nm then -1
+  else
+    let rm = rk.(pm.(i)) and rd = rk.(pd.(j)) in
+    if rm < rd then begin
+      out.(k) <- pm.(i);
+      out.(k + 1) <- pm.(i + 1);
+      div_into rk pm pd out (i + 2) j (k + 2) nm nd
+    end
+    else if rm > rd then -1
     else
-      let rd = rk.(pd.(i)) and rm = rk.(pm.(j)) in
-      if rd < rm then false
-      else if rd > rm then go i (j + 2)
-      else pd.(i + 1) <= pm.(j + 1) && go (i + 2) (j + 2)
-  in
-  go 0 0
+      let e = pm.(i + 1) - pd.(j + 1) in
+      if e < 0 then -1
+      else if e = 0 then div_into rk pm pd out (i + 2) (j + 2) k nm nd
+      else begin
+        out.(k) <- pm.(i);
+        out.(k + 1) <- e;
+        div_into rk pm pd out (i + 2) (j + 2) (k + 2) nm nd
+      end
 
 let div m d =
   if is_one d then Some m
   else if d.degree > m.degree then None
   else begin
-    let rk = Symtab.ranks () in
     let pm = m.pairs and pd = d.pairs in
-    let nm = Array.length pm and nd = Array.length pd in
+    let nm = Array.length pm in
     let out = Array.make nm 0 in
-    let rec go i j k =
-      if j >= nd then begin
-        (* copy what is left of m *)
-        let rec copy i k =
-          if i >= nm then Some k
-          else begin
-            out.(k) <- pm.(i);
-            out.(k + 1) <- pm.(i + 1);
-            copy (i + 2) (k + 2)
-          end
-        in
-        copy i k
-      end
-      else if i >= nm then None
-      else
-        let rm = rk.(pm.(i)) and rd = rk.(pd.(j)) in
-        if rm < rd then begin
-          out.(k) <- pm.(i);
-          out.(k + 1) <- pm.(i + 1);
-          go (i + 2) j (k + 2)
-        end
-        else if rm > rd then None
-        else
-          let e = pm.(i + 1) - pd.(j + 1) in
-          if e < 0 then None
-          else if e = 0 then go (i + 2) (j + 2) k
-          else begin
-            out.(k) <- pm.(i);
-            out.(k + 1) <- e;
-            go (i + 2) (j + 2) (k + 2)
-          end
-    in
-    match go 0 0 0 with
-    | None -> None
-    | Some 0 -> Some one
-    | Some k -> Some (mk (if k = nm then out else Array.sub out 0 k))
+    match div_into (Symtab.ranks ()) pm pd out 0 0 0 nm (Array.length pd) with
+    | -1 -> None
+    | 0 -> Some one
+    | k -> Some (mk (trim out k))
   end
+
+(* the variables of both [pa] and [pb], at the smaller exponent, written
+   into [out] from [k]; returns the length written *)
+let rec meet (rk : int array) (pa : int array) (pb : int array)
+    (out : int array) i j k na nb =
+  if i >= na || j >= nb then k
+  else
+    let ra = rk.(pa.(i)) and rb = rk.(pb.(j)) in
+    if ra < rb then meet rk pa pb out (i + 2) j k na nb
+    else if ra > rb then meet rk pa pb out i (j + 2) k na nb
+    else begin
+      out.(k) <- pa.(i);
+      out.(k + 1) <- Int.min pa.(i + 1) pb.(j + 1);
+      meet rk pa pb out (i + 2) (j + 2) (k + 2) na nb
+    end
 
 let gcd a b =
   if is_one a || is_one b then one
   else begin
-    let rk = Symtab.ranks () in
     let pa = a.pairs and pb = b.pairs in
     let na = Array.length pa and nb = Array.length pb in
-    let out = Array.make (Stdlib.min na nb) 0 in
-    let rec go i j k =
-      if i >= na || j >= nb then k
-      else
-        let ra = rk.(pa.(i)) and rb = rk.(pb.(j)) in
-        if ra < rb then go (i + 2) j k
-        else if ra > rb then go i (j + 2) k
-        else begin
-          out.(k) <- pa.(i);
-          out.(k + 1) <- Stdlib.min pa.(i + 1) pb.(j + 1);
-          go (i + 2) (j + 2) (k + 2)
-        end
-    in
-    match go 0 0 0 with
+    let out = Array.make (Int.min na nb) 0 in
+    match meet (Symtab.ranks ()) pa pb out 0 0 0 na nb with
     | 0 -> one
-    | k -> mk (if k = Array.length out then out else Array.sub out 0 k)
+    | k -> mk (trim out k)
   end
 
 let lcm a b =
-  if is_one a then b
-  else if is_one b then a
-  else begin
-    let rk = Symtab.ranks () in
-    let pa = a.pairs and pb = b.pairs in
-    let na = Array.length pa and nb = Array.length pb in
-    let out = Array.make (na + nb) 0 in
-    let rec go i j k =
-      if i >= na && j >= nb then k
-      else if j >= nb || (i < na && rk.(pa.(i)) < rk.(pb.(j))) then begin
-        out.(k) <- pa.(i);
-        out.(k + 1) <- pa.(i + 1);
-        go (i + 2) j (k + 2)
-      end
-      else if i >= na || rk.(pb.(j)) < rk.(pa.(i)) then begin
-        out.(k) <- pb.(j);
-        out.(k + 1) <- pb.(j + 1);
-        go i (j + 2) (k + 2)
-      end
-      else begin
-        out.(k) <- pa.(i);
-        out.(k + 1) <- Stdlib.max pa.(i + 1) pb.(j + 1);
-        go (i + 2) (j + 2) (k + 2)
-      end
-    in
-    let k = go 0 0 0 in
-    mk (if k = na + nb then out else Array.sub out 0 k)
-  end
+  if is_one a then b else if is_one b then a else merge_with true a b
 
 let remove_var v m =
   match Symtab.find v with

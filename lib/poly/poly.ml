@@ -163,23 +163,22 @@ let add_list ps = List.fold_left add zero ps
 
 (* [r - cq*mq*b] in one merge, with no negated copy or product list: the
    tail of [r] past the last term it touches is shared *)
-let sub_scaled r cq mq b =
-  let rec next r b =
-    match b with
-    | [] -> r
-    | (c, m) :: b -> insert r (Z.mul cq c) (Monomial.mul mq m) b
-  and insert r c m b =
-    match r with
-    | (cr, mr) :: r' ->
-      let cmp = Monomial.compare mr m in
-      if cmp > 0 then (cr, mr) :: insert r' c m b
-      else if cmp = 0 then
-        let d = Z.sub cr c in
-        if Z.is_zero d then next r' b else (d, mr) :: next r' b
-      else (Z.neg c, m) :: next r b
-    | [] -> (Z.neg c, m) :: next r b
-  in
-  next r b
+let rec sub_scaled r cq mq b =
+  match b with
+  | [] -> r
+  | (c, m) :: b -> insert_scaled r cq mq (Z.mul cq c) (Monomial.mul mq m) b
+
+and insert_scaled r cq mq c m b =
+  match r with
+  | (cr, mr) :: r' ->
+    let cmp = Monomial.compare mr m in
+    if cmp > 0 then (cr, mr) :: insert_scaled r' cq mq c m b
+    else if cmp = 0 then
+      let d = Z.sub cr c in
+      if Z.is_zero d then sub_scaled r' cq mq b
+      else (d, mr) :: sub_scaled r' cq mq b
+    else (Z.neg c, m) :: sub_scaled r cq mq b
+  | [] -> (Z.neg c, m) :: sub_scaled r cq mq b
 
 (* The division's loops are top-level functions, so a division allocates
    no closure.  [first_reducible cb mb r] is the suffix of [r] from its

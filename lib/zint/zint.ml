@@ -365,10 +365,20 @@ let divexact a b =
   if not (is_zero r) then invalid_arg "Zint.divexact: inexact division";
   q
 
-(* two immediates are decided natively, without the [divmod] tuple *)
+(* the remainder of the limbs [mag] over [d] (0 < d < 2^32), top limb
+   first from [i]: each [(r lsl 30) lor limb] stays below 2^62 *)
+let rec rem_word (mag : int array) d i r =
+  if i < 0 then r
+  else rem_word mag d (i - 1) (((r lsl base_bits) lor mag.(i)) mod d)
+
+(* two immediates are decided natively, without the [divmod] tuple, and a
+   block over a word-sized divisor limb by limb, without copying it *)
 let divides d a =
   if is_zero d then is_zero a
   else if is_small d && is_small a then to_small a mod to_small d = 0
+  else if is_small d && Stdlib.abs (to_small d) < 1 lsl 32 then
+    let mag = (to_big a).mag in
+    rem_word mag (Stdlib.abs (to_small d)) (Array.length mag - 1) 0 = 0
   else is_zero (rem a d)
 
 (* Euclid on limbs until both values fit a word, then natively *)

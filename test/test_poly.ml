@@ -144,10 +144,17 @@ module MRef = struct
         | None -> None)
       a
 
+  let exp m v = Option.value ~default:0 (List.assoc_opt v m)
+
+  let lcm a b =
+    of_list
+      (List.map (fun (v, e) -> (v, Stdlib.max e (exp b v))) a
+      @ List.filter (fun (v, _) -> exp a v = 0) b)
+
+  let divides d m = List.for_all (fun (v, e) -> e <= exp m v) d
+
   let div a b =
-    let exp m v = Option.value ~default:0 (List.assoc_opt v m) in
-    if List.for_all (fun (v, e) -> e <= exp a v) b then
-      Some (of_list (a @ List.map (fun (v, e) -> (v, -e)) b))
+    if divides b a then Some (of_list (a @ List.map (fun (v, e) -> (v, -e)) b))
     else None
 end
 
@@ -194,6 +201,50 @@ let prop_mono_div_ref =
       | Some q, Some q' -> Mono.to_list q = q'
       | None, None -> true
       | _ -> false)
+
+let prop_mono_lcm_divides_ref =
+  prop "interned lcm/divides match reference" arb_two_bindings (fun (a, b) ->
+      let ma = Mono.of_list a and mb = Mono.of_list b in
+      let ra = MRef.of_list a and rb = MRef.of_list b in
+      Mono.to_list (Mono.lcm ma mb) = MRef.lcm ra rb
+      && Mono.divides mb ma = MRef.divides rb ra
+      && Mono.divides ma (Mono.mul ma mb))
+
+(* [mul] does not hash-cons, so the two products are physically distinct
+   and [equal] runs its comparison loop *)
+let prop_mono_equal_degree_of_ref =
+  prop "interned equal/degree_of match reference" arb_two_bindings
+    (fun (a, b) ->
+      let ma = Mono.of_list a and mb = Mono.of_list b in
+      let ra = MRef.of_list a in
+      let x = Mono.var "x" in
+      Mono.equal (Mono.mul ma x) (Mono.mul mb x) = (ra = MRef.of_list b)
+      && List.for_all
+           (fun v -> Mono.degree_of v ma = MRef.exp ra v)
+           [ "x"; "y"; "z"; "w"; "u"; "v"; "never_a_variable" ])
+
+(* The merge loops are top-level functions, so they allocate no closure:
+   10 000 calls each of [compare] (equal degree, not physically equal),
+   [divides], [equal] (structurally equal, physically distinct) and
+   [mentions_id] stay below 1 000 minor words in all. *)
+let test_mono_no_alloc () =
+  let a = Mono.of_list [ ("x", 2); ("y", 1); ("z", 1) ]
+  and b = Mono.of_list [ ("x", 1); ("y", 2); ("z", 1) ] in
+  let xy = Mono.of_list [ ("x", 1); ("y", 1) ] in
+  let e1 = Mono.mul xy (Mono.var "z") and e2 = Mono.mul xy (Mono.var "z") in
+  let z = Symtab.intern "z" in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Mono.compare a b));
+    ignore (Sys.opaque_identity (Mono.divides xy a));
+    ignore (Sys.opaque_identity (Mono.equal e1 e2));
+    ignore (Sys.opaque_identity (Mono.mentions_id z a))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "compare sees unequal" true (Mono.compare a b > 0);
+  Alcotest.(check bool) "equal sees equal" true (e1 != e2 && Mono.equal e1 e2);
+  if words >= 1000. then
+    Alcotest.failf "40 000 monomial calls allocated %.0f minor words" words
 
 let gen_raw_terms =
   QCheck.Gen.(list_size (int_range 0 10) (pair (int_range (-5) 5) gen_bindings))
@@ -590,6 +641,8 @@ let () =
           Alcotest.test_case "gcd lcm" `Quick test_mono_gcd_lcm;
           Alcotest.test_case "of_list 10k bindings" `Quick
             test_mono_of_list_large;
+          Alcotest.test_case "monomial tests allocate nothing" `Quick
+            test_mono_no_alloc;
         ] );
       ( "interning",
         [
@@ -597,6 +650,8 @@ let () =
           prop_mono_compare_ref;
           prop_mono_mul_gcd_ref;
           prop_mono_div_ref;
+          prop_mono_lcm_divides_ref;
+          prop_mono_equal_degree_of_ref;
           prop_of_terms_ref;
           prop_symtab_order;
         ] );

@@ -473,20 +473,20 @@ let prop_one_limb_divisors =
       && Z.is_zero r = Z.is_zero er
       && ((not multiple) || Z.is_zero r))
 
-(* Long division by divisors of 2 to 6 limbs, dividends of up to 12 (so
-   also shorter than the divisor), of either sign.  Limbs cluster where a
-   quotient-limb estimate is corrected: 0, 1, around 2^29 (the divisor's
-   top limb after normalization) and the top of a limb; the top limb is
-   never zero.  Half the dividends are multiples of the divisor. *)
-let prop_multi_limb_divisors =
-  let open QCheck.Gen in
-  let limb =
+(* Limbs cluster where a quotient-limb estimate is corrected: 0, 1,
+   around 2^29 (the divisor's top limb after normalization) and the top
+   of a limb. *)
+let structured_limb =
+  QCheck.Gen.(
     frequency
       [ (7, oneofl [ 0; 1; (1 lsl 29) - 1; 1 lsl 29; (1 lsl 29) + 1;
                      (1 lsl 30) - 2; (1 lsl 30) - 1 ]);
-        (1, int_bound ((1 lsl 30) - 1)) ]
-  in
-  let value min_limbs max_limbs =
+        (1, int_bound ((1 lsl 30) - 1)) ])
+
+(* a value of [min_limbs] to [max_limbs] structured limbs, of either
+   sign; the top limb is never zero *)
+let structured_value min_limbs max_limbs =
+  QCheck.Gen.(
     map3
       (fun neg top rest ->
         let v =
@@ -495,14 +495,19 @@ let prop_multi_limb_divisors =
             (Z.of_int (Stdlib.max 1 top)) rest
         in
         if neg then Z.neg v else v)
-      bool limb
-      (list_size (int_range (min_limbs - 1) (max_limbs - 1)) limb)
-  in
+      bool structured_limb
+      (list_size (int_range (min_limbs - 1) (max_limbs - 1)) structured_limb))
+
+(* Long division by divisors of 2 to 6 limbs, dividends of up to 12 (so
+   also shorter than the divisor), of either sign.  Half the dividends are
+   multiples of the divisor. *)
+let prop_multi_limb_divisors =
+  let open QCheck.Gen in
   prop "multi-limb divisors: a = q*b + r, sign rules" ~count:3000
     (QCheck.make
        ~print:(fun (b, a, m) ->
          Printf.sprintf "b=%s a=%s multiple=%b" (Z.to_string b) (Z.to_string a) m)
-       (triple (value 2 6) (value 1 12) bool))
+       (triple (structured_value 2 6) (structured_value 1 12) bool))
     (fun (b, a, multiple) ->
       let a = if multiple then Z.mul a b else a in
       let q, r = Z.divmod a b and eq, er = Z.ediv_rem a b in
@@ -551,6 +556,28 @@ let prop_divides_rem =
       QCheck.assume (not (Z.is_zero d));
       let a = match k with Some k -> Z.mul (Z.of_int k) d | None -> a in
       Z.divides d a = Z.is_zero (Z.rem a d))
+
+(* [divides] by a word-sized divisor (|d| < 2^32) reads the dividend's
+   limbs top first; dividends of 3 to 12 structured limbs, half of them
+   multiples of the divisor *)
+let prop_word_divisors_divides =
+  let open QCheck.Gen in
+  let divisor =
+    map2 ( * )
+      (frequency
+         [ (1, oneofl [ 1; 2; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 32) - 1 ]);
+           (1, int_range 1 ((1 lsl 32) - 1)) ])
+      (oneofl [ 1; -1 ])
+  in
+  prop "word-sized divisors: divides d a = is_zero (rem a d)" ~count:2000
+    (QCheck.make
+       ~print:(fun (d, a, m) ->
+         Printf.sprintf "d=%d a=%s multiple=%b" d (Z.to_string a) m)
+       (triple divisor (structured_value 3 12) bool))
+    (fun (d, a, multiple) ->
+      let d = Z.of_int d in
+      let a = if multiple then Z.mul a d else a in
+      Z.divides d a = Z.is_zero (Z.rem a d) && ((not multiple) || Z.divides d a))
 
 (* sums, differences and products of word-sized operands that overflow a
    native int: the result leaves the immediate range and must take the
@@ -632,6 +659,7 @@ let () =
           prop_divides_rem;
           prop_one_limb_divisors;
           prop_multi_limb_divisors;
+          prop_word_divisors_divides;
         ] );
       ( "properties",
         [
